@@ -528,7 +528,7 @@ func BenchmarkFusedServing(b *testing.B) {
 // BenchmarkReplayThroughput measures the deterministic replay harness
 // end to end: the committed zipf scenario trace (96 hostile requests +
 // 32 steady probes) replayed against a 2-replica cost-aware fleet in
-// 16-entry quiesce windows. One iteration is one full replay — fleet
+// 16-entry admission windows. One iteration is one full replay — fleet
 // construction, windowed admission, drain, digest rendering — so the
 // metric tracks the offline-A/B turnaround an operator actually waits
 // for. Reports wall-clock replayed requests per second.

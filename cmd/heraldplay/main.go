@@ -17,10 +17,11 @@
 //	# diff two digests, one line per differing leaf
 //	go run ./cmd/heraldplay -diff a.json b.json
 //
-// The replay protocol (internal/replay) admits the trace in quiesce
-// windows against paused engines, so batch composition — and with it
-// every latency percentile, fault-handling decision and repartition
-// decision — is a pure function of trace order; nothing reads the
+// The replay protocol (internal/replay) submits the trace in windows
+// to a manual fleet and admits each window with one synchronous
+// Fleet.Admit call, so batch composition — and with it every latency
+// percentile, fault-handling decision and repartition decision — is a
+// pure function of trace order at any GOMAXPROCS; nothing reads the
 // wall clock. -window sets the window size in trace entries;
 // -repartition steps the control ladder once per full window (the
 // deterministic stand-in for heraldd's -resweep-every ticker); add
@@ -60,7 +61,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8, "max admissions coalesced per scheduling round")
 	replicas := flag.Int("replicas", 1, "replica serving engines")
 	fleetPolicy := flag.String("fleet-policy", "cost-aware", "fleet routing policy: round-robin, least-outstanding, cost-aware")
-	fuse := flag.Bool("fuse", false, "engine-level layer-fused segment serving (fleet-level fusion is completion-paced and not replayable)")
+	fuse := flag.Bool("fuse", false, "layer-fused segment serving inside each replica engine (engine-level fusion, as heraldd -fuse)")
 	maxSegments := flag.Int("max-segments", 4, "upper bound on segments per fused request (with -fuse; >= 2)")
 	mixHalfLife := flag.Int("mix-half-life", 0, "observed-mix half-life in submissions for repartition probes (0 = all-time counts)")
 	shedSLAFactor := flag.Float64("shed-sla-factor", 0, "shed arrivals whose best-ETA lateness exceeds this multiple of their SLA (0 = off)")
@@ -68,7 +69,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive replica admission failures that open its circuit breaker")
 	breakerProbeAfter := flag.Int("breaker-probe-after", 8, "fleet dispatches after a breaker opens before it admits a half-open probe")
 
-	window := flag.Int("window", 0, "quiesce-window size in trace entries (0 = whole trace in one window; required by -repartition)")
+	window := flag.Int("window", 0, "admission-window size in trace entries (0 = whole trace in one window; required by -repartition)")
 	ladder := config.BindLadder(flag.CommandLine)
 	stylesFlag := flag.String("styles", "nvdla,shi-diannao", "repartition sweep's sub-accelerator dataflow styles")
 	peUnits := flag.Int("pe-units", 8, "repartition sweep's PE partitioning granularity")

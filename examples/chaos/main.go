@@ -10,13 +10,14 @@
 //     chaos stays within a generous factor of the fault-free control
 //     run (survivors absorb the failed-over work, they do not melt);
 //  3. determinism: the same trace plus the same FaultPlan replays to
-//     an identical fault-handling decision log and identical final
-//     counters, run to run.
+//     an identical fault-handling decision log, identical final
+//     counters and an identical steady-tenant p99, run to run.
 //
-// The harness exits non-zero on any violation, so CI can gate on it
-// (make chaos). It imports the internal packages rather than the
-// facade because deterministic crash staging needs a replica's engine
-// paused — an instrument the public API deliberately does not expose.
+// The fleet is manual (serve.Options.Manual): engines admit only when
+// the harness calls Fleet.Admit, so which requests the crash finds
+// queued — and every batch the engines schedule — is fixed by the
+// order of the calls. The harness exits non-zero on any violation, so
+// CI can gate on it (make chaos).
 package main
 
 import (
@@ -89,7 +90,7 @@ func main() {
 			ms(first.p99), ms(control.p99))
 	}
 
-	// 3. Bit-identical replay: decisions and final counters.
+	// 3. Bit-identical replay: decisions, final counters and p99.
 	if !reflect.DeepEqual(first.decisions, second.decisions) {
 		log.Fatalf("REPLAY DIVERGED: decision logs differ\n first: %+v\nsecond: %+v",
 			first.decisions, second.decisions)
@@ -100,7 +101,7 @@ func main() {
 	}
 
 	fmt.Printf("\nOK: conservation held across a mid-flight crash (%d failovers), "+
-		"steady p99 inflated %.1fx (bound 10x), and the decision log replayed bit-identically\n",
+		"steady p99 inflated %.1fx (bound 10x), and the decision log, counters and p99 replayed bit-identically\n",
 		st.Failovers, float64(first.p99)/float64(control.p99))
 }
 
@@ -110,13 +111,11 @@ type result struct {
 	p99       int64
 }
 
-// counters projects the deterministic slice of the final statistics —
-// the part a replay must reproduce exactly. (Latency percentiles are
-// simulated-time quantities but depend on engine batch composition,
-// which is wall-time sensitive; they are bounded, not replayed.)
-func (r result) counters() [8]int64 {
-	return [8]int64{r.stats.Submitted, r.stats.Completed, r.stats.Failed, r.stats.Lost,
-		r.stats.Failovers, r.stats.Crashes, r.stats.Recoveries, r.stats.BreakerTrips}
+// counters projects the final statistics a replay must reproduce
+// exactly, the steady tenant's p99 included.
+func (r result) counters() [9]int64 {
+	return [9]int64{r.stats.Submitted, r.stats.Completed, r.stats.Failed, r.stats.Lost,
+		r.stats.Failovers, r.stats.Crashes, r.stats.Recoveries, r.stats.BreakerTrips, r.p99}
 }
 
 // run drives the fixed two-phase trace through a fresh 3-replica
@@ -134,6 +133,7 @@ func run(plan *fleet.FaultPlan) result {
 	opts := fleet.DefaultOptions()
 	opts.Policy = fleet.CostAware
 	opts.Faults = plan
+	opts.Serve.Manual = true
 	f, err := fleet.Replicated(cache, hda, 3, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -159,25 +159,10 @@ func run(plan *fleet.FaultPlan) result {
 			submit("steady", "mobilenetv1", int64(i)*phaseGap+phaseGap/2)
 		}
 	}
-	// Let phase A finish before staging the crash: the doomed set must
-	// be exactly the burst requests the dispatcher routes to replica 0,
-	// not whatever slice of phase A its engine happened not to have
-	// scheduled yet (that would be wall-clock dependent and break the
-	// bit-identical replay).
-	for _, t := range tickets {
-		if _, err := t.Wait(context.Background()); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Crash staging: pause replica 0's engine so the burst requests
-	// routed to it stay queued — the deterministic doomed set the
-	// crash will extract and fail over.
-	if plan != nil {
-		if err := f.PauseReplica(0); err != nil {
-			log.Fatal(err)
-		}
-	}
+	// Admit phase A before staging the crash: the doomed set is then
+	// exactly the burst requests the dispatcher routes to replica 0,
+	// which stay queued until the crash extracts and fails them over.
+	f.Admit()
 	for i := 0; i < 6; i++ {
 		submit("burst", "mobilenetv1", crashCycle-phaseGap+int64(i))
 	}
@@ -188,6 +173,7 @@ func run(plan *fleet.FaultPlan) result {
 	for i := 0; i < 16; i++ {
 		submit("steady", "brq-handpose", crashCycle+int64(i)*phaseGap)
 	}
+	f.Admit()
 
 	for i, t := range tickets {
 		rec, err := t.Wait(context.Background())

@@ -43,7 +43,7 @@ import (
 // corpus currently peaks at ~11x under flip-flop + faults).
 const p99Envelope = 25
 
-// window paces hostile replays: admitting the trace in quiesce windows
+// window paces hostile replays: admitting the trace in windows
 // of this many entries keeps the crowd from all queueing ahead of the
 // steady probes at once, mirroring live arrival pacing.
 const window = 16

@@ -50,13 +50,16 @@ func fusedFleetSetup(tb testing.TB, cache *CostCache) ([]*HDA, map[string]Segmen
 }
 
 // driveFusedBurst submits pairs of render/track requests arriving at
-// cycle 0, waits for every merged completion, drains, and returns the
+// cycle 0 to a manual fleet, admits the burst, drains, and returns the
 // burst makespan (latest committed cycle across replicas) with the
-// final fleet stats.
+// final fleet stats. Manual admission makes the makespan a function of
+// the burst alone: every segment 0 is placed before any successor is
+// routed, whatever the goroutine timing.
 func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[string]SegmentPlan, pairs int) (int64, FleetStats) {
 	tb.Helper()
 	opts := DefaultFleetOptions()
 	opts.Plans = plans
+	opts.Serve.Manual = true
 	f, err := NewFleet(cache, hdas, opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -71,6 +74,7 @@ func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[str
 			tickets = append(tickets, t)
 		}
 	}
+	f.Admit()
 	for _, t := range tickets {
 		rec, err := t.Wait(context.Background())
 		if err != nil {

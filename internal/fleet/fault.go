@@ -481,9 +481,11 @@ func (f *Fleet) applyCrashLocked(ev FaultEvent) {
 
 // failoverLocked re-admits every request the last crash orphaned
 // (their resolve callbacks queued them on lostQ) onto survivors, in
-// the crashed engine's deterministic extraction order. A request over
-// its attempt budget, or with no survivor left to take it, fails fast
-// with a terminal fleet-side record. f.mu held.
+// the crashed engine's deterministic extraction order. A lost fused
+// chain segment fails over the same way, and the chain continues from
+// wherever it lands. A request over its attempt budget, or with no
+// survivor left to take it, fails fast with a terminal fleet-side
+// record. f.mu held.
 func (f *Fleet) failoverLocked(cycle int64) {
 	f.outMu.Lock()
 	q := f.lostQ
@@ -502,26 +504,39 @@ func (f *Fleet) failoverLocked(cycle int64) {
 			f.failTicketLocked(d, cycle, err.Error())
 			continue
 		}
+		d.attempts++
 		f.failovers++
+		what := fmt.Sprintf("request %d", d.t.ID)
+		if d.segs != nil {
+			what = fmt.Sprintf("fused request %d segment %d", d.t.ID, d.seg)
+		}
 		f.noteDecisionLocked(cycle, "failover", d.replica,
-			fmt.Sprintf("request %d (tenant %q) re-admitted, attempt %d", d.t.ID, d.req.Tenant, d.attempts))
+			fmt.Sprintf("%s (tenant %q) re-admitted, attempt %d", what, d.req.Tenant, d.attempts))
 	}
 }
 
 // failTicketLocked terminates a failed-over request that no replica
 // could take: its ticket resolves with a fleet-synthesized failed
-// record. The request is no longer in any engine's accounting (the
-// crash rolled it back), so fleet aggregates count it via lostFailed —
-// added to both Submitted and Failed, keeping conservation exact. f.mu
-// held.
+// record (for a fused chain, the merged record with the lost segment
+// failed). The lost admission is no longer in any engine's accounting
+// (the crash rolled it back), so fleet aggregates count it via
+// lostFailed — added to both Submitted and Failed, keeping
+// conservation exact. f.mu held.
 func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 	f.lostFailed++
 	f.lostFailedT[d.req.Tenant]++
-	f.outMu.Lock()
-	if f.tenantOut[d.req.Tenant]--; f.tenantOut[d.req.Tenant] <= 0 {
-		delete(f.tenantOut, d.req.Tenant)
+	f.noteDecisionLocked(cycle, "failover-fail", -1,
+		fmt.Sprintf("request %d (tenant %q): %s", d.t.ID, d.req.Tenant, reason))
+	if d.segs != nil {
+		d.rec.Segments = append(d.rec.Segments, serve.SegmentRecord{
+			Index: d.seg, Model: d.current().Name, Replica: d.replica, Err: "failover: " + reason,
+		})
+		d.rec.Status = serve.StatusFailed
+		d.rec.Err = fmt.Sprintf("segment %d on replica %d: failover: %s", d.seg, d.replica, reason)
+		f.finishChainLocked(d)
+		return
 	}
-	f.outMu.Unlock()
+	f.tenantOutDec(d.req.Tenant)
 	rec := serve.Record{
 		ID:           d.t.ID,
 		Tenant:       d.req.Tenant,
@@ -535,8 +550,6 @@ func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 	d.t.rec = &rec
 	d.t.served = -1
 	close(d.t.done)
-	f.noteDecisionLocked(cycle, "failover-fail", -1,
-		fmt.Sprintf("request %d (tenant %q): %s", d.t.ID, d.req.Tenant, reason))
 }
 
 // applyRecoverLocked heals a replica: a crashed one is rebuilt as a
@@ -770,58 +783,6 @@ func (f *Fleet) minHorizonLocked() int64 {
 		}
 	}
 	return m
-}
-
-// PauseReplica freezes one active replica's engine scheduling while
-// still admitting work to its queue — maintenance mode, and the chaos
-// harness's instrument for staging a deterministic pre-crash queue. A
-// subsequent FaultCrash extracts exactly the requests admitted since
-// the pause.
-func (f *Fleet) PauseReplica(id int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.activeByID(id)
-	if r == nil {
-		return fmt.Errorf("fleet: replica %d not active", id)
-	}
-	r.engine.Pause()
-	return nil
-}
-
-// ResumeReplica releases a PauseReplica freeze.
-func (f *Fleet) ResumeReplica(id int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.activeByID(id)
-	if r == nil {
-		return fmt.Errorf("fleet: replica %d not active", id)
-	}
-	r.engine.Resume()
-	return nil
-}
-
-// PauseAll freezes every active replica engine's scheduling while
-// still admitting work (see PauseReplica). With Options.StartPaused
-// it is the replay harness's window-boundary instrument: pause,
-// submit a window of the trace, ResumeAll, wait — the queues each
-// scheduling round sees are then identical run to run, making batch
-// composition (and with it latency percentiles) bit-reproducible.
-func (f *Fleet) PauseAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range f.replicas {
-		r.engine.Pause()
-	}
-}
-
-// ResumeAll lifts PauseAll (and Options.StartPaused), waking every
-// active replica engine.
-func (f *Fleet) ResumeAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range f.replicas {
-		r.engine.Resume()
-	}
 }
 
 // Health snapshots the fleet's fault surface: per-replica health,

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -33,24 +32,11 @@ func mustPlan(t *testing.T, events ...FaultEvent) *FaultPlan {
 	return p
 }
 
-// waitPending polls until the engine holds exactly want queued
-// requests — how the tests stage a deterministic pre-crash state on a
-// paused replica.
-func waitPending(t *testing.T, e *serve.Engine, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for e.Stats().Pending != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending %d never reached %d", e.Stats().Pending, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
+// pending is an engine's queued-request count.
+func pending(e *serve.Engine) int { return e.Load().Pending }
 
 // consSnap is the deterministic slice of the final fleet statistics —
-// the counters a replayed fault scenario must reproduce exactly
-// (latency percentiles depend on engine batch composition, which is
-// wall-time sensitive, so they are excluded).
+// the counters a replayed fault scenario must reproduce exactly.
 type consSnap struct {
 	Submitted, Completed, Failed, Lost         int64
 	Shed, Failovers, Crashes, BreakerTrips     int64
@@ -82,27 +68,27 @@ func crashScenario(t *testing.T) ([]FaultDecision, consSnap) {
 	opts.Policy = RoundRobin // position-based routing: fully deterministic
 	opts.Plans = plans
 	opts.Faults = mustPlan(t, FaultEvent{Cycle: crashCycle, Replica: 0, Kind: FaultCrash})
+	opts.Serve.Manual = true // nothing admits unless the test says so
 	f, err := Replicated(cache, testHDA(t), 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng0 := f.replicas[0].engine
-	eng0.Pause() // replica 0 admits but never schedules: its queue is the doomed set
 
-	// Round-robin position 0: the plain doomed request lands on the
-	// paused replica 0 and stays queued.
+	// Round-robin position 0: the plain doomed request lands on
+	// replica 0 and stays queued.
 	doomed, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", SLACycles: 1 << 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if doomed.Replica != 0 {
-		t.Fatalf("doomed request routed to %d, want paused replica 0", doomed.Replica)
+		t.Fatalf("doomed request routed to %d, want replica 0", doomed.Replica)
 	}
 
-	// Round-robin position 1: the fused chain's segment 0 lands on the
-	// live replica 1 and completes; the chain then routes segment 1 to
-	// position 0 — the paused replica — where it queues behind the
-	// doomed request. The chain is now dying mid-chain.
+	// Round-robin position 1: the fused chain's segment 0 lands on
+	// replica 1, which admits it alone; releasing the chain routes
+	// segment 1 to position 0, where it queues behind the doomed
+	// request. The chain is now dying mid-chain.
 	fused, err := f.Submit(serve.Request{Tenant: "ar", Model: "mobilenetv2", SLACycles: 1 << 50})
 	if err != nil {
 		t.Fatal(err)
@@ -110,19 +96,25 @@ func crashScenario(t *testing.T) ([]FaultDecision, consSnap) {
 	if fused.Replica != 1 {
 		t.Fatalf("fused segment 0 routed to %d, want replica 1", fused.Replica)
 	}
-	waitPending(t, eng0, 2) // doomed + the chain's segment 1
+	f.replicas[1].engine.Admit()
+	f.mu.Lock()
+	f.dispatchReadyLocked()
+	f.mu.Unlock()
+	if got := pending(eng0); got != 2 { // doomed + the chain's segment 1
+		t.Fatalf("replica 0 holds %d queued, want 2", got)
+	}
 
 	// The trigger arrival advances the fault clock past the crash
 	// cycle: replica 0 dies, both queued requests are extracted as
-	// lost, and failover re-admits them on replica 1 — the plain one
-	// synchronously under the dispatch lock, the chain's segment when
-	// the chain wakes.
+	// lost, and failover re-admits them on replica 1 under the
+	// dispatch lock; Admit then serves the rest of the chain.
 	trigger, err := f.Submit(serve.Request{
 		Tenant: "t", Model: "mobilenetv1", ArrivalCycle: crashCycle, SLACycles: 1 << 50,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Admit()
 
 	for name, tk := range map[string]*Ticket{"doomed": doomed, "fused": fused, "trigger": trigger} {
 		rec, err := tk.Wait(context.Background())
@@ -209,15 +201,16 @@ func TestFaultAttemptBudget(t *testing.T) {
 	opts.Policy = RoundRobin
 	opts.Health = HealthOptions{MaxAttempts: 1}
 	opts.Faults = mustPlan(t, FaultEvent{Cycle: 1000, Replica: 0, Kind: FaultCrash})
+	opts.Serve.Manual = true
 	f := faultFleet(t, opts)
-	eng0 := f.replicas[0].engine
-	eng0.Pause()
 
 	doomed, err := f.Submit(serve.Request{Tenant: "dd", Model: "mobilenetv1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitPending(t, eng0, 1)
+	if got := pending(f.replicas[0].engine); got != 1 {
+		t.Fatalf("replica 0 holds %d queued, want 1", got)
+	}
 	if _, err := f.Submit(serve.Request{Tenant: "t", Model: "mobilenetv1", ArrivalCycle: 1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +316,11 @@ func TestFaultShedFairness(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Policy = CostAware
 	opts.Health = HealthOptions{ShedSLAFactor: 1}
+	opts.Serve.Manual = true // keep the backlog outstanding until Admit
 	f, err := Replicated(newTestCache(), testHDA(t), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.replicas[0].engine.Pause() // keep the backlog outstanding
 
 	// Tenant "heavy" builds the backlog: three expensive requests with
 	// budgets loose enough to admit.
@@ -361,7 +354,7 @@ func TestFaultShedFairness(t *testing.T) {
 	}
 	tickets = append(tickets, light)
 
-	f.replicas[0].engine.Resume()
+	f.Admit()
 	for i, tk := range tickets {
 		if rec, err := tk.Wait(context.Background()); err != nil || rec.Status != serve.StatusDone {
 			t.Fatalf("request %d: %v %+v", i, err, rec)

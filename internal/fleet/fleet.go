@@ -27,9 +27,11 @@
 // depend only on the submission sequence (never on wall-clock or
 // goroutine timing), so a fixed request sequence always produces the
 // same replica assignment — replayable capacity planning.
-// LeastOutstanding is the exception: it probes live engine state, so
-// its assignments depend on how far each engine's scheduling
-// goroutine has progressed.
+// LeastOutstanding is the exception on a live fleet: it probes engine
+// state, so its assignments depend on how far each engine's driver has
+// progressed. A manual fleet (serve.Options.Manual) admits only inside
+// Fleet.Admit, which makes every policy, fused chain and fault
+// failover a pure function of the Submit/Admit call sequence.
 //
 // A fleet equipped with a dse.Sweeper (Options.Sweeper) additionally
 // supports Resweep: re-running the hardware-partition search on the
@@ -86,6 +88,7 @@ import (
 	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,8 +162,9 @@ type Options struct {
 	// multi-segment plan is decomposed at dispatch — each segment is
 	// routed independently (so the horizon ledger can move a segment to
 	// another replica when its ETA favors it), chained by completion
-	// (segment k+1's arrival is segment k's finish cycle), and merged
-	// into one record under one ticket. Replica engines then receive
+	// (segment k's completion hook dispatches segment k+1 with k's
+	// finish cycle as its arrival), and merged into one record under
+	// one ticket. Replica engines then receive
 	// plain segment submissions (their own Plans are stripped to avoid
 	// double decomposition). Leave nil and set Serve.Plans instead to
 	// fuse within each replica engine (scheduler precedence + handoff
@@ -195,15 +199,6 @@ type Options struct {
 	// fast and must not call back into the fleet. Rejected and shed
 	// submissions do not fire it.
 	OnAccept func(req serve.Request, plan string)
-
-	// StartPaused starts every replica engine paused — including
-	// engines rebuilt by fault recovery and spawned by Migrate. The
-	// replay harness (internal/replay) sets it to pin batch
-	// composition: work admitted while paused forms a static queue, so
-	// the scheduling rounds after ResumeAll see identical queues run
-	// to run, making latency percentiles (not just counters and
-	// decisions) bit-reproducible. Live serving leaves it false.
-	StartPaused bool
 }
 
 // DefaultOptions returns a cost-aware fleet over the serving-engine
@@ -220,8 +215,8 @@ type replica struct {
 	engine *serve.Engine
 
 	// inflight counts requests dispatched but not yet finished,
-	// decremented by the engine's OnRequestDone hook (runs on the
-	// engine's scheduling goroutine, hence atomic).
+	// decremented by the engine's OnRequestDone hook (runs on whichever
+	// goroutine admits, hence atomic).
 	inflight atomic.Int64
 
 	// Dispatcher state, under Fleet.mu.
@@ -290,11 +285,9 @@ type Fleet struct {
 	policy    Policy
 	serveOpts serve.Options
 	start     time.Time
-	// onAccept is the capture hook (Options.OnAccept); startPaused
-	// makes every spawned engine start frozen (Options.StartPaused).
-	// Both construction-set, immutable afterwards.
-	onAccept    func(req serve.Request, plan string)
-	startPaused bool
+	// onAccept is the capture hook (Options.OnAccept); construction-set,
+	// immutable afterwards.
+	onAccept func(req serve.Request, plan string)
 
 	// mu serializes dispatch decisions (and guards the dispatcher
 	// bookkeeping), which is what makes routing deterministic for a
@@ -325,15 +318,16 @@ type Fleet struct {
 
 	// plans is the fleet-owned fusion table (Options.Plans).
 	plans map[string]dse.SegmentPlan
-	// chainWG tracks in-flight fused chain goroutines; Drain waits on
-	// it before quiescing engines, so every accepted chain finishes
-	// submitting (and serving) its segments.
-	chainWG sync.WaitGroup
 	// segStats / crossHandoffs accumulate fleet-level fused counters
 	// (under mu). Engines in a fleet-fused deployment see only plain
 	// segment submissions, so these are the only fused counters.
 	segStats      serve.SegmentStats // guarded by mu
 	crossHandoffs int64              // guarded by mu
+	// ready parks the fused chains whose next segment a manual fleet's
+	// completion hooks released, keyed by the replica that finished the
+	// predecessor; Admit dispatches them in replica-id order. Guarded
+	// by mu.
+	ready map[int][]*dispatch
 
 	// resweepMu serializes Resweep calls: a dse.Sweeper is a reusable
 	// handle but not safe for concurrent sweeps.
@@ -372,11 +366,12 @@ type Fleet struct {
 	lostFailedT map[string]int64 // guarded by mu
 
 	// outMu guards the failover queue and the per-tenant outstanding
-	// counts. Lock order: mu → outMu. Ticket resolution takes only
-	// outMu, so completion hooks may fire while mu is held — crash
-	// extraction relies on this to have lostQ complete before
-	// failover runs.
+	// counts. Lock order: mu → outMu. Lost-request hooks take only
+	// outMu, so crash extraction can fire them while mu is held and
+	// have lostQ complete before failover runs. outIdle broadcasts when
+	// the last outstanding ticket resolves (Drain waits on it).
 	outMu     sync.Mutex
+	outIdle   *sync.Cond
 	lostQ     []*dispatch      // guarded by outMu
 	tenantOut map[string]int64 // guarded by outMu
 }
@@ -423,9 +418,10 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 		shedT:       make(map[string]int64),
 		lostFailedT: make(map[string]int64),
 		tenantOut:   make(map[string]int64),
+		ready:       make(map[int][]*dispatch),
 		onAccept:    opts.OnAccept,
-		startPaused: opts.StartPaused,
 	}
+	f.outIdle = sync.NewCond(&f.outMu)
 	if opts.Faults != nil && len(opts.Faults.Events) > 0 {
 		// Re-validate and re-sort: callers may hand-build the plan
 		// instead of going through NewFaultPlan.
@@ -476,9 +472,6 @@ func (f *Fleet) buildReplicas(hdas []*accel.HDA) ([]*replica, error) {
 				_, _ = started.engine.Drain(context.Background())
 			}
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		if f.startPaused {
-			eng.Pause()
 		}
 		r.engine = eng
 		rs = append(rs, r)
@@ -611,38 +604,166 @@ func (t *Ticket) Served() int {
 	}
 }
 
-// dispatch is one unfused request's dispatcher-side lifetime: the
-// submission, its fleet ticket, and the attempt budget consumed so
-// far. Its resolve method is the request's engine completion hook —
-// a terminal record closes the ticket, a StatusLost record (replica
+// dispatch is one request's dispatcher-side lifetime: the submission,
+// its fleet ticket, and the attempt budget consumed so far. Its resolve
+// method is the engine completion hook of every admission it makes — a
+// terminal record closes the ticket, a StatusLost record (replica
 // crash) queues the dispatch for failover instead.
+//
+// A fused request (segs set) is one dispatch for its whole segment
+// chain: seg is the segment in flight, req.ArrivalCycle that segment's
+// arrival (the predecessor's finish cycle past segment 0), and rec the
+// merged record the completed segments fold into.
 type dispatch struct {
 	f     *Fleet
 	req   serve.Request
 	model *dnn.Model
 	t     *Ticket
-	// attempts counts admissions (initial + failovers), under f.mu.
+	// attempts counts admissions of the request (initial + failovers;
+	// a chain's later segments share its budget), under f.mu.
 	attempts int
 	// replica is the latest admission's replica id, written under f.mu
 	// before the engine sees the request (so resolve reads it safely).
 	replica int
+
+	segs []*dnn.Model
+	seg  int
+	rec  *serve.Record
 }
 
-// resolve is the engine-side completion hook: it runs on the serving
-// engine's scheduling goroutine (or the Crash caller's) and must not
-// take f.mu (crash extraction fires it with f.mu held).
+// current is the model of the admission in flight: the segment for a
+// fused chain, the whole model otherwise.
+func (d *dispatch) current() *dnn.Model {
+	if d.segs != nil {
+		return d.segs[d.seg]
+	}
+	return d.model
+}
+
+// submitTo admits the request — or the chain's current segment — to
+// one engine, with resolve as its completion hook. A segment carries
+// the chain's tenant and priority but no SLA: the SLA is a
+// request-level contract, checked on the merged record.
+func (d *dispatch) submitTo(e *serve.Engine) (*serve.Ticket, error) {
+	if d.segs == nil {
+		return e.SubmitTracked(d.req, d.resolve)
+	}
+	seg := serve.Request{Tenant: d.req.Tenant, Priority: d.req.Priority, ArrivalCycle: d.req.ArrivalCycle}
+	return e.SubmitModel(seg, d.segs[d.seg], d.resolve)
+}
+
+// resolve is the engine-side completion hook: it runs on the goroutine
+// admitting the request (or the Crash caller's). A lost record takes
+// only outMu — crash extraction fires it with f.mu held. A finished
+// segment folds into the chain under f.mu, then either finalizes the
+// chain or releases its successor: a live fleet dispatches it right
+// here, a manual one parks it for Admit to dispatch in a fixed order.
 func (d *dispatch) resolve(rec serve.Record) {
+	f := d.f
 	if rec.Status == serve.StatusLost {
-		// The serving replica crashed with the request still queued;
-		// park it for the crash handler's failover pass.
-		d.f.outMu.Lock()
-		d.f.lostQ = append(d.f.lostQ, d)
-		d.f.outMu.Unlock()
+		f.outMu.Lock()
+		f.lostQ = append(f.lostQ, d)
+		f.outMu.Unlock()
 		return
 	}
-	d.f.tenantOutDec(d.req.Tenant)
-	d.t.rec = &rec
-	d.t.served = d.replica
+	if d.segs == nil {
+		f.tenantOutDec(d.req.Tenant)
+		d.t.rec = &rec
+		d.t.served = d.replica
+		close(d.t.done)
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case !d.foldSegment(rec):
+		f.finishChainLocked(d)
+	case f.serveOpts.Manual:
+		f.ready[d.replica] = append(f.ready[d.replica], d)
+	default:
+		f.advanceLocked(d)
+	}
+}
+
+// foldSegment merges a finished segment's record into the chain's and
+// reports whether the chain continues; if so the dispatch now
+// describes the next segment, arriving at this one's finish. f.mu
+// held.
+func (d *dispatch) foldSegment(rec serve.Record) bool {
+	k := d.seg
+	if k == 0 {
+		d.rec.ArrivalCycle = rec.ArrivalCycle // "now" arrivals resolve at admission
+	}
+	sr := serve.SegmentRecord{Index: k, Model: rec.Model, Replica: d.replica}
+	if rec.Status != serve.StatusDone {
+		sr.Err = rec.Err
+		d.rec.Segments = append(d.rec.Segments, sr)
+		d.rec.Status = serve.StatusFailed
+		d.rec.Err = fmt.Sprintf("segment %d on replica %d: %s", k, d.replica, rec.Err)
+		return false
+	}
+	sr.Instance = rec.Instance
+	sr.StartCycle = rec.StartCycle
+	sr.FinishCycle = rec.FinishCycle
+	sr.BusyCycles = rec.BusyCycles
+	sr.EnergyPJ = rec.EnergyPJ
+	d.rec.Segments = append(d.rec.Segments, sr)
+	d.rec.BusyCycles += rec.BusyCycles
+	d.rec.EnergyPJ += rec.EnergyPJ
+	if k == len(d.segs)-1 {
+		return false
+	}
+	d.seg++
+	d.req.ArrivalCycle = rec.FinishCycle
+	return true
+}
+
+// advanceLocked dispatches a chain's next segment; if no replica can
+// take it the chain terminates failed. f.mu held.
+func (f *Fleet) advanceLocked(d *dispatch) {
+	if err := f.dispatchLocked(d); err != nil {
+		d.rec.Status = serve.StatusFailed
+		d.rec.Err = fmt.Sprintf("segment %d: %s", d.seg, err)
+		f.finishChainLocked(d)
+	}
+}
+
+// finishChainLocked completes a fused request: the merged record's
+// request-level placement, the fleet's fused counters (segments past a
+// break count as failed, so segment conservation holds), and the
+// ticket. f.mu held.
+func (f *Fleet) finishChainLocked(d *dispatch) {
+	rec := d.rec
+	rec.ID = d.t.ID
+	n := len(d.segs)
+	var completed int64
+	for _, sr := range rec.Segments {
+		if sr.Err == "" {
+			completed++
+		}
+	}
+	f.segStats.SegmentsCompleted += completed
+	if rec.Status == serve.StatusDone {
+		first, last := rec.Segments[0], rec.Segments[n-1]
+		rec.Instance = first.Instance
+		rec.StartCycle = first.StartCycle
+		rec.FinishCycle = last.FinishCycle
+		rec.LatencyCycles = last.FinishCycle - rec.ArrivalCycle
+		rec.QueueCycles = first.StartCycle - rec.ArrivalCycle
+		rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
+		f.segStats.FusedCompleted++
+		f.segStats.SegmentSpanCycles += last.FinishCycle - first.StartCycle
+		f.segStats.SegmentBusyCycles += rec.BusyCycles
+		for k := 1; k < n; k++ {
+			f.segStats.HandoffBubbleCycles += rec.Segments[k].StartCycle - rec.Segments[k-1].FinishCycle
+		}
+		d.t.served = d.replica
+	} else {
+		f.segStats.FusedFailed++
+		f.segStats.SegmentsFailed += int64(n) - completed
+	}
+	f.tenantOutDec(d.req.Tenant)
+	d.t.rec = rec
 	close(d.t.done)
 }
 
@@ -652,6 +773,9 @@ func (f *Fleet) tenantOutDec(tenant string) {
 	f.outMu.Lock()
 	if f.tenantOut[tenant]--; f.tenantOut[tenant] <= 0 {
 		delete(f.tenantOut, tenant)
+		if len(f.tenantOut) == 0 {
+			f.outIdle.Broadcast()
+		}
 	}
 	f.outMu.Unlock()
 }
@@ -672,19 +796,35 @@ func (f *Fleet) tenantOutInc(tenant string) {
 // queue) does not skew future routing.
 //
 // A model with a multi-segment plan (Options.Plans) is decomposed at
-// dispatch: segment 0 is routed and admitted synchronously, and a
-// chain goroutine routes each later segment when its predecessor's
-// completion cycle is known — to the replica whose ETA then wins, so
-// a busy first-choice replica loses later segments to idle ones.
-// Because later segments dispatch on completion, their replica
-// assignment (unlike unfused dispatch) depends on engine progress.
+// dispatch: segment 0 is routed and admitted now, and each later
+// segment is routed when its predecessor completes, with the
+// predecessor's finish cycle as its arrival — to the replica whose ETA
+// then wins, so a busy first-choice replica loses later segments to
+// idle ones.
 func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	// Unknown models resolve to nil: the picked engine rejects and
 	// accounts them, and a zero cost estimate keeps routing sound.
 	model, _ := dnn.ByName(req.Model)
+	d := &dispatch{f: f, req: req, model: model,
+		t: &Ticket{Replica: -1, served: -1, done: make(chan struct{})}}
+	plan := ""
 	if model != nil {
-		if plan, ok := f.plans[model.Name]; ok && plan.NumSegments() > 1 {
-			return f.submitFused(req, model, plan)
+		if p, ok := f.plans[model.Name]; ok && p.NumSegments() > 1 {
+			segs, err := p.Slices(model)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: %w", err)
+			}
+			d.segs = segs
+			d.rec = &serve.Record{
+				Tenant:       req.Tenant,
+				Model:        model.Name,
+				Priority:     req.Priority,
+				Status:       serve.StatusDone,
+				ArrivalCycle: req.ArrivalCycle,
+				SLACycles:    req.SLACycles,
+				Segments:     make([]serve.SegmentRecord, 0, len(segs)),
+			}
+			plan = fmt.Sprintf("%s/%d", model.Name, len(segs))
 		}
 	}
 
@@ -695,24 +835,27 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	}
 	f.advanceFaultsLocked(max(req.ArrivalCycle, 0))
 	if f.shedEnabled(req) {
-		if eta, ok := f.bestETALocked(model, req.ArrivalCycle); ok {
+		if eta, ok := f.bestETALocked(d.current(), req.ArrivalCycle); ok {
 			if err := f.shedLocked(req, eta); err != nil {
 				return nil, err
 			}
 		}
 	}
-	d := &dispatch{f: f, req: req, model: model,
-		t: &Ticket{Replica: -1, served: -1, done: make(chan struct{})}}
 	f.tenantOutInc(req.Tenant)
 	if err := f.dispatchLocked(d); err != nil {
 		f.tenantOutDec(req.Tenant)
 		return nil, err
 	}
+	d.attempts = 1
 	if model != nil {
 		f.mixAdd(model.Name)
 		if f.onAccept != nil {
-			f.onAccept(f.acceptedLocked(req, model), "")
+			f.onAccept(f.acceptedLocked(req, model), plan)
 		}
+	}
+	if d.segs != nil {
+		f.segStats.FusedRequests++
+		f.segStats.Segments += int64(len(d.segs))
 	}
 	return d.t, nil
 }
@@ -735,19 +878,23 @@ func (f *Fleet) acceptedLocked(req serve.Request, model *dnn.Model) serve.Reques
 	return req
 }
 
-// dispatchLocked admits one tracked request on a replica chosen under
-// the routing policy, rotating to the next-best replica on every
-// replica-attributable admission failure (full queue, draining engine,
-// injected fault) while feeding the circuit breaker. It returns an
-// error only when the request cannot be admitted anywhere: a client
-// error from the first engine that evaluated it, or ErrNoReplicas
-// once every eligible replica has been tried. f.mu held.
+// dispatchLocked admits one tracked request (or a fused chain's
+// current segment) on a replica chosen under the routing policy,
+// rotating to the next-best replica on every replica-attributable
+// admission failure (full queue, draining engine, injected fault)
+// while feeding the circuit breaker. It returns an error only when the
+// request cannot be admitted anywhere: a client error from the first
+// engine that evaluated it, or ErrNoReplicas once every eligible
+// replica has been tried. A chain segment landing on another replica
+// than its predecessor counts a cross-replica handoff. f.mu held.
 func (f *Fleet) dispatchLocked(d *dispatch) error {
 	f.dispatchSeq++
 	cycle := f.faultCycle
+	model := d.current()
+	prev := d.replica
 	var tried map[int]bool
 	for {
-		r, eta, err := f.pickLocked(d.model, d.req.ArrivalCycle, tried)
+		r, eta, err := f.pickLocked(model, d.req.ArrivalCycle, tried)
 		if err != nil {
 			return err
 		}
@@ -761,11 +908,11 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 			continue
 		}
 		// Publish the serving replica and count the dispatch before the
-		// engine sees the request: its scheduling goroutine can finish
-		// it (firing resolve and the inflight hook) before this returns.
+		// engine sees the request: a live engine can finish it (firing
+		// resolve and the inflight hook) before this returns.
 		d.replica = r.id
 		r.inflight.Add(1)
-		ticket, err := r.engine.SubmitTracked(d.req, d.resolve)
+		ticket, err := d.submitTo(r.engine)
 		if err != nil {
 			r.inflight.Add(-1)
 			if retryableAdmit(err) {
@@ -775,10 +922,11 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 			return err
 		}
 		f.noteSuccessLocked(r, cycle)
-		d.attempts++
 		if d.t.ID == 0 {
 			d.t.ID = ticket.ID
 			d.t.Replica = r.id
+		} else if d.segs != nil && r.id != prev {
+			f.crossHandoffs++
 		}
 		r.dispatched++
 		if f.policy == CostAware {
@@ -791,244 +939,53 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 	}
 }
 
-// submitFused decomposes one request into its plan's segments,
-// dispatches segment 0, and hands the rest to a chain goroutine.
-func (f *Fleet) submitFused(req serve.Request, model *dnn.Model, plan dse.SegmentPlan) (*Ticket, error) {
-	segs, err := plan.Slices(model)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-
-	f.mu.Lock()
-	if f.draining {
-		f.mu.Unlock()
-		return nil, serve.ErrDraining
-	}
-	f.advanceFaultsLocked(max(req.ArrivalCycle, 0))
-	if f.shedEnabled(req) {
-		if eta, ok := f.bestETALocked(segs[0], req.ArrivalCycle); ok {
-			if err := f.shedLocked(req, eta); err != nil {
-				f.mu.Unlock()
-				return nil, err
-			}
-		}
-	}
-	f.tenantOutInc(req.Tenant)
-	r, first, err := f.dispatchSegmentLocked(req, req.ArrivalCycle, segs[0])
-	if err != nil {
-		f.mu.Unlock()
-		f.tenantOutDec(req.Tenant)
-		return nil, err
-	}
-	f.mixAdd(model.Name)
-	if f.onAccept != nil {
-		f.onAccept(f.acceptedLocked(req, model), fmt.Sprintf("%s/%d", model.Name, len(segs)))
-	}
-	f.segStats.FusedRequests++
-	f.segStats.Segments += int64(len(segs))
-	f.chainWG.Add(1)
-	f.mu.Unlock()
-
-	t := &Ticket{ID: first.ID, Replica: r.id, served: -1, done: make(chan struct{})}
-	go f.runChain(t, req, model, segs, first, r.id)
-	return t, nil
-}
-
-// dispatchSegmentLocked routes one segment model under the fleet's
-// policy and admits it to the picked engine via SubmitModel (segment
-// models are interned slices, not zoo entries). The segment request
-// carries the chain's tenant and priority but no SLA — the SLA is a
-// request-level contract, checked on the merged record. Like
-// dispatchLocked it rotates to the next-best replica on
-// replica-attributable admission failures, feeding the breaker. f.mu
-// held.
-func (f *Fleet) dispatchSegmentLocked(req serve.Request, arrival int64, sm *dnn.Model) (*replica, *serve.Ticket, error) {
-	f.dispatchSeq++
-	cycle := f.faultCycle
-	var tried map[int]bool
+// Admit runs admission rounds on the caller's goroutine until no
+// replica queue holds work. Each round first routes the fused-chain
+// successors released since the last round — in replica-id order, then
+// in the order each engine finalized their predecessors — and then
+// runs serve.Engine.Admit on every live replica (active or retiring)
+// with queued work, one goroutine per engine, and joins them. Manual
+// fleets (serve.Options.Manual) admit only here, so a fixed sequence of
+// Submit and Admit calls yields the same schedules, records, decisions
+// and statistics run to run, at any GOMAXPROCS. On a live fleet it
+// returns once the queues it found are admitted.
+func (f *Fleet) Admit() {
 	for {
-		r, eta, err := f.pickLocked(sm, arrival, tried)
-		if err != nil {
-			return nil, nil, err
-		}
-		if tried == nil {
-			tried = make(map[int]bool)
-		}
-		tried[r.id] = true
-		if r.admitFails > 0 {
-			r.admitFails--
-			f.noteFailureLocked(r, cycle, "injected admission fault")
-			continue
-		}
-		r.inflight.Add(1)
-		ticket, err := r.engine.SubmitModel(serve.Request{
-			Tenant:       req.Tenant,
-			Priority:     req.Priority,
-			ArrivalCycle: arrival,
-		}, sm)
-		if err != nil {
-			r.inflight.Add(-1)
-			if retryableAdmit(err) {
-				f.noteFailureLocked(r, cycle, err.Error())
-				continue
+		f.mu.Lock()
+		f.dispatchReadyLocked()
+		var busy []*serve.Engine
+		for _, set := range [][]*replica{f.replicas, f.retiring} {
+			for _, r := range set {
+				if r.engine.Load().Pending > 0 {
+					busy = append(busy, r.engine)
+				}
 			}
-			return nil, nil, err
 		}
-		f.noteSuccessLocked(r, cycle)
-		r.dispatched++
-		if f.policy == CostAware {
-			r.horizon = eta
+		f.mu.Unlock()
+		if len(busy) == 0 {
+			return
 		}
-		if f.policy == RoundRobin {
-			f.rrNext++
+		var wg sync.WaitGroup
+		for _, e := range busy {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.Admit()
+			}()
 		}
-		return r, ticket, nil
+		wg.Wait()
 	}
 }
 
-// runChain drives one fused request's segments 1..n-1: wait for the
-// predecessor's completion, then route the successor with the
-// predecessor's finish cycle as its arrival (completion-paced
-// pipelining — the cross-replica analogue of the scheduler's
-// precedence edge). It assembles the merged record and closes the
-// ticket when the last segment lands or the chain breaks.
-//
-// If a segment's serving replica crashes before scheduling it (the
-// segment resolves StatusLost), the chain re-routes that segment —
-// and with it the rest of the chain — to a survivor, keeping the same
-// pipeline arrival (its predecessor's finish cycle), under the same
-// per-request attempt budget as unfused failover. Only when the
-// budget is exhausted or no survivor can take the segment does the
-// chain terminate with a failed record.
-func (f *Fleet) runChain(t *Ticket, req serve.Request, model *dnn.Model, segs []*dnn.Model, first *serve.Ticket, firstReplica int) {
-	defer f.chainWG.Done()
-	n := len(segs)
-	rec := &serve.Record{
-		ID:       t.ID,
-		Tenant:   req.Tenant,
-		Model:    model.Name,
-		Priority: req.Priority,
-		Status:   serve.StatusDone,
-		// Resolved below from segment 0 (the engine resolves "now"
-		// arrivals on admission).
-		ArrivalCycle: req.ArrivalCycle,
-		SLACycles:    req.SLACycles,
-		Segments:     make([]serve.SegmentRecord, 0, n),
-	}
-	completed := int64(0)
-	cross := int64(0)
-	attempts := 1 // admissions consumed, shared across the whole chain
-	cur, curReplica := first, firstReplica
-	curArrival := req.ArrivalCycle
-	for k := 0; k < n; k++ {
-		srec, _ := cur.Wait(context.Background())
-		if srec.Status == serve.StatusLost {
-			// The serving replica crashed with this segment still
-			// queued. Try to re-route it to a survivor at the same
-			// pipeline arrival.
-			if attempts >= f.health.MaxAttempts {
-				srec.Err = fmt.Sprintf("replica %d crashed; attempt budget exhausted (%d admissions)",
-					curReplica, attempts)
-			} else {
-				f.mu.Lock()
-				r, ticket, err := f.dispatchSegmentLocked(req, curArrival, segs[k])
-				if err == nil {
-					attempts++
-					f.failovers++
-					f.noteDecisionLocked(max(curArrival, 0), "failover", r.id,
-						fmt.Sprintf("fused request %d (tenant %q) segment %d re-admitted, attempt %d",
-							t.ID, req.Tenant, k, attempts))
-					f.mu.Unlock()
-					if r.id != curReplica {
-						cross++
-					}
-					cur, curReplica = ticket, r.id
-					k--
-					continue
-				}
-				f.mu.Unlock()
-				srec.Err = fmt.Sprintf("replica %d crashed; failover failed: %s", curReplica, err)
-			}
-		}
-		if k == 0 {
-			rec.ArrivalCycle = srec.ArrivalCycle
-		}
-		sr := serve.SegmentRecord{
-			Index:   k,
-			Model:   srec.Model,
-			Replica: curReplica,
-		}
-		if srec.Status != serve.StatusDone {
-			sr.Err = srec.Err
-			rec.Segments = append(rec.Segments, sr)
-			rec.Status = serve.StatusFailed
-			rec.Err = fmt.Sprintf("segment %d on replica %d: %s", k, curReplica, srec.Err)
-			break
-		}
-		completed++
-		sr.Instance = srec.Instance
-		sr.StartCycle = srec.StartCycle
-		sr.FinishCycle = srec.FinishCycle
-		sr.BusyCycles = srec.BusyCycles
-		sr.EnergyPJ = srec.EnergyPJ
-		rec.Segments = append(rec.Segments, sr)
-		rec.BusyCycles += srec.BusyCycles
-		rec.EnergyPJ += srec.EnergyPJ
-		if k == n-1 {
-			break
-		}
-		curArrival = srec.FinishCycle
-		f.mu.Lock()
-		r, ticket, err := f.dispatchSegmentLocked(req, curArrival, segs[k+1])
-		f.mu.Unlock()
-		if err != nil {
-			rec.Status = serve.StatusFailed
-			rec.Err = fmt.Sprintf("segment %d: %s", k+1, err)
-			break
-		}
-		if r.id != curReplica {
-			cross++
-		}
-		cur, curReplica = ticket, r.id
-	}
-
-	if rec.Status == serve.StatusDone {
-		firstSeg, lastSeg := rec.Segments[0], rec.Segments[n-1]
-		rec.Instance = firstSeg.Instance
-		rec.StartCycle = firstSeg.StartCycle
-		rec.FinishCycle = lastSeg.FinishCycle
-		rec.LatencyCycles = lastSeg.FinishCycle - rec.ArrivalCycle
-		rec.QueueCycles = firstSeg.StartCycle - rec.ArrivalCycle
-		if rec.SLACycles > 0 {
-			rec.SLAViolated = rec.LatencyCycles > rec.SLACycles
+// dispatchReadyLocked routes the parked fused-chain successors in
+// replica-id order, then in the order each was parked. f.mu held.
+func (f *Fleet) dispatchReadyLocked() {
+	for _, id := range slices.Sorted(maps.Keys(f.ready)) {
+		for _, d := range f.ready[id] {
+			f.advanceLocked(d)
 		}
 	}
-
-	f.mu.Lock()
-	f.segStats.SegmentsCompleted += completed
-	f.crossHandoffs += cross
-	if rec.Status == serve.StatusDone {
-		f.segStats.FusedCompleted++
-		firstSeg, lastSeg := rec.Segments[0], rec.Segments[n-1]
-		f.segStats.SegmentSpanCycles += lastSeg.FinishCycle - firstSeg.StartCycle
-		f.segStats.SegmentBusyCycles += rec.BusyCycles
-		for k := 1; k < n; k++ {
-			f.segStats.HandoffBubbleCycles += rec.Segments[k].StartCycle - rec.Segments[k-1].FinishCycle
-		}
-	} else {
-		f.segStats.FusedFailed++
-		// Segments past the break never reached an engine; they count
-		// as failed so segment conservation holds at the fleet level.
-		f.segStats.SegmentsFailed += int64(n) - completed
-	}
-	f.mu.Unlock()
-
-	f.tenantOutDec(req.Tenant)
-	t.rec = rec
-	if rec.Status == serve.StatusDone {
-		t.served = curReplica
-	}
-	close(t.done)
+	clear(f.ready)
 }
 
 // mixAdd counts one accepted submission of a model into the observed
@@ -1533,7 +1490,8 @@ func (f *Fleet) ResetMix() {
 //     already dispatched stay on their original engine.
 //  3. The old generation is quiesced — every old engine stops
 //     admitting at once — then joined: each finishes its in-flight
-//     and queued requests. No request is lost or double-served.
+//     and queued requests (a manual engine admits them on the caller's
+//     goroutine). No request is lost or double-served.
 //  4. Each drained engine's final statistics fold into the fleet
 //     history, and the engine is dropped.
 //
@@ -1580,12 +1538,11 @@ func (f *Fleet) Migrate(ctx context.Context, hdas []*accel.HDA, prewarm *workloa
 	}
 	var errs []error
 	for _, r := range old {
-		select {
-		case <-r.engine.Done():
-			f.fold(r)
-		case <-ctx.Done():
-			errs = append(errs, fmt.Errorf("fleet: replica %d drain: %w", r.id, ctx.Err()))
+		if _, err := r.engine.Drain(ctx); err != nil {
+			errs = append(errs, fmt.Errorf("fleet: replica %d drain: %w", r.id, err))
+			continue
 		}
+		f.fold(r)
 	}
 	return errors.Join(errs...)
 }
@@ -1646,17 +1603,25 @@ func (f *Fleet) foldStatsLocked(es serve.Stats, windows []serve.TenantWindow) {
 // across retired generations (matches the per-engine window scale).
 const maxHistoryLatencies = 4096
 
-// Drain stops admissions, waits for in-flight fused chains to finish
-// submitting (and serving) their segments, fans the drain out to every
-// live replica (active and still-retiring), joins them, and returns
-// the final fleet statistics. The chain wait comes first: engines must
-// not be quiesced while accepted chains still have segments to submit,
-// or those tickets could never resolve.
+// Drain stops admissions, waits until every accepted ticket has
+// resolved (a manual fleet admits on the caller's goroutine first),
+// fans the drain out to every live replica (active and still-retiring),
+// joins them, and returns the final fleet statistics. The ticket wait
+// comes first: engines must not be quiesced while accepted fused
+// chains still have segments to dispatch, or those tickets could never
+// resolve.
 func (f *Fleet) Drain(ctx context.Context) (Stats, error) {
 	f.mu.Lock()
 	f.draining = true
 	f.mu.Unlock()
-	f.chainWG.Wait()
+	if f.serveOpts.Manual {
+		f.Admit()
+	}
+	f.outMu.Lock()
+	for len(f.tenantOut) > 0 {
+		f.outIdle.Wait()
+	}
+	f.outMu.Unlock()
 
 	f.mu.Lock()
 	live := make([]*replica, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))

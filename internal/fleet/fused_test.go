@@ -50,7 +50,7 @@ func fusedFleet(t testing.TB, cache *maestro.Cache, n int, plans map[string]dse.
 
 // TestFleetFusedDispatch: a fused request dispatched through the
 // fleet resolves to one merged record whose segments respect
-// completion-paced precedence, each carrying its serving replica, and
+// completion-chained precedence, each carrying its serving replica, and
 // the fleet's fused counters conserve.
 func TestFleetFusedDispatch(t *testing.T) {
 	cache := newTestCache()

@@ -5,31 +5,28 @@
 // fault-handling decision log and any repartitioning decisions.
 //
 // Determinism is the whole point: the same trace, fault plan and
-// configuration produce byte-identical digests run after run, so an
-// operator can export a live incident (trace + decision log), re-run
-// it offline under a changed partition, routing policy, fusion plan or
-// shedding knob, and byte-compare the outcomes. The harness gets there
-// by replaying in quiesce windows: every replica engine starts paused
-// (fleet.Options.StartPaused), a window of trace entries is submitted
-// against frozen engines — a static queue, so tenant-round-robin batch
-// composition is a pure function of the submissions — then the fleet
-// is resumed, the window's tickets are awaited, an optional
-// repartitioning controller steps at the (now idle) boundary, and the
-// engines are paused again for the next window. Submission order is
-// the trace order, the fault clock advances only on arrival cycles,
-// and nothing reads the wall clock.
-//
-// Fleet-level fusion (fleet.Options.Plans) is completion-paced —
-// segment k+1's submission races the dispatcher clock by design — so
-// Run rejects it; engine-level fusion (serve.Options.Plans) is
-// schedule-paced and replays exactly.
+// configuration produce byte-identical digests run after run, at any
+// GOMAXPROCS, so an operator can export a live incident (trace +
+// decision log), re-run it offline under a changed partition, routing
+// policy, fusion plan or shedding knob, and byte-compare the outcomes.
+// The harness gets there by replaying in windows over a manual fleet
+// (serve.Options.Manual: no engine admits on its own): a window of
+// trace entries is submitted, fleet.Fleet.Admit admits everything
+// queued — batch composition, fused-chain successors and failovers
+// are a pure function of the submissions — and an optional control
+// ladder steps at the now idle boundary; work it re-queues (preempted
+// suffixes) is admitted with the next window. Submission order is the
+// trace order, the fault clock advances only on arrival cycles, and
+// nothing reads the wall clock. Both engine-level
+// (Fleet.Serve.Plans) and fleet-level (Fleet.Plans) fusion replay.
 package replay
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/capture"
@@ -40,15 +37,13 @@ import (
 
 // Options configures one replay run.
 type Options struct {
-	// Fleet is the candidate configuration under test. StartPaused is
-	// forced on (the windowed protocol requires it); Plans (fleet-level
-	// fusion) must be nil — set Fleet.Serve.Plans to replay fused
-	// serving.
+	// Fleet is the candidate configuration under test. Serve.Manual is
+	// forced on (the windowed protocol requires it).
 	Fleet fleet.Options
 
-	// Window is the quiesce-window size in trace entries: after every
-	// Window submissions the engines run the admitted work to
-	// completion before the next batch is admitted. 0 replays the
+	// Window is the admission-window size in trace entries: after
+	// every Window submissions the fleet admits the queued work before
+	// the next entries are submitted. 0 replays the
 	// whole trace as one window. Smaller windows interleave admission
 	// with execution more finely (closer to live arrival pacing);
 	// either way the composition of every scheduling round is a pure
@@ -75,9 +70,6 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 	if tr == nil || len(tr.Entries) == 0 {
 		return nil, fmt.Errorf("replay: empty trace")
 	}
-	if o.Fleet.Plans != nil {
-		return nil, fmt.Errorf("replay: fleet-level fusion (fleet.Options.Plans) is completion-paced and not bit-reproducible; use engine-level fusion (Fleet.Serve.Plans) instead")
-	}
 	if o.Window < 0 {
 		return nil, fmt.Errorf("replay: window must be >= 0 (got %d)", o.Window)
 	}
@@ -96,7 +88,7 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 		}
 	}
 
-	o.Fleet.StartPaused = true
+	o.Fleet.Serve.Manual = true
 	if o.Controller != nil && o.Controller.PreemptBelow > 0 {
 		o.Fleet.Serve.Elastic = true
 	}
@@ -139,44 +131,21 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 	for _, h := range hdas {
 		d.Setup.HDAs = append(d.Setup.HDAs, h.Name)
 	}
-	fused := make([]string, 0, len(o.Fleet.Serve.Plans))
-	for name := range o.Fleet.Serve.Plans { //herald:nondet collect-then-sort
-		fused = append(fused, name)
+	fused := slices.Sorted(maps.Keys(o.Fleet.Serve.Plans))
+	if len(o.Fleet.Plans) > 0 {
+		fused = slices.Sorted(maps.Keys(o.Fleet.Plans))
 	}
-	sort.Strings(fused)
 	d.Setup.FusedModels = fused
 	if o.Fleet.Faults != nil {
 		d.Setup.FaultEvents = len(o.Fleet.Faults.Events)
 	}
 
-	// The windowed loop: submit against paused engines, resume, wait
-	// the window's tickets, step the controller at the idle boundary,
-	// freeze again.
+	// The windowed loop: submit a window, admit it, step the
+	// controller at the idle boundary. Scheduling failures resolve
+	// with a failed record and stay in the counters.
 	rejects := make(map[string]int64)
-	var tickets []*fleet.Ticket
-	flush := func(step bool) error {
-		f.ResumeAll()
-		for _, t := range tickets {
-			if _, err := t.Wait(ctx); err != nil {
-				// Ticket resolution errors (timeout/cancel) abort the
-				// replay; scheduling failures resolve with a failed
-				// record, not an error, and stay in the counters.
-				return fmt.Errorf("replay: awaiting window ticket %d: %w", t.ID, err)
-			}
-		}
-		tickets = tickets[:0]
-		if step && ctrl != nil {
-			dec, err := ctrl.Step(ctx)
-			if err != nil {
-				return fmt.Errorf("replay: controller step: %w", err)
-			}
-			d.Control = append(d.Control, dec)
-		}
-		f.PauseAll()
-		return nil
-	}
 	for i, e := range tr.Entries {
-		t, err := f.Submit(serve.Request{
+		_, err := f.Submit(serve.Request{
 			Tenant:       e.Tenant,
 			Model:        e.Model,
 			Priority:     e.Priority,
@@ -185,7 +154,6 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 		})
 		switch {
 		case err == nil:
-			tickets = append(tickets, t)
 		case errors.As(err, new(*fleet.ShedError)):
 			// Shed arrivals are already counted (Counters.Shed and the
 			// per-tenant rows); no separate reject bucket.
@@ -199,19 +167,19 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 			rejects["client"]++
 		}
 		if o.Window > 0 && (i+1)%o.Window == 0 {
-			if err := flush(true); err != nil {
-				return nil, err
+			f.Admit()
+			if ctrl != nil {
+				dec, err := ctrl.Step(ctx)
+				if err != nil {
+					return nil, fmt.Errorf("replay: controller step: %w", err)
+				}
+				d.Control = append(d.Control, dec)
 			}
 		}
 	}
-	// Flush the final partial window without a controller step (the
-	// step cadence is one per full window, so a trace of length k·W
-	// steps exactly k times).
-	if err := flush(false); err != nil {
-		return nil, err
-	}
-
-	f.ResumeAll()
+	// Drain admits the final partial window without a controller step
+	// (the step cadence is one per full window, so a trace of length
+	// k·W steps exactly k times).
 	st, err := f.Drain(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("replay: drain: %w", err)

@@ -3,11 +3,13 @@ package replay
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/accel"
 	"repro/internal/capture"
+	"repro/internal/config"
 	"repro/internal/dataflow"
 	"repro/internal/dse"
 	"repro/internal/energy"
@@ -184,12 +186,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(ctx, cache, hdas, bad, Options{Fleet: fleet.DefaultOptions()}); err == nil {
 		t.Error("negative arrival accepted")
 	}
-	fused := Options{Fleet: fleet.DefaultOptions()}
-	fused.Fleet.Plans = make(map[string]dse.SegmentPlan)
-	if _, err := Run(ctx, cache, hdas, tr, fused); err == nil ||
-		!strings.Contains(err.Error(), "fleet-level fusion") {
-		t.Errorf("fleet-level fusion not rejected: %v", err)
-	}
 	ctl := Options{Fleet: fleet.DefaultOptions(), Controller: &fleet.ControllerOptions{}}
 	if _, err := Run(ctx, cache, hdas, tr, ctl); err == nil ||
 		!strings.Contains(err.Error(), "window") {
@@ -214,5 +210,54 @@ func TestHashStable(t *testing.T) {
 	}
 	if h1 != h2 || len(h1) != 64 {
 		t.Fatalf("hash unstable or malformed: %q vs %q", h1, h2)
+	}
+}
+
+// TestRunFleetFusion: fleet-level fusion replays. Every segment's
+// successor is dispatched inside Fleet.Admit in a fixed order, so the
+// zipf corpus trace fused across two replicas renders one digest twice
+// and at GOMAXPROCS 1 and 4, conserves segments, and hands segments
+// across replicas.
+func TestRunFleetFusion(t *testing.T) {
+	tr := corpusTrace(t, "zipf")
+	cache := newTestCache()
+	hdas := testHDAs(t, 2)
+	plans, err := config.FusionPlans(cache, hdas[0], dse.ObjectiveEDP, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(procs int) (*Digest, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		o := Options{Fleet: fleet.DefaultOptions(), Window: 16}
+		o.Fleet.Plans = plans
+		d, err := Run(context.Background(), cache, hdas, tr, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, b
+	}
+	d, want := run(1)
+	for _, procs := range []int{1, 4} {
+		if _, b := run(procs); !bytes.Equal(b, want) {
+			lines, _ := DiffJSON(want, b)
+			t.Fatalf("GOMAXPROCS=%d: fleet-fused replay diverged:\n%s", procs, strings.Join(lines, "\n"))
+		}
+	}
+	seg := d.Counters.Segments
+	if seg.FusedRequests == 0 || seg.Segments != seg.SegmentsCompleted+seg.SegmentsFailed+seg.SegmentsLost {
+		t.Fatalf("segments not conserved: %+v", seg)
+	}
+	if seg.FusedRequests != seg.FusedCompleted+seg.FusedFailed {
+		t.Fatalf("fused requests not conserved: %+v", seg)
+	}
+	if !d.Conservation.Holds {
+		t.Fatalf("conservation violated: %+v", d.Conservation)
+	}
+	if d.Counters.CrossReplicaHandoffs == 0 {
+		t.Fatal("no segment crossed replicas")
 	}
 }

@@ -11,8 +11,8 @@ package serve
 //
 // Determinism: Preempt picks victims by (latest finish, then highest
 // id) over a slice maintained in admission order, and resumptions are
-// admitted by the same single scheduling goroutine as everything else,
-// so identical call sequences yield identical schedules.
+// admitted by the next Admit like everything else, so identical call
+// sequences yield identical schedules.
 
 import (
 	"fmt"
@@ -150,7 +150,7 @@ func (e *Engine) Preempt(belowPriority, max int) int {
 		n++
 	}
 	if n > 0 {
-		e.cond.Signal()
+		e.cond.Signal() // wake a live engine's driver
 	}
 	return n
 }

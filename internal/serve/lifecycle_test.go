@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/energy"
+	"repro/internal/maestro"
 )
 
 // TestDrainZeroOutstanding: draining an engine that never admitted a
@@ -65,37 +68,83 @@ func TestQuiesceIdempotent(t *testing.T) {
 	}
 }
 
-// TestPauseResume: a paused engine keeps admitting but schedules
-// nothing; Resume releases the queued work.
-func TestPauseResume(t *testing.T) {
-	e := testEngine(t)
-	e.Pause()
-	ticket, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv1"})
+// manualEngine builds an engine without a driver: submissions stay
+// queued until the test calls Admit.
+func manualEngine(t *testing.T) *Engine {
+	t.Helper()
+	o := DefaultOptions()
+	o.Manual = true
+	e, err := New(maestro.NewCache(energy.Default28nm()), testHDA(t), o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return e
+}
+
+// TestManualAdmit: a manual engine keeps accepting but schedules
+// nothing until Admit, which returns with every queued request final
+// and every completion hook fired on the caller's goroutine; Drain
+// admits what is left and closes Done.
+func TestManualAdmit(t *testing.T) {
+	e := manualEngine(t)
+	var hooks []int64
+	var tickets []*Ticket
+	for i := 0; i < 3; i++ {
+		ticket, err := e.SubmitTracked(Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: int64(i)},
+			func(rec Record) { hooks = append(hooks, rec.ID) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, ticket)
 	}
 	select {
-	case <-ticket.Done():
-		t.Fatal("paused engine scheduled a request")
-	case <-time.After(50 * time.Millisecond):
+	case <-tickets[0].Done():
+		t.Fatal("manual engine scheduled a request before Admit")
+	case <-time.After(20 * time.Millisecond):
 	}
-	e.Resume()
-	rec, err := ticket.Wait(context.Background())
+	if ld := e.Load(); ld.Pending != 3 {
+		t.Fatalf("pending %d before Admit, want 3", ld.Pending)
+	}
+
+	e.Admit()
+	if len(hooks) != 3 {
+		t.Fatalf("%d hooks fired by Admit, want 3", len(hooks))
+	}
+	for i, ticket := range tickets {
+		select {
+		case <-ticket.Done():
+		default:
+			t.Fatalf("ticket %d unresolved after Admit", i)
+		}
+		if rec, _ := ticket.Wait(context.Background()); rec.Status != StatusDone {
+			t.Fatalf("ticket %d: status %q (err %q), want done", i, rec.Status, rec.Err)
+		}
+	}
+
+	late, err := e.Submit(Request{Tenant: "b", Model: "mobilenetv1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Status != StatusDone {
-		t.Fatalf("status %q after resume, want done (err %q)", rec.Status, rec.Err)
+	st, err := e.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := late.Wait(context.Background()); rec.Status != StatusDone || st.Completed != 4 || st.Pending != 0 {
+		t.Fatalf("drain left work: late %q, stats %+v", rec.Status, st)
+	}
+	select {
+	case <-e.Done():
+	default:
+		t.Fatal("Done open after Drain")
 	}
 }
 
-// TestCrashExtractsQueued: crashing a paused engine extracts exactly
-// the queued requests as StatusLost — tickets resolve, completion
-// hooks fire, and the engine's own accounting erases them so a
-// fleet-side re-admission counts each exactly once.
+// TestCrashExtractsQueued: crashing an engine extracts exactly the
+// queued requests as StatusLost — tickets resolve, completion hooks
+// fire, and the engine's own accounting erases them so a fleet-side
+// re-admission counts each exactly once.
 func TestCrashExtractsQueued(t *testing.T) {
-	e := testEngine(t)
-	e.Pause() // freeze scheduling so the queued set is exact
+	e := manualEngine(t) // nothing admits, so the queued set is exact
 
 	const n = 4
 	var tickets []*Ticket
@@ -157,7 +206,8 @@ func TestCrashExtractsQueued(t *testing.T) {
 	if _, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv1"}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-crash submit: err %v, want ErrDraining", err)
 	}
-	// The scheduling goroutine exits: Done closes.
+	// The next Admit finds the crashed engine empty: Done closes.
+	e.Admit()
 	select {
 	case <-e.Done():
 	case <-time.After(10 * time.Second):
@@ -168,16 +218,16 @@ func TestCrashExtractsQueued(t *testing.T) {
 // TestCrashSparesScheduledWork: requests already scheduled before the
 // crash complete normally — only queued work is extracted.
 func TestCrashSparesScheduledWork(t *testing.T) {
-	e := testEngine(t)
+	e := manualEngine(t)
 	done, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Admit()
 	if rec, err := done.Wait(context.Background()); err != nil || rec.Status != StatusDone {
 		t.Fatalf("pre-crash request: %v %+v", err, rec)
 	}
 
-	e.Pause()
 	doomed, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv1"})
 	if err != nil {
 		t.Fatal(err)

@@ -8,15 +8,19 @@
 // cost-model results across requests, so steady-state admission cost
 // is dominated by the assignment loop, not the analytical model.
 //
-// The engine is event-driven: submissions enqueue and wake a single
-// scheduling goroutine, which drains tenant queues round-robin (at
-// most one request per tenant per pass, so a chatty tenant cannot
-// starve a quiet one), admits a small batch to the incremental
-// scheduler, and publishes per-request latency/SLA statistics.
+// Admission is one synchronous call: Admit drains the tenant queues
+// round-robin (at most one request per tenant per pass, so a chatty
+// tenant cannot starve a quiet one) in small batches admitted to the
+// incremental scheduler, and returns once every placement is committed
+// and every completion hook has fired. A live engine runs Admit on one
+// driver goroutine, woken per submission; a Manual engine starts no
+// driver and admits only when its owner calls Admit, so the queue each
+// round sees is a pure function of the calls made — the determinism
+// handle the replay harness and fault drills build on.
 //
-// Lifecycle: New starts the scheduling goroutine; Quiesce stops
-// admissions while in-flight work finishes (Done observes the loop
-// exiting); Drain is Quiesce plus the wait. An engine is never
+// Lifecycle: New starts the driver (unless Manual); Quiesce stops
+// admissions while in-flight work finishes (Done observes the last
+// admission); Drain is Quiesce plus the wait. An engine is never
 // restarted — a fleet migration retires quiesced engines and routes
 // to freshly-built ones instead (see internal/fleet). Prewarm hands a
 // fresh engine the cost columns of an expected workload so its first
@@ -71,11 +75,18 @@ type Options struct {
 
 	// OnRequestDone, when set, is called with a copy of every
 	// request's final record (done or failed) after it is published.
-	// It runs on the scheduling goroutine outside the engine's locks:
-	// callbacks may call back into the engine but must not block, or
-	// they stall admission. Dispatchers (internal/fleet) use it to
-	// track per-engine in-flight work.
+	// It runs on the goroutine running Admit, outside the engine's
+	// locks: callbacks may submit back into the engine but must not
+	// block, or they stall admission. Dispatchers (internal/fleet) use
+	// it to track per-engine in-flight work.
 	OnRequestDone func(Record)
+
+	// Manual starts the engine without a driver goroutine: submissions
+	// queue until the owner calls Admit (Quiesce, Crash and Drain work
+	// as usual; Drain admits what is queued). Replays and fault drills
+	// set it so batch composition depends only on the order of
+	// submissions and Admit calls, never on goroutine timing.
+	Manual bool
 
 	// Plans maps model names to fusion plans (a dse search's
 	// SegmentPlans). A request whose model has a multi-segment plan is
@@ -350,8 +361,13 @@ type Engine struct {
 	cache *maestro.Cache
 	start time.Time
 
-	// schedMu serializes incremental-schedule access (the scheduling
-	// loop's Extend vs. snapshot readers).
+	// admitMu serializes Admit callers, so scheduling rounds never
+	// interleave and every completion hook of a round has fired before
+	// the next round pops.
+	admitMu sync.Mutex
+
+	// schedMu serializes incremental-schedule access (Admit's Extend
+	// vs. snapshot readers).
 	schedMu sync.Mutex
 	inc     *sched.Incremental // guarded by schedMu
 
@@ -371,10 +387,12 @@ type Engine struct {
 	rejectedOther int64 // guarded by mu
 	nextID        int64 // guarded by mu
 	draining      bool  // guarded by mu
-	paused        bool  // guarded by mu
 	crashed       bool  // guarded by mu
 	lost          int64 // requests extracted by Crash (observability); guarded by mu
-	loopDone      chan struct{}
+	// stopped is closed, once, by the Admit that finds a draining
+	// engine's queue empty: every accepted request is final. The close
+	// happens with mu held, so Admit callers never race on it.
+	stopped chan struct{}
 
 	maxFinishCycle int64 // latest committed finish cycle; guarded by mu
 
@@ -390,8 +408,11 @@ type Engine struct {
 	preemptions, resumptions, reassigns int64
 }
 
-// New starts a serving engine over the given cost cache and HDA. The
-// engine owns a scheduling goroutine until Drain is called.
+// New starts a serving engine over the given cost cache and HDA. A
+// live engine owns one driver goroutine, which calls Admit whenever
+// submissions are queued and exits once the engine has drained; with
+// Options.Manual no goroutine is started and the caller admits
+// explicitly (Admit, or Drain at the end).
 func New(cache *maestro.Cache, hda *accel.HDA, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	opts.Sched.PostProcess = false
@@ -416,11 +437,13 @@ func New(cache *maestro.Cache, hda *accel.HDA, opts Options) (*Engine, error) {
 		records:     make(map[int64]*Record),
 		modelCounts: make(map[string]int),
 		tenants:     make(map[string]*tenantAgg),
-		loopDone:    make(chan struct{}),
+		stopped:     make(chan struct{}),
 	}
 	e.hda.Store(hda)
 	e.cond = sync.NewCond(&e.mu)
-	go e.loop()
+	if !opts.Manual {
+		go e.drive()
+	}
 	return e, nil
 }
 
@@ -450,10 +473,10 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 // onDone (when non-nil) receives the final record exactly once — a
 // done/failed record after the scheduling round that finalizes it, or
 // a StatusLost record when the engine crashes (Crash) with the request
-// still queued. Like Options.OnRequestDone it runs on the engine's
-// scheduling goroutine (or the Crash caller's) outside the engine's
-// locks and must not block. Fleet dispatchers use it to resolve their
-// tickets without polling and to collect lost requests for failover.
+// still queued. Like Options.OnRequestDone it runs on the goroutine
+// running Admit (or the Crash caller's) outside the engine's locks and
+// must not block. Fleet dispatchers use it to resolve their tickets
+// without polling and to collect lost requests for failover.
 func (e *Engine) SubmitTracked(req Request, onDone func(Record)) (*Ticket, error) {
 	if req.Tenant == "" {
 		return nil, fmt.Errorf("serve: request needs a tenant")
@@ -469,11 +492,12 @@ func (e *Engine) SubmitTracked(req Request, onDone func(Record)) (*Ticket, error
 	return e.submitModel(req, model, onDone)
 }
 
-// SubmitModel is Submit for a caller-resolved model: fleet dispatchers
-// submitting plan segments use it, because sliced segment models are
-// not in the zoo. The request's Model field is ignored in favor of m,
-// and no fusion plan applies (the caller already decomposed).
-func (e *Engine) SubmitModel(req Request, m *dnn.Model) (*Ticket, error) {
+// SubmitModel is SubmitTracked for a caller-resolved model: fleet
+// dispatchers submitting plan segments use it, because sliced segment
+// models are not in the zoo. The request's Model field is ignored in
+// favor of m, and no fusion plan applies (the caller already
+// decomposed).
+func (e *Engine) SubmitModel(req Request, m *dnn.Model, onDone func(Record)) (*Ticket, error) {
 	if req.Tenant == "" {
 		return nil, fmt.Errorf("serve: request needs a tenant")
 	}
@@ -481,7 +505,7 @@ func (e *Engine) SubmitModel(req Request, m *dnn.Model) (*Ticket, error) {
 		e.countRejected(req.Tenant)
 		return nil, fmt.Errorf("serve: nil or empty model")
 	}
-	return e.submitModel(req, m, nil)
+	return e.submitModel(req, m, onDone)
 }
 
 // submitModel admits one whole-model request.
@@ -680,22 +704,51 @@ func (e *Engine) agg(tenant string) *tenantAgg {
 	return ta
 }
 
-// loop is the single scheduling goroutine: wake on submissions, pop a
-// fair batch, extend the incremental schedule, publish results.
-func (e *Engine) loop() {
+// drive is a live engine's driver goroutine: wait for queued work (or
+// a drain), admit it, and exit once Admit has found the drained engine
+// empty.
+func (e *Engine) drive() {
 	for {
 		e.mu.Lock()
-		for (e.npending == 0 || e.paused) && !e.draining {
+		for e.npending == 0 && !e.draining {
 			e.cond.Wait()
 		}
-		if e.npending == 0 && e.draining {
+		e.mu.Unlock()
+		e.Admit()
+		select {
+		case <-e.stopped:
+			return
+		default:
+		}
+	}
+}
+
+// Admit runs scheduling rounds on the caller's goroutine until the
+// queue is empty: each round pops a fair round-robin batch, extends
+// the committed schedule and fires the batch's completion hooks.
+// Concurrent callers are serialized. On return every request queued
+// before the call has a committed placement (or failed) and every
+// completion hook has fired — including hooks that queued more work,
+// which is admitted too. Once an Admit finds a quiesced engine empty,
+// Done closes.
+func (e *Engine) Admit() {
+	e.admitMu.Lock()
+	defer e.admitMu.Unlock()
+	for {
+		e.mu.Lock()
+		batch := e.popBatchLocked()
+		if len(batch) == 0 {
+			if e.draining {
+				select {
+				case <-e.stopped:
+				default:
+					close(e.stopped)
+				}
+			}
 			e.mu.Unlock()
-			close(e.loopDone)
 			return
 		}
-		batch := e.popBatchLocked()
 		e.mu.Unlock()
-
 		e.admit(batch)
 	}
 }
@@ -1097,31 +1150,8 @@ func (e *Engine) Snapshot() *sched.Schedule {
 	return e.inc.Snapshot()
 }
 
-// Pause suspends the scheduling loop: requests admitted while paused
-// stay queued until Resume, though Submit keeps accepting them.
-// Quiesce, Drain and Crash override a pause, so lifecycle transitions
-// never hang on a frozen engine. Pausing is the determinism handle for
-// fault injection: the scheduling goroutine normally races ahead of
-// the submitter in wall time, so which requests a Crash finds queued
-// depends on goroutine progress — but on an idle, paused engine the
-// extracted set is exactly the requests admitted since the pause,
-// bit-replayable run to run.
-func (e *Engine) Pause() {
-	e.mu.Lock()
-	e.paused = true
-	e.mu.Unlock()
-}
-
-// Resume lifts a Pause and wakes the scheduling loop.
-func (e *Engine) Resume() {
-	e.mu.Lock()
-	e.paused = false
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
 // Quiesce stops admissions without waiting: every later Submit fails
-// with ErrDraining, while the scheduling loop keeps running until the
+// with ErrDraining, while admission continues until the
 // already-accepted queues are empty. It is idempotent. Use Done to
 // observe completion; Drain is Quiesce plus the wait. A fleet
 // migration quiesces a whole retiring generation at once before
@@ -1135,10 +1165,11 @@ func (e *Engine) Quiesce() {
 	e.mu.Unlock()
 }
 
-// Done is closed once a quiesced (or draining) engine has finished
-// every accepted request and its scheduling goroutine has exited. It
-// never closes before Quiesce, Drain or Crash is called.
-func (e *Engine) Done() <-chan struct{} { return e.loopDone }
+// Done is closed once a quiesced (or draining, or crashed) engine has
+// finished every accepted request and the last Admit has returned its
+// hooks. It never closes before Quiesce, Drain or Crash is called; on
+// a Manual engine it closes at the first Admit (or Drain) after that.
+func (e *Engine) Done() <-chan struct{} { return e.stopped }
 
 // Crash simulates an abrupt replica failure: admissions stop (like
 // Quiesce), but instead of serving the accepted queues, every queued
@@ -1149,10 +1180,9 @@ func (e *Engine) Done() <-chan struct{} { return e.loopDone }
 // with the lost record. A fleet dispatcher re-admits lost requests on
 // surviving replicas, so each is counted exactly once fleet-wide.
 //
-// The scheduling goroutine finishes the batch it is currently
-// admitting (those requests complete normally — they made it under
-// the wire) and then exits; wait on Done to observe that every
-// completion hook has fired. A fused chain with extracted segments
+// An Admit in progress finishes the batch it is currently admitting
+// (those requests complete normally — they made it under the wire);
+// wait on Done to observe that every completion hook has fired. A fused chain with extracted segments
 // can never complete: it is finalized immediately (StatusLost, or
 // StatusFailed if it had already broken) and its remaining in-batch
 // segments only update the segment counters. Extraction order is the
@@ -1262,11 +1292,15 @@ func (e *Engine) Prewarm(w *workload.Workload) {
 }
 
 // Drain stops admissions, waits for the queues to empty (or ctx), and
-// returns the final statistics.
+// returns the final statistics. A Manual engine admits its queue on
+// the caller's goroutine first.
 func (e *Engine) Drain(ctx context.Context) (Stats, error) {
 	e.Quiesce()
+	if e.opts.Manual {
+		e.Admit()
+	}
 	select {
-	case <-e.loopDone:
+	case <-e.stopped:
 		return e.Stats(), nil
 	case <-ctx.Done():
 		return e.Stats(), ctx.Err()
