@@ -508,8 +508,8 @@ func BenchmarkFusedServing(b *testing.B) {
 	const pairs = 16
 
 	// Acceptance runs (also warm the shared cost cache).
-	unfusedSpan, _ := driveFusedBurst(b, cache, hdas, nil, pairs)
-	fusedSpan, _ := driveFusedBurst(b, cache, hdas, plans, pairs)
+	unfusedSpan, _ := driveFusedBurst(b, cache, hdas, nil, pairs, false)
+	fusedSpan, _ := driveFusedBurst(b, cache, hdas, plans, pairs, false)
 
 	b.ResetTimer()
 	b.ReportMetric(float64(unfusedSpan)/float64(fusedSpan), "fused-speedup-x")
@@ -518,7 +518,7 @@ func BenchmarkFusedServing(b *testing.B) {
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
 		iterStart := time.Now()
-		_, st := driveFusedBurst(b, cache, hdas, plans, pairs)
+		_, st := driveFusedBurst(b, cache, hdas, plans, pairs, false)
 		wall += time.Since(iterStart)
 		served += st.Segments.FusedCompleted
 	}

@@ -50,16 +50,16 @@ func fusedFleetSetup(tb testing.TB, cache *CostCache) ([]*HDA, map[string]Segmen
 }
 
 // driveFusedBurst submits pairs of render/track requests arriving at
-// cycle 0 to a manual fleet, admits the burst, drains, and returns the
+// cycle 0, waits for every merged completion, drains, and returns the
 // burst makespan (latest committed cycle across replicas) with the
-// final fleet stats. Manual admission makes the makespan a function of
-// the burst alone: every segment 0 is placed before any successor is
-// routed, whatever the goroutine timing.
-func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[string]SegmentPlan, pairs int) (int64, FleetStats) {
+// final fleet stats. A manual fleet admits the burst with one Admit
+// call, so its makespan is a function of the burst alone; a live fleet
+// admits as the requests arrive, the way heraldd serves them.
+func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[string]SegmentPlan, pairs int, manual bool) (int64, FleetStats) {
 	tb.Helper()
 	opts := DefaultFleetOptions()
 	opts.Plans = plans
-	opts.Serve.Manual = true
+	opts.Serve.Manual = manual
 	f, err := NewFleet(cache, hdas, opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -74,7 +74,9 @@ func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[str
 			tickets = append(tickets, t)
 		}
 	}
-	f.Admit()
+	if manual {
+		f.Admit()
+	}
 	for _, t := range tickets {
 		rec, err := t.Wait(context.Background())
 		if err != nil {
@@ -101,30 +103,38 @@ func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[str
 // gate relies on: on the dataflow-specialized fleet, segment chains
 // must finish the AR/VR burst at least 15% faster than whole-request
 // dispatch (measured 1.2x+; the margin absorbs cost-model drift), and
-// the fused counters must conserve at both granularities.
+// the fused counters must conserve at both granularities — on a live
+// fleet (heraldd's path) and on a manual one.
 func TestFusedServingImprovement(t *testing.T) {
 	cache := NewCostCache(DefaultEnergyTable())
 	hdas, plans := fusedFleetSetup(t, cache)
 	const pairs = 16
 
-	unfused, _ := driveFusedBurst(t, cache, hdas, nil, pairs)
-	fused, st := driveFusedBurst(t, cache, hdas, plans, pairs)
+	for _, mode := range []struct {
+		name   string
+		manual bool
+	}{{"live", false}, {"manual", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			unfused, _ := driveFusedBurst(t, cache, hdas, nil, pairs, mode.manual)
+			fused, st := driveFusedBurst(t, cache, hdas, plans, pairs, mode.manual)
 
-	if fused <= 0 || unfused <= 0 {
-		t.Fatalf("degenerate makespans: unfused %d, fused %d", unfused, fused)
-	}
-	speedup := float64(unfused) / float64(fused)
-	if speedup < 1.15 {
-		t.Errorf("fused burst makespan %d vs unfused %d: %.3fx, want >= 1.15x", fused, unfused, speedup)
-	}
+			if fused <= 0 || unfused <= 0 {
+				t.Fatalf("degenerate makespans: unfused %d, fused %d", unfused, fused)
+			}
+			speedup := float64(unfused) / float64(fused)
+			if speedup < 1.15 {
+				t.Errorf("fused burst makespan %d vs unfused %d: %.3fx, want >= 1.15x", fused, unfused, speedup)
+			}
 
-	sg := st.Segments
-	wantFused := int64(2 * pairs)
-	if sg.FusedRequests != wantFused || sg.FusedCompleted != wantFused || sg.FusedFailed != 0 {
-		t.Errorf("fused request conservation: %+v, want %d completed", sg, wantFused)
-	}
-	wantSegs := int64(pairs * (plans["mobilenetv2"].NumSegments() + plans["mobilenetv1"].NumSegments()))
-	if sg.Segments != wantSegs || sg.SegmentsCompleted != wantSegs || sg.SegmentsFailed != 0 {
-		t.Errorf("segment conservation: %+v, want %d", sg, wantSegs)
+			sg := st.Segments
+			wantFused := int64(2 * pairs)
+			if sg.FusedRequests != wantFused || sg.FusedCompleted != wantFused || sg.FusedFailed != 0 {
+				t.Errorf("fused request conservation: %+v, want %d completed", sg, wantFused)
+			}
+			wantSegs := int64(pairs * (plans["mobilenetv2"].NumSegments() + plans["mobilenetv1"].NumSegments()))
+			if sg.Segments != wantSegs || sg.SegmentsCompleted != wantSegs || sg.SegmentsFailed != 0 {
+				t.Errorf("segment conservation: %+v, want %d", sg, wantSegs)
+			}
+		})
 	}
 }

@@ -162,8 +162,9 @@ type Options struct {
 	// multi-segment plan is decomposed at dispatch — each segment is
 	// routed independently (so the horizon ledger can move a segment to
 	// another replica when its ETA favors it), chained by completion
-	// (segment k's completion hook dispatches segment k+1 with k's
-	// finish cycle as its arrival), and merged into one record under
+	// (segment k's completion hook releases segment k+1, with k's
+	// finish cycle as its arrival, for Admit to route; a live fleet runs
+	// Admit on a relay goroutine), and merged into one record under
 	// one ticket. Replica engines then receive
 	// plain segment submissions (their own Plans are stripped to avoid
 	// double decomposition). Leave nil and set Serve.Plans instead to
@@ -323,11 +324,14 @@ type Fleet struct {
 	// segment submissions, so these are the only fused counters.
 	segStats      serve.SegmentStats // guarded by mu
 	crossHandoffs int64              // guarded by mu
-	// ready parks the fused chains whose next segment a manual fleet's
-	// completion hooks released, keyed by the replica that finished the
-	// predecessor; Admit dispatches them in replica-id order. Guarded
-	// by mu.
-	ready map[int][]*dispatch
+	// ready parks the fused chains whose next segment a completion hook
+	// released, keyed by the replica that finished the predecessor;
+	// Admit routes them in replica-id order. readyCond (on mu) wakes the
+	// relay goroutine that runs Admit for a live fleet, and relayStop,
+	// set by Drain, ends it. Guarded by mu.
+	ready     map[int][]*dispatch
+	readyCond *sync.Cond
+	relayStop bool
 
 	// resweepMu serializes Resweep calls: a dse.Sweeper is a reusable
 	// handle but not safe for concurrent sweeps.
@@ -422,6 +426,7 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 		onAccept:    opts.OnAccept,
 	}
 	f.outIdle = sync.NewCond(&f.outMu)
+	f.readyCond = sync.NewCond(&f.mu)
 	if opts.Faults != nil && len(opts.Faults.Events) > 0 {
 		// Re-validate and re-sort: callers may hand-build the plan
 		// instead of going through NewFaultPlan.
@@ -447,6 +452,9 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 	}
 	f.replicas = rs
 	f.nextID = len(rs)
+	if !f.serveOpts.Manual && len(f.plans) > 0 {
+		go f.relay()
+	}
 	return f, nil
 }
 
@@ -656,8 +664,8 @@ func (d *dispatch) submitTo(e *serve.Engine) (*serve.Ticket, error) {
 // admitting the request (or the Crash caller's). A lost record takes
 // only outMu — crash extraction fires it with f.mu held. A finished
 // segment folds into the chain under f.mu, then either finalizes the
-// chain or releases its successor: a live fleet dispatches it right
-// here, a manual one parks it for Admit to dispatch in a fixed order.
+// chain or parks its successor in f.ready for Admit to route (run by
+// the relay goroutine on a live fleet).
 func (d *dispatch) resolve(rec serve.Record) {
 	f := d.f
 	if rec.Status == serve.StatusLost {
@@ -675,14 +683,12 @@ func (d *dispatch) resolve(rec serve.Record) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch {
-	case !d.foldSegment(rec):
+	if !d.foldSegment(rec) {
 		f.finishChainLocked(d)
-	case f.serveOpts.Manual:
-		f.ready[d.replica] = append(f.ready[d.replica], d)
-	default:
-		f.advanceLocked(d)
+		return
 	}
+	f.ready[d.replica] = append(f.ready[d.replica], d)
+	f.readyCond.Signal()
 }
 
 // foldSegment merges a finished segment's record into the chain's and
@@ -940,19 +946,20 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 }
 
 // Admit runs admission rounds on the caller's goroutine until no
-// replica queue holds work. Each round first routes the fused-chain
-// successors released since the last round — in replica-id order, then
-// in the order each engine finalized their predecessors — and then
-// runs serve.Engine.Admit on every live replica (active or retiring)
-// with queued work, one goroutine per engine, and joins them. Manual
-// fleets (serve.Options.Manual) admit only here, so a fixed sequence of
-// Submit and Admit calls yields the same schedules, records, decisions
-// and statistics run to run, at any GOMAXPROCS. On a live fleet it
-// returns once the queues it found are admitted.
+// replica queue holds work and no fused-chain successor is parked.
+// Each round runs serve.Engine.Admit on every live replica (active or
+// retiring) with queued work, one goroutine per engine, joins them,
+// and then routes the successors released so far — in replica-id
+// order, then in the order each engine finalized their predecessors.
+// Admitting first keeps a successor, which arrives at its
+// predecessor's finish cycle, from being placed ahead of work already
+// queued. Manual fleets (serve.Options.Manual) admit only here, so a
+// fixed sequence of Submit and Admit calls yields the same schedules,
+// records, decisions and statistics run to run, at any GOMAXPROCS. On
+// a live fleet it returns once the queues it found are admitted.
 func (f *Fleet) Admit() {
 	for {
 		f.mu.Lock()
-		f.dispatchReadyLocked()
 		var busy []*serve.Engine
 		for _, set := range [][]*replica{f.replicas, f.retiring} {
 			for _, r := range set {
@@ -962,9 +969,6 @@ func (f *Fleet) Admit() {
 			}
 		}
 		f.mu.Unlock()
-		if len(busy) == 0 {
-			return
-		}
 		var wg sync.WaitGroup
 		for _, e := range busy {
 			wg.Add(1)
@@ -974,6 +978,32 @@ func (f *Fleet) Admit() {
 			}()
 		}
 		wg.Wait()
+		f.mu.Lock()
+		released := len(f.ready) > 0
+		f.dispatchReadyLocked()
+		f.mu.Unlock()
+		if len(busy) == 0 && !released {
+			return
+		}
+	}
+}
+
+// relay is a live fused fleet's counterpart of an engine's driver
+// goroutine: it runs Admit whenever a completion hook parks a
+// successor, until Drain stops it.
+func (f *Fleet) relay() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for {
+		for len(f.ready) == 0 && !f.relayStop {
+			f.readyCond.Wait()
+		}
+		if len(f.ready) == 0 {
+			return
+		}
+		f.mu.Unlock()
+		f.Admit()
+		f.mu.Lock()
 	}
 }
 
@@ -1604,12 +1634,12 @@ func (f *Fleet) foldStatsLocked(es serve.Stats, windows []serve.TenantWindow) {
 const maxHistoryLatencies = 4096
 
 // Drain stops admissions, waits until every accepted ticket has
-// resolved (a manual fleet admits on the caller's goroutine first),
-// fans the drain out to every live replica (active and still-retiring),
-// joins them, and returns the final fleet statistics. The ticket wait
-// comes first: engines must not be quiesced while accepted fused
-// chains still have segments to dispatch, or those tickets could never
-// resolve.
+// resolved or ctx is done (a manual fleet admits on the caller's
+// goroutine first; a live one admits on its own goroutines), then
+// fans the drain out to every live replica (active and retiring),
+// joins them, and returns the final statistics — with ctx's error if
+// tickets were still open. The ticket wait comes first: quiescing
+// engines under a fused chain would fail its remaining segments.
 func (f *Fleet) Drain(ctx context.Context) (Stats, error) {
 	f.mu.Lock()
 	f.draining = true
@@ -1617,13 +1647,24 @@ func (f *Fleet) Drain(ctx context.Context) (Stats, error) {
 	if f.serveOpts.Manual {
 		f.Admit()
 	}
+	stop := context.AfterFunc(ctx, func() {
+		f.outMu.Lock()
+		f.outIdle.Broadcast()
+		f.outMu.Unlock()
+	})
 	f.outMu.Lock()
-	for len(f.tenantOut) > 0 {
+	for len(f.tenantOut) > 0 && ctx.Err() == nil {
 		f.outIdle.Wait()
 	}
+	idle := len(f.tenantOut) == 0
 	f.outMu.Unlock()
+	stop()
 
 	f.mu.Lock()
+	if idle {
+		f.relayStop = true
+		f.readyCond.Broadcast()
+	}
 	live := make([]*replica, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))
 	live = append(live, f.replicas...)
 	live = append(live, f.retiring...)
@@ -1644,5 +1685,8 @@ func (f *Fleet) Drain(ctx context.Context) (Stats, error) {
 		}(i, r)
 	}
 	wg.Wait()
+	if !idle {
+		errs = append(errs, ctx.Err())
+	}
 	return f.Stats(), errors.Join(errs...)
 }

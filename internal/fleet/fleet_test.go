@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
@@ -67,6 +68,9 @@ func driveSequential(t *testing.T, f *Fleet, reqs []serve.Request) ([]int, Stats
 		}
 		tickets = append(tickets, tk)
 		replicas = append(replicas, tk.Replica)
+	}
+	if f.serveOpts.Manual {
+		f.Admit()
 	}
 	for i, tk := range tickets {
 		rec, err := tk.Wait(context.Background())
@@ -141,6 +145,54 @@ func TestFleetDrain(t *testing.T) {
 	}
 }
 
+// TestFleetDrainHonorsContext: while an accepted ticket is unresolved
+// (its completion hook is held), Drain returns at the context deadline
+// with the context's error; once the hook is released, a second Drain
+// completes with conservation intact.
+func TestFleetDrainHonorsContext(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	opts := DefaultOptions()
+	opts.Serve.OnRequestDone = func(serve.Record) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}
+	f, err := Replicated(newTestCache(), testHDA(t), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := f.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("drain with a held ticket: %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("drain returned %v after its 50ms deadline", d)
+	}
+
+	close(release)
+	if rec, err := tk.Wait(context.Background()); err != nil || rec.Status != serve.StatusDone {
+		t.Fatalf("released ticket: %+v, %v", rec, err)
+	}
+	st, err := f.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != 1 || st.Completed != 1 || st.Pending != 0 {
+		t.Errorf("stats after the second drain: %+v", st)
+	}
+}
+
 // TestFleetScaling: 4 replicas must serve at least 3x the simulated
 // throughput of a single engine on the same request sequence (the
 // replicas run in parallel in simulated time, so fleet throughput is
@@ -152,8 +204,21 @@ func TestFleetScaling(t *testing.T) {
 		tenant := []string{"a", "b"}[i%2]
 		reqs = append(reqs, serve.Request{Tenant: tenant, Model: "mobilenetv1", ArrivalCycle: 0})
 	}
-	_, single := driveSequential(t, testFleet(t, cache, 1, RoundRobin), reqs)
-	_, quad := driveSequential(t, testFleet(t, cache, 4, RoundRobin), reqs)
+	// Manual fleets: on a live one the batch composition, and with it
+	// the single engine's makespan, depends on how far its driver got
+	// while the burst was being submitted.
+	manual := func(n int) *Fleet {
+		opts := DefaultOptions()
+		opts.Policy = RoundRobin
+		opts.Serve.Manual = true
+		f, err := Replicated(cache, testHDA(t), n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	_, single := driveSequential(t, manual(1), reqs)
+	_, quad := driveSequential(t, manual(4), reqs)
 
 	if single.Completed != 48 || quad.Completed != 48 {
 		t.Fatalf("completions: single %d quad %d", single.Completed, quad.Completed)

@@ -1293,7 +1293,8 @@ func (e *Engine) Prewarm(w *workload.Workload) {
 
 // Drain stops admissions, waits for the queues to empty (or ctx), and
 // returns the final statistics. A Manual engine admits its queue on
-// the caller's goroutine first.
+// the caller's goroutine first; a live engine's driver admits it, so
+// ctx bounds the wait even when the backlog is long.
 func (e *Engine) Drain(ctx context.Context) (Stats, error) {
 	e.Quiesce()
 	if e.opts.Manual {
