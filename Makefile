@@ -79,21 +79,26 @@ vulncheck:
 doclint:
 	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,internal/config,cmd/heraldplay
 
-# bench runs the full benchmark suite once per benchmark (short form:
+# bench runs the root benchmark suite once per benchmark (short form:
 # the perf trajectory gate wants per-PR numbers, not nanosecond-grade
-# stability) and writes the machine-readable $(BENCH_OUT).
-BENCH_OUT ?= BENCH_PR6.json
+# stability), then the scheduler's microsecond-scale Extend benchmark
+# at the default benchtime, and writes the machine-readable
+# $(BENCH_OUT). Each PR commits its own file.
+BENCH_OUT ?= BENCH_PR14.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | tee bench.out
+	$(GO) test -run '^$$' -bench IncrementalExtend -benchmem ./internal/sched | tee -a bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 
 # bench-gate fails on >25% ns/op regressions of the DSE / figure-sweep
-# benchmarks against the previous PR's committed baseline. Only the
-# sweep-scale benchmarks (tens of ms and up) are gated: single-
-# iteration runs of the microsecond-scale figure artifacts swing well
-# past any sane threshold on machine noise alone.
-BENCH_BASE ?= BENCH_PR4.json
+# benchmarks and the Extend benchmark against the newest committed
+# BENCH_PR*.json other than $(BENCH_OUT) (version-sorted: BENCH_PR14
+# is newer than BENCH_PR2). Only sweep-scale benchmarks (tens of ms and
+# up) and multi-iteration ones are gated: single-iteration runs of the
+# microsecond-scale figure artifacts swing well past any sane threshold
+# on machine noise alone.
+BENCH_BASE ?= $(lastword $(filter-out $(BENCH_OUT),$(shell git ls-files 'BENCH_PR*.json' | sort -V)))
 bench-gate:
 	$(GO) run ./cmd/benchgate -old $(BENCH_BASE) -new $(BENCH_OUT) \
-		-match 'BenchmarkDSE|BenchmarkFigure6|BenchmarkFigure11|BenchmarkFigure13|BenchmarkResweep|BenchmarkFusedServing|BenchmarkReplayThroughput|BenchmarkElasticReassign' -max-pct 25
+		-match 'BenchmarkDSE|BenchmarkFigure6|BenchmarkFigure11|BenchmarkFigure13|BenchmarkResweep|BenchmarkFusedServing|BenchmarkReplayThroughput|BenchmarkElasticReassign|BenchmarkIncrementalExtend' -max-pct 25

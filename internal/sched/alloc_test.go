@@ -3,6 +3,8 @@
 package sched
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -64,5 +66,41 @@ func TestSchedulerAllocationBudget(t *testing.T) {
 	}
 	if perLayer := bigAllocs / float64(layers); perLayer >= 0.5 {
 		t.Errorf("%.3f allocs per layer assignment, want ~0", perLayer)
+	}
+}
+
+// TestExtendBytesIndependentOfBacklog pins what one Incremental.Extend
+// allocates to its batch, not to the committed backlog: the median
+// bytes a single-request Extend allocates on a 2000-instance backlog
+// stay within a small constant of the same Extend on a 50-instance
+// backlog, although every backlog layer is still live in the memory
+// ledger. (A rollback point that copies the ledger grows with it.) The
+// median drops the odd sample where an append-only array doubles.
+func TestExtendBytesIndependentOfBacklog(t *testing.T) {
+	h := incTestHDA(t)
+	s := incTestScheduler(t)
+	m := mustModel(t, "brq-handpose")
+	perExtend := func(backlog int) uint64 {
+		inc := backlogIncremental(t, s, h, m, backlog)
+		var ms runtime.MemStats
+		samples := make([]uint64, 32)
+		for i := range samples {
+			adm := []Admission{{Instance: workload.Instance{Model: m, Batch: backlog + i + 1}}}
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if _, err := inc.Extend(adm); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			samples[i] = ms.TotalAlloc - before
+		}
+		slices.Sort(samples)
+		return samples[len(samples)/2]
+	}
+	small, big := perExtend(50), perExtend(2000)
+	const slack = 512
+	if big > small+slack {
+		t.Errorf("Extend allocates %d B on a 2000-instance backlog vs %d B on a 50-instance one (slack %d B): rollback cost tracks the backlog",
+			big, small, slack)
 	}
 }

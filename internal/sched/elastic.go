@@ -201,8 +201,10 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 // resumed layers only; ArrivalCycle is the instance's original
 // arrival). The suffix may not start before the checkpoint's kept
 // prefix completed, before `at`, or before the admission floor. A
-// failed Resume rolls the schedule back and leaves the instance
-// suspended, exactly like a failed Extend.
+// failed Resume rolls the schedule back, like a failed Extend, and
+// leaves the instance suspended exactly as Preempt left it (next
+// layer, ready cycle and priority included), so the same checkpoint
+// can be resumed again.
 func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement, error) {
 	stored, ok := inc.susp[cp.Instance]
 	if !ok {
@@ -221,7 +223,7 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 		start = at
 	}
 
-	undo := st.checkpoint()
+	st.checkpoint(cp.Instance)
 	st.retire(inc.insts)
 	st.prio[cp.Instance] = priority
 	st.order = append(st.order, cp.Instance)
@@ -235,10 +237,11 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 
 	mark := len(st.assignments)
 	if err := inc.s.run(inc.h, inc.insts, st, start, false); err != nil {
-		st.restore(undo)
+		st.restore()
 		inc.susp[cp.Instance] = stored
 		return Placement{}, err
 	}
+	st.commit()
 
 	pl := Placement{
 		Instance:     cp.Instance,

@@ -3,12 +3,12 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
 	"repro/internal/dnn"
-	"repro/internal/maestro"
 	"repro/internal/workload"
 )
 
@@ -358,26 +358,12 @@ func TestElasticOffBitIdentity(t *testing.T) {
 // admissions' already-committed layers — and the schedule state is bit
 // identical to before the call.
 func TestExtendRollbackMidBatch(t *testing.T) {
-	h := &accel.HDA{
-		Name:  "rollback-mid",
-		Class: accel.Class{Name: "tiny-buf", PEs: 512, BWGBps: 8, GlobalBufBytes: 4096},
-		Subs: []accel.SubAccelerator{{
-			Name:  "acc1-NVDLA",
-			Style: dataflow.NVDLA,
-			HW:    maestro.HW{PEs: 512, BWGBps: 8, L2Bytes: 1 << 20, L1Bytes: 1 << 20},
-		}},
-	}
 	s := incTestScheduler(t)
-	inc, err := s.Incremental(h, "mid-batch")
+	inc, err := s.Incremental(tinyBufHDA("rollback-mid"), "mid-batch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := &dnn.Model{Name: "tiny", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 1, C: 1, Y: 4, X: 4, R: 1, S: 1, Stride: 1, Pad: 0,
-	}}}
-	giant := &dnn.Model{Name: "giant", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 512, C: 512, Y: 512, X: 512, R: 3, S: 3, Stride: 1, Pad: 1,
-	}}}
+	tiny, giant := tinyModel(), giantModel()
 	if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: tiny, Batch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -412,21 +398,8 @@ func TestExtendRollbackMidBatch(t *testing.T) {
 // control that never saw the failure (timelines, ledger and floor all
 // rewound, not just the assignment list).
 func TestExtendRollbackPostCommit(t *testing.T) {
-	h := &accel.HDA{
-		Name:  "rollback-post",
-		Class: accel.Class{Name: "tiny-buf", PEs: 512, BWGBps: 8, GlobalBufBytes: 4096},
-		Subs: []accel.SubAccelerator{{
-			Name:  "acc1-NVDLA",
-			Style: dataflow.NVDLA,
-			HW:    maestro.HW{PEs: 512, BWGBps: 8, L2Bytes: 1 << 20, L1Bytes: 1 << 20},
-		}},
-	}
-	tiny := &dnn.Model{Name: "tiny", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 1, C: 1, Y: 4, X: 4, R: 1, S: 1, Stride: 1, Pad: 0,
-	}}}
-	giant := &dnn.Model{Name: "giant", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 512, C: 512, Y: 512, X: 512, R: 3, S: 3, Stride: 1, Pad: 1,
-	}}}
+	h := tinyBufHDA("rollback-post")
+	tiny, giant := tinyModel(), giantModel()
 	s := incTestScheduler(t)
 	inc, err := s.Incremental(h, "post-commit")
 	if err != nil {
@@ -471,26 +444,12 @@ func TestExtendRollbackPostCommit(t *testing.T) {
 // predecessor's successor slot frees up and the handoff leaves the
 // ledger — so a valid successor can still attach afterwards.
 func TestExtendRollbackOpenHandoff(t *testing.T) {
-	h := &accel.HDA{
-		Name:  "rollback-handoff",
-		Class: accel.Class{Name: "tiny-buf", PEs: 512, BWGBps: 8, GlobalBufBytes: 4096},
-		Subs: []accel.SubAccelerator{{
-			Name:  "acc1-NVDLA",
-			Style: dataflow.NVDLA,
-			HW:    maestro.HW{PEs: 512, BWGBps: 8, L2Bytes: 1 << 20, L1Bytes: 1 << 20},
-		}},
-	}
 	s := incTestScheduler(t)
-	inc, err := s.Incremental(h, "handoff-rollback")
+	inc, err := s.Incremental(tinyBufHDA("rollback-handoff"), "handoff-rollback")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := &dnn.Model{Name: "tiny", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 1, C: 1, Y: 4, X: 4, R: 1, S: 1, Stride: 1, Pad: 0,
-	}}}
-	giant := &dnn.Model{Name: "giant", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 512, C: 512, Y: 512, X: 512, R: 3, S: 3, Stride: 1, Pad: 1,
-	}}}
+	tiny, giant := tinyModel(), giantModel()
 	if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: tiny, Batch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -519,6 +478,153 @@ func TestExtendRollbackOpenHandoff(t *testing.T) {
 	}
 	if err := inc.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtendRollbackAcrossCompaction: a failed Extend whose run prunes
+// past the compaction threshold (≥64 dead slots dominating the sub)
+// leaves the ledger's slots, prefix sums and head exactly as they were
+// — a rollback mark holds compaction off until a successful run
+// releases it — and the next successful Extend places what a control
+// that never failed places.
+func TestExtendRollbackAcrossCompaction(t *testing.T) {
+	h := tinyBufHDA("rollback-compaction")
+	tiny := tinyModel()
+	var end int64
+	build := func() *Incremental {
+		inc, err := incTestScheduler(t).Incremental(h, "compaction")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 100 serial one-layer instances, then one arriving after all of
+		// them finished: that admission moves the floor, so the next
+		// Extend's prune floor lies past the first 100 slots.
+		adms := make([]Admission, 100)
+		for i := range adms {
+			adms[i] = Admission{Instance: workload.Instance{Model: tiny, Batch: i + 1}}
+		}
+		ps, err := inc.Extend(adms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			end = max(end, p.FinishCycle)
+		}
+		if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: tiny, Batch: 101, ArrivalCycle: end}}}); err != nil {
+			t.Fatal(err)
+		}
+		return inc
+	}
+	inc, ctl := build(), build()
+
+	lg := &inc.st.ledger
+	slots, pre, head := slices.Clone(lg.slots[0]), slices.Clone(lg.pre[0]), lg.head[0]
+	dead := 0
+	for _, sl := range slots {
+		if sl.end <= inc.Floor() {
+			dead++
+		}
+	}
+	if dead < 64 || 2*dead < len(slots) || head != 0 {
+		t.Fatalf("setup: %d of %d slots dead behind the floor (head %d); the failing run must cross the compaction threshold",
+			dead, len(slots), head)
+	}
+
+	if _, err := inc.Extend([]Admission{
+		{Instance: workload.Instance{Model: tiny, Batch: 102, ArrivalCycle: end}},
+		{Instance: workload.Instance{Model: giantModel(), Batch: 1, ArrivalCycle: end}},
+	}); err == nil {
+		t.Fatal("un-schedulable batch admitted")
+	}
+	if !slices.Equal(lg.slots[0], slots) || !slices.Equal(lg.pre[0], pre) || lg.head[0] != head {
+		t.Fatalf("failed Extend changed the ledger: %d slots head %d, want %d slots head %d",
+			len(lg.slots[0]), lg.head[0], len(slots), head)
+	}
+
+	adm := []Admission{{Instance: workload.Instance{Model: tiny, Batch: 102, ArrivalCycle: end}}}
+	got, err := inc.Extend(adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ctl.Extend(adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("post-rollback placement diverged from control: %+v vs %+v", got[0], want[0])
+	}
+	if goldenFingerprint(inc.Snapshot()) != goldenFingerprint(ctl.Snapshot()) {
+		t.Fatal("post-rollback schedule diverged from control")
+	}
+}
+
+// TestFailedResumeRewindsInstance: a Resume that dead-ends must leave
+// the instance exactly as Preempt left it — next layer, ready cycle and
+// priority included — so resuming the same checkpoint again places
+// exactly what a control that never failed places. The failure is
+// forced by a copy of the HDA whose global buffer is too small for a
+// later layer of the suffix: the run places the suffix's first layer
+// (advancing the instance) before it dead-ends.
+func TestFailedResumeRewindsInstance(t *testing.T) {
+	preempted := func() (*Incremental, Checkpoint) {
+		inc, ps := elasticInc(t)
+		cp, err := inc.Preempt(1, (ps[1].StartCycle+ps[1].FinishCycle)/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inc, cp
+	}
+	inc, cp := preempted()
+	ctl, ctlCP := preempted()
+
+	row := inc.st.rows[cp.Instance]
+	minOcc := func(li int) int64 {
+		m := row.cols[0][li].OccupancyBytes
+		for a := range row.cols {
+			m = min(m, row.cols[a][li].OccupancyBytes)
+		}
+		return m
+	}
+	worst := cp.NextLayer
+	for li := cp.NextLayer + 1; li < len(row.cols[0]); li++ {
+		if minOcc(li) > minOcc(worst) {
+			worst = li
+		}
+	}
+	if worst == cp.NextLayer {
+		t.Fatalf("no layer after %d needs more buffer than it does", cp.NextLayer)
+	}
+	full := inc.h
+	tight := *full
+	tight.Class.GlobalBufBytes = minOcc(worst) - 1
+	inc.h = &tight
+	_, err := inc.Resume(cp, 5, cp.ResumeCycle+1)
+	inc.h = full
+	if err == nil {
+		t.Fatal("resume on the shrunken buffer succeeded")
+	}
+	if got := inc.Preempted(); len(got) != 1 || got[0] != cp.Instance {
+		t.Fatalf("Preempted() = %v after a failed resume, want [%d]", got, cp.Instance)
+	}
+	i := cp.Instance
+	if st := inc.st; st.nextLayer[i] != cp.NextLayer || st.ready[i] != cp.ResumeCycle || st.prio[i] != ctl.st.prio[i] {
+		t.Fatalf("failed resume left next layer %d, ready %d, priority %d; want %d, %d, %d",
+			st.nextLayer[i], st.ready[i], st.prio[i], cp.NextLayer, cp.ResumeCycle, ctl.st.prio[i])
+	}
+
+	got, err := inc.Resume(cp, 0, cp.ResumeCycle)
+	if err != nil {
+		t.Fatalf("retry of the checkpoint failed: %v", err)
+	}
+	want, err := ctl.Resume(ctlCP, 0, ctlCP.ResumeCycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("resume after a failed attempt diverged from control: %+v vs %+v", got, want)
+	}
+	if goldenFingerprint(inc.Snapshot()) != goldenFingerprint(ctl.Snapshot()) {
+		t.Fatal("schedule after a failed resume diverged from control")
 	}
 }
 

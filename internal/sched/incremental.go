@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/workload"
@@ -109,6 +110,16 @@ func (inc *Incremental) Prewarm(w *workload.Workload) { inc.s.Prewarm(inc.h, w) 
 // NumInstances returns the number of admitted instances so far.
 func (inc *Incremental) NumInstances() int { return len(inc.insts) }
 
+// MakespanCycles returns the committed schedule's makespan (Snapshot's
+// MakespanCycles) without materializing it: the latest per-sub free
+// cycle, which is the latest committed layer end on that sub — Preempt
+// rewinds a sub's free cycle to its last surviving commit.
+func (inc *Incremental) MakespanCycles() int64 { return slices.Max(inc.st.free) }
+
+// SubBusyCycles returns a copy of the per-sub-accelerator busy cycles
+// committed so far (Snapshot's SubBusyCycles).
+func (inc *Incremental) SubBusyCycles() []int64 { return slices.Clone(inc.st.busy) }
+
 // Extend admits the given instances, schedules every one of their
 // layers against the committed timelines, and returns one Placement
 // per admission (in admission order). Arrivals must be at or after
@@ -151,10 +162,10 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 		batch[i] = a.Instance
 		prios[i] = a.Priority
 	}
-	// Snapshot the mutable state so a failed run (e.g. a layer whose
+	// Take a rollback point so a failed run (e.g. a layer whose
 	// occupancy can never fit the global buffer) rolls back cleanly
 	// instead of poisoning every future Extend.
-	undo := inc.st.checkpoint()
+	inc.st.checkpoint(-1)
 	inc.st.retire(inc.insts) // completed instances leave the hot loop
 	inc.insts = append(inc.insts, batch...)
 	inc.st.addInstances(batch, prios)
@@ -163,11 +174,12 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 
 	mark := len(inc.st.assignments)
 	if err := inc.s.run(inc.h, inc.insts, inc.st, minArrival, false); err != nil {
-		inc.st.restore(undo)
+		inc.st.restore()
 		inc.st.unlink(base, adms)
 		inc.insts = inc.insts[:base]
 		return nil, err
 	}
+	inc.st.commit()
 	inc.floor = max(inc.floor, minArrival)
 
 	// Aggregate the new assignments into per-admission placements.

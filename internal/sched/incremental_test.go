@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/accel"
@@ -37,6 +38,90 @@ func mustModel(t testing.TB, name string) *dnn.Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// tinyBufHDA is a hand-built one-sub HDA whose sub-accelerator L1
+// exceeds the shared 4 KiB global buffer: big layers pin an occupancy
+// slice (capped at L1) that can never fit, which is the only way the
+// assignment loop can dead-end. accel.New never produces this shape.
+func tinyBufHDA(name string) *accel.HDA {
+	return &accel.HDA{
+		Name:  name,
+		Class: accel.Class{Name: "tiny-buf", PEs: 512, BWGBps: 8, GlobalBufBytes: 4096},
+		Subs: []accel.SubAccelerator{{
+			Name:  "acc1-NVDLA",
+			Style: dataflow.NVDLA,
+			HW:    maestro.HW{PEs: 512, BWGBps: 8, L2Bytes: 1 << 20, L1Bytes: 1 << 20},
+		}},
+	}
+}
+
+// tinyModel's one layer fits tinyBufHDA's buffer.
+func tinyModel() *dnn.Model {
+	return &dnn.Model{Name: "tiny", Layers: []dnn.Layer{{
+		Op: dnn.Conv2D, K: 1, C: 1, Y: 4, X: 4, R: 1, S: 1, Stride: 1, Pad: 0,
+	}}}
+}
+
+// giantModel's one layer (occupancy L1-capped at 1 MiB) never fits
+// tinyBufHDA's buffer.
+func giantModel() *dnn.Model {
+	return &dnn.Model{Name: "giant", Layers: []dnn.Layer{{
+		Op: dnn.Conv2D, K: 512, C: 512, Y: 512, X: 512, R: 3, S: 3, Stride: 1, Pad: 1,
+	}}}
+}
+
+// backlogIncremental returns an incremental schedule holding n
+// committed instances of m, all arriving at cycle 0: the admission
+// floor never moves, so every one of their layers stays live in the
+// memory ledger.
+func backlogIncremental(tb testing.TB, s *Scheduler, h *accel.HDA, m *dnn.Model, n int) *Incremental {
+	tb.Helper()
+	inc, err := s.Incremental(h, "backlog")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const chunk = 50
+	for base := 0; base < n; base += chunk {
+		adms := make([]Admission, min(chunk, n-base))
+		for i := range adms {
+			adms[i] = Admission{Instance: workload.Instance{Model: m, Batch: base + i + 1}}
+		}
+		if _, err := inc.Extend(adms); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return inc
+}
+
+// BenchmarkIncrementalExtend measures one single-request Extend on top
+// of a committed backlog (see backlogIncremental). The backlog is
+// rebuilt, off the clock, whenever the timed admissions have doubled
+// it, so each size is measured between n and 2n committed instances.
+// ns/op and B/op should not grow with the backlog: the rollback point
+// an Extend takes costs O(batch), not O(committed ledger).
+func BenchmarkIncrementalExtend(b *testing.B) {
+	h := incTestHDA(b)
+	s := incTestScheduler(b)
+	m := mustModel(b, "brq-handpose")
+	for _, n := range []int{50, 500, 2000} {
+		b.Run(fmt.Sprintf("backlog=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			inc := backlogIncremental(b, s, h, m, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if inc.NumInstances() >= 2*n {
+					b.StopTimer()
+					inc = backlogIncremental(b, s, h, m, n)
+					b.StartTimer()
+				}
+				adm := []Admission{{Instance: workload.Instance{Model: m, Batch: inc.NumInstances() + 1}}}
+				if _, err := inc.Extend(adm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestIncrementalMatchesBatch: admitting the whole workload in one
@@ -230,42 +315,20 @@ func TestIncrementalFloor(t *testing.T) {
 // Extend succeeds (regression: a failed admission used to leave
 // partial state that poisoned every subsequent Extend).
 func TestIncrementalExtendRollback(t *testing.T) {
-	// A hand-built HDA whose sub-accelerator L1 exceeds the shared
-	// global buffer: big layers pin an occupancy slice (capped at L1)
-	// that can never fit, which is the only way the assignment loop
-	// can dead-end. accel.New never produces this shape, so build the
-	// struct directly.
-	h := &accel.HDA{
-		Name:  "rollback",
-		Class: accel.Class{Name: "tiny-buf", PEs: 512, BWGBps: 8, GlobalBufBytes: 4096},
-		Subs: []accel.SubAccelerator{{
-			Name:  "acc1-NVDLA",
-			Style: dataflow.NVDLA,
-			HW:    maestro.HW{PEs: 512, BWGBps: 8, L2Bytes: 1 << 20, L1Bytes: 1 << 20},
-		}},
-	}
 	s := incTestScheduler(t)
-	inc, err := s.Incremental(h, "inc-rollback")
+	inc, err := s.Incremental(tinyBufHDA("rollback"), "inc-rollback")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed with a tiny model (occupancy fits the 4 KiB buffer) so
-	// there is committed state to protect.
-	m := &dnn.Model{Name: "tiny", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 1, C: 1, Y: 4, X: 4, R: 1, S: 1, Stride: 1, Pad: 0,
-	}}}
+	// Seed with a tiny model so there is committed state to protect.
+	m := tinyModel()
 	if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: m, Batch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	before := inc.Snapshot()
 	floorBefore := inc.Floor()
 
-	// A layer whose occupancy slice (L1-capped at 1 MiB) can never
-	// fit the 4 KiB global buffer.
-	giant := &dnn.Model{Name: "giant", Layers: []dnn.Layer{{
-		Op: dnn.Conv2D, K: 512, C: 512, Y: 512, X: 512, R: 3, S: 3, Stride: 1, Pad: 1,
-	}}}
-	if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: giant, Batch: 1}}}); err == nil {
+	if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: giantModel(), Batch: 1}}}); err == nil {
 		t.Fatal("un-schedulable model admitted")
 	}
 	if inc.NumInstances() != before.Workload.NumInstances() {

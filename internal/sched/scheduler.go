@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -218,6 +219,11 @@ type ledger struct {
 	slots [][]runSlot // per sub-acc, sorted by start AND end
 	pre   [][]int64   // pre[a][i] = total occupancy of slots[a][:i]
 	head  []int       // per sub-acc: first slot not yet pruned
+
+	// hold is set while a rollback mark is live (see mark): prune then
+	// only advances heads and leaves compaction to release, so every
+	// slot index the mark recorded stays valid for rewind.
+	hold bool
 }
 
 func (lg *ledger) init(nAcc int) {
@@ -267,7 +273,8 @@ func (lg *ledger) add(acc int, sl runSlot) {
 // prune advances the head past slots ending at or before floor (they
 // can never overlap future work) and compacts the backing arrays once
 // the dead prefix dominates, so a long-lived incremental schedule's
-// ledger tracks the live window, not all history.
+// ledger tracks the live window, not all history. While a rollback
+// mark holds the ledger, compaction waits for the mark's release.
 func (lg *ledger) prune(acc int, floor int64) {
 	sl := lg.slots[acc]
 	h := lg.head[acc]
@@ -275,7 +282,7 @@ func (lg *ledger) prune(acc int, floor int64) {
 		h++
 	}
 	lg.head[acc] = h
-	if h >= 64 && 2*h >= len(sl) {
+	if h >= 64 && 2*h >= len(sl) && !lg.hold {
 		lg.slots[acc] = sl[:copy(sl, sl[h:])]
 		p := lg.pre[acc]
 		lg.pre[acc] = p[:copy(p, p[h:])]
@@ -311,18 +318,44 @@ func (lg *ledger) overlap(acc int, startT, endT int64) int64 {
 	return lg.pre[acc][lo] - lg.pre[acc][first]
 }
 
-// clone deep-copies the ledger (checkpoint support).
-func (lg *ledger) clone() ledger {
-	c := ledger{
-		slots: make([][]runSlot, len(lg.slots)),
-		pre:   make([][]int64, len(lg.pre)),
-		head:  append([]int(nil), lg.head...),
-	}
+// ledgerMark is a ledger rollback point: per-sub slot counts and heads.
+// While the mark holds, the ledger only appends slots and advances
+// heads, so truncating to the counts and resetting the heads restores
+// it exactly.
+type ledgerMark struct {
+	n, head []int
+}
+
+// mark records the rollback point into m (reusing its storage) and
+// holds the ledger until release or rewind.
+func (lg *ledger) mark(m *ledgerMark) {
+	m.n, m.head = m.n[:0], m.head[:0]
 	for a := range lg.slots {
-		c.slots[a] = append([]runSlot(nil), lg.slots[a]...)
-		c.pre[a] = append([]int64(nil), lg.pre[a]...)
+		m.n = append(m.n, len(lg.slots[a]))
+		m.head = append(m.head, lg.head[a])
 	}
-	return c
+	lg.hold = true
+}
+
+// release drops the mark after a successful run and runs the
+// compaction the hold deferred, so the arrays stay as short as
+// compacting mid-run kept them.
+func (lg *ledger) release() {
+	lg.hold = false
+	for a := range lg.slots {
+		lg.prune(a, math.MinInt64) // advances no head; only compacts
+	}
+}
+
+// rewind truncates the ledger back to mark m and releases it. The
+// marked state needs no compaction: release already compacted it.
+func (lg *ledger) rewind(m *ledgerMark) {
+	for a := range lg.slots {
+		lg.slots[a] = lg.slots[a][:m.n[a]]
+		lg.pre[a] = lg.pre[a][:m.n[a]+1]
+		lg.head[a] = m.head[a]
+	}
+	lg.hold = false
 }
 
 // event is one entry of the completion/readiness min-heap. Entries
@@ -420,6 +453,10 @@ type runState struct {
 	// all.
 	costs map[*dnn.Model]costTable
 	rows  []costTable
+
+	// undo is the incremental path's rollback point (see checkpoint);
+	// its storage is reused from run to run.
+	undo checkpointState
 
 	assignments []Assignment
 	energyPJ    float64
@@ -572,44 +609,64 @@ func outputBytes(m *dnn.Model) int64 {
 }
 
 // checkpointState captures everything a failed incremental run must
-// roll back: whole copies of the state run() mutates in place, and
-// lengths of the append-only per-instance arrays. The event heap is
-// not captured — every run reseeds it.
+// roll back: copies of the small arrays run() rewrites in place, a
+// ledger mark, and lengths of the append-only per-instance arrays. The
+// event heap is not captured — every run reseeds it.
 type checkpointState struct {
 	free, busy []int64
 	order      []int
-	ledger     ledger
 	handoffs   []handoff
+	ledger     ledgerMark
 	nInsts     int // nextLayer/ready/prio length
 	nAssign    int
 	remaining  int
 	energyPJ   float64
 	prune      int64
+
+	// resumed is the suspended instance a Resume re-enters (-1 for an
+	// Extend) — the only pre-existing instance a run advances — with
+	// the values the run overwrites.
+	resumed   int
+	nextLayer int
+	ready     int64
+	prio      int
 }
 
-// checkpoint snapshots the run state (cost: O(subs + active + ledger)).
-func (st *runState) checkpoint() checkpointState {
-	return checkpointState{
-		free:      append([]int64(nil), st.free...),
-		busy:      append([]int64(nil), st.busy...),
-		order:     append([]int(nil), st.order...),
-		ledger:    st.ledger.clone(),
-		handoffs:  append([]handoff(nil), st.handoffs...),
-		nInsts:    len(st.nextLayer),
-		nAssign:   len(st.assignments),
-		remaining: st.remaining,
-		energyPJ:  st.energyPJ,
-		prune:     st.prune,
+// checkpoint takes the rollback point of an incremental run into
+// st.undo. Cost: O(subs + active instances + live handoffs), never
+// the ledger or the committed history.
+func (st *runState) checkpoint(resumed int) {
+	c := &st.undo
+	c.free = append(c.free[:0], st.free...)
+	c.busy = append(c.busy[:0], st.busy...)
+	c.order = append(c.order[:0], st.order...)
+	c.handoffs = append(c.handoffs[:0], st.handoffs...)
+	st.ledger.mark(&c.ledger)
+	c.nInsts = len(st.nextLayer)
+	c.nAssign = len(st.assignments)
+	c.remaining = st.remaining
+	c.energyPJ = st.energyPJ
+	c.prune = st.prune
+	c.resumed = resumed
+	if resumed >= 0 {
+		c.nextLayer, c.ready, c.prio = st.nextLayer[resumed], st.ready[resumed], st.prio[resumed]
 	}
 }
 
-// restore rewinds the run state to a checkpoint.
-func (st *runState) restore(c checkpointState) {
-	st.free = c.free
-	st.busy = c.busy
-	st.order = c.order
-	st.ledger = c.ledger
-	st.handoffs = c.handoffs
+// commit keeps a successful run and releases the ledger mark.
+func (st *runState) commit() { st.ledger.release() }
+
+// restore rewinds the run state to the checkpoint.
+func (st *runState) restore() {
+	c := &st.undo
+	copy(st.free, c.free)
+	copy(st.busy, c.busy)
+	st.order = append(st.order[:0], c.order...)
+	st.handoffs = append(st.handoffs[:0], c.handoffs...)
+	st.ledger.rewind(&c.ledger)
+	if r := c.resumed; r >= 0 {
+		st.nextLayer[r], st.ready[r], st.prio[r] = c.nextLayer, c.ready, c.prio
+	}
 	st.nextLayer = st.nextLayer[:c.nInsts]
 	st.ready = st.ready[:c.nInsts]
 	st.prio = st.prio[:c.nInsts]

@@ -351,7 +351,7 @@ func (e *Engine) Reassign(parts []accel.Partition) error {
 	if err != nil {
 		return err
 	}
-	e.hda.Store(nh)
+	e.hda.Store(newServingHDA(nh))
 	e.mu.Lock()
 	e.reassigns++
 	e.mu.Unlock()

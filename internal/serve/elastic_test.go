@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
+	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/maestro"
 )
@@ -342,5 +344,105 @@ func TestElasticRaceHammer(t *testing.T) {
 	}
 	if err := e.Snapshot().Validate(); err != nil {
 		t.Fatalf("schedule invalid: %v", err)
+	}
+}
+
+// TestStatsMatchSnapshot: Stats reads the makespan and per-sub busy
+// cycles from the incremental schedule instead of a Snapshot; its
+// makespan and utilization must equal the Snapshot-derived values
+// after admissions, a preempt, a reassign and a resume.
+func TestStatsMatchSnapshot(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Manual = true
+	opts.Elastic = true
+	e, err := New(newTestCache(), testHDA(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		st, snap := e.Stats(), e.Snapshot()
+		if st.MakespanCycles != snap.MakespanCycles || !reflect.DeepEqual(st.Utilization, snap.Utilization()) {
+			t.Fatalf("%s: stats makespan %d utilization %v, snapshot %d %v",
+				stage, st.MakespanCycles, st.Utilization, snap.MakespanCycles, snap.Utilization())
+		}
+	}
+	check("empty")
+	for i, m := range []string{"resnet50", "mobilenetv1", "brq-handpose", "mobilenetv2"} {
+		if _, err := e.Submit(Request{Tenant: "a", Model: m, ArrivalCycle: int64(i) * 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Admit()
+	check("admitted")
+	if n := e.Preempt(1, 2); n == 0 {
+		t.Fatal("nothing preempted")
+	}
+	check("preempted")
+	if err := e.Reassign([]accel.Partition{
+		{Style: dataflow.NVDLA, PEs: 768, BWGBps: 12},
+		{Style: dataflow.ShiDiannao, PEs: 256, BWGBps: 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("reassigned")
+	e.Admit() // resumes the preempted requests
+	check("resumed")
+	st, err := e.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Resumes == 0 || st.Submitted != st.Completed {
+		t.Fatalf("preempted work not resumed: %+v", st)
+	}
+}
+
+// TestReassignRefreshesFeasibility: the submit-time feasibility memo
+// belongs to the HDA it was computed on. A model rejected on the
+// starting HDA (its layer can never fit the global buffer there) is
+// accepted by the first Submit after a Reassign onto slices where it
+// fits, so the memo never serves the old HDA's answer.
+func TestReassignRefreshesFeasibility(t *testing.T) {
+	// One NVDLA sub whose L1 exceeds the 4 KiB global buffer, so the
+	// giant layer's L1-capped occupancy cannot fit; accel.New, which
+	// Reassign rebuilds the sub through, caps L1 at a quarter of the
+	// buffer.
+	h := &accel.HDA{
+		Name:  "tiny-buf",
+		Class: accel.Class{Name: "tiny-buf", PEs: 512, BWGBps: 8, GlobalBufBytes: 4096},
+		Subs: []accel.SubAccelerator{{
+			Name:  "acc1-NVDLA",
+			Style: dataflow.NVDLA,
+			HW:    maestro.HW{PEs: 512, BWGBps: 8, L2Bytes: 1 << 20, L1Bytes: 1 << 20},
+		}},
+	}
+	opts := DefaultOptions()
+	opts.Manual = true
+	e, err := New(newTestCache(), h, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	giant := &dnn.Model{Name: "giant", Layers: []dnn.Layer{{
+		Op: dnn.Conv2D, K: 512, C: 512, Y: 512, X: 512, R: 3, S: 3, Stride: 1, Pad: 1,
+	}}}
+	req := Request{Tenant: "a", ArrivalCycle: 0}
+	const want = "serve: giant layer 0 cannot fit the 4096-byte global buffer on any sub-accelerator"
+	for i := 0; i < 2; i++ { // the second answer comes from the memo
+		if _, err := e.SubmitModel(req, giant, nil); err == nil || err.Error() != want {
+			t.Fatalf("submit %d on the tight HDA: got %v, want %q", i, err, want)
+		}
+	}
+	if err := e.Reassign([]accel.Partition{{Style: dataflow.NVDLA, PEs: 512, BWGBps: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitModel(req, giant, nil); err != nil {
+		t.Fatalf("submit after the reassign still rejected: %v", err)
+	}
+	st, err := e.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != 1 || st.Rejected != 2 {
+		t.Fatalf("want 1 completed and 2 rejected, got %+v", st)
 	}
 }

@@ -354,10 +354,11 @@ func (ta *tenantAgg) addLatency(l int64) {
 // Engine is the online serving engine over one fixed HDA.
 type Engine struct {
 	opts Options
-	// hda is the serving accelerator. It is atomic because Reassign
-	// swaps it for a re-sliced HDA while lock-free readers (feasible,
-	// HDA) hold no engine lock; the pointed-to HDA is immutable.
-	hda   atomic.Pointer[accel.HDA]
+	// hda is the serving accelerator with its feasibility memo. It is
+	// atomic because Reassign swaps in a re-sliced HDA (and a fresh
+	// memo) while lock-free readers (submissions, HDA) hold no engine
+	// lock; the pointed-to HDA is immutable.
+	hda   atomic.Pointer[servingHDA]
 	cache *maestro.Cache
 	start time.Time
 
@@ -439,7 +440,7 @@ func New(cache *maestro.Cache, hda *accel.HDA, opts Options) (*Engine, error) {
 		tenants:     make(map[string]*tenantAgg),
 		stopped:     make(chan struct{}),
 	}
-	e.hda.Store(hda)
+	e.hda.Store(newServingHDA(hda))
 	e.cond = sync.NewCond(&e.mu)
 	if !opts.Manual {
 		go e.drive()
@@ -448,7 +449,7 @@ func New(cache *maestro.Cache, hda *accel.HDA, opts Options) (*Engine, error) {
 }
 
 // HDA returns the fixed accelerator the engine serves on.
-func (e *Engine) HDA() *accel.HDA { return e.hda.Load() }
+func (e *Engine) HDA() *accel.HDA { return e.hda.Load().hda }
 
 // ClockGHz returns the cycle clock used for second-domain stats.
 func (e *Engine) ClockGHz() float64 { return e.opts.ClockGHz }
@@ -510,7 +511,7 @@ func (e *Engine) SubmitModel(req Request, m *dnn.Model, onDone func(Record)) (*T
 
 // submitModel admits one whole-model request.
 func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record)) (*Ticket, error) {
-	if err := e.feasible(model); err != nil {
+	if err := e.hda.Load().feasible(e.cache, model); err != nil {
 		e.countRejected(req.Tenant)
 		return nil, err
 	}
@@ -577,7 +578,7 @@ func (e *Engine) submitFused(req Request, model *dnn.Model, plan dse.SegmentPlan
 		e.countRejected(req.Tenant)
 		return nil, err
 	}
-	if err := e.feasible(model); err != nil {
+	if err := e.hda.Load().feasible(e.cache, model); err != nil {
 		e.countRejected(req.Tenant)
 		return nil, err
 	}
@@ -655,27 +656,51 @@ func segmentModels(model *dnn.Model, plan dse.SegmentPlan) ([]*dnn.Model, error)
 	return out, nil
 }
 
+// servingHDA is an engine's accelerator together with its per-model
+// feasibility memo. Reassign replaces the whole value, so a memoized
+// answer is only ever served for the HDA it was computed on, and the
+// memo never outgrows one HDA's model set.
+type servingHDA struct {
+	hda  *accel.HDA
+	mu   sync.Mutex
+	feas map[*dnn.Model]error // guarded by mu
+}
+
+func newServingHDA(h *accel.HDA) *servingHDA {
+	return &servingHDA{hda: h, feas: make(map[*dnn.Model]error)}
+}
+
 // feasible rejects models with a layer whose buffer occupancy exceeds
 // the global buffer on every sub-accelerator — admitting one would
 // deadlock the assignment loop (the incremental scheduler rolls back,
-// but the request can never be served on this HDA).
-func (e *Engine) feasible(model *dnn.Model) error {
-	hda := e.hda.Load()
-	buf := hda.Class.GlobalBufBytes
+// but the request can never be served on this HDA). The answer is
+// memoized per model, so steady state is one map hit per submission.
+func (s *servingHDA) feasible(cache *maestro.Cache, model *dnn.Model) error {
+	s.mu.Lock()
+	err, ok := s.feas[model]
+	s.mu.Unlock()
+	if ok {
+		return err
+	}
+	buf := s.hda.Class.GlobalBufBytes
 	for li := range model.Layers {
 		fits := false
-		for _, sub := range hda.Subs {
-			if e.cache.EstimateRef(&model.Layers[li], sub.Style, sub.HW).OccupancyBytes <= buf {
+		for _, sub := range s.hda.Subs {
+			if cache.EstimateRef(&model.Layers[li], sub.Style, sub.HW).OccupancyBytes <= buf {
 				fits = true
 				break
 			}
 		}
 		if !fits {
-			return fmt.Errorf("serve: %s layer %d cannot fit the %d-byte global buffer on any sub-accelerator",
+			err = fmt.Errorf("serve: %s layer %d cannot fit the %d-byte global buffer on any sub-accelerator",
 				model.Name, li, buf)
+			break
 		}
 	}
-	return nil
+	s.mu.Lock()
+	s.feas[model] = err
+	s.mu.Unlock()
+	return err
 }
 
 func (e *Engine) countRejected(tenant string) {

@@ -3,6 +3,8 @@ package serve
 import (
 	"sort"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // TenantStats summarizes one tenant's served traffic.
@@ -198,8 +200,10 @@ func (e *Engine) TenantWindows() []TenantWindow {
 
 // Stats returns the engine's current aggregate statistics.
 func (e *Engine) Stats() Stats {
+	// The makespan and per-sub busy cycles are all Stats needs of the
+	// committed schedule; a Snapshot would copy every assignment.
 	e.schedMu.Lock()
-	snap := e.inc.Snapshot()
+	committed := sched.Schedule{MakespanCycles: e.inc.MakespanCycles(), SubBusyCycles: e.inc.SubBusyCycles()}
 	e.schedMu.Unlock()
 
 	e.mu.Lock()
@@ -211,8 +215,8 @@ func (e *Engine) Stats() Stats {
 		Lost:             e.lost,
 		Crashed:          e.crashed,
 		Pending:          int64(e.npending),
-		MakespanCycles:   snap.MakespanCycles,
-		Utilization:      snap.Utilization(),
+		MakespanCycles:   committed.MakespanCycles,
+		Utilization:      committed.Utilization(),
 		CostCacheEntries: e.cache.Len(),
 		Preemptions:      e.preemptions,
 		Resumes:          e.resumptions,
