@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	herald "repro"
 	"repro/internal/config"
@@ -62,7 +60,7 @@ func main() {
 			}
 		}
 	} else {
-		if w, err = parseWorkload(*workloadName); err != nil {
+		if w, err = config.ParseWorkload(*workloadName); err != nil {
 			log.Fatal(err)
 		}
 		if class, err = herald.ParseClass(*className); err != nil {
@@ -162,25 +160,4 @@ func exportSchedule(sch *herald.Schedule, gantt bool, csvPath, jsonPath string) 
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
-}
-
-func parseWorkload(name string) (*herald.Workload, error) {
-	switch strings.ToLower(name) {
-	case "arvr-a", "arvra":
-		return herald.ARVRA(), nil
-	case "arvr-b", "arvrb":
-		return herald.ARVRB(), nil
-	case "mlperf":
-		return herald.MLPerf(1), nil
-	case "mlperf8":
-		return herald.MLPerf(8), nil
-	}
-	if model, batches, ok := strings.Cut(name, ":"); ok {
-		b, err := strconv.Atoi(batches)
-		if err != nil {
-			return nil, fmt.Errorf("bad batch count in %q: %v", name, err)
-		}
-		return herald.SingleDNN(model, b)
-	}
-	return herald.SingleDNN(name, 1)
 }

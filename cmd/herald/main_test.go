@@ -29,30 +29,3 @@ func TestParsePartition(t *testing.T) {
 		}
 	}
 }
-
-func TestParseWorkload(t *testing.T) {
-	cases := map[string]int{ // name -> expected instances
-		"arvr-a":         10,
-		"ARVR-B":         12,
-		"mlperf":         5,
-		"mlperf8":        40,
-		"unet:3":         3,
-		"resnet50":       1,
-		"mobilenetv1:16": 16,
-	}
-	for name, want := range cases {
-		w, err := parseWorkload(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if w.NumInstances() != want {
-			t.Errorf("%s: %d instances, want %d", name, w.NumInstances(), want)
-		}
-	}
-	for _, bad := range []string{"vgg99", "unet:x", "unet:0"} {
-		if _, err := parseWorkload(bad); err == nil {
-			t.Errorf("%s: accepted", bad)
-		}
-	}
-}

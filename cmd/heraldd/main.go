@@ -1,10 +1,17 @@
 // Command heraldd is Herald's online serving daemon: the runtime
 // counterpart of cmd/herald's design-time search. At startup it fixes
 // an HDA — either the best point of a bootstrap dse.Search over a
-// representative workload, or an explicit -partition — then serves a
+// representative workload (-bootstrap takes the names cmd/herald's
+// -workload takes), or an explicit -partition — then serves a
 // JSON-over-HTTP API that admits DNN inference requests at runtime,
 // extends the layer schedule incrementally, and reports per-request
 // latency/SLA statistics plus aggregate throughput.
+//
+// The substrate, engine, fleet, fault, fusion, search and ladder flags
+// are the serving flag family internal/config binds for both heraldd
+// and cmd/heraldplay (same names, same defaults except -partition);
+// only -addr, -strategy, -bootstrap, -fleet-topk, -resweep-every and
+// -capture are the daemon's own. docs/OPERATIONS.md lists them all.
 //
 // With -replicas N > 1 the daemon serves a *fleet*: N replica engines
 // behind a routing policy (-fleet-policy round-robin,
@@ -88,7 +95,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -98,98 +104,55 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	className := flag.String("class", "edge", "accelerator class: edge, mobile, cloud")
-	stylesFlag := flag.String("styles", "nvdla,shi-diannao", "comma-separated sub-accelerator dataflow styles")
-	peUnits := flag.Int("pe-units", 8, "bootstrap DSE PE partitioning granularity")
-	bwUnits := flag.Int("bw-units", 4, "bootstrap DSE bandwidth partitioning granularity")
 	strategyFlag := flag.String("strategy", "exhaustive", "bootstrap search strategy: exhaustive, binary, random")
-	objectiveFlag := flag.String("objective", "edp", "bootstrap search objective: edp, latency, energy")
-	bootstrap := flag.String("bootstrap", "arvr-a", "bootstrap workload the DSE optimizes the HDA for: arvr-a, arvr-b, mlperf")
-	partitionFlag := flag.String("partition", "", "skip the DSE; serve on this fixed partition (style:pes:bw,...)")
-	clockGHz := flag.Float64("clock-ghz", 1.0, "accelerator clock for cycle<->seconds stats")
-	maxQueue := flag.Int("max-queue", 1024, "per-tenant pending-queue capacity (per replica)")
-	maxBatch := flag.Int("max-batch", 8, "max admissions coalesced per scheduling round")
-	replicas := flag.Int("replicas", 1, "replica serving engines; > 1 serves a fleet")
-	fleetPolicy := flag.String("fleet-policy", "cost-aware", "fleet routing policy: round-robin, least-outstanding, cost-aware")
+	bootstrap := flag.String("bootstrap", "arvr-a", "bootstrap workload the DSE optimizes the HDA for: arvr-a, arvr-b, mlperf, mlperf8, a zoo model, or model:batches")
 	fleetTopK := flag.Bool("fleet-topk", false, "heterogeneous fleet: replicas take the top-K bootstrap-DSE points instead of K copies of the best")
 	resweepEvery := flag.Duration("resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; log-only unless -repartition)")
-	ladder := config.BindLadder(flag.CommandLine)
-	fuse := flag.Bool("fuse", false, "layer-fused segment serving: decompose each request into its model's winning segment chain so consecutive requests pipeline across sub-accelerators")
-	maxSegments := flag.Int("max-segments", 4, "upper bound on segments per fused request (with -fuse; >= 2)")
-	mixHalfLife := flag.Int("mix-half-life", 0, "observed-mix half-life in submissions for resweep probes (0 = all-time counts)")
-	faultsFlag := flag.String("faults", "", "deterministic fault plan, cycle:replica:kind[:arg],... (kinds: crash, stall:factor, admit-fail:count, recover); serves a fleet even with -replicas 1")
-	shedSLAFactor := flag.Float64("shed-sla-factor", 0, "shed arrivals whose best-ETA lateness exceeds this multiple of their SLA, with 429 + Retry-After (0 = off; needs cost-aware routing and per-request sla_cycles; serves a fleet even with -replicas 1)")
-	maxAttempts := flag.Int("max-attempts", 3, "per-request admission budget across crash failovers (initial dispatch included)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive replica admission failures that open its circuit breaker")
-	breakerProbeAfter := flag.Int("breaker-probe-after", 8, "fleet dispatches after a breaker opens before it admits a half-open probe")
 	capturePath := flag.String("capture", "", "stream every accepted request to this JSONL trace file, flushed on graceful shutdown (replay it with cmd/heraldplay)")
+	sv := config.BindServing(flag.CommandLine, "")
 	flag.Parse()
 
-	class, err := herald.ParseClass(*className)
+	fopts, err := sv.FleetOptions()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *replicas < 1 {
-		log.Fatalf("-replicas must be >= 1 (got %d)", *replicas)
-	}
-	ctrlOpts, err := ladder.Options()
+	ctrlOpts, err := sv.Ladder.Options()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if ctrlOpts != nil && *resweepEvery <= 0 {
 		log.Fatal("-repartition needs -resweep-every > 0 (the probe period is the control period)")
 	}
-	var faultPlan *herald.FaultPlan
-	if *faultsFlag != "" {
-		if faultPlan, err = herald.ParseFaultPlan(*faultsFlag); err != nil {
-			log.Fatal(err)
-		}
-	}
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
 
+	hda, err := sv.HDA("heraldd")
+	if err != nil {
+		log.Fatal(err)
+	}
 	var hdas []*herald.HDA
-	if *partitionFlag != "" {
+	if hda != nil {
 		if *fleetTopK {
 			log.Fatal("-fleet-topk needs the bootstrap DSE; it cannot be combined with -partition")
 		}
-		parts, err := config.ParsePartition(*partitionFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hda, err := herald.NewHDA("heraldd", class, parts)
-		if err != nil {
-			log.Fatal(err)
-		}
 		log.Printf("serving on fixed partition %v", hda)
-		hdas = repeatHDA(hda, *replicas)
+		hdas = sv.Replicas(hda)
 	} else {
-		res, objective, err := bootstrapSearch(cache, class, *stylesFlag, *peUnits, *bwUnits, *strategyFlag, *objectiveFlag, *bootstrap)
+		res, objective, err := bootstrapSearch(cache, sv, *strategyFlag, *bootstrap)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("bootstrap DSE: %d points, best (%s) %v", len(res.Points), *objectiveFlag, res.Best.HDA)
-		if *fleetTopK && *replicas > 1 {
-			hdas = topKHDAs(res, objective, *replicas)
-		} else {
-			hdas = repeatHDA(res.Best.HDA, *replicas)
+		log.Printf("bootstrap DSE: %d points, best (%v) %v", len(res.Points), objective, res.Best.HDA)
+		hdas = sv.Replicas(res.Best.HDA)
+		if *fleetTopK && len(hdas) > 1 {
+			hdas = topKHDAs(res, objective, len(hdas))
 		}
 	}
-
-	srvOpts := herald.DefaultServingOptions()
-	srvOpts.ClockGHz = *clockGHz
-	srvOpts.MaxQueue = *maxQueue
-	srvOpts.MaxBatch = *maxBatch
-	// The ladder's preemption rung checkpoints and resumes placements
-	// at layer boundaries; the engines must track revocable placements
-	// for that (the reassignment rung needs nothing extra).
-	srvOpts.Elastic = ctrlOpts != nil && ctrlOpts.PreemptBelow > 0
 
 	// Trace capture: the recorder hooks the engine's (or fleet's)
 	// OnAccept, so the trace is exactly the accepted-submission
 	// sequence in admission order — the input cmd/heraldplay replays.
 	var rec *herald.TraceRecorder
 	var captureFile *os.File
-	var record func(req herald.InferenceRequest, plan string)
 	if *capturePath != "" {
 		f, err := os.Create(*capturePath)
 		if err != nil {
@@ -199,30 +162,13 @@ func main() {
 		if rec, err = herald.NewTraceRecorder(f, "heraldd capture"); err != nil {
 			log.Fatal(err)
 		}
-		record = func(req herald.InferenceRequest, plan string) {
-			_ = rec.Record(herald.TraceEntry{ // sticky error, reported at flush
-				Tenant: req.Tenant, Model: req.Model, ArrivalCycle: req.ArrivalCycle,
-				SLACycles: req.SLACycles, Priority: req.Priority, Plan: plan,
-			})
-		}
+		fopts.OnAccept = rec.OnAccept
 		log.Printf("capturing accepted requests to %s", *capturePath)
 	}
 
-	var plans map[string]herald.SegmentPlan
-	if *fuse {
-		if *maxSegments < 2 {
-			log.Fatalf("-fuse needs -max-segments >= 2 (got %d)", *maxSegments)
-		}
-		objective, err := config.ParseObjective(*objectiveFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plans, err = config.FusionPlans(cache, hdas[0], objective, *maxSegments, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("layer fusion on: %d of %d zoo models split (max %d segments)",
-			len(plans), len(herald.ModelNames()), *maxSegments)
+	plans, err := sv.Plans(cache, hdas[0], log.Printf)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// The signal context drives graceful shutdown: stop admitting, stop
@@ -232,9 +178,10 @@ func main() {
 
 	var handler http.Handler
 	var drain func(context.Context)
-	if *replicas == 1 && *resweepEvery <= 0 && faultPlan == nil && *shedSLAFactor == 0 {
+	if len(hdas) == 1 && *resweepEvery <= 0 && fopts.Faults == nil && fopts.Health.ShedSLAFactor == 0 {
+		srvOpts := fopts.Serve
 		srvOpts.Plans = plans
-		srvOpts.OnAccept = record
+		srvOpts.OnAccept = fopts.OnAccept
 		engine, err := herald.NewServingEngine(cache, hdas[0], srvOpts)
 		if err != nil {
 			log.Fatal(err)
@@ -248,33 +195,17 @@ func main() {
 			log.Printf("final stats: %d submitted, %d completed, %d failed, %d rejected",
 				st.Submitted, st.Completed, st.Failed, st.Rejected)
 		}
-		log.Printf("heraldd listening on %s (HDA %v, clock %g GHz)", *addr, hdas[0], *clockGHz)
+		log.Printf("heraldd listening on %s (HDA %v, clock %g GHz)", *addr, hdas[0], srvOpts.ClockGHz)
 	} else {
 		// A resweep probe needs the fleet dispatcher's observed-mix
 		// accounting — and fault injection/shedding live in the fleet
 		// dispatcher — so those flags promote even a single replica to
 		// a fleet of one.
-		policy, err := herald.ParseFleetPolicy(*fleetPolicy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fopts := herald.FleetOptions{
-			Serve: srvOpts, Policy: policy, Plans: plans, MixHalfLife: *mixHalfLife,
-			OnAccept: record,
-			Faults:   faultPlan,
-			Health: herald.FleetHealthOptions{
-				FailureThreshold: *breakerThreshold,
-				ProbeAfter:       *breakerProbeAfter,
-				MaxAttempts:      *maxAttempts,
-				ShedSLAFactor:    *shedSLAFactor,
-			},
-		}
+		fopts.Plans = plans
 		if *resweepEvery > 0 {
-			sw, err := config.Sweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, *strategyFlag, *objectiveFlag)
-			if err != nil {
+			if fopts.Sweeper, err = sv.Sweeper(cache, *strategyFlag); err != nil {
 				log.Fatal(err)
 			}
-			fopts.Sweeper = sw
 		}
 		fl, err := herald.NewFleet(cache, hdas, fopts)
 		if err != nil {
@@ -293,12 +224,12 @@ func main() {
 			log.Printf("  replica %d: %v", i, h)
 		}
 		log.Printf("heraldd fleet listening on %s (%d replicas, %s routing, clock %g GHz)",
-			*addr, len(hdas), policy, *clockGHz)
-		if faultPlan != nil {
-			log.Printf("fault injection on: %d scheduled events (-faults)", len(faultPlan.Events))
+			*addr, len(hdas), fopts.Policy, fopts.Serve.ClockGHz)
+		if fopts.Faults != nil {
+			log.Printf("fault injection on: %d scheduled events (-faults)", len(fopts.Faults.Events))
 		}
-		if *shedSLAFactor > 0 {
-			log.Printf("overload shedding on: budget %gx SLA (-shed-sla-factor)", *shedSLAFactor)
+		if f := fopts.Health.ShedSLAFactor; f > 0 {
+			log.Printf("overload shedding on: budget %gx SLA (-shed-sla-factor)", f)
 		}
 		if *resweepEvery > 0 {
 			if ctrlOpts != nil {
@@ -382,15 +313,6 @@ func resweepProbe(fl *herald.Fleet) string {
 		res.Best.HDA, res.Best.EDP, res.Best.LatencySec*1e3, res.Explored, res.Pruned)
 }
 
-// repeatHDA builds a homogeneous replica list.
-func repeatHDA(hda *herald.HDA, n int) []*herald.HDA {
-	out := make([]*herald.HDA, n)
-	for i := range out {
-		out[i] = hda
-	}
-	return out
-}
-
 // topKHDAs takes the fleet's replica substrates from the bootstrap
 // search's top-K design points (cycling when the cloud is smaller
 // than the fleet).
@@ -404,37 +326,20 @@ func topKHDAs(res *herald.SearchResult, objective herald.SearchObjective, n int)
 }
 
 // bootstrapSearch runs the deploy-time DSE over the bootstrap
-// workload; the caller picks the best point (homogeneous serving) or
-// the top-K (heterogeneous fleet).
-func bootstrapSearch(cache *herald.CostCache, class herald.Class, stylesCSV string, peUnits, bwUnits int, strategy, objective, bootstrap string) (*herald.SearchResult, herald.SearchObjective, error) {
-	styles, err := config.ParseStyles(stylesCSV)
+// workload in the flags' search space; the caller picks the best point
+// (homogeneous serving) or the top-K (heterogeneous fleet).
+func bootstrapSearch(cache *herald.CostCache, sv *config.Serving, strategy, bootstrap string) (*herald.SearchResult, herald.SearchObjective, error) {
+	sp, opts, err := sv.Search(strategy)
 	if err != nil {
 		return nil, 0, err
 	}
-	w, err := bootstrapWorkload(bootstrap)
+	w, err := config.ParseWorkload(bootstrap)
 	if err != nil {
 		return nil, 0, err
 	}
-	opts, err := config.SearchOptions(strategy, objective)
-	if err != nil {
-		return nil, 0, err
-	}
-	sp := herald.SearchSpace{Class: class, Styles: styles, PEUnits: peUnits, BWUnits: bwUnits}
 	res, err := herald.Search(cache, sp, w, opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("bootstrap DSE: %w", err)
 	}
 	return res, opts.Objective, nil
-}
-
-func bootstrapWorkload(name string) (*herald.Workload, error) {
-	switch strings.ToLower(name) {
-	case "arvr-a", "arvra":
-		return herald.ARVRA(), nil
-	case "arvr-b", "arvrb":
-		return herald.ARVRB(), nil
-	case "mlperf":
-		return herald.MLPerf(1), nil
-	}
-	return nil, fmt.Errorf("unknown bootstrap workload %q (want arvr-a, arvr-b, mlperf)", name)
 }

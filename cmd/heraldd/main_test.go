@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,27 +15,23 @@ import (
 	"repro/internal/config"
 )
 
-func TestBootstrapWorkload(t *testing.T) {
-	cases := map[string]int{"arvr-a": 10, "ARVR-B": 12, "mlperf": 5}
-	for name, want := range cases {
-		w, err := bootstrapWorkload(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if w.NumInstances() != want {
-			t.Errorf("%s: %d instances, want %d", name, w.NumInstances(), want)
-		}
+// serving parses heraldd's serving flags from args.
+func serving(t *testing.T, args ...string) *config.Serving {
+	t.Helper()
+	fs := flag.NewFlagSet("heraldd", flag.ContinueOnError)
+	sv := config.BindServing(fs, "")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := bootstrapWorkload("nope"); err == nil {
-		t.Error("unknown bootstrap workload accepted")
-	}
+	return sv
 }
 
 // TestParsePartition checks the -partition spec as the daemon consumes
-// it: parsed by config.ParsePartition, then built into the served HDA.
+// it: parsed by config.ParsePartition, then built into the served HDA
+// by the serving flags.
 func TestParsePartition(t *testing.T) {
-	parts, err := config.ParsePartition("nvdla:512:8, shi-diannao:512:8")
+	spec := "nvdla:512:8, shi-diannao:512:8"
+	parts, err := config.ParsePartition(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +41,19 @@ func TestParsePartition(t *testing.T) {
 	if _, err := herald.NewHDA("heraldd", herald.Edge, parts); err != nil {
 		t.Errorf("parsed partition not buildable: %v", err)
 	}
+	hda, err := serving(t, "-class", "edge", "-partition", spec).HDA("heraldd")
+	if err != nil || hda == nil || len(hda.Subs) != 2 {
+		t.Errorf("-partition %q served %v (err %v)", spec, hda, err)
+	}
+	if hda, err := serving(t).HDA("heraldd"); hda != nil || err != nil {
+		t.Errorf("empty -partition built %v (err %v), want the bootstrap DSE", hda, err)
+	}
 	for _, bad := range []string{"nvdla:512", "tpu:512:8", "nvdla:x:8", "nvdla:512:y"} {
 		if _, err := config.ParsePartition(bad); err == nil {
 			t.Errorf("%q: accepted", bad)
+		}
+		if _, err := serving(t, "-partition", bad).HDA("heraldd"); err == nil {
+			t.Errorf("-partition %q: served", bad)
 		}
 	}
 }
@@ -55,7 +62,8 @@ func TestParsePartition(t *testing.T) {
 // and checks the best point is a servable HDA for the class.
 func TestBootstrapSearch(t *testing.T) {
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	res, objective, err := bootstrapSearch(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "latency", "arvr-a")
+	coarse := []string{"-pe-units", "4", "-bw-units", "2"}
+	res, objective, err := bootstrapSearch(cache, serving(t, append(coarse, "-objective", "latency")...), "exhaustive", "arvr-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +84,11 @@ func TestBootstrapSearch(t *testing.T) {
 		if strategy == "exhaustive" && objective == "edp" && wl == "arvr-a" {
 			continue // the valid combination
 		}
-		if _, _, err := bootstrapSearch(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, strategy, objective, wl); err == nil {
+		if _, _, err := bootstrapSearch(cache, serving(t, append(coarse, "-objective", objective)...), strategy, wl); err == nil {
 			t.Errorf("bootstrapSearch(%s,%s,%s) accepted", strategy, objective, wl)
 		}
 	}
-	if _, _, err := bootstrapSearch(cache, herald.Edge, "nvdla,warp", 4, 2, "exhaustive", "edp", "arvr-a"); err == nil {
+	if _, _, err := bootstrapSearch(cache, serving(t, append(coarse, "-styles", "nvdla,warp")...), "exhaustive", "arvr-a"); err == nil {
 		t.Error("bad style accepted")
 	}
 }
@@ -91,7 +99,7 @@ func TestBootstrapSearch(t *testing.T) {
 // partition the observed mix would pick.
 func TestResweepProbe(t *testing.T) {
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	sw, err := config.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "edp")
+	sw, err := serving(t, "-pe-units", "4", "-bw-units", "2").Sweeper(cache, "exhaustive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +139,13 @@ func TestResweepProbe(t *testing.T) {
 	}
 
 	// The flag parsers behind the sweeper must keep rejecting garbage.
-	if _, err := config.Sweeper(cache, herald.Edge, "warp", 4, 2, "exhaustive", "edp"); err == nil {
+	if _, err := serving(t, "-styles", "warp").Sweeper(cache, "exhaustive"); err == nil {
 		t.Error("bad style accepted")
 	}
-	if _, err := config.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "nope", "edp"); err == nil {
+	if _, err := serving(t).Sweeper(cache, "nope"); err == nil {
 		t.Error("bad strategy accepted")
 	}
-	if _, err := config.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "nope"); err == nil {
+	if _, err := serving(t, "-objective", "nope").Sweeper(cache, "exhaustive"); err == nil {
 		t.Error("bad objective accepted")
 	}
 }
@@ -148,7 +156,7 @@ func TestResweepProbe(t *testing.T) {
 // controller step and keeps serving.
 func TestRepartitionController(t *testing.T) {
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	sw, err := config.Sweeper(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "edp")
+	sw, err := serving(t, "-pe-units", "4", "-bw-units", "2").Sweeper(cache, "exhaustive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +220,7 @@ func TestRepartitionController(t *testing.T) {
 // bootstrap search's top-K points, cycling when the cloud is small.
 func TestTopKHDAs(t *testing.T) {
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	res, objective, err := bootstrapSearch(cache, herald.Edge, "nvdla,shi-diannao", 4, 2, "exhaustive", "latency", "arvr-a")
+	res, objective, err := bootstrapSearch(cache, serving(t, "-pe-units", "4", "-bw-units", "2", "-objective", "latency"), "exhaustive", "arvr-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,16 +240,16 @@ func TestTopKHDAs(t *testing.T) {
 		t.Error("oversized fleet does not cycle through the cloud")
 	}
 
-	// repeatHDA builds the homogeneous list.
-	rep := repeatHDA(res.Best.HDA, 4)
+	// Without -fleet-topk the replicas are copies of the best point.
+	rep := serving(t, "-replicas", "4").Replicas(res.Best.HDA)
 	if len(rep) != 4 || rep[0] != rep[3] || rep[0] != res.Best.HDA {
-		t.Errorf("repeatHDA: %v", rep)
+		t.Errorf("homogeneous replicas: %v", rep)
 	}
 }
 
 // TestCaptureReplayRoundTrip: the -capture wiring end to end through
 // the HTTP surface — a fleet records its accepted submissions through
-// OnAccept exactly as main() wires it, traffic flows through POST
+// the recorder's OnAccept method, as main() wires it, traffic flows through POST
 // /v1/requests and /v1/drain, and the captured trace replays under
 // cmd/heraldplay's engine (herald.Replay) to the live run's counters,
 // twice, byte-identically.
@@ -261,12 +269,7 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := herald.DefaultFleetOptions()
-	opts.OnAccept = func(req herald.InferenceRequest, plan string) {
-		_ = rec.Record(herald.TraceEntry{
-			Tenant: req.Tenant, Model: req.Model, ArrivalCycle: req.ArrivalCycle,
-			SLACycles: req.SLACycles, Priority: req.Priority, Plan: plan,
-		})
-	}
+	opts.OnAccept = rec.OnAccept
 	fl, err := herald.NewReplicatedFleet(cache, hda, 2, opts)
 	if err != nil {
 		t.Fatal(err)

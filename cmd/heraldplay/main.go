@@ -28,6 +28,14 @@
 // -elastic-quantum N to arm in-place PE reassignment below migration,
 // and A/B the two configurations by diffing their digests.
 //
+// The serving flags (-partition, -replicas, -fleet-policy, -faults,
+// -fuse, the ladder, ...) are the family internal/config binds for
+// both heraldplay and cmd/heraldd, so a replay given the daemon's
+// flags rebuilds the daemon's configuration; -partition defaults to
+// the even nvdla:512:8,shi-diannao:512:8 edge split here. -fuse fuses
+// inside each replica engine. Only -gen, -diff, -trace, -o and
+// -window are heraldplay's own.
+//
 // A live incident exports through the daemon: capture the trace with
 // heraldd -capture, export the fault log from GET /v1/fleet/decisions,
 // and re-run both here under the configuration you wish you had been
@@ -36,160 +44,122 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
 
 	herald "repro"
+	"repro/internal/capture"
 	"repro/internal/config"
 )
 
 func main() {
 	log.SetFlags(0)
-	genFlag := flag.String("gen", "", "scenario-spec JSON file: generate its trace instead of replaying (writes to -o or stdout)")
-	diffFlag := flag.Bool("diff", false, "diff mode: compare the two digest files given as positional arguments")
-	traceFlag := flag.String("trace", "", "trace file to replay (capture or heraldplay -gen JSONL)")
-	outFlag := flag.String("o", "", "output file (digest or generated trace); default stdout")
-	faultsFlag := flag.String("faults", "", "deterministic fault plan, cycle:replica:kind[:arg],... (kinds: crash, stall:factor, admit-fail:count, recover)")
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
 
-	className := flag.String("class", "edge", "accelerator class: edge, mobile, cloud")
-	partitionFlag := flag.String("partition", "nvdla:512:8,shi-diannao:512:8", "serving partition (style:pes:bw,...)")
-	clockGHz := flag.Float64("clock-ghz", 1.0, "accelerator clock for cycle<->seconds stats")
-	maxQueue := flag.Int("max-queue", 1024, "per-tenant pending-queue capacity (per replica)")
-	maxBatch := flag.Int("max-batch", 8, "max admissions coalesced per scheduling round")
-	replicas := flag.Int("replicas", 1, "replica serving engines")
-	fleetPolicy := flag.String("fleet-policy", "cost-aware", "fleet routing policy: round-robin, least-outstanding, cost-aware")
-	fuse := flag.Bool("fuse", false, "layer-fused segment serving inside each replica engine (engine-level fusion, as heraldd -fuse)")
-	maxSegments := flag.Int("max-segments", 4, "upper bound on segments per fused request (with -fuse; >= 2)")
-	mixHalfLife := flag.Int("mix-half-life", 0, "observed-mix half-life in submissions for repartition probes (0 = all-time counts)")
-	shedSLAFactor := flag.Float64("shed-sla-factor", 0, "shed arrivals whose best-ETA lateness exceeds this multiple of their SLA (0 = off)")
-	maxAttempts := flag.Int("max-attempts", 3, "per-request admission budget across crash failovers")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive replica admission failures that open its circuit breaker")
-	breakerProbeAfter := flag.Int("breaker-probe-after", 8, "fleet dispatches after a breaker opens before it admits a half-open probe")
+// run executes one heraldplay invocation — generate, diff or replay —
+// writing digests, diff lines and generated traces to stdout unless
+// -o names a file, and returns the process exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("heraldplay", flag.ContinueOnError)
+	genFlag := fs.String("gen", "", "scenario-spec JSON file: generate its trace instead of replaying (writes to -o or stdout)")
+	diffFlag := fs.Bool("diff", false, "diff mode: compare the two digest files given as positional arguments")
+	traceFlag := fs.String("trace", "", "trace file to replay (capture or heraldplay -gen JSONL)")
+	outFlag := fs.String("o", "", "output file (digest or generated trace); default stdout")
+	window := fs.Int("window", 0, "admission-window size in trace entries (0 = whole trace in one window; required by -repartition)")
+	sv := config.BindServing(fs, "nvdla:512:8,shi-diannao:512:8")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	window := flag.Int("window", 0, "admission-window size in trace entries (0 = whole trace in one window; required by -repartition)")
-	ladder := config.BindLadder(flag.CommandLine)
-	stylesFlag := flag.String("styles", "nvdla,shi-diannao", "repartition sweep's sub-accelerator dataflow styles")
-	peUnits := flag.Int("pe-units", 8, "repartition sweep's PE partitioning granularity")
-	bwUnits := flag.Int("bw-units", 4, "repartition sweep's bandwidth partitioning granularity")
-	objectiveFlag := flag.String("objective", "edp", "repartition sweep objective: edp, latency, energy")
-	flag.Parse()
-
+	var err error
 	switch {
 	case *diffFlag:
-		if flag.NArg() != 2 {
-			log.Fatal("-diff needs exactly two digest files")
+		if fs.NArg() != 2 {
+			err = errors.New("-diff needs exactly two digest files")
+			break
 		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1)))
+		return runDiff(fs.Arg(0), fs.Arg(1), stdout)
 	case *genFlag != "":
-		if err := runGen(*genFlag, *outFlag); err != nil {
-			log.Fatal(err)
-		}
-		return
+		err = runGen(*genFlag, *outFlag, stdout)
 	case *traceFlag == "":
-		log.Fatal("nothing to do: give -trace to replay, -gen to generate, or -diff to compare (see -h)")
+		err = errors.New("nothing to do: give -trace to replay, -gen to generate, or -diff to compare (see -h)")
+	default:
+		err = runReplay(sv, *traceFlag, *window, *outFlag, stdout)
 	}
+	if err != nil {
+		log.Print(err)
+		return 1
+	}
+	return 0
+}
 
-	tr, err := readTrace(*traceFlag)
+// runReplay replays the trace file on the configuration the serving
+// flags select and writes the canonical digest.
+func runReplay(sv *config.Serving, tracePath string, window int, outPath string, stdout io.Writer) error {
+	tr, err := capture.ReadFile(tracePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	class, err := herald.ParseClass(*className)
+	hda, err := sv.HDA("heraldplay")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *replicas < 1 {
-		log.Fatalf("-replicas must be >= 1 (got %d)", *replicas)
-	}
-	parts, err := config.ParsePartition(*partitionFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hda, err := herald.NewHDA("heraldplay", class, parts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hdas := make([]*herald.HDA, *replicas)
-	for i := range hdas {
-		hdas[i] = hda
-	}
-	policy, err := herald.ParseFleetPolicy(*fleetPolicy)
-	if err != nil {
-		log.Fatal(err)
+	opts := herald.ReplayOptions{Window: window}
+	if opts.Fleet, err = sv.FleetOptions(); err != nil {
+		return err
 	}
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-
-	opts := herald.ReplayOptions{Fleet: herald.DefaultFleetOptions(), Window: *window}
-	opts.Fleet.Policy = policy
-	opts.Fleet.MixHalfLife = *mixHalfLife
-	opts.Fleet.Serve.ClockGHz = *clockGHz
-	opts.Fleet.Serve.MaxQueue = *maxQueue
-	opts.Fleet.Serve.MaxBatch = *maxBatch
-	opts.Fleet.Health = herald.FleetHealthOptions{
-		FailureThreshold: *breakerThreshold,
-		ProbeAfter:       *breakerProbeAfter,
-		MaxAttempts:      *maxAttempts,
-		ShedSLAFactor:    *shedSLAFactor,
+	// Engine-level fusion: each replica engine decomposes and
+	// pipelines internally, which replays deterministically.
+	if opts.Fleet.Serve.Plans, err = sv.Plans(cache, hda, nil); err != nil {
+		return err
 	}
-	if *faultsFlag != "" {
-		if opts.Fleet.Faults, err = herald.ParseFaultPlan(*faultsFlag); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *fuse {
-		if *maxSegments < 2 {
-			log.Fatalf("-fuse needs -max-segments >= 2 (got %d)", *maxSegments)
-		}
-		objective, err := config.ParseObjective(*objectiveFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Engine-level fusion: each replica engine decomposes and
-		// pipelines internally, which replays deterministically.
-		opts.Fleet.Serve.Plans, err = config.FusionPlans(cache, hda, objective, *maxSegments, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	if opts.Controller, err = ladder.Options(); err != nil {
-		log.Fatal(err)
+	if opts.Controller, err = sv.Ladder.Options(); err != nil {
+		return err
 	}
 	if opts.Controller != nil {
-		if *window <= 0 {
-			log.Fatal("-repartition needs -window > 0 (the controller steps once per full window)")
+		if window <= 0 {
+			return errors.New("-repartition needs -window > 0 (the controller steps once per full window)")
 		}
-		if opts.Fleet.Sweeper, err = config.Sweeper(cache, class, *stylesFlag, *peUnits, *bwUnits, "exhaustive", *objectiveFlag); err != nil {
-			log.Fatal(err)
+		if opts.Fleet.Sweeper, err = sv.Sweeper(cache, "exhaustive"); err != nil {
+			return err
 		}
 	}
 
-	digest, err := herald.Replay(context.Background(), cache, hdas, tr, opts)
+	digest, err := herald.Replay(context.Background(), cache, sv.Replicas(hda), tr, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b, err := digest.Canonical()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := writeOut(*outFlag, b); err != nil {
-		log.Fatal(err)
+	if err := writeOut(outPath, b, stdout); err != nil {
+		return err
 	}
-	if *outFlag != "" {
+	if outPath != "" {
 		hash, err := digest.Hash()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("replayed %d entries: %d completed, %d failed, %d shed; conservation holds: %v; digest %s -> %s",
 			digest.Trace.Entries, digest.Counters.Completed, digest.Counters.Failed,
-			digest.Counters.Shed, digest.Conservation.Holds, hash[:12], *outFlag)
+			digest.Counters.Shed, digest.Conservation.Holds, hash[:12], outPath)
 	}
+	return nil
 }
 
 // runGen renders a scenario spec into a trace stream.
-func runGen(specPath, outPath string) error {
+func runGen(specPath, outPath string, stdout io.Writer) error {
 	f, err := os.Open(specPath)
 	if err != nil {
 		return err
@@ -207,12 +177,12 @@ func runGen(specPath, outPath string) error {
 	if err := herald.WriteTrace(&buf, spec.Note(), entries); err != nil {
 		return err
 	}
-	return writeOut(outPath, []byte(buf.String()))
+	return writeOut(outPath, []byte(buf.String()), stdout)
 }
 
 // runDiff compares two digest files; exit 0 when identical, 1 when
 // they differ (one line per differing leaf), 2 on read errors.
-func runDiff(aPath, bPath string) int {
+func runDiff(aPath, bPath string, stdout io.Writer) int {
 	a, err := os.ReadFile(aPath)
 	if err != nil {
 		log.Print(err)
@@ -229,27 +199,18 @@ func runDiff(aPath, bPath string) int {
 		return 2
 	}
 	if len(lines) == 0 {
-		fmt.Println("digests identical")
+		fmt.Fprintln(stdout, "digests identical")
 		return 0
 	}
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(stdout, l)
 	}
 	return 1
 }
 
-func readTrace(path string) (*herald.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return herald.ReadTrace(f)
-}
-
-func writeOut(path string, b []byte) error {
+func writeOut(path string, b []byte, stdout io.Writer) error {
 	if path == "" {
-		_, err := os.Stdout.Write(b)
+		_, err := stdout.Write(b)
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)

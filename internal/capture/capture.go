@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"repro/internal/serve"
 )
 
 // Version is the trace-format version this package writes. Readers
@@ -53,6 +55,18 @@ type Entry struct {
 	// Plan is the fusion-plan id the request was admitted under
 	// ("model/segments", e.g. "unet/3"); empty means unfused.
 	Plan string `json:"plan,omitempty"`
+}
+
+// Request is the submission that re-issues e: the inverse of the
+// mapping Recorder.OnAccept records.
+func (e Entry) Request() serve.Request {
+	return serve.Request{
+		Tenant:       e.Tenant,
+		Model:        e.Model,
+		Priority:     e.Priority,
+		SLACycles:    e.SLACycles,
+		ArrivalCycle: e.ArrivalCycle,
+	}
 }
 
 // validate rejects entries a replay could not re-submit.
@@ -120,6 +134,17 @@ func (r *Recorder) Record(e Entry) error {
 	}
 	r.n++
 	return nil
+}
+
+// OnAccept records one accepted submission; it has the signature of
+// fleet.Options.OnAccept and serve.Options.OnAccept, so a capture hooks
+// in as opts.OnAccept = rec.OnAccept. A write error is sticky and
+// surfaces at Flush.
+func (r *Recorder) OnAccept(req serve.Request, plan string) {
+	_ = r.Record(Entry{
+		Tenant: req.Tenant, Model: req.Model, ArrivalCycle: req.ArrivalCycle,
+		SLACycles: req.SLACycles, Priority: req.Priority, Plan: plan,
+	})
 }
 
 // Count returns the number of entries recorded so far.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/fleet"
 	"repro/internal/maestro"
+	"repro/internal/workload"
 )
 
 // Ladder is the control ladder's flag family (fleet.Controller),
@@ -73,6 +74,188 @@ func anyImprovement(threshold float64) float64 {
 		return 1e-12
 	}
 	return threshold
+}
+
+// Serving is the serving/fleet flag family cmd/heraldd and
+// cmd/heraldplay share: the substrate, engine, fleet, fault, fusion
+// and partition-search flags, plus the embedded control ladder. It is
+// the only code that turns those flags into replica HDAs and
+// fleet.Options, so a live daemon and an offline replay given the
+// same flags serve the same configuration.
+type Serving struct {
+	*Ladder
+	base                                    fleet.Options // the options the numeric flags bind directly
+	class, partition, policy, faults        string
+	styles, objective                       string
+	replicas, maxSegments, peUnits, bwUnits int
+	fuse                                    bool
+}
+
+// BindServing registers the serving flags (and the ladder's) on fs.
+// defaultPartition is the -partition default: heraldd passes "" (run
+// the bootstrap DSE), heraldplay the even two-style edge split.
+func BindServing(fs *flag.FlagSet, defaultPartition string) *Serving {
+	s := &Serving{Ladder: BindLadder(fs), base: fleet.DefaultOptions()}
+	o := &s.base
+	fs.StringVar(&s.class, "class", "edge", "accelerator class: edge, mobile, cloud")
+	fs.StringVar(&s.partition, "partition", defaultPartition, "serving partition, style:pes:bw,... (heraldd: empty runs the bootstrap DSE instead)")
+	fs.Float64Var(&o.Serve.ClockGHz, "clock-ghz", 1.0, "accelerator clock for cycle<->seconds stats")
+	fs.IntVar(&o.Serve.MaxQueue, "max-queue", 1024, "per-tenant pending-queue capacity (per replica)")
+	fs.IntVar(&o.Serve.MaxBatch, "max-batch", 8, "max admissions coalesced per scheduling round")
+	fs.IntVar(&s.replicas, "replicas", 1, "replica serving engines; > 1 serves a fleet")
+	fs.StringVar(&s.policy, "fleet-policy", "cost-aware", "fleet routing policy: round-robin, least-outstanding, cost-aware")
+	fs.BoolVar(&s.fuse, "fuse", false, "layer-fused segment serving: decompose each request into its model's winning segment chain so consecutive requests pipeline across sub-accelerators")
+	fs.IntVar(&s.maxSegments, "max-segments", 4, "upper bound on segments per fused request (with -fuse; >= 2)")
+	fs.IntVar(&o.MixHalfLife, "mix-half-life", 0, "observed-mix half-life in submissions for re-sweep probes (0 = all-time counts)")
+	fs.StringVar(&s.faults, "faults", "", "deterministic fault plan, cycle:replica:kind[:arg],... (kinds: crash, stall:factor, admit-fail:count, recover); heraldd serves a fleet even with -replicas 1")
+	fs.Float64Var(&o.Health.ShedSLAFactor, "shed-sla-factor", 0, "shed arrivals whose best-ETA lateness exceeds this multiple of their SLA (0 = off; needs cost-aware routing and per-request SLAs; heraldd serves a fleet even with -replicas 1)")
+	fs.IntVar(&o.Health.MaxAttempts, "max-attempts", 3, "per-request admission budget across crash failovers (initial dispatch included)")
+	fs.IntVar(&o.Health.FailureThreshold, "breaker-threshold", 3, "consecutive replica admission failures that open its circuit breaker")
+	fs.IntVar(&o.Health.ProbeAfter, "breaker-probe-after", 8, "fleet dispatches after a breaker opens before it admits a half-open probe")
+	fs.StringVar(&s.styles, "styles", "nvdla,shi-diannao", "comma-separated sub-accelerator dataflow styles of the partition search (bootstrap DSE and re-sweeps)")
+	fs.IntVar(&s.peUnits, "pe-units", 8, "partition search's PE granularity")
+	fs.IntVar(&s.bwUnits, "bw-units", 4, "partition search's bandwidth granularity")
+	fs.StringVar(&s.objective, "objective", "edp", "partition search and fusion objective: edp, latency, energy")
+	return s
+}
+
+// Class resolves -class.
+func (s *Serving) Class() (accel.Class, error) { return accel.ParseClass(s.class) }
+
+// HDA builds the -partition HDA under name, or returns nil when
+// -partition is empty (heraldd then picks one by bootstrap DSE).
+func (s *Serving) HDA(name string) (*accel.HDA, error) {
+	if s.partition == "" {
+		return nil, nil
+	}
+	class, err := s.Class()
+	if err != nil {
+		return nil, err
+	}
+	parts, err := ParsePartition(s.partition)
+	if err != nil {
+		return nil, err
+	}
+	return accel.New(name, class, parts)
+}
+
+// Replicas returns the homogeneous replica list: -replicas copies of
+// hda (FleetOptions checks -replicas >= 1).
+func (s *Serving) Replicas(hda *accel.HDA) []*accel.HDA {
+	out := make([]*accel.HDA, max(s.replicas, 0))
+	for i := range out {
+		out[i] = hda
+	}
+	return out
+}
+
+// FleetOptions returns the fleet configuration the flags select —
+// engine clock, queue and batch, routing policy, health and shedding,
+// fault plan, mix half-life, and elastic engines when the ladder's
+// preemption rung is armed — after validating every serving flag,
+// including the -replicas and -max-segments the other methods read.
+// Fusion plans and the sweeper are the caller's to place (Plans,
+// Sweeper).
+func (s *Serving) FleetOptions() (fleet.Options, error) {
+	o := s.base
+	if s.replicas < 1 {
+		return o, fmt.Errorf("-replicas must be >= 1 (got %d)", s.replicas)
+	}
+	if s.fuse && s.maxSegments < 2 {
+		return o, fmt.Errorf("-fuse needs -max-segments >= 2 (got %d)", s.maxSegments)
+	}
+	ctrl, err := s.Ladder.Options()
+	if err != nil {
+		return o, err
+	}
+	if o.Policy, err = fleet.ParsePolicy(s.policy); err != nil {
+		return o, err
+	}
+	if s.faults != "" {
+		if o.Faults, err = fleet.ParseFaultPlan(s.faults); err != nil {
+			return o, err
+		}
+	}
+	// The preemption rung checkpoints and resumes placements at layer
+	// boundaries; the engines must track revocable placements for
+	// that (the reassignment rung needs nothing extra).
+	o.Serve.Elastic = ctrl != nil && ctrl.PreemptBelow > 0
+	return o, nil
+}
+
+// Plans returns the -fuse segment plans on hda (see FusionPlans), or
+// nil when -fuse is off. logf, when set, also receives a summary line.
+func (s *Serving) Plans(cache *maestro.Cache, hda *accel.HDA, logf func(string, ...any)) (map[string]dse.SegmentPlan, error) {
+	if !s.fuse {
+		return nil, nil
+	}
+	objective, err := ParseObjective(s.objective)
+	if err != nil {
+		return nil, err
+	}
+	plans, err := FusionPlans(cache, hda, objective, s.maxSegments, logf)
+	if err == nil && logf != nil {
+		logf("layer fusion on: %d of %d zoo models split (max %d segments)", len(plans), len(dnn.Names()), s.maxSegments)
+	}
+	return plans, err
+}
+
+// Search returns the partition-search space (-class, -styles,
+// -pe-units, -bw-units) and the default search options under
+// strategy (heraldd's -strategy; heraldplay sweeps exhaustively) and
+// -objective.
+func (s *Serving) Search(strategy string) (dse.Space, dse.Options, error) {
+	sp := dse.Space{PEUnits: s.peUnits, BWUnits: s.bwUnits}
+	opts := dse.DefaultOptions()
+	var err error
+	if sp.Class, err = s.Class(); err != nil {
+		return sp, opts, err
+	}
+	if sp.Styles, err = ParseStyles(s.styles); err != nil {
+		return sp, opts, err
+	}
+	if opts.Strategy, err = ParseStrategy(strategy); err != nil {
+		return sp, opts, err
+	}
+	opts.Objective, err = ParseObjective(s.objective)
+	return sp, opts, err
+}
+
+// Sweeper builds the reusable partition-search handle a fleet probes
+// and migrates with, over Search's space in pruned best-only mode (a
+// probe only needs the winner).
+func (s *Serving) Sweeper(cache *maestro.Cache, strategy string) (*dse.Sweeper, error) {
+	sp, opts, err := s.Search(strategy)
+	if err != nil {
+		return nil, err
+	}
+	opts.BestOnly = true
+	opts.Prune = true
+	return dse.NewSweeper(cache, sp, opts)
+}
+
+// ParseWorkload resolves a workload name (herald -workload, heraldd
+// -bootstrap): arvr-a, arvr-b, mlperf, mlperf8, a zoo model, or
+// model:batches.
+func ParseWorkload(name string) (*workload.Workload, error) {
+	switch strings.ToLower(name) {
+	case "arvr-a", "arvra":
+		return workload.ARVRA(), nil
+	case "arvr-b", "arvrb":
+		return workload.ARVRB(), nil
+	case "mlperf":
+		return workload.MLPerf(1), nil
+	case "mlperf8":
+		return workload.MLPerf(8), nil
+	}
+	if model, batches, ok := strings.Cut(name, ":"); ok {
+		b, err := strconv.Atoi(batches)
+		if err != nil {
+			return nil, fmt.Errorf("bad batch count in %q: %v", name, err)
+		}
+		return workload.SingleDNN(model, b)
+	}
+	return workload.SingleDNN(name, 1)
 }
 
 // ParsePartition parses a "style:pes:bw,..." partition spec (the
@@ -140,35 +323,6 @@ func ParseObjective(name string) (dse.Objective, error) {
 		return dse.ObjectiveEnergy, nil
 	}
 	return 0, fmt.Errorf("unknown objective %q (want edp, latency, energy)", name)
-}
-
-// SearchOptions resolves the -strategy and -objective flags over the
-// default search options.
-func SearchOptions(strategy, objective string) (dse.Options, error) {
-	opts := dse.DefaultOptions()
-	var err error
-	if opts.Strategy, err = ParseStrategy(strategy); err != nil {
-		return opts, err
-	}
-	opts.Objective, err = ParseObjective(objective)
-	return opts, err
-}
-
-// Sweeper builds the reusable partition-search handle a fleet probes
-// and migrates with, in pruned best-only mode (a probe only needs the
-// winner).
-func Sweeper(cache *maestro.Cache, class accel.Class, styles string, peUnits, bwUnits int, strategy, objective string) (*dse.Sweeper, error) {
-	st, err := ParseStyles(styles)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := SearchOptions(strategy, objective)
-	if err != nil {
-		return nil, err
-	}
-	opts.BestOnly = true
-	opts.Prune = true
-	return dse.NewSweeper(cache, dse.Space{Class: class, Styles: st, PEUnits: peUnits, BWUnits: bwUnits}, opts)
 }
 
 // FusionPlans computes the winning segment chain of every zoo model

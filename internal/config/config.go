@@ -3,9 +3,11 @@
 // and downstream users can define scenarios without writing Go. The
 // schema mirrors the paper's vocabulary: classes (Table IV),
 // partitions (Definition 1), workload entries (Table II). It also holds
-// the command-line plumbing the binaries share (cli.go): the control
-// ladder's flag family and the -partition/-styles/-strategy/-objective
-// parsers.
+// the command-line plumbing the binaries share (cli.go): the serving
+// flag family heraldd and heraldplay both bind (BindServing, embedding
+// the control ladder's BindLadder) — the one place those flags become
+// replica HDAs and fleet.Options — and the -partition, -styles,
+// -strategy, -objective and workload-name parsers.
 package config
 
 import (

@@ -389,6 +389,7 @@ type retiredHistory struct {
 	lost                                   int64 // crash-extracted requests (failover re-admits them)
 	preemptions, resumes, reassigns        int64 // elastic counters of retired engines
 	makespan                               int64
+	segments                               serve.SegmentStats
 	tenants                                map[string]*serve.TenantWindow
 }
 
@@ -1195,11 +1196,11 @@ type Stats struct {
 	MakespanCycles   int64   `json:"makespan_cycles"`
 	SimThroughputRPS float64 `json:"sim_throughput_rps"`
 
-	// Segments reports fleet-level fused-serving counters: requests
-	// the dispatcher decomposed into segment chains, their segment
-	// outcomes, and the pipeline-overlap cycle sums. (Engine-level
-	// fusion counters, if any replica engine fuses internally, are
-	// visible in PerReplica[i].Engine.Segments.)
+	// Segments reports the fleet-wide fused-serving counters: requests
+	// decomposed into segment chains, their segment outcomes, and the
+	// pipeline-overlap cycle sums — the dispatcher's chains (fleet-level
+	// fusion) plus the chains every live and retired engine fused
+	// internally (engine-level fusion).
 	Segments serve.SegmentStats `json:"segments"`
 	// CrossReplicaHandoffs counts chain hops where a segment was
 	// routed to a different replica than its predecessor — the
@@ -1270,6 +1271,7 @@ func (f *Fleet) Stats() Stats {
 		Segments:             f.segStats,
 		CrossReplicaHandoffs: f.crossHandoffs,
 	}
+	st.Segments.Add(f.history.segments)
 	minH := f.minHorizonLocked()
 	snaps := make([]rsnap, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))
 	for _, r := range f.replicas {
@@ -1308,6 +1310,7 @@ func (f *Fleet) Stats() Stats {
 		st.Preemptions += es.Preemptions
 		st.Resumes += es.Resumes
 		st.PEReassigns += es.PEReassigns
+		st.Segments.Add(es.Segments)
 		if es.MakespanCycles > st.MakespanCycles {
 			st.MakespanCycles = es.MakespanCycles
 		}
@@ -1614,6 +1617,7 @@ func (f *Fleet) foldStatsLocked(es serve.Stats, windows []serve.TenantWindow) {
 	h.preemptions += es.Preemptions
 	h.resumes += es.Resumes
 	h.reassigns += es.PEReassigns
+	h.segments.Add(es.Segments)
 	if es.MakespanCycles > h.makespan {
 		h.makespan = es.MakespanCycles
 	}

@@ -145,13 +145,7 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 	// with a failed record and stay in the counters.
 	rejects := make(map[string]int64)
 	for i, e := range tr.Entries {
-		_, err := f.Submit(serve.Request{
-			Tenant:       e.Tenant,
-			Model:        e.Model,
-			Priority:     e.Priority,
-			SLACycles:    e.SLACycles,
-			ArrivalCycle: e.ArrivalCycle,
-		})
+		_, err := f.Submit(e.Request())
 		switch {
 		case err == nil:
 		case errors.As(err, new(*fleet.ShedError)):
@@ -205,13 +199,6 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 		MakespanCycles:       st.MakespanCycles,
 		CrossReplicaHandoffs: st.CrossReplicaHandoffs,
 		Segments:             st.Segments,
-	}
-	// Fleet-level Segments only counts dispatcher-decomposed chains;
-	// with engine-level fusion (the replayable kind) the counters live
-	// per replica — fold them in so the digest sees fused activity
-	// either way.
-	for _, rs := range st.PerReplica {
-		d.Counters.Segments.Add(rs.Engine.Segments)
 	}
 	d.Conservation = Conservation{
 		Submitted: st.Submitted,

@@ -261,3 +261,42 @@ func TestRunFleetFusion(t *testing.T) {
 		t.Fatal("no segment crossed replicas")
 	}
 }
+
+// TestRunEngineFusionAcrossCrash: engine-level fused counters survive
+// a replica crash. Recovery retires the crashed engine and starts a
+// fresh one; the retired engine's fused requests must still reach the
+// digest, so on a trace whose every model fuses each completed request
+// is a completed fused request, and segments are conserved.
+func TestRunEngineFusionAcrossCrash(t *testing.T) {
+	tr := corpusTrace(t, "zipf")
+	cache := newTestCache()
+	hdas := testHDAs(t, 3)
+	plans, err := config.FusionPlans(cache, hdas[0], dse.ObjectiveEDP, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Fleet: fleet.DefaultOptions(), Window: 8}
+	o.Fleet.Serve.Plans = plans
+	if o.Fleet.Faults, err = fleet.ParseFaultPlan("6000000:0:crash,9000000:0:recover"); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Run(context.Background(), cache, hdas, tr, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Counters
+	if c.Crashes != 1 || c.Recoveries != 1 {
+		t.Fatalf("fault plan did not fire: %d crashes, %d recoveries", c.Crashes, c.Recoveries)
+	}
+	if !d.Conservation.Holds || c.Completed == 0 {
+		t.Fatalf("conservation: %+v", d.Conservation)
+	}
+	seg := c.Segments
+	if seg.FusedCompleted != c.Completed {
+		t.Errorf("%d fused requests completed, %d requests completed", seg.FusedCompleted, c.Completed)
+	}
+	if seg.FusedRequests != seg.FusedCompleted+seg.FusedFailed+seg.FusedLost ||
+		seg.Segments != seg.SegmentsCompleted+seg.SegmentsFailed+seg.SegmentsLost {
+		t.Errorf("segments not conserved: %+v", seg)
+	}
+}
