@@ -28,10 +28,12 @@ race:
 	$(GO) test -race ./internal/maestro ./internal/sched ./internal/dse ./internal/serve ./internal/fleet
 
 # smoke builds and runs the end-to-end examples that exercise the
-# serving stack (fast, deterministic; CI runs this per PR): fleet
+# serving stack (fast, deterministic; CI runs this per PR): heraldd's
+# default path (a fleet of one behind the HTTP front end), fleet
 # dispatch, the control ladder's live migration, and layer-fused
 # segment serving — plus the benchmark harness's own checks.
 smoke:
+	$(GO) run ./examples/serving
 	$(GO) run ./examples/fleet
 	$(GO) run ./examples/repartition
 	$(GO) run ./examples/segments
@@ -83,9 +85,13 @@ doclint:
 # the perf trajectory gate wants per-PR numbers, not nanosecond-grade
 # stability), then the scheduler's microsecond-scale Extend benchmark
 # at the default benchtime, and writes the machine-readable
-# $(BENCH_OUT). Each PR commits its own file.
-BENCH_OUT ?= BENCH_PR14.json
+# $(BENCH_OUT). Each PR commits its own file under a new name
+# (make bench BENCH_OUT=BENCH_PR<n>.json); the recipe refuses to
+# overwrite a committed one.
+BENCH_OUT ?= bench.local.json
 bench:
+	@if git ls-files --error-unmatch $(BENCH_OUT) >/dev/null 2>&1; then \
+		echo "bench: $(BENCH_OUT) is committed; pass a new BENCH_OUT" >&2; exit 1; fi
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | tee bench.out
 	$(GO) test -run '^$$' -bench IncrementalExtend -benchmem ./internal/sched | tee -a bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out

@@ -13,11 +13,11 @@
 // only -addr, -strategy, -bootstrap, -fleet-topk, -resweep-every and
 // -capture are the daemon's own. docs/OPERATIONS.md lists them all.
 //
-// With -replicas N > 1 the daemon serves a *fleet*: N replica engines
-// behind a routing policy (-fleet-policy round-robin,
-// least-outstanding or cost-aware). -fleet-topk makes the fleet
-// heterogeneous: the replicas take the top-K design points of the
-// bootstrap DSE instead of K copies of the best.
+// The daemon always serves a *fleet*: -replicas N replica engines (a
+// fleet of one by default) behind a routing policy (-fleet-policy
+// round-robin, least-outstanding or cost-aware). -fleet-topk makes the
+// fleet heterogeneous: the replicas take the top-K design points of
+// the bootstrap DSE instead of K copies of the best.
 //
 // Examples:
 //
@@ -36,8 +36,10 @@
 // searches each zoo model's fusion cuts on the serving HDA (bounded by
 // -max-segments) and admits each request for a splitting model as a
 // chain of per-segment instances, so consecutive requests pipeline
-// across sub-accelerators. Fleets route the segments cost-aware across
-// replicas; GET /v1/stats reports the segment counters.
+// across sub-accelerators. At -replicas 1 the replica engine fuses
+// (scheduler precedence chains); with more replicas the dispatcher
+// routes each segment cost-aware across replicas. GET /v1/stats
+// reports the segment counters.
 // -mix-half-life makes the resweep probe's observed mix exponentially
 // decayed instead of all-time.
 //
@@ -61,8 +63,7 @@
 // (-breaker-threshold, -breaker-probe-after) routes around replicas
 // that stop admitting. -shed-sla-factor turns on overload shedding:
 // arrivals whose best ETA already blows their SLA budget get 429 +
-// Retry-After instead of queueing. Both -faults and -shed-sla-factor
-// serve a fleet even at -replicas 1. GET /v1/fleet/health reports
+// Retry-After instead of queueing. GET /v1/fleet/health reports
 // per-replica health and the fault-handling decision log. The daemon
 // shuts down gracefully on SIGINT/SIGTERM: stop admissions, drain
 // in-flight work, log final stats.
@@ -74,16 +75,14 @@
 // offline under cmd/heraldplay — byte-reproducible incident replay and
 // config A/B (docs/OPERATIONS.md, "Trace capture & replay").
 //
-// API (see internal/serve; fleets serve internal/fleet's API, which
-// adds GET /v1/fleet/stats, GET /v1/fleet/repartition and
-// /v1/replicas/{i}/... delegation):
+// API (internal/fleet's Handler; docs/OPERATIONS.md, "HTTP API"):
 //
 //	POST /v1/requests      {"tenant":"arvr","model":"unet","wait":true}
-//	GET  /v1/requests/{id}
-//	GET  /v1/stats
-//	GET  /v1/schedule
+//	GET  /v1/stats         (alias of /v1/fleet/stats)
 //	POST /v1/drain
-//	GET  /v1/models | /v1/hda | /v1/healthz
+//	GET  /v1/fleet/health | /v1/fleet/decisions | /v1/fleet/repartition
+//	GET  /v1/models | /v1/healthz
+//	GET  /v1/replicas/{i}/requests/{id} | stats | schedule | hda | healthz
 package main
 
 import (
@@ -102,162 +101,56 @@ import (
 	"repro/internal/config"
 )
 
+// flags is the daemon's command line: its own flags plus the serving
+// flag family internal/config binds.
+type flags struct {
+	addr, strategy, bootstrap, capture string
+	fleetTopK                          bool
+	resweepEvery                       time.Duration
+	sv                                 *config.Serving
+}
+
+func bindFlags(fs *flag.FlagSet) *flags {
+	c := &flags{}
+	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address")
+	fs.StringVar(&c.strategy, "strategy", "exhaustive", "bootstrap search strategy: exhaustive, binary, random")
+	fs.StringVar(&c.bootstrap, "bootstrap", "arvr-a", "bootstrap workload the DSE optimizes the HDA for: arvr-a, arvr-b, mlperf, mlperf8, a zoo model, or model:batches")
+	fs.BoolVar(&c.fleetTopK, "fleet-topk", false, "heterogeneous fleet: replicas take the top-K bootstrap-DSE points instead of K copies of the best")
+	fs.DurationVar(&c.resweepEvery, "resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; log-only unless -repartition)")
+	fs.StringVar(&c.capture, "capture", "", "stream every accepted request to this JSONL trace file, flushed on graceful shutdown (replay it with cmd/heraldplay)")
+	c.sv = config.BindServing(fs, "")
+	return c
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	strategyFlag := flag.String("strategy", "exhaustive", "bootstrap search strategy: exhaustive, binary, random")
-	bootstrap := flag.String("bootstrap", "arvr-a", "bootstrap workload the DSE optimizes the HDA for: arvr-a, arvr-b, mlperf, mlperf8, a zoo model, or model:batches")
-	fleetTopK := flag.Bool("fleet-topk", false, "heterogeneous fleet: replicas take the top-K bootstrap-DSE points instead of K copies of the best")
-	resweepEvery := flag.Duration("resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; log-only unless -repartition)")
-	capturePath := flag.String("capture", "", "stream every accepted request to this JSONL trace file, flushed on graceful shutdown (replay it with cmd/heraldplay)")
-	sv := config.BindServing(flag.CommandLine, "")
+	cfg := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	fopts, err := sv.FleetOptions()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctrlOpts, err := sv.Ladder.Options()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if ctrlOpts != nil && *resweepEvery <= 0 {
-		log.Fatal("-repartition needs -resweep-every > 0 (the probe period is the control period)")
-	}
-	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-
-	hda, err := sv.HDA("heraldd")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var hdas []*herald.HDA
-	if hda != nil {
-		if *fleetTopK {
-			log.Fatal("-fleet-topk needs the bootstrap DSE; it cannot be combined with -partition")
-		}
-		log.Printf("serving on fixed partition %v", hda)
-		hdas = sv.Replicas(hda)
-	} else {
-		res, objective, err := bootstrapSearch(cache, sv, *strategyFlag, *bootstrap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("bootstrap DSE: %d points, best (%v) %v", len(res.Points), objective, res.Best.HDA)
-		hdas = sv.Replicas(res.Best.HDA)
-		if *fleetTopK && len(hdas) > 1 {
-			hdas = topKHDAs(res, objective, len(hdas))
-		}
-	}
-
-	// Trace capture: the recorder hooks the engine's (or fleet's)
-	// OnAccept, so the trace is exactly the accepted-submission
-	// sequence in admission order — the input cmd/heraldplay replays.
-	var rec *herald.TraceRecorder
-	var captureFile *os.File
-	if *capturePath != "" {
-		f, err := os.Create(*capturePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		captureFile = f
-		if rec, err = herald.NewTraceRecorder(f, "heraldd capture"); err != nil {
-			log.Fatal(err)
-		}
-		fopts.OnAccept = rec.OnAccept
-		log.Printf("capturing accepted requests to %s", *capturePath)
-	}
-
-	plans, err := sv.Plans(cache, hdas[0], log.Printf)
+	s, err := newServer(cfg, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The signal context drives graceful shutdown: stop admitting, stop
-	// the repartition controller, drain, log final stats.
+	// the control loop, drain, log final stats.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	var handler http.Handler
-	var drain func(context.Context)
-	if len(hdas) == 1 && *resweepEvery <= 0 && fopts.Faults == nil && fopts.Health.ShedSLAFactor == 0 {
-		srvOpts := fopts.Serve
-		srvOpts.Plans = plans
-		srvOpts.OnAccept = fopts.OnAccept
-		engine, err := herald.NewServingEngine(cache, hdas[0], srvOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = engine.Handler()
-		drain = func(ctx context.Context) {
-			st, err := engine.Drain(ctx)
-			if err != nil {
-				log.Printf("drain: %v", err)
-			}
-			log.Printf("final stats: %d submitted, %d completed, %d failed, %d rejected",
-				st.Submitted, st.Completed, st.Failed, st.Rejected)
-		}
-		log.Printf("heraldd listening on %s (HDA %v, clock %g GHz)", *addr, hdas[0], srvOpts.ClockGHz)
-	} else {
-		// A resweep probe needs the fleet dispatcher's observed-mix
-		// accounting — and fault injection/shedding live in the fleet
-		// dispatcher — so those flags promote even a single replica to
-		// a fleet of one.
-		fopts.Plans = plans
-		if *resweepEvery > 0 {
-			if fopts.Sweeper, err = sv.Sweeper(cache, *strategyFlag); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fl, err := herald.NewFleet(cache, hdas, fopts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = fl.Handler()
-		drain = func(ctx context.Context) {
-			st, err := fl.Drain(ctx)
-			if err != nil {
-				log.Printf("drain: %v", err)
-			}
-			log.Printf("final stats: %d submitted, %d completed, %d failed, %d rejected, %d shed, %d failovers",
-				st.Submitted, st.Completed, st.Failed, st.Rejected, st.Shed, st.Failovers)
-		}
-		for i, h := range hdas {
-			log.Printf("  replica %d: %v", i, h)
-		}
-		log.Printf("heraldd fleet listening on %s (%d replicas, %s routing, clock %g GHz)",
-			*addr, len(hdas), fopts.Policy, fopts.Serve.ClockGHz)
-		if fopts.Faults != nil {
-			log.Printf("fault injection on: %d scheduled events (-faults)", len(fopts.Faults.Events))
-		}
-		if f := fopts.Health.ShedSLAFactor; f > 0 {
-			log.Printf("overload shedding on: budget %gx SLA (-shed-sla-factor)", f)
-		}
-		if *resweepEvery > 0 {
-			if ctrlOpts != nil {
-				ctrlOpts.Logf = log.Printf
-				ctrl, err := herald.NewRepartitionController(fl, *ctrlOpts)
-				if err != nil {
-					log.Fatal(err)
-				}
-				log.Printf("control ladder every %v (migrate threshold %.3g, confirm %d, cooldown %d; reassign quantum %d threshold %.3g; preempt below %d max %d)",
-					*resweepEvery, ctrlOpts.Threshold, ctrlOpts.Confirm, ctrlOpts.Cooldown,
-					ctrlOpts.PEQuantum, ctrlOpts.ReassignThreshold, ctrlOpts.PreemptBelow, ctrlOpts.PreemptMax)
-				// The signal context stops the controller before the drain.
-				go ctrl.Run(ctx, *resweepEvery)
-			} else {
-				log.Printf("resweep probe every %v (log-only; add -repartition to act on it)", *resweepEvery)
-				go resweepLoop(ctx, fl, *resweepEvery, log.Printf)
-			}
+	if cfg.resweepEvery > 0 {
+		if s.ctrl != nil {
+			go s.ctrl.Run(ctx, cfg.resweepEvery)
+		} else {
+			go resweepLoop(ctx, s.fleet, cfg.resweepEvery, log.Printf)
 		}
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
+		Addr:              cfg.addr,
+		Handler:           s.fleet.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
+	log.Printf("heraldd listening on %s", cfg.addr)
 	select {
 	case err := <-serveErr:
 		log.Fatal(err)
@@ -270,19 +163,155 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.Canceled) {
 		log.Printf("http shutdown: %v", err)
 	}
-	drain(shutCtx)
-	// Flush the capture after the drain: admissions have stopped, so
-	// the trace is complete and replayable the moment the process
-	// exits.
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			log.Printf("capture flush: %v", err)
-		} else {
-			log.Printf("captured %d accepted requests to %s", rec.Count(), *capturePath)
+	s.shutdown(shutCtx, log.Printf)
+}
+
+// server is what the daemon serves: a fleet (of one at -replicas 1),
+// its optional control ladder, and the optional capture stream.
+type server struct {
+	fleet *herald.Fleet
+	// ctrl steps the control ladder once per -resweep-every period
+	// (nil without -repartition).
+	ctrl *herald.RepartitionController
+	// rec and captureFile are the -capture stream (nil without it).
+	rec         *herald.TraceRecorder
+	captureFile *os.File
+}
+
+// newServer builds the served fleet from the parsed flags: the replica
+// HDAs (a fixed -partition, or the bootstrap DSE's best or top-K
+// points), the -fuse plans, the -capture recorder, the resweep
+// sweeper and the control ladder. On error it releases whatever it
+// already built.
+func newServer(cfg *flags, logf func(string, ...any)) (_ *server, err error) {
+	s := &server{}
+	defer func() {
+		if err == nil {
+			return
 		}
-		if err := captureFile.Close(); err != nil {
-			log.Printf("capture close: %v", err)
+		if s.fleet != nil {
+			_, _ = s.fleet.Drain(context.Background())
 		}
+		if s.captureFile != nil {
+			s.captureFile.Close()
+		}
+	}()
+	sv := cfg.sv
+	fopts, err := sv.FleetOptions()
+	if err != nil {
+		return nil, err
+	}
+	ctrlOpts, err := sv.Ladder.Options()
+	if err != nil {
+		return nil, err
+	}
+	if ctrlOpts != nil && cfg.resweepEvery <= 0 {
+		return nil, errors.New("-repartition needs -resweep-every > 0 (the probe period is the control period)")
+	}
+	cache := herald.NewCostCache(herald.DefaultEnergyTable())
+
+	hda, err := sv.HDA("heraldd")
+	if err != nil {
+		return nil, err
+	}
+	var hdas []*herald.HDA
+	if hda != nil {
+		if cfg.fleetTopK {
+			return nil, errors.New("-fleet-topk needs the bootstrap DSE; it cannot be combined with -partition")
+		}
+		logf("serving on fixed partition %v", hda)
+		hdas = sv.Replicas(hda)
+	} else {
+		res, objective, err := bootstrapSearch(cache, sv, cfg.strategy, cfg.bootstrap)
+		if err != nil {
+			return nil, err
+		}
+		logf("bootstrap DSE: %d points, best (%v) %v", len(res.Points), objective, res.Best.HDA)
+		hdas = sv.Replicas(res.Best.HDA)
+		if cfg.fleetTopK && len(hdas) > 1 {
+			hdas = topKHDAs(res, objective, len(hdas))
+		}
+	}
+
+	plans, err := sv.Plans(cache, hdas[0], logf)
+	if err != nil {
+		return nil, err
+	}
+	if len(hdas) == 1 {
+		// One replica fuses in its engine: 16 staggered render/track pairs on the edge NVDLA+Shi-diannao HDA drain in 64.6M cycles there vs 69.1M under fleet-level plans.
+		fopts.Serve.Plans = plans
+	} else {
+		fopts.Plans = plans
+	}
+	if cfg.resweepEvery > 0 {
+		if fopts.Sweeper, err = sv.Sweeper(cache, cfg.strategy); err != nil {
+			return nil, err
+		}
+	}
+
+	// Trace capture: the recorder hooks the fleet's OnAccept, so the
+	// trace is exactly the accepted-submission sequence in admission
+	// order — the input cmd/heraldplay replays.
+	if cfg.capture != "" {
+		if s.captureFile, err = os.Create(cfg.capture); err != nil {
+			return nil, err
+		}
+		if s.rec, err = herald.NewTraceRecorder(s.captureFile, "heraldd capture"); err != nil {
+			return nil, err
+		}
+		fopts.OnAccept = s.rec.OnAccept
+		logf("capturing accepted requests to %s", cfg.capture)
+	}
+
+	if s.fleet, err = herald.NewFleet(cache, hdas, fopts); err != nil {
+		return nil, err
+	}
+	for i, h := range hdas {
+		logf("  replica %d: %v", i, h)
+	}
+	logf("fleet of %d replica(s), %s routing, clock %g GHz", len(hdas), fopts.Policy, fopts.Serve.ClockGHz)
+	if fopts.Faults != nil {
+		logf("fault injection on: %d scheduled events (-faults)", len(fopts.Faults.Events))
+	}
+	if f := fopts.Health.ShedSLAFactor; f > 0 {
+		logf("overload shedding on: budget %gx SLA (-shed-sla-factor)", f)
+	}
+	switch {
+	case ctrlOpts != nil:
+		ctrlOpts.Logf = logf
+		if s.ctrl, err = herald.NewRepartitionController(s.fleet, *ctrlOpts); err != nil {
+			return nil, err
+		}
+		logf("control ladder every %v (migrate threshold %.3g, confirm %d, cooldown %d; reassign quantum %d threshold %.3g; preempt below %d max %d)",
+			cfg.resweepEvery, ctrlOpts.Threshold, ctrlOpts.Confirm, ctrlOpts.Cooldown,
+			ctrlOpts.PEQuantum, ctrlOpts.ReassignThreshold, ctrlOpts.PreemptBelow, ctrlOpts.PreemptMax)
+	case cfg.resweepEvery > 0:
+		logf("resweep probe every %v (log-only; add -repartition to act on it)", cfg.resweepEvery)
+	}
+	return s, nil
+}
+
+// shutdown drains the fleet, logs the final stats and flushes the
+// capture. The flush comes after the drain: admissions have stopped,
+// so the trace is complete and replayable the moment the process
+// exits.
+func (s *server) shutdown(ctx context.Context, logf func(string, ...any)) {
+	st, err := s.fleet.Drain(ctx)
+	if err != nil {
+		logf("drain: %v", err)
+	}
+	logf("final stats: %d submitted, %d completed, %d failed, %d rejected, %d shed, %d failovers",
+		st.Submitted, st.Completed, st.Failed, st.Rejected, st.Shed, st.Failovers)
+	if s.rec == nil {
+		return
+	}
+	if err := s.rec.Flush(); err != nil {
+		logf("capture flush: %v", err)
+	} else {
+		logf("captured %d accepted requests to %s", s.rec.Count(), s.captureFile.Name())
+	}
+	if err := s.captureFile.Close(); err != nil {
+		logf("capture close: %v", err)
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -359,5 +362,77 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 	if d1.Counters.Submitted != live.Submitted || d1.Counters.Completed != live.Completed {
 		t.Fatalf("replay counters (%d submitted, %d completed) diverge from the live run (%d, %d)",
 			d1.Counters.Submitted, d1.Counters.Completed, live.Submitted, live.Completed)
+	}
+}
+
+// TestServeFleetOfOne: main's one serving path at -replicas 1 with
+// -fuse and -capture. The daemon serves the fleet surface (fleet
+// stats, acks carrying the replica), fuses in the replica engine (the
+// record carries its segments), and captures the fused request with
+// its plan id.
+func TestServeFleetOfOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "capture.jsonl")
+	fs := flag.NewFlagSet("heraldd", flag.ContinueOnError)
+	cfg := bindFlags(fs)
+	if err := fs.Parse([]string{"-partition", "nvdla:512:8,shi-diannao:512:8", "-replicas", "1", "-fuse", "-capture", path}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(cfg, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.fleet.Handler())
+	defer srv.Close()
+
+	post := func(body string, out any) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/requests", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	var ack map[string]any
+	if code := post(`{"tenant":"arvr","model":"brq-handpose","arrival_cycle":0}`, &ack); code != http.StatusAccepted {
+		t.Fatalf("async submit: %d %v", code, ack)
+	}
+	if r, ok := ack["replica"]; !ok || r != float64(0) {
+		t.Errorf("ack %v does not carry replica 0", ack)
+	}
+	var rec herald.RequestRecord
+	if code := post(`{"tenant":"arvr","model":"mobilenetv2","arrival_cycle":1000,"wait":true}`, &rec); code != http.StatusOK || rec.Status != herald.StatusDone {
+		t.Fatalf("fused submit: %d %+v", code, rec)
+	}
+	if len(rec.Segments) < 2 {
+		t.Fatalf("mobilenetv2 served unfused under -fuse: %+v", rec)
+	}
+	resp, err := http.Get(srv.URL + "/v1/fleet/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/fleet/stats: %d", resp.StatusCode)
+	}
+
+	s.shutdown(context.Background(), t.Logf)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := herald.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Entries) != 2 {
+		t.Fatalf("captured %d entries, want 2", len(tr.Entries))
+	}
+	if e, want := tr.Entries[1], fmt.Sprintf("mobilenetv2/%d", len(rec.Segments)); e.Model != "mobilenetv2" || e.Plan != want {
+		t.Errorf("fused entry %+v, want plan %q", e, want)
 	}
 }

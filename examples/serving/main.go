@@ -1,12 +1,13 @@
 // Online multi-tenant serving: the runtime counterpart of the other
 // examples. A deploy-time DSE fixes the best edge-class Maelstrom
-// partitioning for the AR/VR-A workload, a heraldd-style HTTP server
-// fronts the serving engine in-process, and two tenants — an AR/VR
-// pipeline and an MLPerf multi-stream client — drive a mixed request
-// stream of 120 interleaved inference requests with jittered periodic
-// arrivals. Every request comes back with its schedule placement and
-// latency; the run ends with the per-tenant SLA/latency summary and
-// aggregate throughput a serving operator would watch.
+// partitioning for the AR/VR-A workload, heraldd's HTTP front end
+// serves it in-process as a fleet of one replica (the daemon's default
+// path), and two tenants — an AR/VR pipeline and an MLPerf
+// multi-stream client — drive a mixed request stream of 120
+// interleaved inference requests with jittered periodic arrivals.
+// Every request comes back with its schedule placement and latency;
+// the run ends with the per-tenant SLA/latency summary and aggregate
+// throughput a serving operator would watch.
 package main
 
 import (
@@ -40,8 +41,8 @@ func main() {
 	hda := res.Best.HDA
 	fmt.Printf("deploy-time DSE: %d points, serving on %v\n\n", len(res.Points), hda)
 
-	// Runtime: the serving engine behind heraldd's HTTP API.
-	engine, err := herald.NewServingEngine(cache, hda, herald.DefaultServingOptions())
+	// Runtime: a fleet of one behind heraldd's HTTP API.
+	fl, err := herald.NewReplicatedFleet(cache, hda, 1, herald.DefaultFleetOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: engine.Handler()}
+	srv := &http.Server{Handler: fl.Handler()}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
@@ -105,13 +106,14 @@ func main() {
 	}
 
 	// Drain and print the operator's dashboard.
-	var stats herald.ServingStats
+	var stats herald.FleetStats
 	if err := call("POST", base+"/v1/drain", nil, &stats); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nserved %d/%d requests, simulated throughput %.1f req/s\n",
 		stats.Completed, stats.Submitted, stats.SimThroughputRPS)
-	for i, u := range stats.Utilization {
+	engine := stats.PerReplica[0].Engine
+	for i, u := range engine.Utilization {
 		fmt.Printf("  %-24s busy %5.1f%%\n", hda.Subs[i].Name, 100*u)
 	}
 	fmt.Println("\ntenant     done   mean-lat    p50        p95        p99")
@@ -121,7 +123,7 @@ func main() {
 			cyclesToMs(ts.MeanLatencyCycles), cyclesToMs(ts.P50LatencyCycles),
 			cyclesToMs(ts.P95LatencyCycles), cyclesToMs(ts.P99LatencyCycles))
 	}
-	fmt.Printf("\ncost-model cache: %d entries shared across all requests\n", stats.CostCacheEntries)
+	fmt.Printf("\ncost-model cache: %d entries shared across all requests\n", engine.CostCacheEntries)
 }
 
 // submit posts one synchronous inference request.

@@ -588,7 +588,7 @@ type (
 	// TraceEntry is one captured request in a versioned JSONL trace.
 	TraceEntry = capture.Entry
 	// TraceRecorder streams accepted submissions to a trace writer
-	// (wire it to ServingOptions.OnAccept or FleetOptions.OnAccept).
+	// (wire it to FleetOptions.OnAccept).
 	TraceRecorder = capture.Recorder
 	// Trace is a fully-read request trace (header note + entries).
 	Trace = capture.Trace

@@ -4,8 +4,8 @@
 // (internal/replay, cmd/heraldplay).
 //
 // A recorder is hooked into live submission via fleet.Options.OnAccept
-// (or serve.Options.OnAccept for a single engine), which fires under
-// the dispatch lock with the resolved arrival cycle: live-clock
+// (heraldd serves a fleet even on one replica), which fires under the
+// dispatch lock with the resolved arrival cycle: live-clock
 // submissions are pinned to an explicit cycle at capture time, so a
 // captured trace always replays deterministically even though the
 // capturing run was wall-clock driven. The scenario generator
@@ -137,8 +137,8 @@ func (r *Recorder) Record(e Entry) error {
 }
 
 // OnAccept records one accepted submission; it has the signature of
-// fleet.Options.OnAccept and serve.Options.OnAccept, so a capture hooks
-// in as opts.OnAccept = rec.OnAccept. A write error is sticky and
+// fleet.Options.OnAccept, so a capture hooks in as
+// opts.OnAccept = rec.OnAccept. A write error is sticky and
 // surfaces at Flush.
 func (r *Recorder) OnAccept(req serve.Request, plan string) {
 	_ = r.Record(Entry{

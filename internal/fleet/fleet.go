@@ -87,7 +87,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"net/http"
 	"slices"
 	"sort"
 	"sync"
@@ -194,7 +193,8 @@ type Options struct {
 	// OnAccept, when set, is called once per accepted submission with
 	// the normalized request — model name resolved, live-clock
 	// arrivals pinned to an explicit cycle — and the fusion-plan id
-	// ("model/segments", "" when unfused). It fires under the dispatch
+	// ("model/segments", "" when unfused) from Plans or, when the
+	// engines fuse, Serve.Plans. It fires under the dispatch
 	// lock, so callback order is exactly the fleet's acceptance order;
 	// trace capture (internal/capture) hooks here. Callbacks must be
 	// fast and must not call back into the fleet. Rejected and shed
@@ -240,19 +240,6 @@ type replica struct {
 	// openedSeq is the fleet dispatch sequence at which the breaker
 	// last opened (the half-open probe window counts from here).
 	openedSeq int64
-
-	// handler lazily builds the engine's HTTP API for /v1/replicas/{i}
-	// delegation (replica sets change across migrations, so handlers
-	// are per-replica, not snapshotted at Fleet.Handler time).
-	handlerOnce sync.Once
-	handler     http.Handler
-}
-
-// httpHandler returns (building on first use) the replica engine's
-// HTTP API.
-func (r *replica) httpHandler() http.Handler {
-	r.handlerOnce.Do(func() { r.handler = r.engine.Handler() })
-	return r.handler
 }
 
 // estCycles returns the model's best-case busy cycles on this
@@ -857,6 +844,11 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	if model != nil {
 		f.mixAdd(model.Name)
 		if f.onAccept != nil {
+			// Engine-level fusion (New clears Serve.Plans when the
+			// fleet owns Plans): the replica decomposes the request.
+			if p, ok := f.serveOpts.Plans[model.Name]; ok && p.NumSegments() > 1 {
+				plan = fmt.Sprintf("%s/%d", model.Name, p.NumSegments())
+			}
 			f.onAccept(f.acceptedLocked(req, model), plan)
 		}
 	}
@@ -891,18 +883,24 @@ func (f *Fleet) acceptedLocked(req serve.Request, model *dnn.Model) serve.Reques
 // admission failure (full queue, draining engine, injected fault)
 // while feeding the circuit breaker. It returns an error only when the
 // request cannot be admitted anywhere: a client error from the first
-// engine that evaluated it, or ErrNoReplicas once every eligible
-// replica has been tried. A chain segment landing on another replica
-// than its predecessor counts a cross-replica handoff. f.mu held.
+// engine that evaluated it, or, once every eligible replica has been
+// tried, the last engine's overload rejection (a full queue stays
+// retryable overload) or else ErrNoReplicas. A chain segment landing
+// on another replica than its predecessor counts a cross-replica
+// handoff. f.mu held.
 func (f *Fleet) dispatchLocked(d *dispatch) error {
 	f.dispatchSeq++
 	cycle := f.faultCycle
 	model := d.current()
 	prev := d.replica
 	var tried map[int]bool
+	var overload error
 	for {
 		r, eta, err := f.pickLocked(model, d.req.ArrivalCycle, tried)
 		if err != nil {
+			if overload != nil {
+				return overload
+			}
 			return err
 		}
 		if tried == nil {
@@ -924,6 +922,7 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 			r.inflight.Add(-1)
 			if retryableAdmit(err) {
 				f.noteFailureLocked(r, cycle, err.Error())
+				overload = err
 				continue
 			}
 			return err

@@ -5,6 +5,8 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,6 +122,54 @@ func TestFleetFusedDispatch(t *testing.T) {
 	}
 	if sg.SegmentSpanCycles < sg.SegmentBusyCycles {
 		t.Errorf("span %d < busy %d", sg.SegmentSpanCycles, sg.SegmentBusyCycles)
+	}
+}
+
+// TestCapturePlanIDs: the capture hook reports a fused request's plan
+// id ("<model>/<segments>") whichever layer fuses it — the dispatcher
+// (Options.Plans) or the replica engines (Serve.Plans) — and "" for an
+// unfused model.
+func TestCapturePlanIDs(t *testing.T) {
+	cache := newTestCache()
+	plans := fleetPlans(t, cache, "mobilenetv2", "resnet50")
+	for _, engineLevel := range []bool{false, true} {
+		opts := DefaultOptions()
+		if engineLevel {
+			opts.Serve.Plans = plans
+		} else {
+			opts.Plans = plans
+		}
+		var got []string
+		opts.OnAccept = func(_ serve.Request, plan string) { got = append(got, plan) }
+		f, err := Replicated(cache, testHDA(t), 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for i, model := range []string{"mobilenetv2", "brq-handpose", "resnet50"} {
+			tk, err := f.Submit(serve.Request{Tenant: "ar", Model: model, ArrivalCycle: int64(i) * 400_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := tk.Wait(context.Background())
+			if err != nil || rec.Status != serve.StatusDone {
+				t.Fatalf("engine-level %v, %s: %+v %v", engineLevel, model, rec, err)
+			}
+			id := ""
+			if p, ok := plans[model]; ok {
+				id = fmt.Sprintf("%s/%d", model, p.NumSegments())
+			}
+			if len(rec.Segments) != plans[model].NumSegments() {
+				t.Errorf("engine-level %v, %s: %d segments, want %d", engineLevel, model, len(rec.Segments), plans[model].NumSegments())
+			}
+			want = append(want, id)
+		}
+		if _, err := f.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("engine-level %v: captured plan ids %q, want %q", engineLevel, got, want)
+		}
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/dnn"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // DispatchAck acknowledges an asynchronous fleet submission.
@@ -26,10 +28,10 @@ type DispatchRecord struct {
 	Replica int `json:"replica"`
 }
 
-// httpError is the JSON error body of every fleet endpoint. Code is a
-// stable machine-readable discriminator shared with the engine
-// surface (bad_request, queue_full, draining, not_found, timeout)
-// plus the fleet-only codes shed and no_replicas.
+// httpError is the JSON error body of every endpoint. Code is a
+// stable machine-readable discriminator: bad_request, not_found,
+// method_not_allowed, timeout, queue_full, shed, draining,
+// no_replicas.
 type httpError struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
@@ -48,20 +50,24 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 	writeJSON(w, status, httpError{Error: msg, Code: code})
 }
 
-// submitErrorStatus maps a fleet Submit error onto the engine error
-// contract plus the fleet-only rejections: a shed request is
-// retryable overload (429, Retry-After from the shed decision), a
-// fleet with no eligible replica is unavailable (503).
+// submitErrorStatus maps a Submit error to its HTTP status, stable
+// error code and Retry-After seconds: a full tenant queue or a shed
+// arrival is retryable overload (429; a shed carries its own
+// Retry-After), a draining fleet or one with no eligible replica is
+// unavailable (503), anything else is the client's bug (400).
 func submitErrorStatus(err error) (status int, code string, retryAfter int) {
 	var shed *ShedError
 	switch {
 	case errors.As(err, &shed):
 		return http.StatusTooManyRequests, "shed", shed.RetryAfterSeconds
+	case errors.Is(err, serve.ErrQueueFull):
+		return http.StatusTooManyRequests, "queue_full", 0
+	case errors.Is(err, serve.ErrDraining):
+		return http.StatusServiceUnavailable, "draining", 0
 	case errors.Is(err, ErrNoReplicas):
 		return http.StatusServiceUnavailable, "no_replicas", 0
 	}
-	status, code = serve.SubmitErrorStatus(err)
-	return status, code, 0
+	return http.StatusBadRequest, "bad_request", 0
 }
 
 // Handler returns the fleet's JSON-over-HTTP API:
@@ -81,12 +87,19 @@ func submitErrorStatus(err error) (status int, code string, retryAfter int) {
 //	POST /v1/drain                 drain every replica, final stats
 //	GET  /v1/models                servable model zoo
 //	GET  /v1/healthz               liveness (replica count, policy)
-//	ANY  /v1/replicas/{i}/{rest}   delegate to replica i's engine API
-//	                               (e.g. /v1/replicas/0/requests/7,
-//	                               /v1/replicas/2/schedule)
+//	GET  /v1/replicas/{i}/requests/{id}
+//	                               replica i's per-request record
+//	GET  /v1/replicas/{i}/stats    replica i's engine statistics
+//	GET  /v1/replicas/{i}/schedule replica i's committed schedule
+//	                               (trace JSON)
+//	GET  /v1/replicas/{i}/hda      replica i's accelerator
+//	GET  /v1/replicas/{i}/healthz  replica i's liveness
 //
+// The per-replica view is read-only: any other method under
+// /v1/replicas/ is 405, because a submission or drain that bypassed
+// the dispatcher would escape its accounting, capture and routing.
 // Replica ids are stable across migrations (each new generation takes
-// fresh ids); delegation resolves the replica at request time, so a
+// fresh ids); the view resolves the replica at request time, so a
 // still-retiring replica stays inspectable until it is folded.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -101,7 +114,23 @@ func (f *Fleet) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"models": dnn.Names()})
 	})
 	mux.HandleFunc("GET /v1/healthz", f.handleHealthz)
-	mux.HandleFunc("/v1/replicas/{replica}/{rest...}", f.handleReplica)
+	f.replicaRoute(mux, "requests/{id}", handleReplicaLookup)
+	f.replicaRoute(mux, "stats", func(w http.ResponseWriter, _ *http.Request, rep *replica) {
+		writeJSON(w, http.StatusOK, rep.engine.Stats())
+	})
+	f.replicaRoute(mux, "schedule", func(w http.ResponseWriter, _ *http.Request, rep *replica) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := trace.WriteJSON(w, rep.engine.Snapshot()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	f.replicaRoute(mux, "hda", func(w http.ResponseWriter, _ *http.Request, rep *replica) {
+		writeJSON(w, http.StatusOK, newHDAView(rep.engine.HDA()))
+	})
+	f.replicaRoute(mux, "healthz", func(w http.ResponseWriter, _ *http.Request, rep *replica) {
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "replica": rep.id, "generation": rep.gen})
+	})
+	mux.HandleFunc("/v1/replicas/{replica}/{rest...}", handleReplicaOther)
 	return mux
 }
 
@@ -195,24 +224,72 @@ func (f *Fleet) handleRepartition(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Status())
 }
 
-// handleReplica delegates /v1/replicas/{i}/{rest} to replica i's own
-// engine API by rewriting the path to /v1/{rest} — the whole
-// per-engine surface (request lookup, schedule export, per-replica
-// stats) stays reachable through the fleet front end. Replicas are
-// resolved by id at request time, so the surface follows migrations.
-func (f *Fleet) handleReplica(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("replica"))
-	var rep *replica
-	if err == nil {
-		rep = f.replicaByID(id)
-	}
-	if rep == nil {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf(
-			"no live replica %q (the id may belong to a retired generation; the fleet is at generation %d)",
-			r.PathValue("replica"), f.Generation()), 0)
+// replicaRoute registers GET /v1/replicas/{replica}/<rest>: h serves
+// it from the replica resolved by id at request time, so the view
+// follows migrations and failovers.
+func (f *Fleet) replicaRoute(mux *http.ServeMux, rest string, h func(http.ResponseWriter, *http.Request, *replica)) {
+	mux.HandleFunc("GET /v1/replicas/{replica}/"+rest, func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.PathValue("replica"))
+		var rep *replica
+		if err == nil {
+			rep = f.replicaByID(id)
+		}
+		if rep == nil {
+			writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf(
+				"no live replica %q (the id may belong to a retired generation; the fleet is at generation %d)",
+				r.PathValue("replica"), f.Generation()), 0)
+			return
+		}
+		h(w, r, rep)
+	})
+}
+
+// handleReplicaOther answers every /v1/replicas/ path no view route
+// serves: 405 for a non-GET method (the view is read-only), 404 for
+// an unknown view.
+func handleReplicaOther(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET, HEAD")
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			"the per-replica view is read-only; submit and drain through POST /v1/requests and POST /v1/drain", 0)
 		return
 	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = "/v1/" + r.PathValue("rest")
-	rep.httpHandler().ServeHTTP(w, r2)
+	writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no replica view %q", r.PathValue("rest")), 0)
+}
+
+func handleReplicaLookup(w http.ResponseWriter, r *http.Request, rep *replica) {
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "bad request id", 0)
+		return
+	}
+	rec, ok := rep.engine.Lookup(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no request %d on replica %d", id, rep.id), 0)
+		return
+	}
+	writeJSON(w, http.StatusOK, rec)
+}
+
+// hdaView is the GET /v1/replicas/{i}/hda payload: the accelerator a
+// replica serves on.
+type hdaView struct {
+	Name  string    `json:"name"`
+	Class string    `json:"class"`
+	Subs  []subView `json:"sub_accelerators"`
+}
+
+type subView struct {
+	Name   string  `json:"name"`
+	Style  string  `json:"style"`
+	PEs    int     `json:"pes"`
+	BWGBps float64 `json:"bw_gbps"`
+}
+
+func newHDAView(h *accel.HDA) hdaView {
+	v := hdaView{Name: h.Name, Class: h.Class.Name}
+	for _, s := range h.Subs {
+		v.Subs = append(v.Subs, subView{Name: s.Name, Style: s.Style.String(), PEs: s.HW.PEs, BWGBps: s.HW.BWGBps})
+	}
+	return v
 }

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/serve"
@@ -121,17 +124,231 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFleetHTTPTenantTraffic drives concurrent synchronous traffic
+// from two tenants through the fleet, then reads it back: per-request
+// lookup on the serving replica, the read-only replica views (engine
+// stats, committed schedule, substrate), per-tenant fleet stats after
+// drain, and the 503 a drained fleet answers.
+func TestFleetHTTPTenantTraffic(t *testing.T) {
+	_, srv := fleetServer(t)
+
+	// 2 tenants × 24 synchronous submissions each, concurrently.
+	const perTenant = 24
+	var wg sync.WaitGroup
+	records := make(chan DispatchRecord, 2*perTenant)
+	fails := make(chan string, 2*perTenant)
+	for tenant, model := range map[string]string{"arvr": "brq-handpose", "mlperf": "mobilenetv1"} {
+		for i := 0; i < perTenant; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var rec DispatchRecord
+				body := fmt.Sprintf(`{"tenant":%q,"model":%q,"arrival_cycle":%d,"sla_cycles":%d,"wait":true}`,
+					tenant, model, int64(i+1)*500_000, int64(1)<<50)
+				if code := doJSON(t, "POST", srv.URL+"/v1/requests", body, &rec); code != http.StatusOK ||
+					rec.Status != serve.StatusDone || rec.LatencyCycles <= 0 || rec.FinishCycle <= rec.StartCycle {
+					fails <- fmt.Sprintf("tenant %s req %d: code %d record %+v", tenant, i, code, rec)
+					return
+				}
+				records <- rec
+			}()
+		}
+	}
+	wg.Wait()
+	close(records)
+	close(fails)
+	for f := range fails {
+		t.Fatal(f)
+	}
+	var last DispatchRecord
+	n := 0
+	for rec := range records {
+		n++
+		last = rec
+	}
+	if n != 2*perTenant {
+		t.Fatalf("%d completions, want %d", n, 2*perTenant)
+	}
+
+	// The read-only replica views of the replica that served the last
+	// request: the request itself, engine stats, the committed schedule
+	// and the substrate.
+	base := fmt.Sprintf("%s/v1/replicas/%d", srv.URL, last.Replica)
+	var rec serve.Record
+	if code := doJSON(t, "GET", fmt.Sprintf("%s/requests/%d", base, last.ID), "", &rec); code != http.StatusOK || rec.Status != serve.StatusDone {
+		t.Fatalf("lookup %d: code %d %+v", last.ID, code, rec)
+	}
+	var rst serve.Stats
+	if code := doJSON(t, "GET", base+"/stats", "", &rst); code != http.StatusOK || rst.Completed == 0 {
+		t.Fatalf("replica stats: code %d %+v", code, rst)
+	}
+	var schedule struct {
+		Assignments []map[string]any `json:"assignments"`
+	}
+	if code := doJSON(t, "GET", base+"/schedule", "", &schedule); code != http.StatusOK || len(schedule.Assignments) == 0 {
+		t.Fatalf("replica schedule: code %d, %d assignments", code, len(schedule.Assignments))
+	}
+	var hda hdaView
+	if code := doJSON(t, "GET", base+"/hda", "", &hda); code != http.StatusOK || len(hda.Subs) != 2 || hda.Class != "edge" {
+		t.Fatalf("replica hda: code %d %+v", code, hda)
+	}
+
+	var final Stats
+	if code := doJSON(t, "POST", srv.URL+"/v1/drain", "", &final); code != http.StatusOK {
+		t.Fatalf("drain: %d", code)
+	}
+	if final.Completed != 2*perTenant || final.Pending != 0 || len(final.Tenants) != 2 {
+		t.Fatalf("final stats: %+v", final)
+	}
+	for _, ts := range final.Tenants {
+		if ts.Completed != perTenant || ts.P95LatencyCycles <= 0 {
+			t.Errorf("tenant %s: %+v", ts.Tenant, ts)
+		}
+	}
+	if code := doJSON(t, "POST", srv.URL+"/v1/requests",
+		`{"tenant":"x","model":"resnet50"}`, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("post-drain dispatch: %d, want 503", code)
+	}
+}
+
+// TestFleetHTTPArrivalCycleZero: an explicit "arrival_cycle":0 is a
+// deterministic cycle-0 arrival (replay traces depend on it), while an
+// omitted field still means "now".
+func TestFleetHTTPArrivalCycleZero(t *testing.T) {
+	_, srv := fleetServer(t)
+	for _, tc := range []struct {
+		body string
+		zero bool
+	}{
+		{`{"tenant":"replay","model":"mobilenetv1","arrival_cycle":0,"wait":true}`, true},
+		{`{"tenant":"replay","model":"mobilenetv1","wait":true}`, false},
+	} {
+		var rec DispatchRecord
+		if code := doJSON(t, "POST", srv.URL+"/v1/requests", tc.body, &rec); code != http.StatusOK || rec.Status != serve.StatusDone {
+			t.Fatalf("%s: code %d %+v", tc.body, code, rec)
+		}
+		if tc.zero && rec.ArrivalCycle != 0 {
+			t.Errorf("explicit arrival_cycle 0 rewritten to %d; replay traces are not reproducible", rec.ArrivalCycle)
+		}
+		if !tc.zero && rec.ArrivalCycle <= 0 {
+			t.Errorf("omitted arrival_cycle should mean now, got %d", rec.ArrivalCycle)
+		}
+	}
+}
+
 // TestFleetHTTPBadRequests covers malformed dispatches.
 func TestFleetHTTPBadRequests(t *testing.T) {
 	_, srv := fleetServer(t)
-	if code := doJSON(t, "POST", srv.URL+"/v1/requests", `{not json`, nil); code != http.StatusBadRequest {
-		t.Errorf("garbage body: %d, want 400", code)
+	var e httpError
+	if code := doJSON(t, "POST", srv.URL+"/v1/requests", `{not json`, &e); code != http.StatusBadRequest || e.Code != "bad_request" {
+		t.Errorf("garbage body: %d %+v, want 400 bad_request", code, e)
 	}
 	if code := doJSON(t, "POST", srv.URL+"/v1/requests", `{"tenant":"a","model":"not-a-model"}`, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown model: %d, want 400", code)
 	}
 	if code := doJSON(t, "POST", srv.URL+"/v1/requests", `{"model":"mobilenetv1"}`, nil); code != http.StatusBadRequest {
 		t.Errorf("missing tenant: %d, want 400", code)
+	}
+}
+
+// TestFleetHTTPReplicaBadRequests covers malformed lookups on the
+// per-replica view: a non-numeric id is 400, an unknown id and an
+// unknown view are 404.
+func TestFleetHTTPReplicaBadRequests(t *testing.T) {
+	_, srv := fleetServer(t)
+	if code := doJSON(t, "GET", srv.URL+"/v1/replicas/0/requests/abc", "", nil); code != http.StatusBadRequest {
+		t.Errorf("non-numeric id: %d, want 400", code)
+	}
+	var e httpError
+	if code := doJSON(t, "GET", srv.URL+"/v1/replicas/0/requests/999999", "", &e); code != http.StatusNotFound || e.Code != "not_found" {
+		t.Errorf("unknown id: %d %+v, want 404 not_found", code, e)
+	}
+	if code := doJSON(t, "GET", srv.URL+"/v1/replicas/0/nope", "", nil); code != http.StatusNotFound {
+		t.Errorf("unknown replica view: %d, want 404", code)
+	}
+}
+
+// TestFleetHTTPQueueFull: a full tenant queue is retryable overload,
+// 429 queue_full with a Retry-After header — not 503, which tells
+// clients that retrying is futile.
+func TestFleetHTTPQueueFull(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Serve.MaxQueue = 1
+	opts.Serve.Manual = true // nothing admits, so the queue stays full
+	f, err := Replicated(newTestCache(), testHDA(t), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+
+	body := `{"tenant":"a","model":"mobilenetv1","arrival_cycle":0}`
+	if code := doJSON(t, "POST", srv.URL+"/v1/requests", body, nil); code != http.StatusAccepted {
+		t.Fatalf("first submission: %d, want 202", code)
+	}
+	resp, err := http.Post(srv.URL+"/v1/requests", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e httpError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || e.Code != "queue_full" || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("full queue: %d %+v Retry-After %q, want 429 queue_full with Retry-After",
+			resp.StatusCode, e, resp.Header.Get("Retry-After"))
+	}
+	if st, err := f.Drain(context.Background()); err != nil || st.Completed != 1 {
+		t.Fatalf("drain: %+v %v", st, err)
+	}
+}
+
+// TestFleetHTTPReplicaViewReadOnly: the per-replica view cannot submit
+// or drain behind the dispatcher's back. A POST there is 405 with the
+// JSON error body, fires no capture hook, counts no submission, and
+// leaves the replica in service.
+func TestFleetHTTPReplicaViewReadOnly(t *testing.T) {
+	var accepted atomic.Int64
+	opts := DefaultOptions()
+	opts.Policy = RoundRobin
+	opts.OnAccept = func(serve.Request, string) { accepted.Add(1) }
+	f, err := Replicated(newTestCache(), testHDA(t), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+
+	for _, rest := range []string{"requests", "drain"} {
+		var e httpError
+		code := doJSON(t, "POST", srv.URL+"/v1/replicas/0/"+rest,
+			`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0,"wait":true}`, &e)
+		if code != http.StatusMethodNotAllowed || e.Code != "method_not_allowed" || e.Error == "" {
+			t.Errorf("POST /v1/replicas/0/%s: %d %+v, want 405 method_not_allowed", rest, code, e)
+		}
+	}
+	if n := accepted.Load(); n != 0 {
+		t.Errorf("OnAccept fired %d times for rejected replica-view POSTs", n)
+	}
+	if st := f.Stats(); st.Submitted != 0 {
+		t.Errorf("replica-view POSTs counted %d submissions", st.Submitted)
+	}
+
+	hit := make(map[int]int)
+	for i := 0; i < 4; i++ {
+		var rec DispatchRecord
+		if code := doJSON(t, "POST", srv.URL+"/v1/requests",
+			`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0,"wait":true}`, &rec); code != http.StatusOK {
+			t.Fatalf("dispatch %d: %d", i, code)
+		}
+		hit[rec.Replica]++
+	}
+	if hit[0] != 2 || hit[1] != 2 {
+		t.Errorf("round-robin dispatches per replica %v, want 2 each (replica 0 still in service)", hit)
+	}
+	if n := accepted.Load(); n != 4 {
+		t.Errorf("OnAccept fired %d times, want 4", n)
 	}
 }
 

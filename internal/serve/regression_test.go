@@ -5,11 +5,9 @@ package serve
 // against the pre-fix engine.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"reflect"
 	"strings"
 	"sync"
@@ -198,46 +196,6 @@ func TestTicketWaitEvictionRace(t *testing.T) {
 	}
 	if _, err := e.Drain(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHTTPArrivalCycleZero: an explicit "arrival_cycle": 0 over HTTP
-// is a deterministic cycle-0 arrival, not "now". The old handler
-// rewrote 0 to the wall clock, so replay traces could never reproduce
-// a run bit-for-bit.
-func TestHTTPArrivalCycleZero(t *testing.T) {
-	_, srv := testServer(t)
-
-	post := func(body string) Record {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/requests", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: HTTP %d", body, resp.StatusCode)
-		}
-		var rec Record
-		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-			t.Fatal(err)
-		}
-		return rec
-	}
-
-	rec := post(`{"tenant":"replay","model":"mobilenetv1","arrival_cycle":0,"wait":true}`)
-	if rec.ArrivalCycle != 0 {
-		t.Errorf("explicit arrival_cycle 0 rewritten to %d; replay traces are not reproducible", rec.ArrivalCycle)
-	}
-	if rec.Status != StatusDone {
-		t.Errorf("cycle-0 request not served: %+v", rec)
-	}
-
-	// Omitting the field still means "now" (a strictly positive wall
-	// arrival on an engine that has been up for a nonzero time).
-	rec = post(`{"tenant":"replay","model":"mobilenetv1","wait":true}`)
-	if rec.ArrivalCycle <= 0 {
-		t.Errorf("omitted arrival_cycle should mean now, got %d", rec.ArrivalCycle)
 	}
 }
 

@@ -30,8 +30,9 @@
 // backlog horizon), Stats / TenantWindows (aggregate and per-tenant
 // raw statistics; fleets merge windows across replicas), Snapshot (the
 // committed schedule), and Options.OnRequestDone (a per-completion
-// callback outside the engine's locks). Handler exposes the same
-// surface as a JSON-over-HTTP API.
+// callback outside the engine's locks). The JSON-over-HTTP front end
+// is the fleet's (internal/fleet); this package keeps only its wire
+// type, SubmitRequest.
 package serve
 
 import (
@@ -107,18 +108,6 @@ type Options struct {
 	// to one built before the elastic surface existed (the golden
 	// fingerprints pin it).
 	Elastic bool
-
-	// OnAccept, when set, is called once per accepted submission with
-	// the normalized request — model name resolved, live-clock
-	// arrivals pinned to an explicit cycle — and the fusion-plan id
-	// ("model/segments", "" when unfused). It fires under the engine
-	// lock, so callback order is exactly the admission order; trace
-	// capture (internal/capture) hooks here. Callbacks must be fast
-	// and must not call back into the engine. A fleet wires
-	// fleet.Options.OnAccept instead: engine-level hooks on fleet
-	// replicas would also see failover re-admissions and dispatched
-	// segments, double-counting requests.
-	OnAccept func(req Request, plan string)
 }
 
 // Overload conditions: submissions failing with one of these should
@@ -559,11 +548,6 @@ func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record))
 	}
 	e.queues[req.Tenant] = append(e.queues[req.Tenant], p)
 	e.npending++
-	if e.opts.OnAccept != nil {
-		ar := req
-		ar.Model, ar.ArrivalCycle = model.Name, arrival
-		e.opts.OnAccept(ar, "")
-	}
 	e.cond.Signal()
 	return &Ticket{ID: rec.ID, rec: rec, done: p.done}, nil
 }
@@ -637,11 +621,6 @@ func (e *Engine) submitFused(req Request, model *dnn.Model, plan dse.SegmentPlan
 		})
 	}
 	e.npending += len(segModels)
-	if e.opts.OnAccept != nil {
-		ar := req
-		ar.Model, ar.ArrivalCycle = model.Name, arrival
-		e.opts.OnAccept(ar, fmt.Sprintf("%s/%d", model.Name, len(segModels)))
-	}
 	e.cond.Signal()
 	return &Ticket{ID: rec.ID, rec: rec, done: ch.done}, nil
 }
