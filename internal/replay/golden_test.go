@@ -38,6 +38,7 @@ var goldenArms = []goldenArm{
 	{"ladder", []string{"-window", "16", "-pe-units", "4", "-bw-units", "2", "-mix-half-life", "64",
 		"-max-queue", "4096", "-repartition"}},
 	{"ladder-preempt", preemptArgs},
+	{"fuse-w16", []string{"-window", "16", "-fuse"}},
 }
 
 // preemptArgs arms the ladder's preemption rung on top of the
@@ -86,7 +87,8 @@ func corpusTrace(t *testing.T, name string) *capture.Trace {
 
 // armOptions builds what heraldplay builds for the given flags, through
 // the same flag family: three replicas of heraldplay's default
-// partition, fleet options, ladder and sweeper from config.Serving.
+// partition, fleet options, fusion plans, ladder and sweeper from
+// config.Serving.
 func armOptions(t *testing.T, cache *maestro.Cache, args []string) ([]*accel.HDA, Options) {
 	t.Helper()
 	fs := flag.NewFlagSet("heraldplay", flag.ContinueOnError)
@@ -101,6 +103,9 @@ func armOptions(t *testing.T, cache *maestro.Cache, args []string) ([]*accel.HDA
 	}
 	o := Options{Window: *window}
 	if o.Fleet, err = sv.FleetOptions(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Fleet.Serve.Plans, err = sv.Plans(cache, hda, nil); err != nil {
 		t.Fatal(err)
 	}
 	if o.Controller, err = sv.Ladder.Options(); err != nil {
