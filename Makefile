@@ -23,9 +23,11 @@ test:
 
 # race runs the concurrency-sensitive packages under the race detector
 # (the sharded cost cache, the scheduler, the DSE worker pool, the
-# serving engine, the fleet dispatcher).
+# serving engine, the fleet dispatcher, and the replay harness, whose
+# replays run Fleet.Admit's per-engine goroutines and fused
+# completion hooks).
 race:
-	$(GO) test -race ./internal/maestro ./internal/sched ./internal/dse ./internal/serve ./internal/fleet
+	$(GO) test -race ./internal/maestro ./internal/sched ./internal/dse ./internal/serve ./internal/fleet ./internal/replay
 
 # smoke builds and runs the end-to-end examples that exercise the
 # serving stack (fast, deterministic; CI runs this per PR): heraldd's

@@ -36,10 +36,12 @@
 // searches each zoo model's fusion cuts on the serving HDA (bounded by
 // -max-segments) and admits each request for a splitting model as a
 // chain of per-segment instances, so consecutive requests pipeline
-// across sub-accelerators. At -replicas 1 the replica engine fuses
-// (scheduler precedence chains); with more replicas the dispatcher
-// routes each segment cost-aware across replicas. GET /v1/stats
-// reports the segment counters.
+// across sub-accelerators. The fleet picks the layer that fuses: when
+// every replica serves the same partition (any -replicas without
+// -fleet-topk) the replica engine chains the segments; on a
+// heterogeneous -fleet-topk fleet the dispatcher routes each segment
+// cost-aware across replicas. heraldplay replays a capture at the same
+// layer. GET /v1/stats reports the segment counters.
 // -mix-half-life makes the resweep probe's observed mix exponentially
 // decayed instead of all-time.
 //
@@ -233,15 +235,8 @@ func newServer(cfg *flags, logf func(string, ...any)) (_ *server, err error) {
 		}
 	}
 
-	plans, err := sv.Plans(cache, hdas[0], logf)
-	if err != nil {
+	if fopts.Serve.Plans, err = sv.Plans(cache, hdas[0], logf); err != nil {
 		return nil, err
-	}
-	if len(hdas) == 1 {
-		// One replica fuses in its engine: 16 staggered render/track pairs on the edge NVDLA+Shi-diannao HDA drain in 64.6M cycles there vs 69.1M under fleet-level plans.
-		fopts.Serve.Plans = plans
-	} else {
-		fopts.Plans = plans
 	}
 	if cfg.resweepEvery > 0 {
 		if fopts.Sweeper, err = sv.Sweeper(cache, cfg.strategy); err != nil {

@@ -436,3 +436,47 @@ func TestServeFleetOfOne(t *testing.T) {
 		t.Errorf("fused entry %+v, want plan %q", e, want)
 	}
 }
+
+// TestServeFuseAtEngineLayer: at -replicas 2 -fuse the daemon's two
+// replicas serve one partition, so each fused request goes whole to
+// one replica engine, which chains its segments — the layer heraldplay
+// replays the same flags at (cmd/heraldplay TestFuseAtEngineLayer).
+// No segment crosses replicas, and every segment carries the replica
+// that served the request.
+func TestServeFuseAtEngineLayer(t *testing.T) {
+	fs := flag.NewFlagSet("heraldd", flag.ContinueOnError)
+	cfg := bindFlags(fs)
+	if err := fs.Parse([]string{"-partition", "nvdla:512:8,shi-diannao:512:8", "-replicas", "2", "-fuse"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(cfg, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var tickets []*herald.FleetTicket
+	for i := 0; i < n; i++ {
+		tk, err := s.fleet.Submit(herald.InferenceRequest{Tenant: "arvr", Model: "mobilenetv2", ArrivalCycle: int64(i) * 500_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for i, tk := range tickets {
+		rec, err := tk.Wait(context.Background())
+		if err != nil || rec.Status != herald.StatusDone || len(rec.Segments) < 2 {
+			t.Fatalf("request %d: %+v %v", i, rec, err)
+		}
+		for k, sr := range rec.Segments {
+			if sr.Replica != tk.Served() {
+				t.Errorf("request %d segment %d on replica %d, request served by %d", i, k, sr.Replica, tk.Served())
+			}
+		}
+	}
+	s.shutdown(context.Background(), t.Logf)
+	st := s.fleet.Stats()
+	if st.CrossReplicaHandoffs != 0 || st.Segments.FusedCompleted != n || st.Submitted != n {
+		t.Errorf("%d cross-replica handoffs, %d fused completed, %d submitted; want 0, %d, %d",
+			st.CrossReplicaHandoffs, st.Segments.FusedCompleted, st.Submitted, n, n)
+	}
+}

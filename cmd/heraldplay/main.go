@@ -33,8 +33,9 @@
 // both heraldplay and cmd/heraldd, so a replay given the daemon's
 // flags rebuilds the daemon's configuration; -partition defaults to
 // the even nvdla:512:8,shi-diannao:512:8 edge split here. -fuse fuses
-// inside each replica engine. Only -gen, -diff, -trace, -o and
-// -window are heraldplay's own.
+// where heraldd's fleet would: the replicas share one partition, so
+// each replica engine chains the segments. Only -gen, -diff, -trace,
+// -o and -window are heraldplay's own.
 //
 // A live incident exports through the daemon: capture the trace with
 // heraldd -capture, export the fault log from GET /v1/fleet/decisions,
@@ -118,8 +119,6 @@ func runReplay(sv *config.Serving, tracePath string, window int, outPath string,
 		return err
 	}
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	// Engine-level fusion: each replica engine decomposes and
-	// pipelines internally, which replays deterministically.
 	if opts.Fleet.Serve.Plans, err = sv.Plans(cache, hda, nil); err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,4 +64,35 @@ func goldenDigests(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	return digests
+}
+
+// TestFuseAtEngineLayer: heraldplay -replicas 2 -fuse replays on two
+// copies of one partition, so the replica engines fuse — the layer
+// heraldd serves the same flags at (cmd/heraldd
+// TestServeFuseAtEngineLayer): every request of the corpus trace is
+// fused, and no segment crosses replicas.
+func TestFuseAtEngineLayer(t *testing.T) {
+	args := []string{"-trace", filepath.Join("..", "..", "testdata", "scenarios", "zipf.trace.jsonl"),
+		"-replicas", "2", "-fuse", "-window", "16"}
+	var out bytes.Buffer
+	if code := run(args, &out); code != 0 {
+		t.Fatalf("heraldplay %v exited %d", args, code)
+	}
+	var d struct {
+		Counters struct {
+			Submitted            int64 `json:"submitted"`
+			CrossReplicaHandoffs int64 `json:"cross_replica_handoffs"`
+			Segments             struct {
+				FusedRequests int64 `json:"fused_requests"`
+			} `json:"segments"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &d); err != nil {
+		t.Fatal(err)
+	}
+	c := d.Counters
+	if c.Segments.FusedRequests == 0 || c.Segments.FusedRequests != c.Submitted || c.CrossReplicaHandoffs != 0 {
+		t.Errorf("%d submitted, %d fused, %d cross-replica handoffs; want every request fused in its engine",
+			c.Submitted, c.Segments.FusedRequests, c.CrossReplicaHandoffs)
+	}
 }

@@ -1,7 +1,9 @@
 // Layer-fused segment serving: split each model into contiguous layer
 // segments at the dataflow-preference boundaries (dse.PlanSegments),
 // then serve each request as a precedence chain of per-segment
-// instances the fleet dispatcher routes independently.
+// instances. The replicas here serve different partitions, so the
+// fleet dispatcher routes each segment independently (on identical
+// replicas it would route the whole request to one engine instead).
 //
 // The demo drives the same back-to-back AR/VR burst through a
 // dataflow-specialized fleet — one NVDLA FDA replica and one
@@ -18,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
 
 	herald "repro"
 )
@@ -70,13 +71,13 @@ func main() {
 	}
 	hdas := []*herald.HDA{nvdla, shi}
 
-	unfused, ulat := drive(cache, hdas, nil)
-	fused, flat := drive(cache, hdas, plans)
+	unfused := drive(cache, hdas, nil)
+	fused := drive(cache, hdas, plans)
 
 	fmt.Println("=== unfused (whole-model requests, cost-aware routing) ===")
-	report(unfused, ulat)
+	report(unfused)
 	fmt.Println("=== fused (segment chains, cost-aware per-segment routing) ===")
-	report(fused, flat)
+	report(fused)
 
 	sg := fused.Segments
 	fmt.Printf("fused served %d requests as %d segments, %d cross-replica handoffs\n",
@@ -84,29 +85,25 @@ func main() {
 	fmt.Printf("pipeline overlap: %.2f ms of handoff bubbles over %.2f ms of segment span\n",
 		ms(sg.HandoffBubbleCycles), ms(sg.SegmentSpanCycles))
 	fmt.Printf("burst makespan %.2f ms -> %.2f ms: %.2fx from segment pipelining\n",
-		ms(makespan(unfused)), ms(makespan(fused)),
-		float64(makespan(unfused))/float64(makespan(fused)))
+		ms(unfused.MakespanCycles), ms(fused.MakespanCycles),
+		float64(unfused.MakespanCycles)/float64(fused.MakespanCycles))
 }
 
 // drive submits the AR/VR burst (every request arrives at cycle 0 —
 // the regime where whole-request dispatch strands each request on one
-// dataflow), waits for every completion, and drains the fleet. It
-// returns the fleet stats plus per-tenant request latencies taken
-// from the merged records, so fused and unfused runs compare at the
-// same granularity (a fused request's latency ends at its last
-// segment's completion).
-func drive(cache *herald.CostCache, hdas []*herald.HDA, plans map[string]herald.SegmentPlan) (herald.FleetStats, map[string][]int64) {
+// dataflow), waits for every completion, drains the fleet and returns
+// its stats. The fleet counts a fused request once, on its merged
+// record, so fused and unfused tenant latencies compare at the same
+// granularity (a fused request's latency ends at its last segment's
+// completion).
+func drive(cache *herald.CostCache, hdas []*herald.HDA, plans map[string]herald.SegmentPlan) herald.FleetStats {
 	opts := herald.DefaultFleetOptions()
-	opts.Plans = plans
+	opts.Serve.Plans = plans
 	f, err := herald.NewFleet(cache, hdas, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	type sub struct {
-		tenant string
-		ticket *herald.FleetTicket
-	}
-	var tickets []sub
+	var tickets []*herald.FleetTicket
 	for i := 0; i < pairs; i++ {
 		for _, rq := range []struct{ tenant, model string }{
 			{"render", "mobilenetv2"},
@@ -118,61 +115,36 @@ func drive(cache *herald.CostCache, hdas []*herald.HDA, plans map[string]herald.
 			if err != nil {
 				log.Fatalf("%s %s: %v", rq.tenant, rq.model, err)
 			}
-			tickets = append(tickets, sub{rq.tenant, t})
+			tickets = append(tickets, t)
 		}
 	}
-	lat := make(map[string][]int64)
-	for _, s := range tickets {
-		rec, err := s.ticket.Wait(context.Background())
+	for _, t := range tickets {
+		rec, err := t.Wait(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
 		if rec.Status != herald.StatusDone {
 			log.Fatalf("request %d failed: %s", rec.ID, rec.Err)
 		}
-		lat[s.tenant] = append(lat[s.tenant], rec.LatencyCycles)
 	}
 	st, err := f.Drain(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	return st, lat
+	return st
 }
 
-// makespan is the latest committed cycle across the fleet's replicas:
-// when the burst finishes on the slowest engine.
-func makespan(st herald.FleetStats) int64 {
-	var m int64
-	for _, rs := range st.PerReplica {
-		if rs.Engine.MakespanCycles > m {
-			m = rs.Engine.MakespanCycles
-		}
-	}
-	return m
-}
-
-func report(st herald.FleetStats, lat map[string][]int64) {
-	fmt.Printf("burst of %d requests done in %.2f ms\n", 2*pairs, ms(makespan(st)))
+func report(st herald.FleetStats) {
+	fmt.Printf("burst of %d requests done in %.2f ms\n", st.Completed, ms(st.MakespanCycles))
 	for _, rs := range st.PerReplica {
 		fmt.Printf("  replica %d %-28s dispatched %3d, busy %6.2f ms\n",
 			rs.Replica, rs.HDA, rs.Dispatched, ms(rs.Engine.MakespanCycles))
 	}
-	for _, tenant := range []string{"render", "track"} {
-		ls := append([]int64(nil), lat[tenant]...)
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	for _, ts := range st.Tenants {
 		fmt.Printf("  %-9s done %3d  request p50 %7.2f ms  p99 %7.2f ms\n",
-			tenant, len(ls), ms(quantile(ls, 0.50)), ms(quantile(ls, 0.99)))
+			ts.Tenant, ts.Completed, ms(ts.P50LatencyCycles), ms(ts.P99LatencyCycles))
 	}
 	fmt.Println()
-}
-
-// quantile reads the q-th quantile of sorted latencies.
-func quantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // ms converts cycles to milliseconds at the 1 GHz reference clock.

@@ -7,7 +7,10 @@ package herald
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // fusedFleetSetup builds the fused-vs-unfused comparison fixture: a
@@ -51,14 +54,16 @@ func fusedFleetSetup(tb testing.TB, cache *CostCache) ([]*HDA, map[string]Segmen
 
 // driveFusedBurst submits pairs of render/track requests arriving at
 // cycle 0, waits for every merged completion, drains, and returns the
-// burst makespan (latest committed cycle across replicas) with the
-// final fleet stats. A manual fleet admits the burst with one Admit
-// call, so its makespan is a function of the burst alone; a live fleet
-// admits as the requests arrive, the way heraldd serves them.
-func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[string]SegmentPlan, pairs int, manual bool) (int64, FleetStats) {
+// final fleet stats (MakespanCycles is the burst makespan, the latest
+// committed cycle across replicas) with the requests' final records.
+// The replicas serve different partitions, so the dispatcher fuses. A
+// manual fleet admits the burst with one Admit call, so its makespan
+// is a function of the burst alone; a live fleet admits as the
+// requests arrive, the way heraldd serves them.
+func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[string]SegmentPlan, pairs int, manual bool) (FleetStats, []RequestRecord) {
 	tb.Helper()
 	opts := DefaultFleetOptions()
-	opts.Plans = plans
+	opts.Serve.Plans = plans
 	opts.Serve.Manual = manual
 	f, err := NewFleet(cache, hdas, opts)
 	if err != nil {
@@ -77,6 +82,7 @@ func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[str
 	if manual {
 		f.Admit()
 	}
+	recs := make([]RequestRecord, 0, len(tickets))
 	for _, t := range tickets {
 		rec, err := t.Wait(context.Background())
 		if err != nil {
@@ -85,18 +91,13 @@ func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[str
 		if rec.Status != StatusDone {
 			tb.Fatalf("request %d: %q err %q", rec.ID, rec.Status, rec.Err)
 		}
+		recs = append(recs, rec)
 	}
 	st, err := f.Drain(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var span int64
-	for _, rs := range st.PerReplica {
-		if rs.Engine.MakespanCycles > span {
-			span = rs.Engine.MakespanCycles
-		}
-	}
-	return span, st
+	return st, recs
 }
 
 // TestFusedServingImprovement pins the fused speedup the benchmark
@@ -115,13 +116,15 @@ func TestFusedServingImprovement(t *testing.T) {
 		manual bool
 	}{{"live", false}, {"manual", true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			unfused, _ := driveFusedBurst(t, cache, hdas, nil, pairs, mode.manual)
-			fused, st := driveFusedBurst(t, cache, hdas, plans, pairs, mode.manual)
+			ust, _ := driveFusedBurst(t, cache, hdas, nil, pairs, mode.manual)
+			st, _ := driveFusedBurst(t, cache, hdas, plans, pairs, mode.manual)
+			unfused, fused := ust.MakespanCycles, st.MakespanCycles
 
 			if fused <= 0 || unfused <= 0 {
 				t.Fatalf("degenerate makespans: unfused %d, fused %d", unfused, fused)
 			}
 			speedup := float64(unfused) / float64(fused)
+			t.Logf("burst makespan %d unfused, %d fused: %.3fx", unfused, fused, speedup)
 			if speedup < 1.15 {
 				t.Errorf("fused burst makespan %d vs unfused %d: %.3fx, want >= 1.15x", fused, unfused, speedup)
 			}
@@ -136,5 +139,37 @@ func TestFusedServingImprovement(t *testing.T) {
 				t.Errorf("segment conservation: %+v, want %d", sg, wantSegs)
 			}
 		})
+	}
+}
+
+// TestFusedRequestsCountOnce: the dispatcher fuses the AR/VR burst on
+// the FDA pair, and the fleet counts each fused request once — in
+// submitted and completed, and in its tenant's latency window, whose
+// p99 is the p99 of the merged records' request latencies.
+func TestFusedRequestsCountOnce(t *testing.T) {
+	cache := NewCostCache(DefaultEnergyTable())
+	hdas, plans := fusedFleetSetup(t, cache)
+	const pairs = 16
+	st, recs := driveFusedBurst(t, cache, hdas, plans, pairs, true)
+	if st.Submitted != 2*pairs || st.Completed != 2*pairs {
+		t.Fatalf("submitted %d, completed %d: want %d fused requests counted once", st.Submitted, st.Completed, 2*pairs)
+	}
+	if st.CrossReplicaHandoffs == 0 {
+		t.Fatal("no segment crossed replicas: the dispatcher did not fuse")
+	}
+	lat := make(map[string][]int64)
+	for _, rec := range recs {
+		lat[rec.Tenant] = append(lat[rec.Tenant], rec.LatencyCycles)
+	}
+	if len(st.Tenants) != len(lat) {
+		t.Fatalf("%d tenant rows, want %d", len(st.Tenants), len(lat))
+	}
+	for _, ts := range st.Tenants {
+		ls := lat[ts.Tenant]
+		slices.Sort(ls)
+		if ts.Submitted != int64(len(ls)) || ts.P99LatencyCycles != serve.Percentile(ls, 99) {
+			t.Errorf("%s: %d submitted, p99 %d; want %d requests, p99 %d of the merged records",
+				ts.Tenant, ts.Submitted, ts.P99LatencyCycles, len(ls), serve.Percentile(ls, 99))
+		}
 	}
 }

@@ -438,8 +438,10 @@ type (
 // period (ties: fewer segments, then smaller chain latency).
 // maxSegments <= 1, or a single-sub HDA, yields the unfused
 // single-segment plan. Feed the winning plans to
-// ServingOptions.Plans (engine-level fusion within one HDA) or
-// FleetOptions.Plans (fleet-level fusion with cross-replica routing).
+// ServingOptions.Plans: an engine chains a fused request's segments
+// within its HDA, and a fleet routes the request whole to one engine
+// when its replicas serve one partition, or routes each segment across
+// replicas when they differ.
 func PlanSegments(cache *CostCache, h *HDA, m *Model, o SearchObjective, maxSegments int) (SegmentPlan, error) {
 	return dse.PlanSegments(cache, h, m, o, maxSegments)
 }

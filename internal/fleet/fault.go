@@ -517,14 +517,13 @@ func (f *Fleet) failoverLocked(cycle int64) {
 
 // failTicketLocked terminates a failed-over request that no replica
 // could take: its ticket resolves with a fleet-synthesized failed
-// record (for a fused chain, the merged record with the lost segment
-// failed). The lost admission is no longer in any engine's accounting
+// record (for a dispatcher-fused chain, the merged record with the
+// lost segment failed, which the fleet's fused ledger counts). A whole
+// request's lost admission is no longer in any engine's accounting
 // (the crash rolled it back), so fleet aggregates count it via
 // lostFailed — added to both Submitted and Failed, keeping
 // conservation exact. f.mu held.
 func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
-	f.lostFailed++
-	f.lostFailedT[d.req.Tenant]++
 	f.noteDecisionLocked(cycle, "failover-fail", -1,
 		fmt.Sprintf("request %d (tenant %q): %s", d.t.ID, d.req.Tenant, reason))
 	if d.segs != nil {
@@ -536,7 +535,8 @@ func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 		f.finishChainLocked(d)
 		return
 	}
-	f.tenantOutDec(d.req.Tenant)
+	f.lostFailed++
+	f.lostFailedT[d.req.Tenant]++
 	rec := serve.Record{
 		ID:           d.t.ID,
 		Tenant:       d.req.Tenant,
@@ -547,9 +547,7 @@ func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 		SLACycles:    d.req.SLACycles,
 		Err:          "failover: " + reason,
 	}
-	d.t.rec = &rec
-	d.t.served = -1
-	close(d.t.done)
+	f.resolveTicket(d, &rec, -1)
 }
 
 // applyRecoverLocked heals a replica: a crashed one is rebuilt as a

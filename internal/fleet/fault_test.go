@@ -55,7 +55,7 @@ func snapOf(st Stats) consSnap {
 }
 
 // crashScenario stages the acceptance scenario: a two-replica fleet
-// with a FaultPlan crashing replica 0 mid-flight, one plain request
+// on a mixed replica set (so the dispatcher fuses) with a FaultPlan crashing replica 0 mid-flight, one plain request
 // and one fused chain segment queued on the dying replica, both
 // failed over to the survivor. Returns the decision log and the
 // deterministic stats slice for replay comparison.
@@ -66,10 +66,10 @@ func crashScenario(t *testing.T) ([]FaultDecision, consSnap) {
 	plans := fleetPlans(t, cache, "mobilenetv2")
 	opts := DefaultOptions()
 	opts.Policy = RoundRobin // position-based routing: fully deterministic
-	opts.Plans = plans
+	opts.Serve.Plans = plans // on the mixed set, the dispatcher fuses
 	opts.Faults = mustPlan(t, FaultEvent{Cycle: crashCycle, Replica: 0, Kind: FaultCrash})
 	opts.Serve.Manual = true // nothing admits unless the test says so
-	f, err := Replicated(cache, testHDA(t), 2, opts)
+	f, err := New(cache, mixedHDAs(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +189,66 @@ func TestFaultCrashFailoverConservation(t *testing.T) {
 	}
 	if st1 != st2 {
 		t.Errorf("final stats differ across replays:\n  first: %+v\n second: %+v", st1, st2)
+	}
+}
+
+// TestFaultEngineFusedChainCountsOnce: on identical replicas a fused
+// request queued whole on a crashing replica is extracted with its
+// chain and failed over; the survivor's engine chains it again, and
+// the fleet's fused ledger counts the request once — the crashed
+// engine's loss stays a per-engine reading.
+func TestFaultEngineFusedChainCountsOnce(t *testing.T) {
+	const crashCycle = 1_000_000
+	cache := newTestCache()
+	plans := fleetPlans(t, cache, "mobilenetv2")
+	opts := DefaultOptions()
+	opts.Policy = RoundRobin
+	opts.Serve.Plans = plans
+	opts.Faults = mustPlan(t, FaultEvent{Cycle: crashCycle, Replica: 0, Kind: FaultCrash})
+	opts.Serve.Manual = true
+	f, err := Replicated(cache, testHDA(t), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := f.Submit(serve.Request{Tenant: "ar", Model: "mobilenetv2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.Replica != 0 {
+		t.Fatalf("fused request routed to %d, want replica 0", fused.Replica)
+	}
+	// The trigger arrival crashes replica 0 with the whole chain queued.
+	if _, err := f.Submit(serve.Request{Tenant: "t", Model: "mobilenetv1", ArrivalCycle: crashCycle}); err != nil {
+		t.Fatal(err)
+	}
+	f.Admit()
+	rec, err := fused.Wait(context.Background())
+	if err != nil || rec.Status != serve.StatusDone || fused.Served() != 1 {
+		t.Fatalf("fused request: %+v %v, served by %d (want survivor 1)", rec, err, fused.Served())
+	}
+	for k, sr := range rec.Segments {
+		if sr.Replica != 1 {
+			t.Errorf("segment %d stamped replica %d, want survivor 1", k, sr.Replica)
+		}
+	}
+	st, err := f.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(plans["mobilenetv2"].NumSegments())
+	sg := st.Segments
+	if sg.FusedRequests != 1 || sg.FusedCompleted != 1 || sg.FusedLost != 0 || sg.Segments != n || sg.SegmentsCompleted != n {
+		t.Errorf("fused ledger %+v: want one request of %d segments, completed once", sg, n)
+	}
+	if st.Submitted != 2 || st.Completed != 2 || st.Failovers != 1 {
+		t.Errorf("submitted %d, completed %d, failovers %d; want 2, 2, 1", st.Submitted, st.Completed, st.Failovers)
+	}
+	var engineLost int64
+	for _, rs := range st.PerReplica {
+		engineLost += rs.Engine.Segments.FusedLost
+	}
+	if engineLost != 1 {
+		t.Errorf("engines report %d lost chains, want the crashed one", engineLost)
 	}
 }
 

@@ -156,21 +156,6 @@ type Options struct {
 	// fires to learn whether workload drift has moved the optimum.
 	Sweeper *dse.Sweeper
 
-	// Plans maps model names to fusion plans (dse.Result.SegmentPlans).
-	// When set, the FLEET owns fusion: a request whose model has a
-	// multi-segment plan is decomposed at dispatch — each segment is
-	// routed independently (so the horizon ledger can move a segment to
-	// another replica when its ETA favors it), chained by completion
-	// (segment k's completion hook releases segment k+1, with k's
-	// finish cycle as its arrival, for Admit to route; a live fleet runs
-	// Admit on a relay goroutine), and merged into one record under
-	// one ticket. Replica engines then receive
-	// plain segment submissions (their own Plans are stripped to avoid
-	// double decomposition). Leave nil and set Serve.Plans instead to
-	// fuse within each replica engine (scheduler precedence + handoff
-	// buffers, no cross-replica segment routing).
-	Plans map[string]dse.SegmentPlan
-
 	// MixHalfLife sets the observed-mix decay half-life, in accepted
 	// submissions: each model's mix weight halves every MixHalfLife
 	// subsequent accepted submissions, so ObservedMix (and with it the
@@ -193,10 +178,9 @@ type Options struct {
 	// OnAccept, when set, is called once per accepted submission with
 	// the normalized request — model name resolved, live-clock
 	// arrivals pinned to an explicit cycle — and the fusion-plan id
-	// ("model/segments", "" when unfused) from Plans or, when the
-	// engines fuse, Serve.Plans. It fires under the dispatch
-	// lock, so callback order is exactly the fleet's acceptance order;
-	// trace capture (internal/capture) hooks here. Callbacks must be
+	// ("model/segments", "" when unfused) from Serve.Plans. It fires
+	// under the dispatch lock, so callback order is exactly the fleet's
+	// acceptance order; trace capture (internal/capture) hooks here. Callbacks must be
 	// fast and must not call back into the fleet. Rejected and shed
 	// submissions do not fire it.
 	OnAccept func(req serve.Request, plan string)
@@ -304,16 +288,13 @@ type Fleet struct {
 	mixTick  int64                // guarded by mu
 	mixDecay float64              // per-submission multiplier; 1 = no decay (construction-set, immutable)
 
-	// plans is the fleet-owned fusion table (Options.Plans).
-	plans map[string]dse.SegmentPlan
-	// segStats / crossHandoffs accumulate fleet-level fused counters
-	// (under mu). Engines in a fleet-fused deployment see only plain
-	// segment submissions, so these are the only fused counters.
-	segStats      serve.SegmentStats // guarded by mu
-	crossHandoffs int64              // guarded by mu
-	// ready parks the fused chains whose next segment a completion hook
-	// released, keyed by the replica that finished the predecessor;
-	// Admit routes them in replica-id order. readyCond (on mu) wakes the
+	// crossHandoffs counts dispatcher-fused segments routed to another
+	// replica than their predecessor.
+	crossHandoffs int64 // guarded by mu
+	// ready parks the dispatcher-fused chains whose segment a completion
+	// hook finished, keyed by the replica that ran it; Admit settles them
+	// in replica-id order, resolving a finished chain or routing the
+	// next segment of a live one. readyCond (on mu) wakes the
 	// relay goroutine that runs Admit for a live fleet, and relayStop,
 	// set by Drain, ends it. Guarded by mu.
 	ready     map[int][]*dispatch
@@ -365,6 +346,14 @@ type Fleet struct {
 	outIdle   *sync.Cond
 	lostQ     []*dispatch      // guarded by outMu
 	tenantOut map[string]int64 // guarded by outMu
+
+	// The fused-request ledger, folded from each fused request's final
+	// merged record at ticket resolution whichever layer fused it, so
+	// a failed-over chain counts once. fusedT holds the tenant windows
+	// of dispatcher-fused requests: engines keep the segments out of
+	// their tenant ledgers, so this is the requests' only count.
+	segStats serve.SegmentStats             // guarded by outMu
+	fusedT   map[string]*serve.TenantWindow // guarded by outMu
 }
 
 // retiredHistory is the folded statistics of retired and
@@ -376,7 +365,6 @@ type retiredHistory struct {
 	lost                                   int64 // crash-extracted requests (failover re-admits them)
 	preemptions, resumes, reassigns        int64 // elastic counters of retired engines
 	makespan                               int64
-	segments                               serve.SegmentStats
 	tenants                                map[string]*serve.TenantWindow
 }
 
@@ -405,11 +393,11 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 		mix:         make(map[string]*mixEntry),
 		mixDecay:    1,
 		sweeper:     opts.Sweeper,
-		plans:       opts.Plans,
 		health:      opts.Health.withDefaults(),
 		shedT:       make(map[string]int64),
 		lostFailedT: make(map[string]int64),
 		tenantOut:   make(map[string]int64),
+		fusedT:      make(map[string]*serve.TenantWindow),
 		ready:       make(map[int][]*dispatch),
 		onAccept:    opts.OnAccept,
 	}
@@ -427,10 +415,6 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 	if opts.MixHalfLife > 0 {
 		f.mixDecay = math.Exp2(-1 / float64(opts.MixHalfLife))
 	}
-	if len(f.plans) > 0 {
-		// Fleet-owned fusion: engines must not decompose again.
-		f.serveOpts.Plans = nil
-	}
 	rs, err := f.buildReplicas(hdas)
 	if err != nil {
 		return nil, err
@@ -440,7 +424,7 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 	}
 	f.replicas = rs
 	f.nextID = len(rs)
-	if !f.serveOpts.Manual && len(f.plans) > 0 {
+	if !f.serveOpts.Manual && len(f.serveOpts.Plans) > 0 {
 		go f.relay()
 	}
 	return f, nil
@@ -606,10 +590,12 @@ func (t *Ticket) Served() int {
 // terminal record closes the ticket, a StatusLost record (replica
 // crash) queues the dispatch for failover instead.
 //
-// A fused request (segs set) is one dispatch for its whole segment
-// chain: seg is the segment in flight, req.ArrivalCycle that segment's
-// arrival (the predecessor's finish cycle past segment 0), and rec the
-// merged record the completed segments fold into.
+// A fused request (nsegs > 0) is one dispatch for its whole segment
+// chain. On a uniform fleet it is admitted whole and the engine chains
+// the segments; otherwise the dispatcher decomposes it (segs set): seg
+// is the segment in flight, req.ArrivalCycle that segment's arrival
+// (the predecessor's finish cycle past segment 0), and rec the merged
+// record the completed segments fold into.
 type dispatch struct {
 	f     *Fleet
 	req   serve.Request
@@ -622,9 +608,10 @@ type dispatch struct {
 	// before the engine sees the request (so resolve reads it safely).
 	replica int
 
-	segs []*dnn.Model
-	seg  int
-	rec  *serve.Record
+	nsegs int
+	segs  []*dnn.Model
+	seg   int
+	rec   *serve.Record
 }
 
 // current is the model of the admission in flight: the segment for a
@@ -649,11 +636,12 @@ func (d *dispatch) submitTo(e *serve.Engine) (*serve.Ticket, error) {
 }
 
 // resolve is the engine-side completion hook: it runs on the goroutine
-// admitting the request (or the Crash caller's). A lost record takes
-// only outMu — crash extraction fires it with f.mu held. A finished
-// segment folds into the chain under f.mu, then either finalizes the
-// chain or parks its successor in f.ready for Admit to route (run by
-// the relay goroutine on a live fleet).
+// admitting the request (or the Crash caller's). A lost record, and a
+// whole request's final one, take only outMu — crash extraction fires
+// them with f.mu held. An engine-fused record gets its serving replica
+// stamped on every segment. A finished dispatcher-fused segment folds
+// into the chain under f.mu, and the chain parks in f.ready for Admit
+// to settle (run by the relay goroutine on a live fleet).
 func (d *dispatch) resolve(rec serve.Record) {
 	f := d.f
 	if rec.Status == serve.StatusLost {
@@ -663,27 +651,27 @@ func (d *dispatch) resolve(rec serve.Record) {
 		return
 	}
 	if d.segs == nil {
-		f.tenantOutDec(d.req.Tenant)
-		d.t.rec = &rec
-		d.t.served = d.replica
-		close(d.t.done)
+		if rec.Segments != nil {
+			// The engine shares its record's segment slice; stamp a copy.
+			rec.Segments = slices.Clone(rec.Segments)
+			for i := range rec.Segments {
+				rec.Segments[i].Replica = d.replica
+			}
+		}
+		f.resolveTicket(d, &rec, d.replica)
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !d.foldSegment(rec) {
-		f.finishChainLocked(d)
-		return
-	}
+	d.foldSegment(rec)
 	f.ready[d.replica] = append(f.ready[d.replica], d)
 	f.readyCond.Signal()
 }
 
-// foldSegment merges a finished segment's record into the chain's and
-// reports whether the chain continues; if so the dispatch now
-// describes the next segment, arriving at this one's finish. f.mu
-// held.
-func (d *dispatch) foldSegment(rec serve.Record) bool {
+// foldSegment merges a finished segment's record into the chain's; if
+// the chain continues, the dispatch now describes the next segment,
+// arriving at this one's finish. f.mu held.
+func (d *dispatch) foldSegment(rec serve.Record) {
 	k := d.seg
 	if k == 0 {
 		d.rec.ArrivalCycle = rec.ArrivalCycle // "now" arrivals resolve at admission
@@ -694,7 +682,7 @@ func (d *dispatch) foldSegment(rec serve.Record) bool {
 		d.rec.Segments = append(d.rec.Segments, sr)
 		d.rec.Status = serve.StatusFailed
 		d.rec.Err = fmt.Sprintf("segment %d on replica %d: %s", k, d.replica, rec.Err)
-		return false
+		return
 	}
 	sr.Instance = rec.Instance
 	sr.StartCycle = rec.StartCycle
@@ -704,12 +692,16 @@ func (d *dispatch) foldSegment(rec serve.Record) bool {
 	d.rec.Segments = append(d.rec.Segments, sr)
 	d.rec.BusyCycles += rec.BusyCycles
 	d.rec.EnergyPJ += rec.EnergyPJ
-	if k == len(d.segs)-1 {
-		return false
+	if k < len(d.segs)-1 {
+		d.seg++
+		d.req.ArrivalCycle = rec.FinishCycle
 	}
-	d.seg++
-	d.req.ArrivalCycle = rec.FinishCycle
-	return true
+}
+
+// chainOver reports whether a dispatcher-fused chain has failed or
+// folded its last segment. f.mu held.
+func (d *dispatch) chainOver() bool {
+	return d.rec.Status != serve.StatusDone || len(d.rec.Segments) == len(d.segs)
 }
 
 // advanceLocked dispatches a chain's next segment; if no replica can
@@ -722,56 +714,91 @@ func (f *Fleet) advanceLocked(d *dispatch) {
 	}
 }
 
-// finishChainLocked completes a fused request: the merged record's
-// request-level placement, the fleet's fused counters (segments past a
-// break count as failed, so segment conservation holds), and the
-// ticket. f.mu held.
+// finishChainLocked completes a dispatcher-fused request: the merged
+// record's request-level placement, then the ticket. f.mu held.
 func (f *Fleet) finishChainLocked(d *dispatch) {
 	rec := d.rec
 	rec.ID = d.t.ID
-	n := len(d.segs)
-	var completed int64
-	for _, sr := range rec.Segments {
-		if sr.Err == "" {
-			completed++
-		}
-	}
-	f.segStats.SegmentsCompleted += completed
+	served := -1
 	if rec.Status == serve.StatusDone {
-		first, last := rec.Segments[0], rec.Segments[n-1]
+		first, last := rec.Segments[0], rec.Segments[len(rec.Segments)-1]
 		rec.Instance = first.Instance
 		rec.StartCycle = first.StartCycle
 		rec.FinishCycle = last.FinishCycle
 		rec.LatencyCycles = last.FinishCycle - rec.ArrivalCycle
 		rec.QueueCycles = first.StartCycle - rec.ArrivalCycle
 		rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
-		f.segStats.FusedCompleted++
-		f.segStats.SegmentSpanCycles += last.FinishCycle - first.StartCycle
-		f.segStats.SegmentBusyCycles += rec.BusyCycles
-		for k := 1; k < n; k++ {
-			f.segStats.HandoffBubbleCycles += rec.Segments[k].StartCycle - rec.Segments[k-1].FinishCycle
-		}
-		d.t.served = d.replica
-	} else {
-		f.segStats.FusedFailed++
-		f.segStats.SegmentsFailed += int64(n) - completed
+		served = d.replica
 	}
-	f.tenantOutDec(d.req.Tenant)
+	f.resolveTicket(d, rec, served)
+}
+
+// resolveTicket closes a request's ticket with its final record: the
+// one place every accepted request ends. A fused request's merged
+// record folds into the fleet's fused ledger, whichever layer fused
+// it; a dispatcher-fused one also into its tenant window. It takes
+// only outMu, so it runs under f.mu and from engine hooks alike.
+func (f *Fleet) resolveTicket(d *dispatch, rec *serve.Record, served int) {
+	f.outMu.Lock()
+	if d.nsegs > 0 {
+		foldFused(&f.segStats, rec, d.nsegs)
+		if d.segs != nil {
+			f.fusedWindowLocked(d.req.Tenant).AddRecord(rec)
+		}
+	}
+	f.tenantOutDecLocked(d.req.Tenant)
+	f.outMu.Unlock()
 	d.t.rec = rec
+	d.t.served = served
 	close(d.t.done)
 }
 
-// tenantOutDec retires one outstanding request from the shed-fairness
-// ledger.
-func (f *Fleet) tenantOutDec(tenant string) {
-	f.outMu.Lock()
+// foldFused counts one fused request's final merged record of n plan
+// segments into s: segments without an error completed, the rest
+// (including any past a chain break) failed, so segment conservation
+// holds; a done request adds its span, busy and handoff-bubble cycles.
+func foldFused(s *serve.SegmentStats, rec *serve.Record, n int) {
+	var completed int64
+	for _, sr := range rec.Segments {
+		if sr.Err == "" {
+			completed++
+		}
+	}
+	s.SegmentsCompleted += completed
+	if rec.Status != serve.StatusDone {
+		s.FusedFailed++
+		s.SegmentsFailed += int64(n) - completed
+		return
+	}
+	first, last := rec.Segments[0], rec.Segments[n-1]
+	s.FusedCompleted++
+	s.SegmentSpanCycles += last.FinishCycle - first.StartCycle
+	s.SegmentBusyCycles += rec.BusyCycles
+	for k := 1; k < n; k++ {
+		s.HandoffBubbleCycles += rec.Segments[k].StartCycle - rec.Segments[k-1].FinishCycle
+	}
+}
+
+// fusedWindowLocked returns (creating if needed) a tenant's window of
+// dispatcher-fused requests. f.outMu held.
+func (f *Fleet) fusedWindowLocked(tenant string) *serve.TenantWindow {
+	w := f.fusedT[tenant]
+	if w == nil {
+		w = &serve.TenantWindow{Tenant: tenant}
+		f.fusedT[tenant] = w
+	}
+	return w
+}
+
+// tenantOutDecLocked retires one outstanding request from the
+// shed-fairness ledger. f.outMu held.
+func (f *Fleet) tenantOutDecLocked(tenant string) {
 	if f.tenantOut[tenant]--; f.tenantOut[tenant] <= 0 {
 		delete(f.tenantOut, tenant)
 		if len(f.tenantOut) == 0 {
 			f.outIdle.Broadcast()
 		}
 	}
-	f.outMu.Unlock()
 }
 
 // tenantOutInc admits one outstanding request into the shed-fairness
@@ -789,36 +816,25 @@ func (f *Fleet) tenantOutInc(tenant string) {
 // submissions, so a rejected request (unknown model, full tenant
 // queue) does not skew future routing.
 //
-// A model with a multi-segment plan (Options.Plans) is decomposed at
-// dispatch: segment 0 is routed and admitted now, and each later
-// segment is routed when its predecessor completes, with the
-// predecessor's finish cycle as its arrival — to the replica whose ETA
-// then wins, so a busy first-choice replica loses later segments to
-// idle ones.
+// A model with a multi-segment plan (Serve.Plans) is fused at one of
+// two layers, chosen from the active replica set. When every active
+// replica serves the same partition, the request is routed whole and
+// its engine admits the segments as one precedence chain. Otherwise it
+// is decomposed at dispatch: segment 0 is routed and admitted now, and
+// each later segment is routed when its predecessor completes, with
+// the predecessor's finish cycle as its arrival — to the replica whose
+// ETA then wins, so each segment can land on the dataflow that suits
+// it.
 func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	// Unknown models resolve to nil: the picked engine rejects and
 	// accounts them, and a zero cost estimate keeps routing sound.
 	model, _ := dnn.ByName(req.Model)
 	d := &dispatch{f: f, req: req, model: model,
 		t: &Ticket{Replica: -1, served: -1, done: make(chan struct{})}}
-	plan := ""
+	var plan dse.SegmentPlan
 	if model != nil {
-		if p, ok := f.plans[model.Name]; ok && p.NumSegments() > 1 {
-			segs, err := p.Slices(model)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: %w", err)
-			}
-			d.segs = segs
-			d.rec = &serve.Record{
-				Tenant:       req.Tenant,
-				Model:        model.Name,
-				Priority:     req.Priority,
-				Status:       serve.StatusDone,
-				ArrivalCycle: req.ArrivalCycle,
-				SLACycles:    req.SLACycles,
-				Segments:     make([]serve.SegmentRecord, 0, len(segs)),
-			}
-			plan = fmt.Sprintf("%s/%d", model.Name, len(segs))
+		if p, ok := f.serveOpts.Plans[model.Name]; ok && p.NumSegments() > 1 {
+			plan, d.nsegs = p, p.NumSegments()
 		}
 	}
 
@@ -828,6 +844,11 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 		return nil, serve.ErrDraining
 	}
 	f.advanceFaultsLocked(max(req.ArrivalCycle, 0))
+	if d.nsegs > 0 && !f.uniformLocked() {
+		if err := d.decompose(plan); err != nil {
+			return nil, err
+		}
+	}
 	if f.shedEnabled(req) {
 		if eta, ok := f.bestETALocked(d.current(), req.ArrivalCycle); ok {
 			if err := f.shedLocked(req, eta); err != nil {
@@ -837,26 +858,65 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	}
 	f.tenantOutInc(req.Tenant)
 	if err := f.dispatchLocked(d); err != nil {
-		f.tenantOutDec(req.Tenant)
+		f.outMu.Lock()
+		f.tenantOutDecLocked(req.Tenant)
+		f.outMu.Unlock()
 		return nil, err
 	}
 	d.attempts = 1
 	if model != nil {
 		f.mixAdd(model.Name)
 		if f.onAccept != nil {
-			// Engine-level fusion (New clears Serve.Plans when the
-			// fleet owns Plans): the replica decomposes the request.
-			if p, ok := f.serveOpts.Plans[model.Name]; ok && p.NumSegments() > 1 {
-				plan = fmt.Sprintf("%s/%d", model.Name, p.NumSegments())
+			id := ""
+			if d.nsegs > 0 {
+				id = fmt.Sprintf("%s/%d", model.Name, d.nsegs)
 			}
-			f.onAccept(f.acceptedLocked(req, model), plan)
+			f.onAccept(f.acceptedLocked(req, model), id)
 		}
 	}
-	if d.segs != nil {
+	if d.nsegs > 0 {
+		f.outMu.Lock()
 		f.segStats.FusedRequests++
-		f.segStats.Segments += int64(len(d.segs))
+		f.segStats.Segments += int64(d.nsegs)
+		if d.segs != nil {
+			f.fusedWindowLocked(req.Tenant).Submitted++
+		}
+		f.outMu.Unlock()
 	}
 	return d.t, nil
+}
+
+// uniformLocked reports whether every active replica serves the same
+// partition (accel.HDA.SamePartition: the class, and each sub's style
+// and slice — never pointers or names, which migrations and
+// reassignments change). f.mu held.
+func (f *Fleet) uniformLocked() bool {
+	for i := 1; i < len(f.replicas); i++ {
+		if !f.replicas[i].hda.SamePartition(f.replicas[0].hda) {
+			return false
+		}
+	}
+	return true
+}
+
+// decompose turns a fused request into a dispatcher-routed chain of
+// the plan's segment models under one merged record.
+func (d *dispatch) decompose(plan dse.SegmentPlan) error {
+	segs, err := plan.Slices(d.model)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	d.segs = segs
+	d.rec = &serve.Record{
+		Tenant:       d.req.Tenant,
+		Model:        d.model.Name,
+		Priority:     d.req.Priority,
+		Status:       serve.StatusDone,
+		ArrivalCycle: d.req.ArrivalCycle,
+		SLACycles:    d.req.SLACycles,
+		Segments:     make([]serve.SegmentRecord, 0, len(segs)),
+	}
+	return nil
 }
 
 // acceptedLocked normalizes an accepted submission for the OnAccept
@@ -946,11 +1006,11 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 }
 
 // Admit runs admission rounds on the caller's goroutine until no
-// replica queue holds work and no fused-chain successor is parked.
-// Each round runs serve.Engine.Admit on every live replica (active or
-// retiring) with queued work, one goroutine per engine, joins them,
-// and then routes the successors released so far — in replica-id
-// order, then in the order each engine finalized their predecessors.
+// replica queue holds work and no fused chain is parked. Each round
+// runs serve.Engine.Admit on every live replica (active or retiring)
+// with queued work, one goroutine per engine, joins them, and then
+// settles the chains whose segments finished — in replica-id order,
+// then in the order each engine finalized those segments.
 // Admitting first keeps a successor, which arrives at its
 // predecessor's finish cycle, from being placed ahead of work already
 // queued. Manual fleets (serve.Options.Manual) admit only here, so a
@@ -989,8 +1049,8 @@ func (f *Fleet) Admit() {
 }
 
 // relay is a live fused fleet's counterpart of an engine's driver
-// goroutine: it runs Admit whenever a completion hook parks a
-// successor, until Drain stops it.
+// goroutine: it runs Admit whenever a completion hook parks a chain,
+// until Drain stops it.
 func (f *Fleet) relay() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1007,12 +1067,19 @@ func (f *Fleet) relay() {
 	}
 }
 
-// dispatchReadyLocked routes the parked fused-chain successors in
-// replica-id order, then in the order each was parked. f.mu held.
+// dispatchReadyLocked settles the parked fused chains in replica-id
+// order, then in the order each was parked: a finished chain resolves
+// its ticket, a live one routes its next segment. Resolving here, not
+// on the engine goroutines that ran the last segments, keeps the fused
+// ledger's float sums in one order at any GOMAXPROCS. f.mu held.
 func (f *Fleet) dispatchReadyLocked() {
 	for _, id := range slices.Sorted(maps.Keys(f.ready)) {
 		for _, d := range f.ready[id] {
-			f.advanceLocked(d)
+			if d.chainOver() {
+				f.finishChainLocked(d)
+			} else {
+				f.advanceLocked(d)
+			}
 		}
 	}
 	clear(f.ready)
@@ -1196,10 +1263,11 @@ type Stats struct {
 	SimThroughputRPS float64 `json:"sim_throughput_rps"`
 
 	// Segments reports the fleet-wide fused-serving counters: requests
-	// decomposed into segment chains, their segment outcomes, and the
-	// pipeline-overlap cycle sums — the dispatcher's chains (fleet-level
-	// fusion) plus the chains every live and retired engine fused
-	// internally (engine-level fusion).
+	// fused into segment chains, their segment outcomes, and the
+	// pipeline-overlap cycle sums, folded from each fused request's
+	// final merged record whichever layer fused it (a failed-over chain
+	// counts once; FusedLost and SegmentsLost stay 0 here — they are
+	// per-engine readings).
 	Segments serve.SegmentStats `json:"segments"`
 	// CrossReplicaHandoffs counts chain hops where a segment was
 	// routed to a different replica than its predecessor — the
@@ -1267,10 +1335,8 @@ func (f *Fleet) Stats() Stats {
 		Resumes:              f.history.resumes,
 		PEReassigns:          f.history.reassigns,
 		MakespanCycles:       f.history.makespan,
-		Segments:             f.segStats,
 		CrossReplicaHandoffs: f.crossHandoffs,
 	}
-	st.Segments.Add(f.history.segments)
 	minH := f.minHorizonLocked()
 	snaps := make([]rsnap, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))
 	for _, r := range f.replicas {
@@ -1293,6 +1359,16 @@ func (f *Fleet) Stats() Stats {
 	maps.Copy(shedT, f.shedT)
 	lostFailedT := make(map[string]int64, len(f.lostFailedT))
 	maps.Copy(lostFailedT, f.lostFailedT)
+	f.outMu.Lock()
+	st.Segments = f.segStats
+	//herald:nondet additive per-tenant merge; latencies are sorted before percentiles, sums commute
+	for _, w := range f.fusedT {
+		addWindow(tenants, w)
+		st.Submitted += w.Submitted
+		st.Completed += w.Completed
+		st.Failed += w.Failed
+	}
+	f.outMu.Unlock()
 	f.mu.Unlock()
 
 	var clockGHz float64
@@ -1309,7 +1385,6 @@ func (f *Fleet) Stats() Stats {
 		st.Preemptions += es.Preemptions
 		st.Resumes += es.Resumes
 		st.PEReassigns += es.PEReassigns
-		st.Segments.Add(es.Segments)
 		if es.MakespanCycles > st.MakespanCycles {
 			st.MakespanCycles = es.MakespanCycles
 		}
@@ -1361,26 +1436,8 @@ func (f *Fleet) Stats() Stats {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		a := tenants[name]
-		ts := serve.TenantStats{
-			Tenant:        a.Tenant,
-			Submitted:     a.Submitted,
-			Completed:     a.Completed,
-			Failed:        a.Failed,
-			Rejected:      a.Rejected,
-			Shed:          shedT[name],
-			SLATracked:    a.SLATracked,
-			SLAViolations: a.SLAViolations,
-			EnergyPJ:      a.EnergyPJ,
-		}
-		if a.Completed > 0 {
-			sort.Slice(a.Latencies, func(i, j int) bool { return a.Latencies[i] < a.Latencies[j] })
-			ts.MeanLatencyCycles = a.LatencySum / a.Completed
-			ts.P50LatencyCycles = serve.Percentile(a.Latencies, 50)
-			ts.P95LatencyCycles = serve.Percentile(a.Latencies, 95)
-			ts.P99LatencyCycles = serve.Percentile(a.Latencies, 99)
-			ts.MeanQueueCycles = a.QueueSum / a.Completed
-		}
+		ts := tenants[name].Stats()
+		ts.Shed = shedT[name]
 		st.Tenants = append(st.Tenants, ts)
 	}
 
@@ -1616,7 +1673,6 @@ func (f *Fleet) foldStatsLocked(es serve.Stats, windows []serve.TenantWindow) {
 	h.preemptions += es.Preemptions
 	h.resumes += es.Resumes
 	h.reassigns += es.PEReassigns
-	h.segments.Add(es.Segments)
 	if es.MakespanCycles > h.makespan {
 		h.makespan = es.MakespanCycles
 	}

@@ -1,7 +1,8 @@
 package fleet
 
-// Tests of fleet-level fusion (segment chains dispatched across
-// replicas) and the decayed observed mix.
+// Tests of fused serving — the dispatcher's segment chains on mixed
+// replica sets, the engines' chains on uniform ones — and the decayed
+// observed mix.
 
 import (
 	"context"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/accel"
+	"repro/internal/dataflow"
 	"repro/internal/dnn"
 	"repro/internal/dse"
 	"repro/internal/maestro"
@@ -39,25 +42,42 @@ func fleetPlans(t testing.TB, cache *maestro.Cache, names ...string) map[string]
 	return plans
 }
 
-func fusedFleet(t testing.TB, cache *maestro.Cache, n int, plans map[string]dse.SegmentPlan) *Fleet {
+// mixedHDAs is a mixed replica set: the test HDA and its 768/256
+// re-split of the same edge silicon. The partitions differ, so the
+// dispatcher decomposes fused requests across them.
+func mixedHDAs(t testing.TB) []*accel.HDA {
+	t.Helper()
+	h, err := accel.New("fleet-test-768", accel.Edge, []accel.Partition{
+		{Style: dataflow.NVDLA, PEs: 768, BWGBps: 8},
+		{Style: dataflow.ShiDiannao, PEs: 256, BWGBps: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*accel.HDA{testHDA(t), h}
+}
+
+// fusedFleet starts a fused fleet on the mixed replica set.
+func fusedFleet(t testing.TB, cache *maestro.Cache, plans map[string]dse.SegmentPlan) *Fleet {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Plans = plans
-	f, err := Replicated(cache, testHDA(t), n, opts)
+	opts.Serve.Plans = plans
+	f, err := New(cache, mixedHDAs(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
-// TestFleetFusedDispatch: a fused request dispatched through the
-// fleet resolves to one merged record whose segments respect
-// completion-chained precedence, each carrying its serving replica, and
-// the fleet's fused counters conserve.
+// TestFleetFusedDispatch: on a mixed replica set a fused request is
+// decomposed by the dispatcher and resolves to one merged record whose
+// segments respect completion-chained precedence, each carrying its
+// serving replica; the fleet counts each request once, and its fused
+// counters conserve.
 func TestFleetFusedDispatch(t *testing.T) {
 	cache := newTestCache()
 	plans := fleetPlans(t, cache, "mobilenetv2", "mobilenetv1")
-	f := fusedFleet(t, cache, 2, plans)
+	f := fusedFleet(t, cache, plans)
 
 	const reqsPerModel = 8
 	var tickets []*Ticket
@@ -110,6 +130,15 @@ func TestFleetFusedDispatch(t *testing.T) {
 	}
 	sg := st.Segments
 	wantFused := int64(2 * reqsPerModel)
+	if st.Submitted != wantFused || st.Completed != wantFused {
+		t.Errorf("submitted %d, completed %d: want each fused request counted once (%d)", st.Submitted, st.Completed, wantFused)
+	}
+	for _, rs := range st.PerReplica {
+		if rs.Engine.Segments.FusedRequests != 0 || rs.Engine.Submitted != 0 {
+			t.Errorf("replica %d engine fused %d and counted %d requests; the dispatcher owns both on a mixed set",
+				rs.Replica, rs.Engine.Segments.FusedRequests, rs.Engine.Submitted)
+		}
+	}
 	if sg.FusedRequests != wantFused || sg.FusedCompleted != wantFused || sg.FusedFailed != 0 {
 		t.Errorf("fused counters %+v, want %d completed", sg, wantFused)
 	}
@@ -126,50 +155,107 @@ func TestFleetFusedDispatch(t *testing.T) {
 }
 
 // TestCapturePlanIDs: the capture hook reports a fused request's plan
-// id ("<model>/<segments>") whichever layer fuses it — the dispatcher
-// (Options.Plans) or the replica engines (Serve.Plans) — and "" for an
-// unfused model.
+// id ("<model>/<segments>") from the one plan table, Serve.Plans, and
+// "" for an unfused model.
 func TestCapturePlanIDs(t *testing.T) {
 	cache := newTestCache()
 	plans := fleetPlans(t, cache, "mobilenetv2", "resnet50")
-	for _, engineLevel := range []bool{false, true} {
-		opts := DefaultOptions()
-		if engineLevel {
-			opts.Serve.Plans = plans
-		} else {
-			opts.Plans = plans
-		}
-		var got []string
-		opts.OnAccept = func(_ serve.Request, plan string) { got = append(got, plan) }
-		f, err := Replicated(cache, testHDA(t), 1, opts)
+	opts := DefaultOptions()
+	opts.Serve.Plans = plans
+	var got []string
+	opts.OnAccept = func(_ serve.Request, plan string) { got = append(got, plan) }
+	f, err := New(cache, mixedHDAs(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i, model := range []string{"mobilenetv2", "brq-handpose", "resnet50"} {
+		tk, err := f.Submit(serve.Request{Tenant: "ar", Model: model, ArrivalCycle: int64(i) * 400_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []string
-		for i, model := range []string{"mobilenetv2", "brq-handpose", "resnet50"} {
+		rec, err := tk.Wait(context.Background())
+		if err != nil || rec.Status != serve.StatusDone {
+			t.Fatalf("%s: %+v %v", model, rec, err)
+		}
+		id := ""
+		if p, ok := plans[model]; ok {
+			id = fmt.Sprintf("%s/%d", model, p.NumSegments())
+		}
+		if len(rec.Segments) != plans[model].NumSegments() {
+			t.Errorf("%s: %d segments, want %d", model, len(rec.Segments), plans[model].NumSegments())
+		}
+		want = append(want, id)
+	}
+	if _, err := f.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("captured plan ids %q, want %q", got, want)
+	}
+}
+
+// TestUniformFleetFusesInEngine: on identical replicas a fused request
+// goes whole to one replica, whose engine chains the segments — no
+// segment crosses replicas, every segment is stamped with the replica
+// that served the request, and the fleet counts each request once.
+func TestUniformFleetFusesInEngine(t *testing.T) {
+	cache := newTestCache()
+	plans := fleetPlans(t, cache, "mobilenetv2", "mobilenetv1")
+	opts := DefaultOptions()
+	opts.Serve.Plans = plans
+	opts.Serve.Manual = true
+	f, err := Replicated(cache, testHDA(t), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*Ticket
+	for i := 0; i < 4; i++ {
+		for _, model := range []string{"mobilenetv2", "mobilenetv1"} {
 			tk, err := f.Submit(serve.Request{Tenant: "ar", Model: model, ArrivalCycle: int64(i) * 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := tk.Wait(context.Background())
-			if err != nil || rec.Status != serve.StatusDone {
-				t.Fatalf("engine-level %v, %s: %+v %v", engineLevel, model, rec, err)
-			}
-			id := ""
-			if p, ok := plans[model]; ok {
-				id = fmt.Sprintf("%s/%d", model, p.NumSegments())
-			}
-			if len(rec.Segments) != plans[model].NumSegments() {
-				t.Errorf("engine-level %v, %s: %d segments, want %d", engineLevel, model, len(rec.Segments), plans[model].NumSegments())
-			}
-			want = append(want, id)
+			tickets = append(tickets, tk)
 		}
-		if _, err := f.Drain(context.Background()); err != nil {
-			t.Fatal(err)
+	}
+	f.Admit()
+	served := map[int]bool{}
+	for i, tk := range tickets {
+		rec, err := tk.Wait(context.Background())
+		if err != nil || rec.Status != serve.StatusDone {
+			t.Fatalf("request %d: %+v %v", i, rec, err)
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("engine-level %v: captured plan ids %q, want %q", engineLevel, got, want)
+		if len(rec.Segments) != plans[rec.Model].NumSegments() {
+			t.Fatalf("request %d: %d segments, want %d", i, len(rec.Segments), plans[rec.Model].NumSegments())
 		}
+		for k, sr := range rec.Segments {
+			if sr.Replica != tk.Served() || sr.Replica != tk.Replica {
+				t.Errorf("request %d segment %d: replica %d, ticket served by %d", i, k, sr.Replica, tk.Served())
+			}
+		}
+		served[tk.Served()] = true
+	}
+	if !served[1] {
+		t.Fatal("no request landed on replica 1; the replica stamp is untested")
+	}
+	st, err := f.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CrossReplicaHandoffs != 0 {
+		t.Errorf("%d cross-replica handoffs on identical replicas", st.CrossReplicaHandoffs)
+	}
+	var engineFused int64
+	for _, rs := range st.PerReplica {
+		engineFused += rs.Engine.Segments.FusedRequests
+	}
+	if engineFused != int64(len(tickets)) {
+		t.Errorf("engines fused %d requests, want all %d", engineFused, len(tickets))
+	}
+	n := int64(len(tickets))
+	if st.Submitted != n || st.Completed != n || st.Segments.FusedCompleted != n {
+		t.Errorf("submitted %d, completed %d, fused %d: want %d", st.Submitted, st.Completed, st.Segments.FusedCompleted, n)
 	}
 }
 
@@ -181,7 +267,7 @@ func TestCapturePlanIDs(t *testing.T) {
 func TestFleetFusedMigrateStraddle(t *testing.T) {
 	cache := newTestCache()
 	plans := fleetPlans(t, cache, "mobilenetv2")
-	f := fusedFleet(t, cache, 2, plans)
+	f := fusedFleet(t, cache, plans)
 
 	const n = 12
 	var wg sync.WaitGroup

@@ -62,7 +62,8 @@ type Setup struct {
 	Policy   string   `json:"policy"`
 	Replicas int      `json:"replicas"`
 	HDAs     []string `json:"hdas"`
-	// FusedModels lists engine-fused models (sorted).
+	// FusedModels lists the models with a fusion plan in
+	// Fleet.Serve.Plans (sorted), whichever layer fuses them.
 	FusedModels []string `json:"fused_models,omitempty"`
 	// FaultEvents counts injected fault-plan events.
 	FaultEvents int `json:"fault_events,omitempty"` //herald:jsonzero 0 means a fault-free replay; absent means the same

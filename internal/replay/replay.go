@@ -17,8 +17,9 @@
 // ladder steps at the now idle boundary; work it re-queues (preempted
 // suffixes) is admitted with the next window. Submission order is the
 // trace order, the fault clock advances only on arrival cycles, and
-// nothing reads the wall clock. Both engine-level
-// (Fleet.Serve.Plans) and fleet-level (Fleet.Plans) fusion replay.
+// nothing reads the wall clock. Fused serving (Fleet.Serve.Plans)
+// replays at either layer the fleet picks: in the engines on identical
+// replicas, in the dispatcher on mixed ones.
 package replay
 
 import (
@@ -131,11 +132,7 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 	for _, h := range hdas {
 		d.Setup.HDAs = append(d.Setup.HDAs, h.Name)
 	}
-	fused := slices.Sorted(maps.Keys(o.Fleet.Serve.Plans))
-	if len(o.Fleet.Plans) > 0 {
-		fused = slices.Sorted(maps.Keys(o.Fleet.Plans))
-	}
-	d.Setup.FusedModels = fused
+	d.Setup.FusedModels = slices.Sorted(maps.Keys(o.Fleet.Serve.Plans))
 	if o.Fleet.Faults != nil {
 		d.Setup.FaultEvents = len(o.Fleet.Faults.Events)
 	}

@@ -213,15 +213,23 @@ func TestHashStable(t *testing.T) {
 	}
 }
 
-// TestRunFleetFusion: fleet-level fusion replays. Every segment's
+// TestRunFleetFusion: dispatcher fusion replays. On a mixed replica
+// set the fleet decomposes fused requests, and every segment's
 // successor is dispatched inside Fleet.Admit in a fixed order, so the
 // zipf corpus trace fused across two replicas renders one digest twice
-// and at GOMAXPROCS 1 and 4, conserves segments, and hands segments
-// across replicas.
+// and at GOMAXPROCS 1 and 4, counts each request once, conserves
+// segments, and hands segments across replicas.
 func TestRunFleetFusion(t *testing.T) {
 	tr := corpusTrace(t, "zipf")
 	cache := newTestCache()
-	hdas := testHDAs(t, 2)
+	resplit, err := accel.New("replay-test-768", accel.Edge, []accel.Partition{
+		{Style: dataflow.NVDLA, PEs: 768, BWGBps: 8},
+		{Style: dataflow.ShiDiannao, PEs: 256, BWGBps: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdas := append(testHDAs(t, 1), resplit)
 	plans, err := config.FusionPlans(cache, hdas[0], dse.ObjectiveEDP, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +237,7 @@ func TestRunFleetFusion(t *testing.T) {
 	run := func(procs int) (*Digest, []byte) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		o := Options{Fleet: fleet.DefaultOptions(), Window: 16}
-		o.Fleet.Plans = plans
+		o.Fleet.Serve.Plans = plans
 		d, err := Run(context.Background(), cache, hdas, tr, o)
 		if err != nil {
 			t.Fatal(err)
@@ -254,6 +262,10 @@ func TestRunFleetFusion(t *testing.T) {
 	if seg.FusedRequests != seg.FusedCompleted+seg.FusedFailed {
 		t.Fatalf("fused requests not conserved: %+v", seg)
 	}
+	if d.Counters.Submitted != int64(len(tr.Entries)) || seg.FusedRequests != d.Counters.Submitted {
+		t.Fatalf("%d entries, %d submitted, %d fused: each fused request must count once",
+			len(tr.Entries), d.Counters.Submitted, seg.FusedRequests)
+	}
 	if !d.Conservation.Holds {
 		t.Fatalf("conservation violated: %+v", d.Conservation)
 	}
@@ -262,11 +274,13 @@ func TestRunFleetFusion(t *testing.T) {
 	}
 }
 
-// TestRunEngineFusionAcrossCrash: engine-level fused counters survive
-// a replica crash. Recovery retires the crashed engine and starts a
-// fresh one; the retired engine's fused requests must still reach the
-// digest, so on a trace whose every model fuses each completed request
-// is a completed fused request, and segments are conserved.
+// TestRunEngineFusionAcrossCrash: engine-fused requests survive a
+// replica crash in the fleet's fused ledger. Recovery retires the
+// crashed engine and starts a fresh one; the ledger folds each request
+// once, at resolution, so on a trace whose every model fuses each
+// submitted request is one fused request (a failed-over chain is not
+// counted again), each completed request a completed fused request,
+// and segments are conserved.
 func TestRunEngineFusionAcrossCrash(t *testing.T) {
 	tr := corpusTrace(t, "zipf")
 	cache := newTestCache()
@@ -292,6 +306,9 @@ func TestRunEngineFusionAcrossCrash(t *testing.T) {
 		t.Fatalf("conservation: %+v", d.Conservation)
 	}
 	seg := c.Segments
+	if seg.FusedRequests != c.Submitted || seg.FusedLost != 0 {
+		t.Errorf("%d fused requests (%d lost) for %d submitted", seg.FusedRequests, seg.FusedLost, c.Submitted)
+	}
 	if seg.FusedCompleted != c.Completed {
 		t.Errorf("%d fused requests completed, %d requests completed", seg.FusedCompleted, c.Completed)
 	}

@@ -163,18 +163,7 @@ func (e *Engine) Preempt(belowPriority, max int) int {
 // checkpoint. e.mu and e.schedMu held.
 func (e *Engine) applyPreemptLocked(pe *preemptee, cp sched.Checkpoint) {
 	rec := pe.rec
-	ta := e.agg(rec.Tenant)
-	ta.completed--
-	ta.latSum -= rec.LatencyCycles
-	ta.queueSum -= rec.QueueCycles
-	ta.energyPJ -= rec.EnergyPJ
-	ta.dropLatency(rec.LatencyCycles)
-	if rec.SLACycles > 0 {
-		ta.slaTracked--
-		if rec.SLAViolated {
-			ta.slaViolations--
-		}
-	}
+	e.agg(rec.Tenant).dropRecord(rec)
 	for i, id := range e.doneFIFO {
 		if id == rec.ID {
 			e.doneFIFO = append(e.doneFIFO[:i], e.doneFIFO[i+1:]...)
@@ -230,7 +219,7 @@ func (e *Engine) admitResumeLocked(p *pending, pl sched.Placement, err error, fl
 	if err != nil {
 		rec.Status = StatusFailed
 		rec.Err = err.Error()
-		e.agg(rec.Tenant).failed++
+		e.agg(rec.Tenant).AddRecord(rec)
 		e.finishLocked(rec.ID)
 		close(p.done)
 		return
@@ -247,18 +236,7 @@ func (e *Engine) admitResumeLocked(p *pending, pl sched.Placement, err error, fl
 	rec.LatencyCycles = pl.FinishCycle - rec.ArrivalCycle
 	rec.QueueCycles = rec.StartCycle - rec.ArrivalCycle
 	rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
-	ta := e.agg(rec.Tenant)
-	ta.completed++
-	ta.addLatency(rec.LatencyCycles)
-	ta.latSum += rec.LatencyCycles
-	ta.queueSum += rec.QueueCycles
-	ta.energyPJ += rec.EnergyPJ
-	if rec.SLACycles > 0 {
-		ta.slaTracked++
-		if rec.SLAViolated {
-			ta.slaViolations++
-		}
-	}
+	e.agg(rec.Tenant).AddRecord(rec)
 	if pl.FinishCycle > e.maxFinishCycle {
 		e.maxFinishCycle = pl.FinishCycle
 	}
@@ -307,27 +285,6 @@ func (e *Engine) removePreemptibleLocked(id int64) {
 			return
 		}
 	}
-}
-
-// dropLatency removes the most recent occurrence of one sample from
-// the sliding window (a preempted completion's latency is no longer a
-// served latency). The ring is rebuilt in chronological order; if the
-// sample already slid out of the window nothing changes.
-func (ta *tenantAgg) dropLatency(l int64) {
-	chrono := make([]int64, 0, len(ta.latencies))
-	chrono = append(chrono, ta.latencies[ta.latNext:]...)
-	chrono = append(chrono, ta.latencies[:ta.latNext]...)
-	for i := len(chrono) - 1; i >= 0; i-- {
-		if chrono[i] == l {
-			chrono = append(chrono[:i], chrono[i+1:]...)
-			break
-		}
-	}
-	// latNext 0 keeps ring semantics: position 0 now holds the oldest
-	// sample, so a still-full window (sample not found) overwrites
-	// oldest-first and a shortened one appends.
-	ta.latencies = chrono
-	ta.latNext = 0
 }
 
 // Reassign re-sizes the engine's sub-accelerator slices at the current

@@ -222,8 +222,9 @@ type SegmentRecord struct {
 	Model    string `json:"model"` // the sliced segment model, e.g. "unet[0:5]"
 	Instance int    `json:"instance"`
 
-	// Replica is set only by fleet-level fusion (segments dispatched
-	// across replica engines); engine-level fusion runs on one HDA.
+	// Replica is the fleet replica that ran the segment: each
+	// segment's own under dispatcher fusion, the serving replica's on
+	// every segment of an engine-fused request (0 outside a fleet).
 	Replica int `json:"replica"`
 
 	StartCycle  int64   `json:"start_cycle"`
@@ -278,6 +279,13 @@ type pending struct {
 	chain    *chainState
 	segIndex int
 
+	// untracked marks a segment a dispatcher admitted through
+	// SubmitModel: it is scheduled and reported to onDone, but it stays
+	// out of the tenant request ledger — the dispatcher counts the
+	// request once, on its merged record — and is never preempted
+	// (its successor is routed on the finish cycle it reported).
+	untracked bool
+
 	// resume marks a preempted request re-queued for resumption: the
 	// scheduling round routes it through Incremental.Resume instead of
 	// Extend, and its completion merges with the checkpointed prefix
@@ -319,27 +327,6 @@ type chainState struct {
 // predecessor segment could not be scheduled.
 var errChainBroken = errors.New("serve: predecessor segment failed")
 
-// tenantAgg accumulates per-tenant serving statistics. Latencies are
-// a sliding window (ring) of the most recent completions.
-type tenantAgg struct {
-	submitted, completed, failed, rejected int64
-	slaTracked, slaViolations              int64
-	latencies                              []int64 // ring buffer, cycles
-	latNext                                int     // next ring write position
-	latSum, queueSum                       int64   // all-time, for means
-	energyPJ                               float64
-}
-
-// addLatency records one completed latency in the sliding window.
-func (ta *tenantAgg) addLatency(l int64) {
-	if len(ta.latencies) < maxLatencySamples {
-		ta.latencies = append(ta.latencies, l)
-		return
-	}
-	ta.latencies[ta.latNext] = l
-	ta.latNext = (ta.latNext + 1) % maxLatencySamples
-}
-
 // Engine is the online serving engine over one fixed HDA.
 type Engine struct {
 	opts Options
@@ -363,13 +350,13 @@ type Engine struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	queues      map[string][]*pending // guarded by mu
-	rr          []string              // tenant round-robin rotation; guarded by mu
-	npending    int                   // guarded by mu
-	records     map[int64]*Record     // guarded by mu
-	doneFIFO    []int64               // finished record ids in completion order (eviction); guarded by mu
-	modelCounts map[string]int        // guarded by mu
-	tenants     map[string]*tenantAgg // guarded by mu
+	queues      map[string][]*pending    // guarded by mu
+	rr          []string                 // tenant round-robin rotation; guarded by mu
+	npending    int                      // guarded by mu
+	records     map[int64]*Record        // guarded by mu
+	doneFIFO    []int64                  // finished record ids in completion order (eviction); guarded by mu
+	modelCounts map[string]int           // guarded by mu
+	tenants     map[string]*TenantWindow // guarded by mu
 	// rejectedOther counts rejections whose tenant never had an
 	// admitted request (no aggregate is created for them — an
 	// unauthenticated client cycling junk tenant names must not grow
@@ -426,7 +413,7 @@ func New(cache *maestro.Cache, hda *accel.HDA, opts Options) (*Engine, error) {
 		queues:      make(map[string][]*pending),
 		records:     make(map[int64]*Record),
 		modelCounts: make(map[string]int),
-		tenants:     make(map[string]*tenantAgg),
+		tenants:     make(map[string]*TenantWindow),
 		stopped:     make(chan struct{}),
 	}
 	e.hda.Store(newServingHDA(hda))
@@ -479,14 +466,16 @@ func (e *Engine) SubmitTracked(req Request, onDone func(Record)) (*Ticket, error
 	if plan, ok := e.opts.Plans[model.Name]; ok && plan.NumSegments() > 1 {
 		return e.submitFused(req, model, plan, onDone)
 	}
-	return e.submitModel(req, model, onDone)
+	return e.submitModel(req, model, onDone, false)
 }
 
-// SubmitModel is SubmitTracked for a caller-resolved model: fleet
-// dispatchers submitting plan segments use it, because sliced segment
-// models are not in the zoo. The request's Model field is ignored in
-// favor of m, and no fusion plan applies (the caller already
-// decomposed).
+// SubmitModel admits one segment of a request a fleet dispatcher
+// decomposed: m is a caller-resolved model (sliced segment models are
+// not in the zoo), the request's Model field is ignored, and no fusion
+// plan applies. The segment is scheduled and its record delivered to
+// onDone like any request's, but it is not a tenant request here: the
+// tenant counters and latency window leave it to the dispatcher, which
+// counts the whole request once, and Preempt never revokes it.
 func (e *Engine) SubmitModel(req Request, m *dnn.Model, onDone func(Record)) (*Ticket, error) {
 	if req.Tenant == "" {
 		return nil, fmt.Errorf("serve: request needs a tenant")
@@ -495,11 +484,12 @@ func (e *Engine) SubmitModel(req Request, m *dnn.Model, onDone func(Record)) (*T
 		e.countRejected(req.Tenant)
 		return nil, fmt.Errorf("serve: nil or empty model")
 	}
-	return e.submitModel(req, m, onDone)
+	return e.submitModel(req, m, onDone, true)
 }
 
-// submitModel admits one whole-model request.
-func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record)) (*Ticket, error) {
+// submitModel admits one whole-model request, or an untracked segment
+// (SubmitModel).
+func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record), untracked bool) (*Ticket, error) {
 	if err := e.hda.Load().feasible(e.cache, model); err != nil {
 		e.countRejected(req.Tenant)
 		return nil, err
@@ -521,8 +511,9 @@ func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record))
 	}
 
 	e.nextID++
-	ta := e.agg(req.Tenant)
-	ta.submitted++
+	if !untracked {
+		e.agg(req.Tenant).Submitted++
+	}
 	e.modelCounts[model.Name]++
 	rec := &Record{
 		ID:           e.nextID,
@@ -538,9 +529,10 @@ func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record))
 		// Batch is the 1-based per-model index across the whole
 		// engine (the committed schedule is one workload), so trace
 		// names like "unet#3" stay unique.
-		inst:   workload.Instance{Model: model, Batch: e.modelCounts[model.Name], ArrivalCycle: arrival},
-		done:   make(chan struct{}),
-		onDone: onDone,
+		inst:      workload.Instance{Model: model, Batch: e.modelCounts[model.Name], ArrivalCycle: arrival},
+		done:      make(chan struct{}),
+		onDone:    onDone,
+		untracked: untracked,
 	}
 	e.records[rec.ID] = rec
 	if len(e.queues[req.Tenant]) == 0 {
@@ -583,8 +575,7 @@ func (e *Engine) submitFused(req Request, model *dnn.Model, plan dse.SegmentPlan
 	}
 
 	e.nextID++
-	ta := e.agg(req.Tenant)
-	ta.submitted++
+	e.agg(req.Tenant).Submitted++
 	rec := &Record{
 		ID:           e.nextID,
 		Tenant:       req.Tenant,
@@ -692,17 +683,17 @@ func (e *Engine) countRejected(tenant string) {
 // never-admitted tenant names. e.mu held.
 func (e *Engine) rejectLocked(tenant string) {
 	if ta := e.tenants[tenant]; ta != nil {
-		ta.rejected++
+		ta.Rejected++
 		return
 	}
 	e.rejectedOther++
 }
 
-// agg returns (creating if needed) a tenant's aggregate. e.mu held.
-func (e *Engine) agg(tenant string) *tenantAgg {
+// agg returns (creating if needed) a tenant's ledger. e.mu held.
+func (e *Engine) agg(tenant string) *TenantWindow {
 	ta := e.tenants[tenant]
 	if ta == nil {
-		ta = &tenantAgg{}
+		ta = &TenantWindow{Tenant: tenant}
 		e.tenants[tenant] = ta
 	}
 	return ta
@@ -834,50 +825,34 @@ func (e *Engine) admit(batch []*pending) {
 			continue
 		}
 		rec := p.rec
-		if errs[i] != nil {
+		if pl := placements[i]; errs[i] == nil {
+			rec.Status = StatusDone
+			rec.Instance = pl.Instance
+			rec.StartCycle = pl.StartCycle
+			rec.FinishCycle = pl.FinishCycle
+			rec.BusyCycles = pl.BusyCycles
+			rec.EnergyPJ = pl.EnergyPJ
+			// Latency is measured from the *requested* arrival, so floor
+			// clamping shows up as queueing delay, as it should.
+			rec.LatencyCycles = pl.FinishCycle - rec.ArrivalCycle
+			rec.QueueCycles = pl.StartCycle - rec.ArrivalCycle
+			rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
+			if pl.FinishCycle > e.maxFinishCycle {
+				e.maxFinishCycle = pl.FinishCycle
+			}
+			if e.opts.Elastic && !p.untracked {
+				e.trackPreemptibleLocked(p, pl, floor)
+			}
+		} else {
 			rec.Status = StatusFailed
 			rec.Err = errs[i].Error()
-			e.agg(rec.Tenant).failed++
-			e.finishLocked(rec.ID)
-			close(p.done)
-			finalized = append(finalized, doneEvent{rec, p.onDone})
-			continue
 		}
-		pl := placements[i]
-		rec.Status = StatusDone
-		rec.Instance = pl.Instance
-		rec.StartCycle = pl.StartCycle
-		rec.FinishCycle = pl.FinishCycle
-		rec.BusyCycles = pl.BusyCycles
-		rec.EnergyPJ = pl.EnergyPJ
-		// Latency is measured from the *requested* arrival, so floor
-		// clamping shows up as queueing delay, as it should.
-		rec.LatencyCycles = pl.FinishCycle - rec.ArrivalCycle
-		rec.QueueCycles = pl.StartCycle - rec.ArrivalCycle
-		if rec.SLACycles > 0 {
-			rec.SLAViolated = rec.LatencyCycles > rec.SLACycles
-		}
-		ta := e.agg(rec.Tenant)
-		ta.completed++
-		ta.addLatency(rec.LatencyCycles)
-		ta.latSum += rec.LatencyCycles
-		ta.queueSum += rec.QueueCycles
-		ta.energyPJ += rec.EnergyPJ
-		if rec.SLACycles > 0 {
-			ta.slaTracked++
-			if rec.SLAViolated {
-				ta.slaViolations++
-			}
-		}
-		if pl.FinishCycle > e.maxFinishCycle {
-			e.maxFinishCycle = pl.FinishCycle
+		if !p.untracked {
+			e.agg(rec.Tenant).AddRecord(rec)
 		}
 		e.finishLocked(rec.ID)
 		close(p.done)
 		finalized = append(finalized, doneEvent{rec, p.onDone})
-		if e.opts.Elastic {
-			e.trackPreemptibleLocked(p, pl, floor)
-		}
 	}
 	e.mu.Unlock()
 
@@ -951,10 +926,8 @@ func (e *Engine) admitSegmentLocked(p *pending, pl sched.Placement, err error, f
 	}
 
 	// Last segment: finalize the request.
-	ta := e.agg(rec.Tenant)
 	if ch.failed {
 		rec.Status = StatusFailed
-		ta.failed++
 		e.segStats.FusedFailed++
 	} else {
 		n := len(rec.Segments)
@@ -965,18 +938,7 @@ func (e *Engine) admitSegmentLocked(p *pending, pl sched.Placement, err error, f
 		rec.FinishCycle = last.FinishCycle
 		rec.LatencyCycles = last.FinishCycle - rec.ArrivalCycle
 		rec.QueueCycles = first.StartCycle - rec.ArrivalCycle
-		if rec.SLACycles > 0 {
-			rec.SLAViolated = rec.LatencyCycles > rec.SLACycles
-			ta.slaTracked++
-			if rec.SLAViolated {
-				ta.slaViolations++
-			}
-		}
-		ta.completed++
-		ta.addLatency(rec.LatencyCycles)
-		ta.latSum += rec.LatencyCycles
-		ta.queueSum += rec.QueueCycles
-		ta.energyPJ += rec.EnergyPJ
+		rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
 		e.segStats.FusedCompleted++
 		e.segStats.SegmentSpanCycles += last.FinishCycle - first.StartCycle
 		e.segStats.SegmentBusyCycles += rec.BusyCycles
@@ -984,6 +946,7 @@ func (e *Engine) admitSegmentLocked(p *pending, pl sched.Placement, err error, f
 			e.segStats.HandoffBubbleCycles += rec.Segments[k].StartCycle - rec.Segments[k-1].FinishCycle
 		}
 	}
+	e.agg(rec.Tenant).AddRecord(rec)
 	e.finishLocked(rec.ID)
 	close(ch.done)
 	*finalized = append(*finalized, doneEvent{rec, ch.onDone})
@@ -1213,6 +1176,8 @@ func (e *Engine) Crash() int {
 					chainOrder = append(chainOrder, p.chain)
 				}
 				lostChains[p.chain]++
+				sr := &p.chain.rec.Segments[p.segIndex]
+				sr.Index, sr.Model, sr.Err = p.segIndex, p.inst.Model.Name, "replica crashed"
 				continue
 			}
 			if p.resume != nil {
@@ -1224,7 +1189,7 @@ func (e *Engine) Crash() int {
 				// delivery would double-count at the dispatcher.
 				requests++
 				rec := p.rec
-				e.agg(rec.Tenant).submitted--
+				e.agg(rec.Tenant).Submitted--
 				delete(e.records, rec.ID)
 				rec.Status = StatusLost
 				rec.Err = "replica crashed"
@@ -1233,7 +1198,9 @@ func (e *Engine) Crash() int {
 			}
 			requests++
 			rec := p.rec
-			e.agg(rec.Tenant).submitted--
+			if !p.untracked {
+				e.agg(rec.Tenant).Submitted--
+			}
 			delete(e.records, rec.ID)
 			rec.Status = StatusLost
 			rec.Err = "replica crashed"
@@ -1254,13 +1221,13 @@ func (e *Engine) Crash() int {
 			// The chain had already broken; finalize with the failure
 			// it would have reported.
 			rec.Status = StatusFailed
-			e.agg(rec.Tenant).failed++
+			e.agg(rec.Tenant).Failed++
 			e.segStats.FusedFailed++
 			e.segStats.SegmentsFailed += int64(extracted)
 		} else {
 			rec.Status = StatusLost
 			rec.Err = "replica crashed"
-			e.agg(rec.Tenant).submitted--
+			e.agg(rec.Tenant).Submitted--
 			e.segStats.FusedLost++
 			e.segStats.SegmentsLost += int64(extracted)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -122,33 +123,22 @@ type SegmentStats struct {
 	SegmentBusyCycles   int64 `json:"segment_busy_cycles"`
 }
 
-// Add merges another engine's segment counters — the fleet-side merge
-// rule, mirroring TenantWindow.Add.
-func (s *SegmentStats) Add(o SegmentStats) {
-	s.FusedRequests += o.FusedRequests
-	s.FusedCompleted += o.FusedCompleted
-	s.FusedFailed += o.FusedFailed
-	s.FusedLost += o.FusedLost
-	s.Segments += o.Segments
-	s.SegmentsCompleted += o.SegmentsCompleted
-	s.SegmentsFailed += o.SegmentsFailed
-	s.SegmentsLost += o.SegmentsLost
-	s.HandoffBubbleCycles += o.HandoffBubbleCycles
-	s.SegmentSpanCycles += o.SegmentSpanCycles
-	s.SegmentBusyCycles += o.SegmentBusyCycles
-}
-
 // TenantWindow is one tenant's raw counters plus its latency sample
-// window — the pre-percentile form of TenantStats. Fleet dispatchers
-// read these from every replica and aggregate across engines (merged
-// percentiles cannot be computed from per-engine percentiles).
+// window — the pre-percentile form of TenantStats, and the engine's
+// own per-tenant ledger. Fleet dispatchers read these from every
+// replica and aggregate across engines (merged percentiles cannot be
+// computed from per-engine percentiles).
 type TenantWindow struct {
 	Tenant                                 string
 	Submitted, Completed, Failed, Rejected int64
 	SLATracked, SLAViolations              int64
 	LatencySum, QueueSum                   int64 // all-time, cycles
 	EnergyPJ                               float64
-	Latencies                              []int64 // copy of the sliding window
+	// Latencies is the sample window: AddRecord keeps the most recent
+	// maxLatencySamples completions as a ring whose next write
+	// position is next.
+	Latencies []int64
+	next      int
 }
 
 // Add merges another window's counters into w and appends its latency
@@ -168,11 +158,101 @@ func (w *TenantWindow) Add(o *TenantWindow) {
 	w.Latencies = append(w.Latencies, o.Latencies...)
 }
 
-// TenantWindows returns every tenant's raw statistics window, sorted
-// by tenant name.
+// AddRecord folds one request's final record into the window: a done
+// record into the completion counters, the SLA tally and the latency
+// window, any other status into Failed. Submitted is counted at
+// acceptance, by the caller.
+func (w *TenantWindow) AddRecord(rec *Record) {
+	if rec.Status != StatusDone {
+		w.Failed++
+		return
+	}
+	w.Completed++
+	w.LatencySum += rec.LatencyCycles
+	w.QueueSum += rec.QueueCycles
+	w.EnergyPJ += rec.EnergyPJ
+	if rec.SLACycles > 0 {
+		w.SLATracked++
+		if rec.SLAViolated {
+			w.SLAViolations++
+		}
+	}
+	if len(w.Latencies) < maxLatencySamples {
+		w.Latencies = append(w.Latencies, rec.LatencyCycles)
+		return
+	}
+	w.Latencies[w.next] = rec.LatencyCycles
+	w.next = (w.next + 1) % maxLatencySamples
+}
+
+// dropRecord reverses AddRecord for a done record whose completion was
+// revoked (a preempted placement is no longer a served latency). The
+// most recent occurrence of its latency leaves the window, which is
+// rebuilt in chronological order; if the sample already slid out,
+// only the counters move.
+func (w *TenantWindow) dropRecord(rec *Record) {
+	w.Completed--
+	w.LatencySum -= rec.LatencyCycles
+	w.QueueSum -= rec.QueueCycles
+	w.EnergyPJ -= rec.EnergyPJ
+	if rec.SLACycles > 0 {
+		w.SLATracked--
+		if rec.SLAViolated {
+			w.SLAViolations--
+		}
+	}
+	chrono := make([]int64, 0, len(w.Latencies))
+	chrono = append(chrono, w.Latencies[w.next:]...)
+	chrono = append(chrono, w.Latencies[:w.next]...)
+	for i := len(chrono) - 1; i >= 0; i-- {
+		if chrono[i] == rec.LatencyCycles {
+			chrono = append(chrono[:i], chrono[i+1:]...)
+			break
+		}
+	}
+	// next 0 keeps ring semantics: position 0 now holds the oldest
+	// sample, so a still-full window (sample not found) overwrites
+	// oldest-first and a shortened one appends.
+	w.Latencies = chrono
+	w.next = 0
+}
+
+// Stats summarizes the window: its counters, means over the all-time
+// sums and nearest-rank percentiles over the sample window. It sorts
+// Latencies in place, so call it on a window the caller owns (the
+// copies TenantWindows returns, or a fleet's merged aggregate).
+func (w *TenantWindow) Stats() TenantStats {
+	ts := TenantStats{
+		Tenant:        w.Tenant,
+		Submitted:     w.Submitted,
+		Completed:     w.Completed,
+		Failed:        w.Failed,
+		Rejected:      w.Rejected,
+		SLATracked:    w.SLATracked,
+		SLAViolations: w.SLAViolations,
+		EnergyPJ:      w.EnergyPJ,
+	}
+	if w.Completed > 0 {
+		slices.Sort(w.Latencies)
+		ts.MeanLatencyCycles = w.LatencySum / w.Completed
+		ts.P50LatencyCycles = Percentile(w.Latencies, 50)
+		ts.P95LatencyCycles = Percentile(w.Latencies, 95)
+		ts.P99LatencyCycles = Percentile(w.Latencies, 99)
+		ts.MeanQueueCycles = w.QueueSum / w.Completed
+	}
+	return ts
+}
+
+// TenantWindows returns a copy of every tenant's raw statistics
+// window, sorted by tenant name.
 func (e *Engine) TenantWindows() []TenantWindow {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.tenantWindowsLocked()
+}
+
+// tenantWindowsLocked is TenantWindows with e.mu held.
+func (e *Engine) tenantWindowsLocked() []TenantWindow {
 	names := make([]string, 0, len(e.tenants))
 	for name := range e.tenants {
 		names = append(names, name)
@@ -180,20 +260,9 @@ func (e *Engine) TenantWindows() []TenantWindow {
 	sort.Strings(names)
 	out := make([]TenantWindow, 0, len(names))
 	for _, name := range names {
-		ta := e.tenants[name]
-		out = append(out, TenantWindow{
-			Tenant:        name,
-			Submitted:     ta.submitted,
-			Completed:     ta.completed,
-			Failed:        ta.failed,
-			Rejected:      ta.rejected,
-			SLATracked:    ta.slaTracked,
-			SLAViolations: ta.slaViolations,
-			LatencySum:    ta.latSum,
-			QueueSum:      ta.queueSum,
-			EnergyPJ:      ta.energyPJ,
-			Latencies:     append([]int64(nil), ta.latencies...),
-		})
+		w := *e.tenants[name]
+		w.Latencies = append([]int64(nil), w.Latencies...)
+		out = append(out, w)
 	}
 	return out
 }
@@ -223,37 +292,12 @@ func (e *Engine) Stats() Stats {
 		PEReassigns:      e.reassigns,
 		Segments:         e.segStats,
 	}
-	names := make([]string, 0, len(e.tenants))
-	for name := range e.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ta := e.tenants[name]
-		ts := TenantStats{
-			Tenant:        name,
-			Submitted:     ta.submitted,
-			Completed:     ta.completed,
-			Failed:        ta.failed,
-			Rejected:      ta.rejected,
-			SLATracked:    ta.slaTracked,
-			SLAViolations: ta.slaViolations,
-			EnergyPJ:      ta.energyPJ,
-		}
-		if ta.completed > 0 {
-			sorted := append([]int64(nil), ta.latencies...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			ts.MeanLatencyCycles = ta.latSum / ta.completed
-			ts.P50LatencyCycles = Percentile(sorted, 50)
-			ts.P95LatencyCycles = Percentile(sorted, 95)
-			ts.P99LatencyCycles = Percentile(sorted, 99)
-			ts.MeanQueueCycles = ta.queueSum / ta.completed
-		}
-		st.Submitted += ta.submitted
-		st.Completed += ta.completed
-		st.Failed += ta.failed
-		st.Rejected += ta.rejected
-		st.Tenants = append(st.Tenants, ts)
+	for _, w := range e.tenantWindowsLocked() {
+		st.Submitted += w.Submitted
+		st.Completed += w.Completed
+		st.Failed += w.Failed
+		st.Rejected += w.Rejected
+		st.Tenants = append(st.Tenants, w.Stats())
 	}
 	// Rejections from tenants that never had an admitted request.
 	st.Rejected += e.rejectedOther
