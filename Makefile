@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate bench-check vet heraldvet smoke chaos replay doclint staticcheck vulncheck
+.PHONY: build test race fuzz bench bench-json bench-gate bench-check vet heraldvet smoke chaos replay doclint staticcheck vulncheck
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ test:
 # completion hooks).
 race:
 	$(GO) test -race ./internal/maestro ./internal/sched ./internal/dse ./internal/serve ./internal/fleet ./internal/replay
+
+# fuzz runs each trust-boundary fuzzer for 10 s (go test runs only
+# their seed corpora): the -partition parser and the -faults parser. A
+# crasher lands under the package's testdata/fuzz/ — commit it as a
+# seed along with the fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePartition$$' -fuzztime 10s ./internal/config
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultPlan$$' -fuzztime 10s ./internal/fleet
 
 # smoke builds and runs the end-to-end examples that exercise the
 # serving stack (fast, deterministic; CI runs this per PR): heraldd's

@@ -36,12 +36,13 @@
 // searches each zoo model's fusion cuts on the serving HDA (bounded by
 // -max-segments) and admits each request for a splitting model as a
 // chain of per-segment instances, so consecutive requests pipeline
-// across sub-accelerators. The fleet picks the layer that fuses: when
-// every replica serves the same partition (any -replicas without
-// -fleet-topk) the replica engine chains the segments; on a
-// heterogeneous -fleet-topk fleet the dispatcher routes each segment
-// cost-aware across replicas. heraldplay replays a capture at the same
-// layer. GET /v1/stats reports the segment counters.
+// across sub-accelerators. The fleet owns every chain and picks how
+// many segments one admission carries: when every replica serves the
+// same partition (any -replicas without -fleet-topk) all of them go to
+// one replica engine, which links them; on a heterogeneous -fleet-topk
+// fleet each segment is routed cost-aware across replicas when its
+// predecessor completes. heraldplay replays a capture the same way.
+// GET /v1/stats reports the segment counters.
 // -mix-half-life makes the resweep probe's observed mix exponentially
 // decayed instead of all-time.
 //

@@ -367,7 +367,7 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 
 // TestServeFleetOfOne: main's one serving path at -replicas 1 with
 // -fuse and -capture. The daemon serves the fleet surface (fleet
-// stats, acks carrying the replica), fuses in the replica engine (the
+// stats, acks carrying the replica), fuses the request (the merged
 // record carries its segments), and captures the fused request with
 // its plan id.
 func TestServeFleetOfOne(t *testing.T) {

@@ -33,8 +33,8 @@
 // both heraldplay and cmd/heraldd, so a replay given the daemon's
 // flags rebuilds the daemon's configuration; -partition defaults to
 // the even nvdla:512:8,shi-diannao:512:8 edge split here. -fuse fuses
-// where heraldd's fleet would: the replicas share one partition, so
-// each replica engine chains the segments. Only -gen, -diff, -trace,
+// the way heraldd's fleet would: the replicas share one partition, so
+// each chain goes to one replica engine in one admission. Only -gen, -diff, -trace,
 // -o and -window are heraldplay's own.
 //
 // A live incident exports through the daemon: capture the trace with

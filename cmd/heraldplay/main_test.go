@@ -67,8 +67,8 @@ func goldenDigests(t *testing.T) map[string]string {
 }
 
 // TestFuseAtEngineLayer: heraldplay -replicas 2 -fuse replays on two
-// copies of one partition, so the replica engines fuse — the layer
-// heraldd serves the same flags at (cmd/heraldd
+// copies of one partition, so each chain goes to one replica engine
+// in one admission — as heraldd serves the same flags (cmd/heraldd
 // TestServeFuseAtEngineLayer): every request of the corpus trace is
 // fused, and no segment crosses replicas.
 func TestFuseAtEngineLayer(t *testing.T) {

@@ -56,10 +56,10 @@ func fusedFleetSetup(tb testing.TB, cache *CostCache) ([]*HDA, map[string]Segmen
 // cycle 0, waits for every merged completion, drains, and returns the
 // final fleet stats (MakespanCycles is the burst makespan, the latest
 // committed cycle across replicas) with the requests' final records.
-// The replicas serve different partitions, so the dispatcher fuses. A
-// manual fleet admits the burst with one Admit call, so its makespan
-// is a function of the burst alone; a live fleet admits as the
-// requests arrive, the way heraldd serves them.
+// The replicas serve different partitions, so the fleet routes each
+// segment on its own. A manual fleet admits the burst with one Admit
+// call, so its makespan is a function of the burst alone; a live fleet
+// admits as the requests arrive, the way heraldd serves them.
 func driveFusedBurst(tb testing.TB, cache *CostCache, hdas []*HDA, plans map[string]SegmentPlan, pairs int, manual bool) (FleetStats, []RequestRecord) {
 	tb.Helper()
 	opts := DefaultFleetOptions()
@@ -142,8 +142,8 @@ func TestFusedServingImprovement(t *testing.T) {
 	}
 }
 
-// TestFusedRequestsCountOnce: the dispatcher fuses the AR/VR burst on
-// the FDA pair, and the fleet counts each fused request once — in
+// TestFusedRequestsCountOnce: the fleet routes the AR/VR burst's
+// segments across the FDA pair and counts each fused request once — in
 // submitted and completed, and in its tenant's latency window, whose
 // p99 is the p99 of the merged records' request latencies.
 func TestFusedRequestsCountOnce(t *testing.T) {

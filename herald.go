@@ -437,11 +437,12 @@ type (
 // plan with at most maxSegments segments minimizing the pipeline
 // period (ties: fewer segments, then smaller chain latency).
 // maxSegments <= 1, or a single-sub HDA, yields the unfused
-// single-segment plan. Feed the winning plans to
-// ServingOptions.Plans: an engine chains a fused request's segments
-// within its HDA, and a fleet routes the request whole to one engine
-// when its replicas serve one partition, or routes each segment across
-// replicas when they differ.
+// single-segment plan. Feed the winning plans to a fleet's
+// ServingOptions.Plans (a bare engine ignores them): the fleet
+// decomposes each fused request into its segment chain and sends all
+// the segments to one engine, which links them, when its replicas
+// serve one partition, or routes each segment across replicas when
+// they differ.
 func PlanSegments(cache *CostCache, h *HDA, m *Model, o SearchObjective, maxSegments int) (SegmentPlan, error) {
 	return dse.PlanSegments(cache, h, m, o, maxSegments)
 }

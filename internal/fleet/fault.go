@@ -107,7 +107,8 @@ type FaultEvent struct {
 	Replica int `json:"replica"`
 	// Kind selects the fault.
 	Kind FaultKind `json:"kind"`
-	// Factor is the stall slowdown multiplier (FaultStall, > 1).
+	// Factor is the stall slowdown multiplier (FaultStall, finite,
+	// > 1 and < 2^63).
 	Factor float64 `json:"factor,omitempty"` //herald:jsonzero only stall events carry a factor; 0 is never a valid factor
 	// Count is the injected admission-failure burst length
 	// (FaultAdmitFail, >= 1).
@@ -137,8 +138,10 @@ func NewFaultPlan(events []FaultEvent) (*FaultPlan, error) {
 		switch ev.Kind {
 		case FaultCrash, FaultRecover:
 		case FaultStall:
-			if ev.Factor <= 1 {
-				return nil, fmt.Errorf("fleet: fault event %d: stall factor must be > 1 (got %g)", i, ev.Factor)
+			// Negated so NaN fails too; a factor of 2^63 or more would
+			// overflow every cycle estimate it scales.
+			if !(ev.Factor > 1 && ev.Factor < math.MaxInt64) {
+				return nil, fmt.Errorf("fleet: fault event %d: stall factor must be > 1 and < 2^63 (got %g)", i, ev.Factor)
 			}
 		case FaultAdmitFail:
 			if ev.Count < 1 {
@@ -154,7 +157,7 @@ func NewFaultPlan(events []FaultEvent) (*FaultPlan, error) {
 
 // ParseFaultPlan parses the heraldd -faults flag syntax: a
 // comma-separated list of "cycle:replica:kind[:arg]" events, where
-// kind is crash, stall (arg = slowdown factor > 1), admit-fail
+// kind is crash, stall (arg = slowdown factor > 1 and < 2^63), admit-fail
 // (arg = burst length >= 1) or recover. Example:
 //
 //	"1000:0:stall:4,2000:1:admit-fail:3,3000:0:crash,5000:0:recover"
@@ -481,44 +484,61 @@ func (f *Fleet) applyCrashLocked(ev FaultEvent) {
 
 // failoverLocked re-admits every request the last crash orphaned
 // (their resolve callbacks queued them on lostQ) onto survivors, in
-// the crashed engine's deterministic extraction order. A lost fused
-// chain segment fails over the same way, and the chain continues from
-// wherever it lands. A request over its attempt budget, or with no
-// survivor left to take it, fails fast with a terminal fleet-side
-// record. f.mu held.
+// the crashed engine's deterministic extraction order. A lost chain
+// admission resumes at the chain's first unfinished segment — on
+// identical and mixed replica sets alike — once every record of the
+// admission is in: a live engine finishes the batch it was admitting
+// when the crash hit, so earlier segments of the chain may still be
+// completing, and the last of their records parks the chain for Admit
+// to resume instead. f.mu held.
 func (f *Fleet) failoverLocked(cycle int64) {
 	f.outMu.Lock()
 	q := f.lostQ
 	f.lostQ = nil
-	f.outMu.Unlock()
-	for _, d := range q {
-		// A re-admission cannot arrive before the crash that caused it.
-		if d.req.ArrivalCycle >= 0 && d.req.ArrivalCycle < cycle {
-			d.req.ArrivalCycle = cycle
-		}
-		if d.attempts >= f.health.MaxAttempts {
-			f.failTicketLocked(d, cycle, fmt.Sprintf("attempt budget exhausted (%d admissions)", d.attempts))
-			continue
-		}
-		if err := f.dispatchLocked(d); err != nil {
-			f.failTicketLocked(d, cycle, err.Error())
-			continue
-		}
-		d.attempts++
-		f.failovers++
-		what := fmt.Sprintf("request %d", d.t.ID)
-		if d.segs != nil {
-			what = fmt.Sprintf("fused request %d segment %d", d.t.ID, d.seg)
-		}
-		f.noteDecisionLocked(cycle, "failover", d.replica,
-			fmt.Sprintf("%s (tenant %q) re-admitted, attempt %d", what, d.req.Tenant, d.attempts))
+	waiting := make([]bool, len(q))
+	for i, d := range q {
+		waiting[i] = d.out > 0
 	}
+	f.outMu.Unlock()
+	for i, d := range q {
+		d.lostCycle = cycle
+		if !waiting[i] {
+			f.settleLocked(d)
+		}
+	}
+}
+
+// failoverOneLocked re-admits one lost admission on a survivor: a
+// whole request, or a chain from its first unfinished segment. One
+// over its attempt budget, or with no survivor left to take it, fails
+// fast with a terminal fleet-side record. f.mu held.
+func (f *Fleet) failoverOneLocked(d *dispatch, cycle int64) {
+	// A re-admission cannot arrive before the crash that caused it.
+	if d.req.ArrivalCycle >= 0 && d.req.ArrivalCycle < cycle {
+		d.req.ArrivalCycle = cycle
+	}
+	if d.attempts >= f.health.MaxAttempts {
+		f.failTicketLocked(d, cycle, fmt.Sprintf("attempt budget exhausted (%d admissions)", d.attempts))
+		return
+	}
+	if err := f.dispatchLocked(d); err != nil {
+		f.failTicketLocked(d, cycle, err.Error())
+		return
+	}
+	d.attempts++
+	f.failovers++
+	what := fmt.Sprintf("request %d", d.t.ID)
+	if d.segs != nil {
+		what = fmt.Sprintf("fused request %d segment %d", d.t.ID, len(d.rec.Segments))
+	}
+	f.noteDecisionLocked(cycle, "failover", d.rep.id,
+		fmt.Sprintf("%s (tenant %q) re-admitted, attempt %d", what, d.req.Tenant, d.attempts))
 }
 
 // failTicketLocked terminates a failed-over request that no replica
 // could take: its ticket resolves with a fleet-synthesized failed
-// record (for a dispatcher-fused chain, the merged record with the
-// lost segment failed, which the fleet's fused ledger counts). A whole
+// record (for a chain, the merged record with its first unfinished
+// segment failed, which the fleet's fused ledger counts). A whole
 // request's lost admission is no longer in any engine's accounting
 // (the crash rolled it back), so fleet aggregates count it via
 // lostFailed — added to both Submitted and Failed, keeping
@@ -527,11 +547,12 @@ func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 	f.noteDecisionLocked(cycle, "failover-fail", -1,
 		fmt.Sprintf("request %d (tenant %q): %s", d.t.ID, d.req.Tenant, reason))
 	if d.segs != nil {
+		k := len(d.rec.Segments)
 		d.rec.Segments = append(d.rec.Segments, serve.SegmentRecord{
-			Index: d.seg, Model: d.current().Name, Replica: d.replica, Err: "failover: " + reason,
+			Index: k, Model: d.segs[k].Name, Replica: d.rep.id, Err: "failover: " + reason,
 		})
 		d.rec.Status = serve.StatusFailed
-		d.rec.Err = fmt.Sprintf("segment %d on replica %d: failover: %s", d.seg, d.replica, reason)
+		d.rec.Err = fmt.Sprintf("segment %d on replica %d: failover: %s", k, d.rep.id, reason)
 		f.finishChainLocked(d)
 		return
 	}
@@ -566,7 +587,7 @@ func (f *Fleet) applyRecoverLocked(ev FaultEvent) {
 			return
 		}
 		f.failedReplicas = append(f.failedReplicas[:i], f.failedReplicas[i+1:]...)
-		f.foldStatsLocked(r.engine.Stats(), r.engine.TenantWindows())
+		f.foldLocked(r)
 		nr := rs[0]
 		nr.id = r.id
 		nr.gen = f.generation
@@ -651,13 +672,18 @@ func (f *Fleet) eligibleLocked(tried map[int]bool) (elig []*replica, probe *repl
 }
 
 // stallCycles scales a cost estimate by a replica's injected stall
-// factor. A nominal replica (factor 1) passes the estimate through
-// bit-exactly, preserving pre-fault routing decisions.
+// factor, saturating at math.MaxInt64 (a stalled replica must never
+// wrap around to the cheapest ETA). A nominal replica (factor 1)
+// passes the estimate through bit-exactly, preserving pre-fault
+// routing decisions.
 func stallCycles(est int64, stall float64) int64 {
 	if stall <= 1 {
 		return est
 	}
-	return int64(float64(est) * stall)
+	if v := float64(est) * stall; v < math.MaxInt64 {
+		return int64(v)
+	}
+	return math.MaxInt64
 }
 
 // shedEnabled reports whether the admission controller applies to this

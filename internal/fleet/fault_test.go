@@ -7,8 +7,10 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/serve"
@@ -55,9 +57,10 @@ func snapOf(st Stats) consSnap {
 }
 
 // crashScenario stages the acceptance scenario: a two-replica fleet
-// on a mixed replica set (so the dispatcher fuses) with a FaultPlan crashing replica 0 mid-flight, one plain request
-// and one fused chain segment queued on the dying replica, both
-// failed over to the survivor. Returns the decision log and the
+// on a mixed replica set (so segments are routed one at a time) with
+// a FaultPlan crashing replica 0 mid-flight, one plain request and one
+// fused chain segment queued on the dying replica, both failed over to
+// the survivor. Returns the decision log and the
 // deterministic stats slice for replay comparison.
 func crashScenario(t *testing.T) ([]FaultDecision, consSnap) {
 	t.Helper()
@@ -66,7 +69,7 @@ func crashScenario(t *testing.T) ([]FaultDecision, consSnap) {
 	plans := fleetPlans(t, cache, "mobilenetv2")
 	opts := DefaultOptions()
 	opts.Policy = RoundRobin // position-based routing: fully deterministic
-	opts.Serve.Plans = plans // on the mixed set, the dispatcher fuses
+	opts.Serve.Plans = plans // on the mixed set, one segment per admission
 	opts.Faults = mustPlan(t, FaultEvent{Cycle: crashCycle, Replica: 0, Kind: FaultCrash})
 	opts.Serve.Manual = true // nothing admits unless the test says so
 	f, err := New(cache, mixedHDAs(t), opts)
@@ -192,32 +195,173 @@ func TestFaultCrashFailoverConservation(t *testing.T) {
 	}
 }
 
-// TestFaultEngineFusedChainCountsOnce: on identical replicas a fused
-// request queued whole on a crashing replica is extracted with its
-// chain and failed over; the survivor's engine chains it again, and
-// the fleet's fused ledger counts the request once — the crashed
-// engine's loss stays a per-engine reading.
-func TestFaultEngineFusedChainCountsOnce(t *testing.T) {
+// midChainCrash stages a crash in the middle of a chain on identical
+// replicas: a fused request goes whole to replica 0 (every active
+// replica serves one partition, so all its segments are one
+// admission), engines admit one request per batch, and the first
+// segment's OnRequestDone hook submits the arrival that crashes
+// replica 0. The global hook fires before the segment's own
+// completion, so the crash reports segments 1.. lost before segment
+// 0's completion reaches the chain — the ordering a live engine
+// produces when a crash lands mid-batch. It returns the fleet, the
+// fused ticket and the number of plan segments; the caller admits
+// (manual) or waits (live). tweak, when set, adjusts the options last.
+func midChainCrash(t *testing.T, manual bool, tweak func(*Options)) (*Fleet, *Ticket, int) {
+	t.Helper()
 	const crashCycle = 1_000_000
 	cache := newTestCache()
 	plans := fleetPlans(t, cache, "mobilenetv2")
 	opts := DefaultOptions()
 	opts.Policy = RoundRobin
 	opts.Serve.Plans = plans
+	opts.Serve.Manual = manual
+	opts.Serve.MaxBatch = 1
 	opts.Faults = mustPlan(t, FaultEvent{Cycle: crashCycle, Replica: 0, Kind: FaultCrash})
-	opts.Serve.Manual = true
-	f, err := Replicated(cache, testHDA(t), 2, opts)
-	if err != nil {
+	var f *Fleet
+	var once sync.Once
+	opts.Serve.OnRequestDone = func(rec serve.Record) {
+		if rec.Status != serve.StatusDone || !strings.HasPrefix(rec.Model, "mobilenetv2[") {
+			return
+		}
+		once.Do(func() {
+			if _, err := f.Submit(serve.Request{Tenant: "t", Model: "mobilenetv1", ArrivalCycle: crashCycle}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if tweak != nil {
+		tweak(&opts)
+	}
+	var err error
+	if f, err = Replicated(cache, testHDA(t), 2, opts); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := f.Submit(serve.Request{Tenant: "ar", Model: "mobilenetv2"})
+	fused, err := f.Submit(serve.Request{Tenant: "ar", Model: "mobilenetv2", SLACycles: 1 << 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fused.Replica != 0 {
 		t.Fatalf("fused request routed to %d, want replica 0", fused.Replica)
 	}
-	// The trigger arrival crashes replica 0 with the whole chain queued.
+	return f, fused, plans["mobilenetv2"].NumSegments()
+}
+
+// checkMidChainCrash: the chain resumed at its first lost segment on
+// the survivor — segment 0 stays where it ran, the rest moved — every
+// segment is counted once, and the hop is a cross-replica handoff.
+func checkMidChainCrash(t *testing.T, f *Fleet, fused *Ticket, n int) {
+	t.Helper()
+	rec, err := fused.Wait(context.Background())
+	if err != nil || rec.Status != serve.StatusDone || fused.Served() != 1 {
+		t.Fatalf("fused request: %+v %v, served by %d (want survivor 1)", rec, err, fused.Served())
+	}
+	if len(rec.Segments) != n {
+		t.Fatalf("%d segment records, want %d", len(rec.Segments), n)
+	}
+	for k, sr := range rec.Segments {
+		want := 1
+		if k == 0 {
+			want = 0
+		}
+		if sr.Index != k || sr.Replica != want || sr.Err != "" {
+			t.Errorf("segment %d: %+v, want index %d on replica %d", k, sr, k, want)
+		}
+		if k > 0 && sr.StartCycle < rec.Segments[k-1].FinishCycle {
+			t.Errorf("segment %d starts %d before predecessor finish %d", k, sr.StartCycle, rec.Segments[k-1].FinishCycle)
+		}
+	}
+	st, err := f.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg := st.Segments
+	if sg.FusedRequests != 1 || sg.FusedCompleted != 1 || sg.FusedLost != 0 ||
+		sg.Segments != int64(n) || sg.SegmentsCompleted != int64(n) || sg.SegmentsLost != 0 {
+		t.Errorf("fused ledger %+v: want one request of %d segments, each completed once", sg, n)
+	}
+	if st.Submitted != 2 || st.Completed != 2 || st.Failovers != 1 || st.Lost != int64(n-1) {
+		t.Errorf("submitted %d, completed %d, failovers %d, lost %d; want 2, 2, 1, %d",
+			st.Submitted, st.Completed, st.Failovers, st.Lost, n-1)
+	}
+	if st.CrossReplicaHandoffs != 1 {
+		t.Errorf("%d cross-replica handoffs, want the one resume hop", st.CrossReplicaHandoffs)
+	}
+	var failover []string
+	for _, d := range f.Decisions() {
+		if d.Kind == "failover" {
+			failover = append(failover, d.Detail)
+		}
+	}
+	if len(failover) != 1 || !strings.Contains(failover[0], "segment 1 ") {
+		t.Errorf("failover decisions %q, want one resuming segment 1", failover)
+	}
+}
+
+// TestFaultChainResumesAtLostSegment: a crash mid-chain on identical
+// replicas, on a manual fleet, resumes the chain at its first lost
+// segment on the survivor.
+func TestFaultChainResumesAtLostSegment(t *testing.T) {
+	f, fused, n := midChainCrash(t, true, nil)
+	f.Admit()
+	checkMidChainCrash(t, f, fused, n)
+}
+
+// TestFaultChainFailsAfterRecovery: a chain waiting to resume whose
+// crashed replica is recovered — and so folded into the fleet history —
+// before the chain may resume, and which is then over its attempt
+// budget, still ends counted: its failure lands in the history with
+// the replica's other numbers, and conservation holds.
+func TestFaultChainFailsAfterRecovery(t *testing.T) {
+	f, fused, _ := midChainCrash(t, true, func(o *Options) {
+		o.Health.MaxAttempts = 1
+		o.Faults = mustPlan(t,
+			FaultEvent{Cycle: 1_000_000, Replica: 0, Kind: FaultCrash},
+			FaultEvent{Cycle: 1_000_000, Replica: 0, Kind: FaultRecover})
+	})
+	f.Admit()
+	rec, err := fused.Wait(context.Background())
+	if err != nil || rec.Status != serve.StatusFailed || !strings.Contains(rec.Err, "attempt budget") {
+		t.Fatalf("fused request: %+v %v, want failed over its attempt budget", rec, err)
+	}
+	st, err := f.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != 2 || st.Completed != 1 || st.Failed != 1 || st.Recoveries != 1 {
+		t.Errorf("submitted %d, completed %d, failed %d, recoveries %d; want 2, 1, 1, 1",
+			st.Submitted, st.Completed, st.Failed, st.Recoveries)
+	}
+	for _, ts := range st.Tenants {
+		if ts.Tenant == "ar" && (ts.Submitted != 1 || ts.Failed != 1) {
+			t.Errorf("tenant row %+v: want the fused request submitted and failed once", ts)
+		}
+	}
+	if sg := st.Segments; sg.FusedRequests != 1 || sg.FusedFailed != 1 || sg.SegmentsCompleted != 1 {
+		t.Errorf("fused ledger %+v: want one failed request with one completed segment", sg)
+	}
+}
+
+// TestFaultChainLostWhole: a chain whose every segment is still queued
+// when its replica crashes reports them all lost at once; the fleet
+// counts the loss once and resumes the chain from segment 0 on the
+// survivor, in one admission.
+func TestFaultChainLostWhole(t *testing.T) {
+	const crashCycle = 1_000_000
+	cache := newTestCache()
+	plans := fleetPlans(t, cache, "mobilenetv2")
+	opts := DefaultOptions()
+	opts.Policy = RoundRobin
+	opts.Serve.Plans = plans
+	opts.Serve.Manual = true
+	opts.Faults = mustPlan(t, FaultEvent{Cycle: crashCycle, Replica: 0, Kind: FaultCrash})
+	f, err := Replicated(cache, testHDA(t), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := f.Submit(serve.Request{Tenant: "ar", Model: "mobilenetv2"})
+	if err != nil || fused.Replica != 0 {
+		t.Fatalf("fused request on replica %d (%v), want 0", fused.Replica, err)
+	}
 	if _, err := f.Submit(serve.Request{Tenant: "t", Model: "mobilenetv1", ArrivalCycle: crashCycle}); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +372,7 @@ func TestFaultEngineFusedChainCountsOnce(t *testing.T) {
 	}
 	for k, sr := range rec.Segments {
 		if sr.Replica != 1 {
-			t.Errorf("segment %d stamped replica %d, want survivor 1", k, sr.Replica)
+			t.Errorf("segment %d ran on replica %d, want survivor 1", k, sr.Replica)
 		}
 	}
 	st, err := f.Drain(context.Background())
@@ -236,20 +380,28 @@ func TestFaultEngineFusedChainCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int64(plans["mobilenetv2"].NumSegments())
-	sg := st.Segments
-	if sg.FusedRequests != 1 || sg.FusedCompleted != 1 || sg.FusedLost != 0 || sg.Segments != n || sg.SegmentsCompleted != n {
+	if sg := st.Segments; sg.FusedRequests != 1 || sg.FusedCompleted != 1 || sg.Segments != n || sg.SegmentsCompleted != n {
 		t.Errorf("fused ledger %+v: want one request of %d segments, completed once", sg, n)
 	}
-	if st.Submitted != 2 || st.Completed != 2 || st.Failovers != 1 {
-		t.Errorf("submitted %d, completed %d, failovers %d; want 2, 2, 1", st.Submitted, st.Completed, st.Failovers)
+	if st.Submitted != 2 || st.Completed != 2 || st.Failovers != 1 || st.Lost != n || st.CrossReplicaHandoffs != 1 {
+		t.Errorf("submitted %d, completed %d, failovers %d, lost %d, handoffs %d; want 2, 2, 1, %d, 1",
+			st.Submitted, st.Completed, st.Failovers, st.Lost, st.CrossReplicaHandoffs, n)
 	}
-	var engineLost int64
-	for _, rs := range st.PerReplica {
-		engineLost += rs.Engine.Segments.FusedLost
+	survivor := f.Engine(0)
+	if got := survivor.Stats().Submitted; got != 1 {
+		t.Errorf("survivor engine counted %d requests, want the trigger only", got)
 	}
-	if engineLost != 1 {
-		t.Errorf("engines report %d lost chains, want the crashed one", engineLost)
+	if got := survivor.Snapshot().Workload.NumInstances(); got != int(n)+1 {
+		t.Errorf("survivor scheduled %d instances, want each of %d segments once plus the trigger", got, n)
 	}
+}
+
+// TestFaultChainResumesLive is the live-fleet variant: engine drivers
+// and the relay goroutine run the same lost-before-done ordering
+// (make race covers it).
+func TestFaultChainResumesLive(t *testing.T) {
+	f, fused, n := midChainCrash(t, false, nil)
+	checkMidChainCrash(t, f, fused, n)
 }
 
 // TestFaultAttemptBudget: with MaxAttempts 1 an orphaned request may
@@ -647,8 +799,12 @@ func TestParseFaultPlan(t *testing.T) {
 		"1000:0:explode",
 		"-5:0:crash",
 		"1000:-1:crash",
-		"1000:0:stall",      // missing factor
-		"1000:0:stall:1",    // factor must exceed 1
+		"1000:0:stall",   // missing factor
+		"1000:0:stall:1", // factor must exceed 1
+		"0:0:stall:NaN",  // not > 1, however compared
+		"0:0:stall:+Inf",
+		"0:0:stall:-Inf",
+		"0:0:stall:1e300",   // overflows every cycle estimate
 		"1000:0:admit-fail", // missing count
 		"1000:0:admit-fail:0",
 		"x:0:crash",
@@ -658,6 +814,69 @@ func TestParseFaultPlan(t *testing.T) {
 			t.Errorf("spec %q accepted, want error", bad)
 		}
 	}
+}
+
+// TestStallCyclesSaturates: a stall scaling an estimate past int64
+// saturates instead of wrapping to the cheapest ETA, so the stalled
+// replica still draws no traffic.
+func TestStallCyclesSaturates(t *testing.T) {
+	if got := stallCycles(1000, 4); got != 4000 {
+		t.Errorf("stallCycles(1000, 4) = %d", got)
+	}
+	if got := stallCycles(1<<40, 1<<30); got != math.MaxInt64 {
+		t.Errorf("stallCycles(2^40, 2^30) = %d, want saturation", got)
+	}
+	opts := DefaultOptions()
+	opts.Faults = mustPlan(t, FaultEvent{Cycle: 0, Replica: 0, Kind: FaultStall, Factor: 1e18})
+	f := faultFleet(t, opts)
+	for i := 0; i < 3; i++ {
+		tk, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tk.Replica != 1 {
+			t.Fatalf("request %d routed to the saturated replica (%d)", i, tk.Replica)
+		}
+	}
+	if _, err := f.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzParseFaultPlan: the -faults flag crosses a trust boundary.
+// Parsing must never panic; an accepted plan must round-trip through
+// FormatFaultPlan to equal events, and every stall factor it carries
+// must be finite and > 1.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, seed := range []string{
+		"1000000:0:crash,2000000:0:recover", // the digest golden's faults arm
+		"2000:1:admit-fail:3, 1000:0:stall:4 ,3000:0:crash,5000:0:recover",
+		"100:0:stall:2.5,200:1:admit-fail:3,300:0:crash,400:0:recover",
+		"", "1000:0", "1000:0:explode", "-5:0:crash", "1000:-1:crash",
+		"1000:0:stall", "1000:0:stall:1", "1000:0:admit-fail", "1000:0:admit-fail:0",
+		"x:0:crash", "1000:y:crash",
+		"0:0:stall:NaN", "0:0:stall:+Inf", "0:0:stall:1e300",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFaultPlan(spec)
+		if err != nil {
+			return
+		}
+		for _, ev := range p.Events {
+			if ev.Kind == FaultStall && (!(ev.Factor > 1) || math.IsInf(ev.Factor, 0)) {
+				t.Fatalf("%q accepted stall factor %g", spec, ev.Factor)
+			}
+		}
+		back, err := ParseFaultPlan(FormatFaultPlan(p))
+		if err != nil {
+			t.Fatalf("%q formats to %q, which does not parse: %v", spec, FormatFaultPlan(p), err)
+		}
+		if !reflect.DeepEqual(back.Events, p.Events) {
+			t.Fatalf("%q: round trip diverged:\n%+v\n%+v", spec, p.Events, back.Events)
+		}
+	})
 }
 
 // TestExportFormatFaultPlan: ExportFaultPlan keeps exactly the

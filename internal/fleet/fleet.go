@@ -73,7 +73,8 @@
 // and fails them over onto survivors under a per-request attempt
 // budget — the conservation invariant (no request lost or
 // double-served) holds across any crash point, including a fused
-// segment chain whose serving replica dies mid-chain. Overload sheds
+// segment chain whose serving replica dies mid-chain: the chain
+// resumes at its first unfinished segment on a survivor. Overload sheds
 // at admission: when the best ETA already blows a request's SLA
 // budget and its tenant is at or above the fair share of outstanding
 // work, the request is rejected with a ShedError (HTTP 429 +
@@ -212,6 +213,17 @@ type replica struct {
 	// est memoizes each model's best-case busy cycles on this HDA.
 	est map[*dnn.Model]int64
 
+	// fused holds the tenant windows of fused requests counted on this
+	// replica: accepted with their first admission here (Submitted),
+	// resolved with their last admission here (the outcome). Engines
+	// keep chain segments out of their tenant ledgers, so these are the
+	// requests' only count; they merge at the replica's position, and
+	// fold into the fleet history with it. Under Fleet.outMu.
+	fused map[string]*serve.TenantWindow
+	// folded marks a replica whose statistics went into the fleet
+	// history (retired or crash-recovered), under Fleet.mu.
+	folded bool
+
 	// Fault-layer state (see fault.go), under Fleet.mu.
 	health healthState
 	// stall scales this replica's cost estimates — the injected
@@ -224,6 +236,18 @@ type replica struct {
 	// openedSeq is the fleet dispatch sequence at which the breaker
 	// last opened (the half-open probe window counts from here).
 	openedSeq int64
+}
+
+// estWork returns the best-case busy cycles of one admission's models
+// on this replica's HDA. The estimate is an integer sum over layers,
+// so a chain's segments add up exactly to the whole model's. Fleet.mu
+// held.
+func (r *replica) estWork(cache *maestro.Cache, work []*dnn.Model) int64 {
+	var total int64
+	for _, m := range work {
+		total += r.estCycles(cache, m)
+	}
+	return total
 }
 
 // estCycles returns the model's best-case busy cycles on this
@@ -288,15 +312,15 @@ type Fleet struct {
 	mixTick  int64                // guarded by mu
 	mixDecay float64              // per-submission multiplier; 1 = no decay (construction-set, immutable)
 
-	// crossHandoffs counts dispatcher-fused segments routed to another
-	// replica than their predecessor.
+	// crossHandoffs counts chain admissions routed to another replica
+	// than their predecessor.
 	crossHandoffs int64 // guarded by mu
-	// ready parks the dispatcher-fused chains whose segment a completion
-	// hook finished, keyed by the replica that ran it; Admit settles them
-	// in replica-id order, resolving a finished chain or routing the
-	// next segment of a live one. readyCond (on mu) wakes the
-	// relay goroutine that runs Admit for a live fleet, and relayStop,
-	// set by Drain, ends it. Guarded by mu.
+	// ready parks the fused chains whose admission a completion hook
+	// settled with a successor to route — the next segment, or the
+	// first lost one — keyed by the replica that ran it; Admit settles
+	// them in replica-id order. readyCond (on mu) wakes the relay
+	// goroutine that runs Admit for a live fleet, and relayStop, set by
+	// Drain, ends it. Guarded by mu.
 	ready     map[int][]*dispatch
 	readyCond *sync.Cond
 	relayStop bool
@@ -347,13 +371,11 @@ type Fleet struct {
 	lostQ     []*dispatch      // guarded by outMu
 	tenantOut map[string]int64 // guarded by outMu
 
-	// The fused-request ledger, folded from each fused request's final
-	// merged record at ticket resolution whichever layer fused it, so
-	// a failed-over chain counts once. fusedT holds the tenant windows
-	// of dispatcher-fused requests: engines keep the segments out of
-	// their tenant ledgers, so this is the requests' only count.
-	segStats serve.SegmentStats             // guarded by outMu
-	fusedT   map[string]*serve.TenantWindow // guarded by outMu
+	// segStats is the fused-request ledger, folded from each fused
+	// request's final merged record at ticket resolution, so a
+	// failed-over chain counts once. The requests' tenant windows live
+	// per replica (replica.fused).
+	segStats serve.SegmentStats // guarded by outMu
 }
 
 // retiredHistory is the folded statistics of retired and
@@ -397,7 +419,6 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 		shedT:       make(map[string]int64),
 		lostFailedT: make(map[string]int64),
 		tenantOut:   make(map[string]int64),
-		fusedT:      make(map[string]*serve.TenantWindow),
 		ready:       make(map[int][]*dispatch),
 		onAccept:    opts.OnAccept,
 	}
@@ -437,7 +458,7 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 func (f *Fleet) buildReplicas(hdas []*accel.HDA) ([]*replica, error) {
 	rs := make([]*replica, 0, len(hdas))
 	for i, h := range hdas {
-		r := &replica{hda: h, est: make(map[*dnn.Model]int64), stall: 1}
+		r := &replica{hda: h, est: make(map[*dnn.Model]int64), fused: make(map[string]*serve.TenantWindow), stall: 1}
 		so := f.serveOpts
 		userHook := so.OnRequestDone
 		so.OnRequestDone = func(rec serve.Record) {
@@ -590,98 +611,135 @@ func (t *Ticket) Served() int {
 // terminal record closes the ticket, a StatusLost record (replica
 // crash) queues the dispatch for failover instead.
 //
-// A fused request (nsegs > 0) is one dispatch for its whole segment
-// chain. On a uniform fleet it is admitted whole and the engine chains
-// the segments; otherwise the dispatcher decomposes it (segs set): seg
-// is the segment in flight, req.ArrivalCycle that segment's arrival
-// (the predecessor's finish cycle past segment 0), and rec the merged
-// record the completed segments fold into.
+// A fused request is one dispatch for its whole segment chain (segs
+// set): rec is the merged record its finished segments fold into, in
+// order, so len(rec.Segments) is the first unfinished segment. Each
+// admission carries the unfinished segments to one engine — all of
+// them when every active replica serves one partition, else just the
+// first, whose successor is routed when it completes.
+// req.ArrivalCycle is the next admission's arrival: the request's own,
+// then the latest folded segment's finish cycle.
 type dispatch struct {
 	f     *Fleet
 	req   serve.Request
-	model *dnn.Model
+	whole [1]*dnn.Model // the request's model (nil when unknown)
 	t     *Ticket
 	// attempts counts admissions of the request (initial + failovers;
 	// a chain's later segments share its budget), under f.mu.
 	attempts int
-	// replica is the latest admission's replica id, written under f.mu
-	// before the engine sees the request (so resolve reads it safely).
-	replica int
+	// rep is the latest admission's replica, written under f.mu before
+	// the engine sees the request (so resolve reads it safely).
+	rep *replica
 
-	nsegs int
-	segs  []*dnn.Model
-	seg   int
-	rec   *serve.Record
+	// out counts the latest admission's records still to come, and
+	// lost marks an admission a crash cut short (its first StatusLost
+	// record queued the dispatch for failover). dispatchLocked resets
+	// both before the engine sees the admission; hooks update them
+	// under f.outMu.
+	out  int
+	lost bool
+	// lostCycle is the crash cycle of a lost admission whose earlier
+	// segments were still in the admitting batch: the chain resumes
+	// once their records are in (under f.mu).
+	lostCycle int64
+
+	segs []*dnn.Model
+	rec  *serve.Record
 }
 
-// current is the model of the admission in flight: the segment for a
-// fused chain, the whole model otherwise.
-func (d *dispatch) current() *dnn.Model {
-	if d.segs != nil {
-		return d.segs[d.seg]
-	}
-	return d.model
-}
-
-// submitTo admits the request — or the chain's current segment — to
-// one engine, with resolve as its completion hook. A segment carries
-// the chain's tenant and priority but no SLA: the SLA is a
-// request-level contract, checked on the merged record.
-func (d *dispatch) submitTo(e *serve.Engine) (*serve.Ticket, error) {
+// workLocked is what d's next admission carries: the request's model,
+// or the chain's unfinished segments — all of them on a uniform
+// replica set, else the first. f.mu held.
+func (f *Fleet) workLocked(d *dispatch) []*dnn.Model {
 	if d.segs == nil {
-		return e.SubmitTracked(d.req, d.resolve)
+		return d.whole[:]
+	}
+	k := len(d.rec.Segments)
+	if f.uniformLocked() {
+		return d.segs[k:]
+	}
+	return d.segs[k : k+1]
+}
+
+// submitTo admits work to one engine with resolve as its completion
+// hook and returns the first record id: the whole request as a tracked
+// one, or chain segments through SubmitChain. Segments carry the
+// chain's tenant and priority but no SLA: the SLA is a request-level
+// contract, checked on the merged record.
+func (d *dispatch) submitTo(e *serve.Engine, work []*dnn.Model) (int64, error) {
+	if d.segs == nil {
+		t, err := e.SubmitTracked(d.req, d.resolve)
+		if err != nil {
+			return 0, err
+		}
+		return t.ID, nil
 	}
 	seg := serve.Request{Tenant: d.req.Tenant, Priority: d.req.Priority, ArrivalCycle: d.req.ArrivalCycle}
-	return e.SubmitModel(seg, d.segs[d.seg], d.resolve)
+	ts, err := e.SubmitChain(seg, work, d.resolve)
+	if err != nil {
+		return 0, err
+	}
+	return ts[0].ID, nil
 }
 
 // resolve is the engine-side completion hook: it runs on the goroutine
-// admitting the request (or the Crash caller's). A lost record, and a
-// whole request's final one, take only outMu — crash extraction fires
-// them with f.mu held. An engine-fused record gets its serving replica
-// stamped on every segment. A finished dispatcher-fused segment folds
-// into the chain under f.mu, and the chain parks in f.ready for Admit
-// to settle (run by the relay goroutine on a live fleet).
+// admitting the request (or the Crash caller's). A lost record takes
+// only outMu — crash extraction fires it with f.mu held — and queues
+// the dispatch for failover once per admission; later lost segments of
+// the same admission only count down. A whole request's final record
+// resolves its ticket under outMu. A chain segment's record folds
+// under f.mu; once the admission's last record is in, a finished chain
+// resolves here and any other parks in f.ready for Admit to route (run
+// by the relay goroutine on a live fleet).
 func (d *dispatch) resolve(rec serve.Record) {
 	f := d.f
 	if rec.Status == serve.StatusLost {
 		f.outMu.Lock()
-		f.lostQ = append(f.lostQ, d)
+		d.out--
+		if !d.lost {
+			d.lost = true
+			f.lostQ = append(f.lostQ, d)
+		}
 		f.outMu.Unlock()
 		return
 	}
 	if d.segs == nil {
-		if rec.Segments != nil {
-			// The engine shares its record's segment slice; stamp a copy.
-			rec.Segments = slices.Clone(rec.Segments)
-			for i := range rec.Segments {
-				rec.Segments[i].Replica = d.replica
-			}
-		}
-		f.resolveTicket(d, &rec, d.replica)
+		f.resolveTicket(d, &rec, d.rep.id)
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	d.foldSegment(rec)
-	f.ready[d.replica] = append(f.ready[d.replica], d)
-	f.readyCond.Signal()
+	f.outMu.Lock()
+	d.out--
+	settled, lost := d.out == 0, d.lost
+	f.outMu.Unlock()
+	switch {
+	case !settled:
+	case !lost && d.chainOver():
+		f.finishChainLocked(d)
+	default:
+		f.ready[d.rep.id] = append(f.ready[d.rep.id], d)
+		f.readyCond.Signal()
+	}
 }
 
-// foldSegment merges a finished segment's record into the chain's; if
-// the chain continues, the dispatch now describes the next segment,
-// arriving at this one's finish. f.mu held.
+// foldSegment merges the next segment's record into the chain's; a
+// done segment sets the arrival of whatever is admitted next. f.mu
+// held.
 func (d *dispatch) foldSegment(rec serve.Record) {
-	k := d.seg
+	k := len(d.rec.Segments)
 	if k == 0 {
 		d.rec.ArrivalCycle = rec.ArrivalCycle // "now" arrivals resolve at admission
 	}
-	sr := serve.SegmentRecord{Index: k, Model: rec.Model, Replica: d.replica}
+	sr := serve.SegmentRecord{Index: k, Model: rec.Model, Replica: d.rep.id}
 	if rec.Status != serve.StatusDone {
 		sr.Err = rec.Err
 		d.rec.Segments = append(d.rec.Segments, sr)
-		d.rec.Status = serve.StatusFailed
-		d.rec.Err = fmt.Sprintf("segment %d on replica %d: %s", k, d.replica, rec.Err)
+		if d.rec.Status == serve.StatusDone {
+			d.rec.Status = serve.StatusFailed
+			d.rec.Err = fmt.Sprintf("segment %d on replica %d: %s", k, d.rep.id, rec.Err)
+		}
 		return
 	}
 	sr.Instance = rec.Instance
@@ -692,30 +750,36 @@ func (d *dispatch) foldSegment(rec serve.Record) {
 	d.rec.Segments = append(d.rec.Segments, sr)
 	d.rec.BusyCycles += rec.BusyCycles
 	d.rec.EnergyPJ += rec.EnergyPJ
-	if k < len(d.segs)-1 {
-		d.seg++
-		d.req.ArrivalCycle = rec.FinishCycle
-	}
+	d.req.ArrivalCycle = rec.FinishCycle
 }
 
-// chainOver reports whether a dispatcher-fused chain has failed or
-// folded its last segment. f.mu held.
+// chainOver reports whether a chain has failed or folded its last
+// segment. f.mu held.
 func (d *dispatch) chainOver() bool {
 	return d.rec.Status != serve.StatusDone || len(d.rec.Segments) == len(d.segs)
 }
 
-// advanceLocked dispatches a chain's next segment; if no replica can
-// take it the chain terminates failed. f.mu held.
-func (f *Fleet) advanceLocked(d *dispatch) {
-	if err := f.dispatchLocked(d); err != nil {
-		d.rec.Status = serve.StatusFailed
-		d.rec.Err = fmt.Sprintf("segment %d: %s", d.seg, err)
+// settleLocked moves on a request whose latest admission has reported
+// every record: a finished chain resolves, a lost admission fails over
+// (a chain resumes at its first unfinished segment), and a live chain
+// routes its next segment. f.mu held.
+func (f *Fleet) settleLocked(d *dispatch) {
+	switch {
+	case d.segs != nil && d.chainOver():
 		f.finishChainLocked(d)
+	case d.lost:
+		f.failoverOneLocked(d, d.lostCycle)
+	default:
+		if err := f.dispatchLocked(d); err != nil {
+			d.rec.Status = serve.StatusFailed
+			d.rec.Err = fmt.Sprintf("segment %d: %s", len(d.rec.Segments), err)
+			f.finishChainLocked(d)
+		}
 	}
 }
 
-// finishChainLocked completes a dispatcher-fused request: the merged
-// record's request-level placement, then the ticket. f.mu held.
+// finishChainLocked completes a fused request: the merged record's
+// request-level placement, then the ticket. f.mu held.
 func (f *Fleet) finishChainLocked(d *dispatch) {
 	rec := d.rec
 	rec.ID = d.t.ID
@@ -728,23 +792,22 @@ func (f *Fleet) finishChainLocked(d *dispatch) {
 		rec.LatencyCycles = last.FinishCycle - rec.ArrivalCycle
 		rec.QueueCycles = first.StartCycle - rec.ArrivalCycle
 		rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
-		served = d.replica
+		served = d.rep.id
 	}
 	f.resolveTicket(d, rec, served)
 }
 
 // resolveTicket closes a request's ticket with its final record: the
 // one place every accepted request ends. A fused request's merged
-// record folds into the fleet's fused ledger, whichever layer fused
-// it; a dispatcher-fused one also into its tenant window. It takes
-// only outMu, so it runs under f.mu and from engine hooks alike.
+// record folds into the fleet's fused ledger and into the tenant
+// window of the replica that ran its last admission. It takes only
+// outMu, so it runs under f.mu and from engine hooks alike (a fused
+// request resolves under f.mu).
 func (f *Fleet) resolveTicket(d *dispatch, rec *serve.Record, served int) {
 	f.outMu.Lock()
-	if d.nsegs > 0 {
-		foldFused(&f.segStats, rec, d.nsegs)
-		if d.segs != nil {
-			f.fusedWindowLocked(d.req.Tenant).AddRecord(rec)
-		}
+	if d.segs != nil {
+		foldFused(&f.segStats, rec, len(d.segs))
+		f.countFusedLocked(d.rep, rec)
 	}
 	f.tenantOutDecLocked(d.req.Tenant)
 	f.outMu.Unlock()
@@ -779,13 +842,29 @@ func foldFused(s *serve.SegmentStats, rec *serve.Record, n int) {
 	}
 }
 
-// fusedWindowLocked returns (creating if needed) a tenant's window of
-// dispatcher-fused requests. f.outMu held.
-func (f *Fleet) fusedWindowLocked(tenant string) *serve.TenantWindow {
-	w := f.fusedT[tenant]
+// countFusedLocked counts a fused request's final record in its
+// tenant's window on r — or in the fleet history, totals included,
+// once r has been folded into it (a chain can only end failed there).
+// f.mu and f.outMu held.
+func (f *Fleet) countFusedLocked(r *replica, rec *serve.Record) {
+	if !r.folded {
+		window(r.fused, rec.Tenant).AddRecord(rec)
+		return
+	}
+	window(f.history.tenants, rec.Tenant).AddRecord(rec)
+	if rec.Status == serve.StatusDone {
+		f.history.completed++
+	} else {
+		f.history.failed++
+	}
+}
+
+// window returns (creating if needed) a tenant's window in ws.
+func window(ws map[string]*serve.TenantWindow, tenant string) *serve.TenantWindow {
+	w := ws[tenant]
 	if w == nil {
 		w = &serve.TenantWindow{Tenant: tenant}
-		f.fusedT[tenant] = w
+		ws[tenant] = w
 	}
 	return w
 }
@@ -814,27 +893,29 @@ func (f *Fleet) tenantOutInc(tenant string) {
 // admits it there. The returned ticket carries the serving replica's
 // index. Dispatch bookkeeping is only committed for accepted
 // submissions, so a rejected request (unknown model, full tenant
-// queue) does not skew future routing.
+// queue, a plan that does not tile its model) does not skew future
+// routing.
 //
-// A model with a multi-segment plan (Serve.Plans) is fused at one of
-// two layers, chosen from the active replica set. When every active
-// replica serves the same partition, the request is routed whole and
-// its engine admits the segments as one precedence chain. Otherwise it
-// is decomposed at dispatch: segment 0 is routed and admitted now, and
-// each later segment is routed when its predecessor completes, with
-// the predecessor's finish cycle as its arrival — to the replica whose
-// ETA then wins, so each segment can land on the dataflow that suits
-// it.
+// A model with a multi-segment plan (Serve.Plans) is decomposed into
+// its plan's segment chain, which the fleet owns. The active replica
+// set decides only how many segments one admission carries. When every
+// active replica serves the same partition, all remaining segments go
+// to one engine in one SubmitChain call, which links them with
+// scheduling precedences. Otherwise one segment goes, and each
+// successor is routed when its predecessor completes, with the
+// predecessor's finish cycle as its arrival — to the replica whose ETA
+// then wins, so each segment can land on the dataflow that suits it.
 func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	// Unknown models resolve to nil: the picked engine rejects and
 	// accounts them, and a zero cost estimate keeps routing sound.
 	model, _ := dnn.ByName(req.Model)
-	d := &dispatch{f: f, req: req, model: model,
+	d := &dispatch{f: f, req: req, whole: [1]*dnn.Model{model},
 		t: &Ticket{Replica: -1, served: -1, done: make(chan struct{})}}
-	var plan dse.SegmentPlan
 	if model != nil {
 		if p, ok := f.serveOpts.Plans[model.Name]; ok && p.NumSegments() > 1 {
-			plan, d.nsegs = p, p.NumSegments()
+			if err := d.decompose(p); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -844,13 +925,8 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 		return nil, serve.ErrDraining
 	}
 	f.advanceFaultsLocked(max(req.ArrivalCycle, 0))
-	if d.nsegs > 0 && !f.uniformLocked() {
-		if err := d.decompose(plan); err != nil {
-			return nil, err
-		}
-	}
 	if f.shedEnabled(req) {
-		if eta, ok := f.bestETALocked(d.current(), req.ArrivalCycle); ok {
+		if eta, ok := f.bestETALocked(f.workLocked(d), req.ArrivalCycle); ok {
 			if err := f.shedLocked(req, eta); err != nil {
 				return nil, err
 			}
@@ -868,19 +944,17 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 		f.mixAdd(model.Name)
 		if f.onAccept != nil {
 			id := ""
-			if d.nsegs > 0 {
-				id = fmt.Sprintf("%s/%d", model.Name, d.nsegs)
+			if d.segs != nil {
+				id = fmt.Sprintf("%s/%d", model.Name, len(d.segs))
 			}
 			f.onAccept(f.acceptedLocked(req, model), id)
 		}
 	}
-	if d.nsegs > 0 {
+	if d.segs != nil {
 		f.outMu.Lock()
 		f.segStats.FusedRequests++
-		f.segStats.Segments += int64(d.nsegs)
-		if d.segs != nil {
-			f.fusedWindowLocked(req.Tenant).Submitted++
-		}
+		f.segStats.Segments += int64(len(d.segs))
+		window(d.rep.fused, req.Tenant).Submitted++
 		f.outMu.Unlock()
 	}
 	return d.t, nil
@@ -899,17 +973,17 @@ func (f *Fleet) uniformLocked() bool {
 	return true
 }
 
-// decompose turns a fused request into a dispatcher-routed chain of
-// the plan's segment models under one merged record.
+// decompose turns a fused request into a chain of the plan's segment
+// models under one merged record.
 func (d *dispatch) decompose(plan dse.SegmentPlan) error {
-	segs, err := plan.Slices(d.model)
+	segs, err := plan.Slices(d.whole[0])
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	d.segs = segs
 	d.rec = &serve.Record{
 		Tenant:       d.req.Tenant,
-		Model:        d.model.Name,
+		Model:        d.whole[0].Name,
 		Priority:     d.req.Priority,
 		Status:       serve.StatusDone,
 		ArrivalCycle: d.req.ArrivalCycle,
@@ -937,26 +1011,26 @@ func (f *Fleet) acceptedLocked(req serve.Request, model *dnn.Model) serve.Reques
 	return req
 }
 
-// dispatchLocked admits one tracked request (or a fused chain's
-// current segment) on a replica chosen under the routing policy,
+// dispatchLocked admits one tracked request (or a fused chain's next
+// segments, workLocked) on a replica chosen under the routing policy,
 // rotating to the next-best replica on every replica-attributable
 // admission failure (full queue, draining engine, injected fault)
 // while feeding the circuit breaker. It returns an error only when the
 // request cannot be admitted anywhere: a client error from the first
 // engine that evaluated it, or, once every eligible replica has been
 // tried, the last engine's overload rejection (a full queue stays
-// retryable overload) or else ErrNoReplicas. A chain segment landing
+// retryable overload) or else ErrNoReplicas. A chain admission landing
 // on another replica than its predecessor counts a cross-replica
 // handoff. f.mu held.
 func (f *Fleet) dispatchLocked(d *dispatch) error {
 	f.dispatchSeq++
 	cycle := f.faultCycle
-	model := d.current()
-	prev := d.replica
+	work := f.workLocked(d)
+	prev := d.rep
 	var tried map[int]bool
 	var overload error
 	for {
-		r, eta, err := f.pickLocked(model, d.req.ArrivalCycle, tried)
+		r, eta, err := f.pickLocked(work, d.req.ArrivalCycle, tried)
 		if err != nil {
 			if overload != nil {
 				return overload
@@ -974,12 +1048,15 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 		}
 		// Publish the serving replica and count the dispatch before the
 		// engine sees the request: a live engine can finish it (firing
-		// resolve and the inflight hook) before this returns.
-		d.replica = r.id
-		r.inflight.Add(1)
-		ticket, err := d.submitTo(r.engine)
+		// resolve and the inflight hook, once per record) before this
+		// returns.
+		d.rep = r
+		d.out, d.lost = len(work), false
+		r.inflight.Add(int64(len(work)))
+		id, err := d.submitTo(r.engine, work)
 		if err != nil {
-			r.inflight.Add(-1)
+			d.rep = prev
+			r.inflight.Add(-int64(len(work)))
 			if retryableAdmit(err) {
 				f.noteFailureLocked(r, cycle, err.Error())
 				overload = err
@@ -989,9 +1066,9 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 		}
 		f.noteSuccessLocked(r, cycle)
 		if d.t.ID == 0 {
-			d.t.ID = ticket.ID
+			d.t.ID = id
 			d.t.Replica = r.id
-		} else if d.segs != nil && r.id != prev {
+		} else if d.segs != nil && r.id != prev.id {
 			f.crossHandoffs++
 		}
 		r.dispatched++
@@ -1009,8 +1086,8 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 // replica queue holds work and no fused chain is parked. Each round
 // runs serve.Engine.Admit on every live replica (active or retiring)
 // with queued work, one goroutine per engine, joins them, and then
-// settles the chains whose segments finished — in replica-id order,
-// then in the order each engine finalized those segments.
+// routes the chains whose admissions settled with a successor to route
+// — in replica-id order, then in the order each engine finalized them.
 // Admitting first keeps a successor, which arrives at its
 // predecessor's finish cycle, from being placed ahead of work already
 // queued. Manual fleets (serve.Options.Manual) admit only here, so a
@@ -1068,18 +1145,13 @@ func (f *Fleet) relay() {
 }
 
 // dispatchReadyLocked settles the parked fused chains in replica-id
-// order, then in the order each was parked: a finished chain resolves
-// its ticket, a live one routes its next segment. Resolving here, not
-// on the engine goroutines that ran the last segments, keeps the fused
-// ledger's float sums in one order at any GOMAXPROCS. f.mu held.
+// order, then in the order each was parked. Routing here, not on the
+// engine goroutines that ran the segments, keeps every routing
+// decision in one order at any GOMAXPROCS. f.mu held.
 func (f *Fleet) dispatchReadyLocked() {
 	for _, id := range slices.Sorted(maps.Keys(f.ready)) {
 		for _, d := range f.ready[id] {
-			if d.chainOver() {
-				f.finishChainLocked(d)
-			} else {
-				f.advanceLocked(d)
-			}
+			f.settleLocked(d)
 		}
 	}
 	clear(f.ready)
@@ -1108,12 +1180,12 @@ type mixEntry struct {
 	tick int64
 }
 
-// etaLocked is one replica's cost-aware completion estimate for a
-// model arriving at the given cycle: the horizon of work already
-// routed there (or the arrival, whichever is later) plus the model's
-// best-case busy cycles, scaled by any injected stall. Returns 0
-// under the other policies (they keep no horizon). f.mu held.
-func (f *Fleet) etaLocked(r *replica, model *dnn.Model, arrival int64) int64 {
+// etaLocked is one replica's cost-aware completion estimate for an
+// admission's models arriving at the given cycle: the horizon of work
+// already routed there (or the arrival, whichever is later) plus the
+// models' best-case busy cycles, scaled by any injected stall. Returns
+// 0 under the other policies (they keep no horizon). f.mu held.
+func (f *Fleet) etaLocked(r *replica, work []*dnn.Model, arrival int64) int64 {
 	if f.policy != CostAware {
 		return 0
 	}
@@ -1123,20 +1195,24 @@ func (f *Fleet) etaLocked(r *replica, model *dnn.Model, arrival int64) int64 {
 	if arrival < 0 {
 		arrival = 0
 	}
-	return max(r.horizon, arrival) + stallCycles(r.estCycles(f.cache, model), r.stall)
+	from, cost := max(r.horizon, arrival), stallCycles(r.estWork(f.cache, work), r.stall)
+	if cost > math.MaxInt64-from {
+		return math.MaxInt64 // a saturated stall stays the latest ETA
+	}
+	return from + cost
 }
 
 // bestETALocked is the minimum cost-aware ETA any eligible replica
-// offers the model — what the admission controller compares against
+// offers an admission — what the admission controller compares against
 // the SLA budget. ok is false when no replica is eligible. f.mu held.
-func (f *Fleet) bestETALocked(model *dnn.Model, arrival int64) (int64, bool) {
+func (f *Fleet) bestETALocked(work []*dnn.Model, arrival int64) (int64, bool) {
 	elig, _ := f.eligibleLocked(nil)
 	if len(elig) == 0 {
 		return 0, false
 	}
 	best := int64(math.MaxInt64)
 	for _, r := range elig {
-		if eta := f.etaLocked(r, model, arrival); eta < best {
+		if eta := f.etaLocked(r, work, arrival); eta < best {
 			best = eta
 		}
 	}
@@ -1150,7 +1226,7 @@ func (f *Fleet) bestETALocked(model *dnn.Model, arrival int64) (int64, bool) {
 // toward the lower replica position; with every replica healthy the
 // eligible set is exactly f.replicas, so routing is unchanged from
 // the fault-free dispatcher. f.mu held.
-func (f *Fleet) pickLocked(model *dnn.Model, arrival int64, tried map[int]bool) (*replica, int64, error) {
+func (f *Fleet) pickLocked(work []*dnn.Model, arrival int64, tried map[int]bool) (*replica, int64, error) {
 	elig, probe := f.eligibleLocked(tried)
 	if len(elig) == 0 {
 		return nil, 0, ErrNoReplicas
@@ -1159,7 +1235,7 @@ func (f *Fleet) pickLocked(model *dnn.Model, arrival int64, tried map[int]bool) 
 		// The half-open breaker's single probe request: route it to the
 		// recovering replica regardless of policy so the breaker can
 		// close (or re-open) promptly.
-		return probe, f.etaLocked(probe, model, arrival), nil
+		return probe, f.etaLocked(probe, work, arrival), nil
 	}
 	switch f.policy {
 	case LeastOutstanding:
@@ -1176,7 +1252,7 @@ func (f *Fleet) pickLocked(model *dnn.Model, arrival int64, tried map[int]bool) 
 		var best *replica
 		var bestETA int64
 		for _, r := range elig {
-			eta := f.etaLocked(r, model, arrival)
+			eta := f.etaLocked(r, work, arrival)
 			if best == nil || eta < bestETA {
 				best, bestETA = r, eta
 			}
@@ -1236,9 +1312,10 @@ type Stats struct {
 
 	// Fault-tolerance counters. Shed counts arrivals turned away by
 	// admission control; Failovers counts crash-orphaned requests (or
-	// chain segments) re-admitted on survivors; Lost counts requests
-	// extracted by replica crashes (each either failed over — counted
-	// once on its survivor — or terminally failed); BreakerTrips
+	// chain remainders) re-admitted on survivors; Lost counts engine
+	// admissions extracted by replica crashes — a chain's queued
+	// segments one by one — each either failed over (counted once on
+	// its survivor) or terminally failed; BreakerTrips
 	// counts circuit-breaker opens. FailedReplicas is the current
 	// number of crashed replicas awaiting recovery.
 	Shed           int64 `json:"shed"`
@@ -1263,15 +1340,14 @@ type Stats struct {
 	SimThroughputRPS float64 `json:"sim_throughput_rps"`
 
 	// Segments reports the fleet-wide fused-serving counters: requests
-	// fused into segment chains, their segment outcomes, and the
+	// decomposed into segment chains, their segment outcomes, and the
 	// pipeline-overlap cycle sums, folded from each fused request's
-	// final merged record whichever layer fused it (a failed-over chain
-	// counts once; FusedLost and SegmentsLost stay 0 here — they are
-	// per-engine readings).
+	// final merged record (a failed-over chain counts once).
 	Segments serve.SegmentStats `json:"segments"`
 	// CrossReplicaHandoffs counts chain hops where a segment was
 	// routed to a different replica than its predecessor — the
-	// dispatches where the horizon-ledger ETA overruled locality.
+	// dispatches where the horizon-ledger ETA overruled locality, and
+	// a crashed chain's resumption on a survivor.
 	CrossReplicaHandoffs int64 `json:"cross_replica_handoffs"`
 
 	// Tenants aggregates each tenant across every replica; latency
@@ -1287,12 +1363,7 @@ type Stats struct {
 
 // addWindow merges one tenant window into the aggregation map.
 func addWindow(tenants map[string]*serve.TenantWindow, w *serve.TenantWindow) {
-	a := tenants[w.Tenant]
-	if a == nil {
-		a = &serve.TenantWindow{Tenant: w.Tenant}
-		tenants[w.Tenant] = a
-	}
-	a.Add(w)
+	window(tenants, w.Tenant).Add(w)
 }
 
 // Stats returns the current fleet-wide statistics.
@@ -1351,7 +1422,7 @@ func (f *Fleet) Stats() Stats {
 		snaps = append(snaps, rsnap{r: r, dispatched: r.dispatched, horizon: r.horizon,
 			health: r.health.String()})
 	}
-	//herald:nondet additive per-tenant merge; latencies are sorted before percentiles, sums commute
+	//herald:nondet one window per tenant, each into its own aggregate; every source merges in a fixed order (history, then each replica's engine and fused windows in snapshot order), so the float sums associate alike run to run
 	for _, w := range f.history.tenants {
 		addWindow(tenants, w)
 	}
@@ -1361,13 +1432,6 @@ func (f *Fleet) Stats() Stats {
 	maps.Copy(lostFailedT, f.lostFailedT)
 	f.outMu.Lock()
 	st.Segments = f.segStats
-	//herald:nondet additive per-tenant merge; latencies are sorted before percentiles, sums commute
-	for _, w := range f.fusedT {
-		addWindow(tenants, w)
-		st.Submitted += w.Submitted
-		st.Completed += w.Completed
-		st.Failed += w.Failed
-	}
 	f.outMu.Unlock()
 	f.mu.Unlock()
 
@@ -1407,6 +1471,15 @@ func (f *Fleet) Stats() Stats {
 		for _, w := range r.engine.TenantWindows() {
 			addWindow(tenants, &w)
 		}
+		f.outMu.Lock()
+		//herald:nondet one window per tenant, each into its own aggregate, right after the same replica's engine windows (see above)
+		for _, w := range r.fused {
+			addWindow(tenants, w)
+			st.Submitted += w.Submitted
+			st.Completed += w.Completed
+			st.Failed += w.Failed
+		}
+		f.outMu.Unlock()
 	}
 
 	// Crash-orphaned requests that terminally failed were erased from
@@ -1415,19 +1488,13 @@ func (f *Fleet) Stats() Stats {
 	// ever saw them.
 	//herald:nondet additive per-tenant counters into a map; emission below iterates sorted names
 	for tn, c := range lostFailedT {
-		w := tenants[tn]
-		if w == nil {
-			w = &serve.TenantWindow{Tenant: tn}
-			tenants[tn] = w
-		}
+		w := window(tenants, tn)
 		w.Submitted += c
 		w.Failed += c
 	}
 	//herald:nondet set insertion only; emission below iterates sorted names
 	for tn := range shedT {
-		if tenants[tn] == nil {
-			tenants[tn] = &serve.TenantWindow{Tenant: tn}
-		}
+		window(tenants, tn)
 	}
 
 	names := make([]string, 0, len(tenants))
@@ -1639,12 +1706,9 @@ func (f *Fleet) Migrate(ctx context.Context, hdas []*accel.HDA, prewarm *workloa
 // fold moves a fully-drained retired replica's final statistics into
 // the fleet history and drops the engine from the retiring set.
 func (f *Fleet) fold(r *replica) {
-	es := r.engine.Stats()
-	windows := r.engine.TenantWindows()
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.foldStatsLocked(es, windows)
+	f.foldLocked(r)
 	for i, rr := range f.retiring {
 		if rr == r {
 			f.retiring = append(f.retiring[:i], f.retiring[i+1:]...)
@@ -1653,16 +1717,30 @@ func (f *Fleet) fold(r *replica) {
 	}
 }
 
-// foldStatsLocked accumulates one retired (or crash-recovered)
-// engine's final statistics into the fleet history. f.mu held — safe
-// even though Stats/TenantWindows take the engine's own locks, because
-// an engine never takes f.mu. Crash recovery folds under f.mu so the
-// old engine's numbers and the replacement replica appear atomically.
-func (f *Fleet) foldStatsLocked(es serve.Stats, windows []serve.TenantWindow) {
+// foldLocked accumulates one retired (or crash-recovered) replica's
+// final statistics into the fleet history: its engine's, then its
+// fused-request windows, the order Stats merges them in. f.mu held —
+// safe even though Stats/TenantWindows take the engine's own locks,
+// because an engine never takes f.mu. Crash recovery folds under f.mu
+// so the old engine's numbers and the replacement replica appear
+// atomically.
+func (f *Fleet) foldLocked(r *replica) {
+	es := r.engine.Stats()
+	windows := r.engine.TenantWindows()
 	h := &f.history
 	if h.tenants == nil {
 		h.tenants = make(map[string]*serve.TenantWindow)
 	}
+	f.outMu.Lock()
+	for _, name := range slices.Sorted(maps.Keys(r.fused)) {
+		w := r.fused[name]
+		windows = append(windows, *w)
+		es.Submitted += w.Submitted
+		es.Completed += w.Completed
+		es.Failed += w.Failed
+	}
+	r.folded = true
+	f.outMu.Unlock()
 	h.replicas++
 	h.submitted += es.Submitted
 	h.completed += es.Completed

@@ -134,9 +134,8 @@ func TestFleetFusedDispatch(t *testing.T) {
 		t.Errorf("submitted %d, completed %d: want each fused request counted once (%d)", st.Submitted, st.Completed, wantFused)
 	}
 	for _, rs := range st.PerReplica {
-		if rs.Engine.Segments.FusedRequests != 0 || rs.Engine.Submitted != 0 {
-			t.Errorf("replica %d engine fused %d and counted %d requests; the dispatcher owns both on a mixed set",
-				rs.Replica, rs.Engine.Segments.FusedRequests, rs.Engine.Submitted)
+		if rs.Engine.Submitted != 0 {
+			t.Errorf("replica %d engine counted %d requests; the fleet owns the count", rs.Replica, rs.Engine.Submitted)
 		}
 	}
 	if sg.FusedRequests != wantFused || sg.FusedCompleted != wantFused || sg.FusedFailed != 0 {
@@ -151,6 +150,39 @@ func TestFleetFusedDispatch(t *testing.T) {
 	}
 	if sg.SegmentSpanCycles < sg.SegmentBusyCycles {
 		t.Errorf("span %d < busy %d", sg.SegmentSpanCycles, sg.SegmentBusyCycles)
+	}
+}
+
+// TestFusedPlanValidation: Fleet.Submit rejects a request whose plan
+// does not tile its model (a gap, short coverage) instead of admitting
+// a corrupt chain, and the rejection leaves no trace in the fleet's
+// counters.
+func TestFusedPlanValidation(t *testing.T) {
+	m, err := dnn.ByName("mobilenetv1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := m.NumLayers()
+	for name, segs := range map[string][]dse.Segment{
+		"gap":   {{From: 0, To: 5}, {From: 6, To: L}},     // gap at layer 5
+		"short": {{From: 0, To: 5}, {From: 5, To: L - 1}}, // misses the last layer
+	} {
+		opts := DefaultOptions()
+		opts.Serve.Plans = map[string]dse.SegmentPlan{"mobilenetv1": {Model: "mobilenetv1", Segments: segs}}
+		f, err := Replicated(newTestCache(), testHDA(t), 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1"}); err == nil {
+			t.Errorf("%s plan accepted", name)
+		}
+		st, err := f.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Submitted != 0 || st.Segments.FusedRequests != 0 {
+			t.Errorf("%s plan: rejected request counted: %+v", name, st)
+		}
 	}
 }
 
@@ -195,10 +227,11 @@ func TestCapturePlanIDs(t *testing.T) {
 	}
 }
 
-// TestUniformFleetFusesInEngine: on identical replicas a fused request
-// goes whole to one replica, whose engine chains the segments — no
-// segment crosses replicas, every segment is stamped with the replica
-// that served the request, and the fleet counts each request once.
+// TestUniformFleetFusesInEngine: on identical replicas a fused request's
+// segments go to one replica in one SubmitChain call, whose engine
+// links them — no segment crosses replicas, every segment is stamped
+// with the replica that served the request, and the fleet counts each
+// request once, never the engines.
 func TestUniformFleetFusesInEngine(t *testing.T) {
 	cache := newTestCache()
 	plans := fleetPlans(t, cache, "mobilenetv2", "mobilenetv1")
@@ -246,14 +279,17 @@ func TestUniformFleetFusesInEngine(t *testing.T) {
 	if st.CrossReplicaHandoffs != 0 {
 		t.Errorf("%d cross-replica handoffs on identical replicas", st.CrossReplicaHandoffs)
 	}
-	var engineFused int64
-	for _, rs := range st.PerReplica {
-		engineFused += rs.Engine.Segments.FusedRequests
-	}
-	if engineFused != int64(len(tickets)) {
-		t.Errorf("engines fused %d requests, want all %d", engineFused, len(tickets))
-	}
 	n := int64(len(tickets))
+	var admissions int64
+	for _, rs := range st.PerReplica {
+		admissions += rs.Dispatched
+		if rs.Engine.Submitted != 0 {
+			t.Errorf("replica %d engine counted %d requests; the fleet owns the count", rs.Replica, rs.Engine.Submitted)
+		}
+	}
+	if admissions != n {
+		t.Errorf("%d admissions for %d requests, want one SubmitChain each", admissions, n)
+	}
 	if st.Submitted != n || st.Completed != n || st.Segments.FusedCompleted != n {
 		t.Errorf("submitted %d, completed %d, fused %d: want %d", st.Submitted, st.Completed, st.Segments.FusedCompleted, n)
 	}

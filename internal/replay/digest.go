@@ -63,7 +63,7 @@ type Setup struct {
 	Replicas int      `json:"replicas"`
 	HDAs     []string `json:"hdas"`
 	// FusedModels lists the models with a fusion plan in
-	// Fleet.Serve.Plans (sorted), whichever layer fuses them.
+	// Fleet.Serve.Plans (sorted).
 	FusedModels []string `json:"fused_models,omitempty"`
 	// FaultEvents counts injected fault-plan events.
 	FaultEvents int `json:"fault_events,omitempty"` //herald:jsonzero 0 means a fault-free replay; absent means the same

@@ -213,8 +213,8 @@ func TestHashStable(t *testing.T) {
 	}
 }
 
-// TestRunFleetFusion: dispatcher fusion replays. On a mixed replica
-// set the fleet decomposes fused requests, and every segment's
+// TestRunFleetFusion: fusion on a mixed replica set replays. The
+// fleet routes one segment per admission there, and every segment's
 // successor is dispatched inside Fleet.Admit in a fixed order, so the
 // zipf corpus trace fused across two replicas renders one digest twice
 // and at GOMAXPROCS 1 and 4, counts each request once, conserves
@@ -274,13 +274,13 @@ func TestRunFleetFusion(t *testing.T) {
 	}
 }
 
-// TestRunEngineFusionAcrossCrash: engine-fused requests survive a
-// replica crash in the fleet's fused ledger. Recovery retires the
-// crashed engine and starts a fresh one; the ledger folds each request
-// once, at resolution, so on a trace whose every model fuses each
-// submitted request is one fused request (a failed-over chain is not
-// counted again), each completed request a completed fused request,
-// and segments are conserved.
+// TestRunEngineFusionAcrossCrash: chains admitted whole to one engine
+// (identical replicas) survive a replica crash in the fleet's fused
+// ledger. Recovery retires the crashed engine and starts a fresh one;
+// the ledger folds each request once, at resolution, so on a trace
+// whose every model fuses each submitted request is one fused request
+// (a chain resumed on a survivor is not counted again), each completed
+// request a completed fused request, and segments are conserved.
 func TestRunEngineFusionAcrossCrash(t *testing.T) {
 	tr := corpusTrace(t, "zipf")
 	cache := newTestCache()

@@ -428,14 +428,14 @@ func TestReassignRefreshesFeasibility(t *testing.T) {
 	req := Request{Tenant: "a", ArrivalCycle: 0}
 	const want = "serve: giant layer 0 cannot fit the 4096-byte global buffer on any sub-accelerator"
 	for i := 0; i < 2; i++ { // the second answer comes from the memo
-		if _, err := e.SubmitModel(req, giant, nil); err == nil || err.Error() != want {
+		if _, err := e.SubmitChain(req, []*dnn.Model{giant}, nil); err == nil || err.Error() != want {
 			t.Fatalf("submit %d on the tight HDA: got %v, want %q", i, err, want)
 		}
 	}
 	if err := e.Reassign([]accel.Partition{{Style: dataflow.NVDLA, PEs: 512, BWGBps: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	tk, err := e.SubmitModel(req, giant, nil)
+	tks, err := e.SubmitChain(req, []*dnn.Model{giant}, nil)
 	if err != nil {
 		t.Fatalf("submit after the reassign still rejected: %v", err)
 	}
@@ -443,9 +443,9 @@ func TestReassignRefreshesFeasibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SubmitModel admits untracked segments, so the served request
+	// SubmitChain admits untracked segments, so the served request
 	// shows on its ticket rather than in the tenant counters.
-	if rec, _ := tk.Wait(context.Background()); rec.Status != StatusDone || st.Rejected != 2 {
+	if rec, _ := tks[0].Wait(context.Background()); rec.Status != StatusDone || st.Rejected != 2 {
 		t.Fatalf("want the request done and 2 rejected, got %+v and %+v", rec, st)
 	}
 }

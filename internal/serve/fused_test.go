@@ -1,11 +1,13 @@
 package serve
 
-// Tests of the fused (segment-pipeline) serving path: a request whose
-// model has a multi-segment plan is admitted as a precedence-chained
-// sequence of sliced-model instances under one ticket.
+// Tests of segment chains: SubmitChain queues a fleet-decomposed
+// request's segment models together, links each successor to its
+// predecessor with an Admission.After, and reports one record per
+// segment while keeping the segments out of the tenant ledger.
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -15,133 +17,117 @@ import (
 	"repro/internal/maestro"
 )
 
-// fusedPlans computes segment plans for the named models on the test
-// HDA, failing the test unless every plan actually splits.
-func fusedPlans(t testing.TB, cache *maestro.Cache, e *dse.Objective, names ...string) map[string]dse.SegmentPlan {
+// chainSegments cuts the named model along its segment plan on the test
+// HDA, failing the test unless the plan actually splits.
+func chainSegments(t testing.TB, cache *maestro.Cache, name string) []*dnn.Model {
 	t.Helper()
-	h := testHDA(t)
-	o := dse.ObjectiveEDP
-	if e != nil {
-		o = *e
+	m, err := dnn.ByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plans := make(map[string]dse.SegmentPlan)
-	for _, name := range names {
-		m, err := dnn.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := dse.PlanSegments(cache, h, m, o, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.NumSegments() < 2 {
-			t.Fatalf("%s does not split on the test HDA; pick another model", name)
-		}
-		plans[name] = p
+	p, err := dse.PlanSegments(cache, testHDA(t), m, dse.ObjectiveEDP, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return plans
+	if p.NumSegments() < 2 {
+		t.Fatalf("%s does not split on the test HDA; pick another model", name)
+	}
+	segs, err := p.Slices(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
 }
 
-// TestFusedRequestLifecycle walks one fused request end to end: the
-// record carries one SegmentRecord per plan segment, segments respect
-// chain precedence, and the request-level summary is consistent.
+// recorder collects the records a chain's onDone receives.
+type recorder struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (r *recorder) done(rec Record) {
+	r.mu.Lock()
+	r.recs = append(r.recs, rec)
+	r.mu.Unlock()
+}
+
+// TestFusedRequestLifecycle walks chains end to end on a manual engine:
+// two chains queued before one Admit share its batches, so successors
+// link to in-batch and already-placed predecessors alike. Each segment
+// reports one done record, in chain order, that starts no earlier than
+// its predecessor finishes; the tenant ledger never sees a segment.
 func TestFusedRequestLifecycle(t *testing.T) {
 	cache := newTestCache()
-	plans := fusedPlans(t, cache, nil, "mobilenetv2")
+	segs := chainSegments(t, cache, "mobilenetv2")
 	opts := DefaultOptions()
-	opts.Plans = plans
+	opts.Manual = true
+	opts.MaxBatch = 3
 	e, err := New(cache, testHDA(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ticket, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv2", SLACycles: 1 << 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := ticket.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Status != StatusDone {
-		t.Fatalf("status %q err %q", rec.Status, rec.Err)
-	}
-	plan := plans["mobilenetv2"]
-	if len(rec.Segments) != plan.NumSegments() {
-		t.Fatalf("%d segment records, want %d", len(rec.Segments), plan.NumSegments())
-	}
-	for i, sr := range rec.Segments {
-		if sr.Index != i {
-			t.Errorf("segment %d: index %d", i, sr.Index)
+	var chains [2]recorder
+	for i := range chains {
+		tickets, err := e.SubmitChain(Request{Tenant: "a", Model: "ignored", ArrivalCycle: int64(i) * 100_000}, segs, chains[i].done)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.HasPrefix(sr.Model, "mobilenetv2[") {
-			t.Errorf("segment %d: model %q, want a mobilenetv2 slice", i, sr.Model)
-		}
-		if sr.FinishCycle <= sr.StartCycle || sr.BusyCycles <= 0 {
-			t.Errorf("segment %d: degenerate placement %+v", i, sr)
-		}
-		if i > 0 && sr.StartCycle < rec.Segments[i-1].FinishCycle {
-			t.Errorf("segment %d starts at %d before predecessor finishes at %d",
-				i, sr.StartCycle, rec.Segments[i-1].FinishCycle)
+		if len(tickets) != len(segs) {
+			t.Fatalf("%d tickets for %d segments", len(tickets), len(segs))
 		}
 	}
-	first, last := rec.Segments[0], rec.Segments[len(rec.Segments)-1]
-	if rec.StartCycle != first.StartCycle || rec.FinishCycle != last.FinishCycle {
-		t.Errorf("summary span [%d,%d] != segment span [%d,%d]",
-			rec.StartCycle, rec.FinishCycle, first.StartCycle, last.FinishCycle)
-	}
-	if rec.LatencyCycles != last.FinishCycle-rec.ArrivalCycle {
-		t.Errorf("latency %d, want %d", rec.LatencyCycles, last.FinishCycle-rec.ArrivalCycle)
-	}
-	var busy int64
-	var energy float64
-	for _, sr := range rec.Segments {
-		busy += sr.BusyCycles
-		energy += sr.EnergyPJ
-	}
-	if rec.BusyCycles != busy || rec.EnergyPJ != energy {
-		t.Errorf("summary busy/energy %d/%.0f != segment sums %d/%.0f",
-			rec.BusyCycles, rec.EnergyPJ, busy, energy)
+	e.Admit()
+	for c := range chains {
+		recs := chains[c].recs
+		if len(recs) != len(segs) {
+			t.Fatalf("chain %d: %d records, want one per segment (%d)", c, len(recs), len(segs))
+		}
+		for k, rec := range recs {
+			if rec.Status != StatusDone {
+				t.Fatalf("chain %d segment %d: %q err %q", c, k, rec.Status, rec.Err)
+			}
+			if rec.Model != segs[k].Name || !strings.HasPrefix(rec.Model, "mobilenetv2[") {
+				t.Errorf("chain %d record %d: model %q, want %q", c, k, rec.Model, segs[k].Name)
+			}
+			if rec.FinishCycle <= rec.StartCycle || rec.BusyCycles <= 0 || len(rec.Segments) != 0 {
+				t.Errorf("chain %d segment %d: degenerate record %+v", c, k, rec)
+			}
+			if k > 0 && rec.StartCycle < recs[k-1].FinishCycle {
+				t.Errorf("chain %d segment %d starts at %d before predecessor finishes at %d",
+					c, k, rec.StartCycle, recs[k-1].FinishCycle)
+			}
+		}
 	}
 
 	st, err := e.Drain(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg := st.Segments
-	if sg.FusedRequests != 1 || sg.FusedCompleted != 1 || sg.FusedFailed != 0 {
-		t.Errorf("fused counters %+v", sg)
+	if st.Submitted != 0 || st.Completed != 0 || len(st.Tenants) != 0 {
+		t.Errorf("segments leaked into the tenant ledger: %+v", st)
 	}
-	n := int64(plan.NumSegments())
-	if sg.Segments != n || sg.SegmentsCompleted != n || sg.SegmentsFailed != 0 {
-		t.Errorf("segment counters %+v, want %d", sg, n)
-	}
-	if sg.SegmentSpanCycles != rec.FinishCycle-rec.StartCycle {
-		t.Errorf("span %d, want %d", sg.SegmentSpanCycles, rec.FinishCycle-rec.StartCycle)
-	}
-	if sg.HandoffBubbleCycles != sg.SegmentSpanCycles-sg.SegmentBusyCycles {
-		// One request, sequential segments: span decomposes exactly
-		// into busy + bubble.
-		t.Errorf("bubble %d != span %d - busy %d",
-			sg.HandoffBubbleCycles, sg.SegmentSpanCycles, sg.SegmentBusyCycles)
-	}
-	if err := e.Snapshot().Validate(); err != nil {
+	snap := e.Snapshot()
+	if err := snap.Validate(); err != nil {
 		t.Errorf("schedule invalid: %v", err)
+	}
+	if got := snap.Workload.NumInstances(); got != 2*len(segs) {
+		t.Errorf("schedule has %d instances, want %d", got, 2*len(segs))
 	}
 }
 
-// TestFusedConservation pins request- and segment-level conservation
-// under a concurrent fused + unfused mix: after a drain, submitted ==
-// completed + failed at request granularity and segments ==
-// segments_completed + segments_failed at segment granularity. Run
-// under -race this also exercises the chain bookkeeping for data
-// races.
+// TestFusedConservation mixes concurrent chains with tracked requests
+// on a live engine: every segment reports exactly one done record,
+// the tenant ledger counts only the tracked requests, and the
+// committed schedule holds both. Run under -race this also exercises
+// the chain bookkeeping for data races.
 func TestFusedConservation(t *testing.T) {
 	cache := newTestCache()
-	plans := fusedPlans(t, cache, nil, "mobilenetv2", "mobilenetv1")
-	opts := DefaultOptions()
-	opts.Plans = plans
-	e, err := New(cache, testHDA(t), opts)
+	chainsOf := map[string][]*dnn.Model{
+		"mobilenetv2": chainSegments(t, cache, "mobilenetv2"),
+		"mobilenetv1": chainSegments(t, cache, "mobilenetv1"),
+	}
+	e, err := New(cache, testHDA(t), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,32 +138,41 @@ func TestFusedConservation(t *testing.T) {
 		count  int
 	}
 	streams := []stream{
-		{tenant: "ar", model: "mobilenetv2", count: 20},   // fused, 4 segments
-		{tenant: "vr", model: "mobilenetv1", count: 20},   // fused, 2 segments
-		{tenant: "batch", model: "resnet18", count: 12},   // unfused (no plan)
-		{tenant: "mixed", model: "mobilenetv2", count: 8}, // fused
+		{tenant: "ar", model: "mobilenetv2", count: 20},   // chained
+		{tenant: "vr", model: "mobilenetv1", count: 20},   // chained
+		{tenant: "batch", model: "resnet18", count: 12},   // tracked
+		{tenant: "mixed", model: "mobilenetv2", count: 8}, // chained
 	}
 	var wg sync.WaitGroup
+	var rec recorder
+	wantSegs := 0
 	for _, s := range streams {
+		wantSegs += s.count * len(chainsOf[s.model])
 		wg.Add(1)
 		go func(s stream) {
 			defer wg.Done()
 			for i := 0; i < s.count; i++ {
-				ticket, err := e.Submit(Request{
-					Tenant: s.tenant, Model: s.model,
-					ArrivalCycle: int64(i) * 500_000,
-				})
+				req := Request{Tenant: s.tenant, Model: s.model, ArrivalCycle: int64(i) * 500_000}
+				var last *Ticket
+				var err error
+				if segs := chainsOf[s.model]; segs != nil {
+					tickets, err := e.SubmitChain(req, segs, rec.done)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					last = tickets[len(tickets)-1]
+				} else if last, err = e.Submit(req); err != nil {
+					t.Error(err)
+					return
+				}
+				r, err := last.Wait(context.Background())
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				rec, err := ticket.Wait(context.Background())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if rec.Status != StatusDone {
-					t.Errorf("request %d (%s): %q err %q", rec.ID, s.model, rec.Status, rec.Err)
+				if r.Status != StatusDone {
+					t.Errorf("request %d (%s): %q err %q", r.ID, s.model, r.Status, r.Err)
 				}
 			}
 		}(s)
@@ -188,55 +183,50 @@ func TestFusedConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(20 + 20 + 12 + 8)
-	if st.Submitted != want || st.Completed+st.Failed != want {
-		t.Errorf("request conservation: submitted %d completed %d failed %d, want %d",
-			st.Submitted, st.Completed, st.Failed, want)
+	if st.Submitted != 12 || st.Completed != 12 || st.Failed != 0 {
+		t.Errorf("tenant ledger: submitted %d completed %d failed %d, want the 12 tracked requests",
+			st.Submitted, st.Completed, st.Failed)
 	}
-	sg := st.Segments
-	if sg.FusedRequests != 48 || sg.FusedCompleted+sg.FusedFailed != 48 {
-		t.Errorf("fused conservation: %+v", sg)
+	if len(rec.recs) != wantSegs {
+		t.Errorf("%d segment records, want %d", len(rec.recs), wantSegs)
 	}
-	wantSegs := int64(20*plans["mobilenetv2"].NumSegments() +
-		20*plans["mobilenetv1"].NumSegments() +
-		8*plans["mobilenetv2"].NumSegments())
-	if sg.Segments != wantSegs || sg.SegmentsCompleted+sg.SegmentsFailed != wantSegs {
-		t.Errorf("segment conservation: %+v, want %d segments", sg, wantSegs)
+	for _, r := range rec.recs {
+		if r.Status != StatusDone {
+			t.Errorf("segment %s: %q err %q", r.Model, r.Status, r.Err)
+		}
 	}
 
 	snap := e.Snapshot()
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("committed schedule invalid: %v", err)
 	}
-	if got, want := snap.Workload.NumInstances(), int(wantSegs)+12; got != want {
-		t.Errorf("schedule has %d instances, want %d (segments + unfused)", got, want)
+	if got, want := snap.Workload.NumInstances(), wantSegs+12; got != want {
+		t.Errorf("schedule has %d instances, want %d (segments + tracked)", got, want)
 	}
 }
 
 // TestFusedQuiesceInFlight quiesces the engine while multi-segment
-// chains are still queued: every accepted ticket must still resolve
-// (Quiesce stops admissions, not accepted work), and conservation
-// must hold afterwards.
+// chains are still queued: every accepted segment must still resolve
+// (Quiesce stops admissions, not accepted work), a chain submitted
+// afterwards is refused whole, and nothing stays pending.
 func TestFusedQuiesceInFlight(t *testing.T) {
 	cache := newTestCache()
-	plans := fusedPlans(t, cache, nil, "mobilenetv2")
-	opts := DefaultOptions()
-	opts.Plans = plans
-	e, err := New(cache, testHDA(t), opts)
+	segs := chainSegments(t, cache, "mobilenetv2")
+	e, err := New(cache, testHDA(t), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tickets []*Ticket
 	for i := 0; i < 16; i++ {
-		ticket, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv2", ArrivalCycle: int64(i) * 100_000})
+		ts, err := e.SubmitChain(Request{Tenant: "a", ArrivalCycle: int64(i) * 100_000}, segs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tickets = append(tickets, ticket)
+		tickets = append(tickets, ts...)
 	}
 	e.Quiesce()
-	if _, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv2"}); err == nil {
-		t.Error("submission accepted after Quiesce")
+	if _, err := e.SubmitChain(Request{Tenant: "a"}, segs, nil); !errors.Is(err, ErrDraining) {
+		t.Errorf("chain after Quiesce: err %v, want ErrDraining", err)
 	}
 	for i, ticket := range tickets {
 		rec, err := ticket.Wait(context.Background())
@@ -244,56 +234,87 @@ func TestFusedQuiesceInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rec.Status != StatusDone {
-			t.Errorf("ticket %d: %q err %q", i, rec.Status, rec.Err)
+			t.Errorf("segment ticket %d: %q err %q", i, rec.Status, rec.Err)
 		}
 	}
 	<-e.Done()
-	st := e.Stats()
-	if st.Segments.FusedCompleted != 16 || st.Pending != 0 {
-		t.Errorf("post-quiesce stats: %+v", st.Segments)
+	if st := e.Stats(); st.Pending != 0 || st.Rejected != 1 {
+		t.Errorf("post-quiesce stats: pending %d, rejected %d; want 0 and 1", st.Pending, st.Rejected)
 	}
 }
 
-// TestFusedPlanValidation rejects submissions whose plan does not tile
-// the model (gaps, wrong coverage) instead of admitting a corrupt
-// chain.
-func TestFusedPlanValidation(t *testing.T) {
+// TestFusedChainMaxQueue: a chain is admitted all or nothing against
+// the tenant's queue cap — a chain that does not fit leaves the queue
+// untouched, a shorter one that does fit still goes in, and invalid
+// segment lists are rejected whole.
+func TestFusedChainMaxQueue(t *testing.T) {
 	cache := newTestCache()
-	m, err := dnn.ByName("mobilenetv1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	L := m.NumLayers()
-	bad := map[string]dse.SegmentPlan{
-		"mobilenetv1": {Model: "mobilenetv1", Segments: []dse.Segment{
-			{From: 0, To: 5}, {From: 6, To: L}, // gap at layer 5
-		}},
-	}
+	segs := chainSegments(t, cache, "mobilenetv2")
 	opts := DefaultOptions()
-	opts.Plans = bad
+	opts.Manual = true
+	opts.MaxQueue = len(segs) + 1
 	e, err := New(cache, testHDA(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit(Request{Tenant: "a", Model: "mobilenetv1"}); err == nil {
-		t.Fatal("gap plan accepted")
+	req := Request{Tenant: "a", ArrivalCycle: 0}
+	if _, err := e.SubmitChain(req, segs, nil); err != nil {
+		t.Fatal(err)
 	}
-	short := map[string]dse.SegmentPlan{
-		"mobilenetv1": {Model: "mobilenetv1", Segments: []dse.Segment{
-			{From: 0, To: 5}, {From: 5, To: L - 1}, // misses the last layer
-		}},
+	if _, err := e.SubmitChain(req, segs[:2], nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("overflowing chain: err %v, want ErrQueueFull", err)
 	}
-	e2, err := New(cache, testHDA(t), Options{Sched: DefaultOptions().Sched, Plans: short})
+	if got := e.Load().Pending; got != len(segs) {
+		t.Fatalf("rejected chain left %d pending, want %d", got, len(segs))
+	}
+	if _, err := e.SubmitChain(req, segs[:1], nil); err != nil {
+		t.Fatalf("chain that fits: %v", err)
+	}
+	for _, bad := range [][]*dnn.Model{nil, {segs[0], nil}} {
+		if _, err := e.SubmitChain(req, bad, nil); err == nil {
+			t.Errorf("chain %v accepted", bad)
+		}
+	}
+	if _, err := e.SubmitChain(Request{}, segs[:1], nil); err == nil {
+		t.Error("chain without a tenant accepted")
+	}
+	st, err := e.Drain(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Submit(Request{Tenant: "a", Model: "mobilenetv1"}); err == nil {
-		t.Fatal("short plan accepted")
+	if st.Pending != 0 || st.Rejected != 3 || st.Submitted != 0 {
+		t.Errorf("stats %+v: want 3 rejected chains and no tenant requests", st)
 	}
-	if _, err := e.Drain(context.Background()); err != nil {
+}
+
+// TestFusedChainCrash: Crash extracts a queued chain segment by
+// segment — each reports StatusLost, in chain order, and the engine
+// counts every extracted segment as lost work.
+func TestFusedChainCrash(t *testing.T) {
+	cache := newTestCache()
+	segs := chainSegments(t, cache, "mobilenetv2")
+	opts := DefaultOptions()
+	opts.Manual = true
+	e, err := New(cache, testHDA(t), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Drain(context.Background()); err != nil {
+	var rec recorder
+	if _, err := e.SubmitChain(Request{Tenant: "a"}, segs, rec.done); err != nil {
 		t.Fatal(err)
+	}
+	if got := e.Crash(); got != len(segs) {
+		t.Fatalf("Crash extracted %d, want %d segments", got, len(segs))
+	}
+	if len(rec.recs) != len(segs) {
+		t.Fatalf("%d lost records, want %d", len(rec.recs), len(segs))
+	}
+	for k, r := range rec.recs {
+		if r.Status != StatusLost || r.Model != segs[k].Name {
+			t.Errorf("lost record %d: %q %q, want %q lost", k, r.Model, r.Status, segs[k].Name)
+		}
+	}
+	if st := e.Stats(); st.Lost != int64(len(segs)) || st.Submitted != 0 || st.Pending != 0 {
+		t.Errorf("post-crash stats %+v", st)
 	}
 }

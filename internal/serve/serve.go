@@ -26,6 +26,14 @@
 // fresh engine the cost columns of an expected workload so its first
 // admissions hit warm scheduler tables.
 //
+// Fused chains: a fleet dispatcher that decomposes a fused request
+// (internal/fleet) admits the segments it routes here through
+// SubmitChain. The engine's one chain job is linking segments queued
+// together: each successor carries an Admission.After on its
+// predecessor, so the scheduler orders them and rides the activation
+// on its handoff ledger. Every segment reports its own record; the
+// dispatcher merges them and counts the request once.
+//
 // Probes for dispatchers and monitors: Load (pending count + committed
 // backlog horizon), Stats / TenantWindows (aggregate and per-tenant
 // raw statistics; fleets merge windows across replicas), Snapshot (the
@@ -89,15 +97,12 @@ type Options struct {
 	// submissions and Admit calls, never on goroutine timing.
 	Manual bool
 
-	// Plans maps model names to fusion plans (a dse search's
-	// SegmentPlans). A request whose model has a multi-segment plan is
-	// admitted as a chain of per-segment instances — segment models
-	// are interned slices of the parent, segment k+1 carries a
-	// scheduling precedence on segment k, and the inter-segment
-	// activation rides the scheduler's handoff ledger — under one
-	// ticket whose latency is the last segment's completion. Models
-	// without a plan (or with a single-segment plan), and nil Plans,
-	// serve whole-model requests exactly as before.
+	// Plans is the fleet's plan table: model names to fusion plans (a
+	// dse search's SegmentPlans). internal/fleet reads it from the
+	// Options it builds its replicas with, decomposes every request
+	// whose model has a multi-segment plan, and admits the segments
+	// through SubmitChain. A bare engine ignores it: Submit always
+	// serves the whole model.
 	Plans map[string]dse.SegmentPlan
 
 	// Elastic enables the elastic intra-HDA surface: Preempt (revoke
@@ -208,11 +213,12 @@ type Record struct {
 
 	Err string `json:"error,omitempty"`
 
-	// Segments holds the per-segment placements of a fused request,
-	// in segment order (nil for unfused requests). The request-level
-	// placement fields summarize them: Instance and StartCycle come
-	// from the first segment, FinishCycle from the last, BusyCycles
-	// and EnergyPJ are sums.
+	// Segments holds the per-segment placements of a fused request's
+	// merged record, in segment order: a fleet dispatcher fills it from
+	// the segments' own records (an engine record, one admission, has
+	// none). The request-level placement fields summarize them:
+	// Instance and StartCycle come from the first segment, FinishCycle
+	// from the last, BusyCycles and EnergyPJ are sums.
 	Segments []SegmentRecord `json:"segments,omitempty"`
 }
 
@@ -222,9 +228,7 @@ type SegmentRecord struct {
 	Model    string `json:"model"` // the sliced segment model, e.g. "unet[0:5]"
 	Instance int    `json:"instance"`
 
-	// Replica is the fleet replica that ran the segment: each
-	// segment's own under dispatcher fusion, the serving replica's on
-	// every segment of an engine-fused request (0 outside a fleet).
+	// Replica is the fleet replica that ran the segment.
 	Replica int `json:"replica"`
 
 	StartCycle  int64   `json:"start_cycle"`
@@ -262,9 +266,7 @@ func (t *Ticket) Wait(ctx context.Context) (Record, error) {
 	}
 }
 
-// pending is one queued submission plus its completion signal. A
-// fused request enqueues one pending per segment (chain != nil); the
-// chain's done channel replaces the per-pending one, which is nil.
+// pending is one queued submission plus its completion signal.
 type pending struct {
 	rec  *Record
 	inst workload.Instance
@@ -276,14 +278,16 @@ type pending struct {
 	// to resolve their tickets and detect lost work.
 	onDone func(Record)
 
+	// chain links the segments of one multi-segment SubmitChain call;
+	// segIndex is this segment's position in it.
 	chain    *chainState
 	segIndex int
 
 	// untracked marks a segment a dispatcher admitted through
-	// SubmitModel: it is scheduled and reported to onDone, but it stays
+	// SubmitChain: it is scheduled and reported to onDone, but it stays
 	// out of the tenant request ledger — the dispatcher counts the
 	// request once, on its merged record — and is never preempted
-	// (its successor is routed on the finish cycle it reported).
+	// (its successor may be routed on the finish cycle it reported).
 	untracked bool
 
 	// resume marks a preempted request re-queued for resumption: the
@@ -294,33 +298,18 @@ type pending struct {
 	resume *resumeState
 }
 
-// chainState is the scheduling-goroutine-private bookkeeping of one
-// fused request's segment chain. It is created by Submit before the
-// pendings become visible and touched only by the single scheduling
-// goroutine afterwards, so it needs no lock of its own.
+// chainState links the segments one SubmitChain call queued together.
+// It is created before the pendings become visible and touched only by
+// the admitting goroutine afterwards (Admit callers are serialized), so
+// it needs no lock of its own.
 type chainState struct {
-	rec    *Record
-	done   chan struct{}
-	onDone func(Record)
-
 	// placed[k] is segment k's global schedule instance index, -1
 	// until admitted — the value segment k+1's Admission.After names.
 	placed []int
 
-	// left counts segments not yet published; the chain finalizes (and
-	// done closes) when it reaches zero.
-	left int
-
 	// failed marks a broken chain: once any segment fails, every later
 	// segment fails fast without touching the scheduler.
 	failed bool
-
-	// lost marks a chain finalized by Crash: some of its segments were
-	// extracted from the queues, the record is already terminal and
-	// done is closed. Segments of a lost chain still in the admitting
-	// batch only update the segment counters — they must not touch the
-	// published record or re-finalize the chain.
-	lost bool
 }
 
 // errChainBroken fails the remaining segments of a chain whose
@@ -372,9 +361,6 @@ type Engine struct {
 	stopped chan struct{}
 
 	maxFinishCycle int64 // latest committed finish cycle; guarded by mu
-
-	// segStats accumulates fused-serving counters (under e.mu).
-	segStats SegmentStats
 
 	// preemptible tracks finalized-but-future unfused requests (their
 	// placements end past the admission floor, so a Preempt can still
@@ -440,8 +426,7 @@ func (e *Engine) NowCycles() int64 {
 // immediately; scheduling happens asynchronously. Submissions are
 // rejected when the tenant/model is invalid, the model cannot fit
 // the HDA's global buffer, the tenant queue is full, or the engine
-// is draining. A model with a multi-segment plan (Options.Plans) is
-// admitted as a precedence-chained segment pipeline under one ticket.
+// is draining.
 func (e *Engine) Submit(req Request) (*Ticket, error) {
 	return e.SubmitTracked(req, nil)
 }
@@ -456,60 +441,115 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 // without polling and to collect lost requests for failover.
 func (e *Engine) SubmitTracked(req Request, onDone func(Record)) (*Ticket, error) {
 	if req.Tenant == "" {
-		return nil, fmt.Errorf("serve: request needs a tenant")
+		return nil, errNoTenant
 	}
 	model, err := dnn.ByName(req.Model)
 	if err != nil {
 		e.countRejected(req.Tenant)
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if plan, ok := e.opts.Plans[model.Name]; ok && plan.NumSegments() > 1 {
-		return e.submitFused(req, model, plan, onDone)
-	}
-	return e.submitModel(req, model, onDone, false)
-}
-
-// SubmitModel admits one segment of a request a fleet dispatcher
-// decomposed: m is a caller-resolved model (sliced segment models are
-// not in the zoo), the request's Model field is ignored, and no fusion
-// plan applies. The segment is scheduled and its record delivered to
-// onDone like any request's, but it is not a tenant request here: the
-// tenant counters and latency window leave it to the dispatcher, which
-// counts the whole request once, and Preempt never revokes it.
-func (e *Engine) SubmitModel(req Request, m *dnn.Model, onDone func(Record)) (*Ticket, error) {
-	if req.Tenant == "" {
-		return nil, fmt.Errorf("serve: request needs a tenant")
-	}
-	if m == nil || m.NumLayers() == 0 {
-		e.countRejected(req.Tenant)
-		return nil, fmt.Errorf("serve: nil or empty model")
-	}
-	return e.submitModel(req, m, onDone, true)
-}
-
-// submitModel admits one whole-model request, or an untracked segment
-// (SubmitModel).
-func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record), untracked bool) (*Ticket, error) {
 	if err := e.hda.Load().feasible(e.cache, model); err != nil {
 		e.countRejected(req.Tenant)
 		return nil, err
 	}
-	arrival := req.ArrivalCycle
-	if arrival < 0 {
-		arrival = e.NowCycles()
-	}
+	arrival := e.arrival(req)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.draining {
-		e.rejectLocked(req.Tenant)
-		return nil, ErrDraining
+	if err := e.acceptLocked(req.Tenant, 1); err != nil {
+		return nil, err
 	}
-	if len(e.queues[req.Tenant]) >= e.opts.MaxQueue {
-		e.rejectLocked(req.Tenant)
-		return nil, fmt.Errorf("%w: tenant %q has %d pending", ErrQueueFull, req.Tenant, e.opts.MaxQueue)
-	}
+	t := e.enqueueLocked(req, model, arrival, onDone, nil, 0, false)
+	e.cond.Signal()
+	return t, nil
+}
 
+// SubmitChain admits the segments of one request a fleet dispatcher
+// decomposed, as one precedence chain: segs are caller-resolved
+// segment models (sliced segment models are not in the zoo), and the
+// request's Model field is ignored. The segments are queued
+// consecutively on the tenant's queue under one lock hold, so FIFO
+// pops admit a predecessor no later than its successor, and each
+// segment past the first carries an Admission.After on its
+// predecessor. The call is all-or-nothing: a tenant queue without room
+// for every segment rejects the whole chain. Each segment is scheduled
+// and its own record delivered to onDone like a tracked request's —
+// segments behind a failed one fail fast, and queued segments are
+// reported StatusLost on Crash — but segments are not tenant requests
+// here: the tenant counters and latency window leave them to the
+// dispatcher, which counts the whole request once, and Preempt never
+// revokes them. It returns one ticket per segment, in chain order.
+func (e *Engine) SubmitChain(req Request, segs []*dnn.Model, onDone func(Record)) ([]*Ticket, error) {
+	if req.Tenant == "" {
+		return nil, errNoTenant
+	}
+	if len(segs) == 0 {
+		e.countRejected(req.Tenant)
+		return nil, fmt.Errorf("serve: empty chain")
+	}
+	for _, m := range segs {
+		if m == nil || m.NumLayers() == 0 {
+			e.countRejected(req.Tenant)
+			return nil, fmt.Errorf("serve: nil or empty segment model")
+		}
+		if err := e.hda.Load().feasible(e.cache, m); err != nil {
+			e.countRejected(req.Tenant)
+			return nil, err
+		}
+	}
+	arrival := e.arrival(req)
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.acceptLocked(req.Tenant, len(segs)); err != nil {
+		return nil, err
+	}
+	var ch *chainState
+	if len(segs) > 1 {
+		ch = &chainState{placed: make([]int, len(segs))}
+		for i := range ch.placed {
+			ch.placed[i] = -1
+		}
+	}
+	tickets := make([]*Ticket, len(segs))
+	for i, m := range segs {
+		tickets[i] = e.enqueueLocked(req, m, arrival, onDone, ch, i, true)
+	}
+	e.cond.Signal()
+	return tickets, nil
+}
+
+// errNoTenant rejects a submission without a tenant.
+var errNoTenant = errors.New("serve: request needs a tenant")
+
+// arrival resolves a request's arrival cycle: its own, or "now" on the
+// wall-clock-mapped cycle clock when negative.
+func (e *Engine) arrival(req Request) int64 {
+	if req.ArrivalCycle < 0 {
+		return e.NowCycles()
+	}
+	return req.ArrivalCycle
+}
+
+// acceptLocked is admission control for n queue entries of one
+// tenant: a draining engine or a tenant queue without room for all n
+// rejects them (and counts the rejection). e.mu held.
+func (e *Engine) acceptLocked(tenant string, n int) error {
+	if e.draining {
+		e.rejectLocked(tenant)
+		return ErrDraining
+	}
+	if q := len(e.queues[tenant]); q+n > e.opts.MaxQueue {
+		e.rejectLocked(tenant)
+		return fmt.Errorf("%w: tenant %q has %d pending", ErrQueueFull, tenant, q)
+	}
+	return nil
+}
+
+// enqueueLocked appends one admission to its tenant's queue: a tracked
+// request, counted in the tenant ledger, or an untracked segment
+// segIndex of a chain (ch is nil for a one-segment chain). e.mu held.
+func (e *Engine) enqueueLocked(req Request, model *dnn.Model, arrival int64, onDone func(Record), ch *chainState, segIndex int, untracked bool) *Ticket {
 	e.nextID++
 	if !untracked {
 		e.agg(req.Tenant).Submitted++
@@ -532,6 +572,8 @@ func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record),
 		inst:      workload.Instance{Model: model, Batch: e.modelCounts[model.Name], ArrivalCycle: arrival},
 		done:      make(chan struct{}),
 		onDone:    onDone,
+		chain:     ch,
+		segIndex:  segIndex,
 		untracked: untracked,
 	}
 	e.records[rec.ID] = rec
@@ -540,90 +582,7 @@ func (e *Engine) submitModel(req Request, model *dnn.Model, onDone func(Record),
 	}
 	e.queues[req.Tenant] = append(e.queues[req.Tenant], p)
 	e.npending++
-	e.cond.Signal()
-	return &Ticket{ID: rec.ID, rec: rec, done: p.done}, nil
-}
-
-// submitFused admits one fused request: one pending per plan segment,
-// enqueued consecutively on the tenant's queue (FIFO pops guarantee a
-// predecessor is admitted no later than its successor), all under one
-// record and one ticket.
-func (e *Engine) submitFused(req Request, model *dnn.Model, plan dse.SegmentPlan, onDone func(Record)) (*Ticket, error) {
-	segModels, err := segmentModels(model, plan)
-	if err != nil {
-		e.countRejected(req.Tenant)
-		return nil, err
-	}
-	if err := e.hda.Load().feasible(e.cache, model); err != nil {
-		e.countRejected(req.Tenant)
-		return nil, err
-	}
-	arrival := req.ArrivalCycle
-	if arrival < 0 {
-		arrival = e.NowCycles()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.draining {
-		e.rejectLocked(req.Tenant)
-		return nil, ErrDraining
-	}
-	if len(e.queues[req.Tenant])+len(segModels) > e.opts.MaxQueue {
-		e.rejectLocked(req.Tenant)
-		return nil, fmt.Errorf("%w: tenant %q has %d pending", ErrQueueFull, req.Tenant, len(e.queues[req.Tenant]))
-	}
-
-	e.nextID++
-	e.agg(req.Tenant).Submitted++
-	rec := &Record{
-		ID:           e.nextID,
-		Tenant:       req.Tenant,
-		Model:        model.Name,
-		Priority:     req.Priority,
-		Status:       StatusQueued,
-		ArrivalCycle: arrival,
-		SLACycles:    req.SLACycles,
-		Segments:     make([]SegmentRecord, len(segModels)),
-	}
-	ch := &chainState{
-		rec:    rec,
-		done:   make(chan struct{}),
-		onDone: onDone,
-		placed: make([]int, len(segModels)),
-		left:   len(segModels),
-	}
-	for i := range ch.placed {
-		ch.placed[i] = -1
-	}
-	e.segStats.FusedRequests++
-	e.segStats.Segments += int64(len(segModels))
-	e.records[rec.ID] = rec
-	if len(e.queues[req.Tenant]) == 0 {
-		e.rr = append(e.rr, req.Tenant)
-	}
-	for i, sm := range segModels {
-		e.modelCounts[sm.Name]++
-		e.queues[req.Tenant] = append(e.queues[req.Tenant], &pending{
-			rec:      rec,
-			inst:     workload.Instance{Model: sm, Batch: e.modelCounts[sm.Name], ArrivalCycle: arrival},
-			chain:    ch,
-			segIndex: i,
-		})
-	}
-	e.npending += len(segModels)
-	e.cond.Signal()
-	return &Ticket{ID: rec.ID, rec: rec, done: ch.done}, nil
-}
-
-// segmentModels resolves a plan's interned segment models, validating
-// that the segments tile the model's layers exactly.
-func segmentModels(model *dnn.Model, plan dse.SegmentPlan) ([]*dnn.Model, error) {
-	out, err := plan.Slices(model)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return out, nil
+	return &Ticket{ID: rec.ID, rec: rec, done: p.done}
 }
 
 // servingHDA is an engine's accelerator together with its per-model
@@ -795,9 +754,7 @@ func (e *Engine) popBatchLocked() []*pending {
 }
 
 // admit extends the incremental schedule with one popped batch and
-// publishes each request's placement. Fused-chain segments publish
-// into their shared record; the request itself finalizes (ticket
-// closes, hook fires) only when its last segment lands.
+// publishes each request's placement.
 func (e *Engine) admit(batch []*pending) {
 	if len(batch) == 0 {
 		return
@@ -811,15 +768,10 @@ func (e *Engine) admit(batch []*pending) {
 	e.schedMu.Unlock()
 
 	// finalized collects the records that reached a terminal status in
-	// this round (every unfused request; a fused request only with its
-	// final segment) for the completion hooks outside the locks.
+	// this round for the completion hooks outside the locks.
 	var finalized []doneEvent
 	e.mu.Lock()
 	for i, p := range batch {
-		if p.chain != nil {
-			e.admitSegmentLocked(p, placements[i], errs[i], &finalized)
-			continue
-		}
 		if p.resume != nil {
 			e.admitResumeLocked(p, placements[i], errs[i], floor)
 			continue
@@ -879,86 +831,13 @@ func (e *Engine) fireHooks(events []doneEvent) {
 	}
 }
 
-// admitSegmentLocked publishes one fused-chain segment's outcome into
-// the shared record and finalizes the request when its last segment
-// lands. e.mu held.
-func (e *Engine) admitSegmentLocked(p *pending, pl sched.Placement, err error, finalized *[]doneEvent) {
-	ch := p.chain
-	rec := ch.rec
-	if ch.lost {
-		// The chain was finalized by Crash while this segment was in
-		// the admitting batch: the record is already terminal (and its
-		// waiters released), so only the segment counters move.
-		if err != nil {
-			e.segStats.SegmentsFailed++
-		} else {
-			e.segStats.SegmentsCompleted++
-		}
-		return
-	}
-	sr := &rec.Segments[p.segIndex]
-	sr.Index = p.segIndex
-	sr.Model = p.inst.Model.Name
-	if err != nil {
-		ch.failed = true
-		e.segStats.SegmentsFailed++
-		sr.Err = err.Error()
-		if rec.Err == "" {
-			rec.Err = fmt.Sprintf("segment %d: %s", p.segIndex, err)
-		}
-	} else {
-		e.segStats.SegmentsCompleted++
-		sr.Instance = pl.Instance
-		sr.StartCycle = pl.StartCycle
-		sr.FinishCycle = pl.FinishCycle
-		sr.BusyCycles = pl.BusyCycles
-		sr.EnergyPJ = pl.EnergyPJ
-		rec.BusyCycles += pl.BusyCycles
-		rec.EnergyPJ += pl.EnergyPJ
-		if pl.FinishCycle > e.maxFinishCycle {
-			e.maxFinishCycle = pl.FinishCycle
-		}
-	}
-
-	ch.left--
-	if ch.left > 0 {
-		return
-	}
-
-	// Last segment: finalize the request.
-	if ch.failed {
-		rec.Status = StatusFailed
-		e.segStats.FusedFailed++
-	} else {
-		n := len(rec.Segments)
-		first, last := &rec.Segments[0], &rec.Segments[n-1]
-		rec.Status = StatusDone
-		rec.Instance = first.Instance
-		rec.StartCycle = first.StartCycle
-		rec.FinishCycle = last.FinishCycle
-		rec.LatencyCycles = last.FinishCycle - rec.ArrivalCycle
-		rec.QueueCycles = first.StartCycle - rec.ArrivalCycle
-		rec.SLAViolated = rec.SLACycles > 0 && rec.LatencyCycles > rec.SLACycles
-		e.segStats.FusedCompleted++
-		e.segStats.SegmentSpanCycles += last.FinishCycle - first.StartCycle
-		e.segStats.SegmentBusyCycles += rec.BusyCycles
-		for k := 1; k < n; k++ {
-			e.segStats.HandoffBubbleCycles += rec.Segments[k].StartCycle - rec.Segments[k-1].FinishCycle
-		}
-	}
-	e.agg(rec.Tenant).AddRecord(rec)
-	e.finishLocked(rec.ID)
-	close(ch.done)
-	*finalized = append(*finalized, doneEvent{rec, ch.onDone})
-}
-
 // extendBatch admits the whole batch to the incremental schedule in
 // one Extend, and returns per-request placements/errors. A batched
 // Extend fails as a unit (it rolls back every admission), so on error
 // the admissions are retried one by one: only the truly infeasible
 // requests fail, instead of one bad admission poisoning up to
-// MaxBatch-1 innocent tenants' requests. Fused-chain segments carry
-// an Admission.After on their predecessor's placed instance (or its
+// MaxBatch-1 innocent tenants' requests. Chain segments carry an
+// Admission.After on their predecessor's placed instance (or its
 // in-batch admission slot — tenant FIFO pops guarantee the
 // predecessor appears earlier in the batch); segments whose chain
 // already failed are failed fast without touching the scheduler.
@@ -1146,16 +1025,17 @@ func (e *Engine) Done() <-chan struct{} { return e.stopped }
 // terminated), its waiters released, and its completion hooks fired
 // with the lost record. A fleet dispatcher re-admits lost requests on
 // surviving replicas, so each is counted exactly once fleet-wide.
+// Chain segments are extracted like any request: the queued suffix of
+// a chain reports StatusLost segment by segment.
 //
 // An Admit in progress finishes the batch it is currently admitting
-// (those requests complete normally — they made it under the wire);
-// wait on Done to observe that every completion hook has fired. A fused chain with extracted segments
-// can never complete: it is finalized immediately (StatusLost, or
-// StatusFailed if it had already broken) and its remaining in-batch
-// segments only update the segment counters. Extraction order is the
-// tenant round-robin rotation then FIFO within each tenant, so a
-// fleet's failover re-dispatch order is deterministic. Idempotent;
-// returns the number of lost requests (0 on repeat calls).
+// (those requests complete normally — they made it under the wire), so
+// a chain's lost segments can be reported before its earlier segments'
+// completions; wait on Done to observe that every completion hook has
+// fired. Extraction order is the tenant round-robin rotation then FIFO
+// within each tenant, so a fleet's failover re-dispatch order is
+// deterministic. Idempotent; returns the number of lost requests (0 on
+// repeat calls).
 func (e *Engine) Crash() int {
 	e.mu.Lock()
 	if e.crashed {
@@ -1166,36 +1046,9 @@ func (e *Engine) Crash() int {
 	e.draining = true
 
 	var events []doneEvent
-	lostChains := make(map[*chainState]int)
-	var chainOrder []*chainState
 	requests := 0
 	for _, tenant := range e.rr {
 		for _, p := range e.queues[tenant] {
-			if p.chain != nil {
-				if lostChains[p.chain] == 0 {
-					chainOrder = append(chainOrder, p.chain)
-				}
-				lostChains[p.chain]++
-				sr := &p.chain.rec.Segments[p.segIndex]
-				sr.Index, sr.Model, sr.Err = p.segIndex, p.inst.Model.Name, "replica crashed"
-				continue
-			}
-			if p.resume != nil {
-				// A preempted request awaiting resumption dies with the
-				// crashed schedule: its prefix already completed (and was
-				// reported), the suspended suffix is unrecoverable. Erase
-				// it like any lost request, but fire no hooks — the
-				// original completion already fired them, and a second
-				// delivery would double-count at the dispatcher.
-				requests++
-				rec := p.rec
-				e.agg(rec.Tenant).Submitted--
-				delete(e.records, rec.ID)
-				rec.Status = StatusLost
-				rec.Err = "replica crashed"
-				close(p.done)
-				continue
-			}
 			requests++
 			rec := p.rec
 			if !p.untracked {
@@ -1205,35 +1058,19 @@ func (e *Engine) Crash() int {
 			rec.Status = StatusLost
 			rec.Err = "replica crashed"
 			close(p.done)
-			events = append(events, doneEvent{rec, p.onDone})
+			// A preempted request awaiting resumption dies with the
+			// crashed schedule: its prefix already completed (and was
+			// reported), the suspended suffix is unrecoverable. It fires
+			// no hooks — the original completion already fired them, and
+			// a second delivery would double-count at the dispatcher.
+			if p.resume == nil {
+				events = append(events, doneEvent{rec, p.onDone})
+			}
 		}
 		delete(e.queues, tenant)
 	}
 	e.rr = e.rr[:0]
 	e.npending = 0
-	for _, ch := range chainOrder {
-		requests++
-		extracted := lostChains[ch]
-		ch.lost = true
-		rec := ch.rec
-		delete(e.records, rec.ID)
-		if ch.failed {
-			// The chain had already broken; finalize with the failure
-			// it would have reported.
-			rec.Status = StatusFailed
-			e.agg(rec.Tenant).Failed++
-			e.segStats.FusedFailed++
-			e.segStats.SegmentsFailed += int64(extracted)
-		} else {
-			rec.Status = StatusLost
-			rec.Err = "replica crashed"
-			e.agg(rec.Tenant).Submitted--
-			e.segStats.FusedLost++
-			e.segStats.SegmentsLost += int64(extracted)
-		}
-		close(ch.done)
-		events = append(events, doneEvent{rec, ch.onDone})
-	}
 	e.lost += int64(requests)
 	e.cond.Broadcast()
 	e.mu.Unlock()

@@ -80,33 +80,34 @@ type Stats struct {
 	Resumes     int64 `json:"resumes"`
 	PEReassigns int64 `json:"pe_reassigns"`
 
-	// Segments reports fused-serving (segment pipeline) counters.
-	Segments SegmentStats `json:"segments"`
-
 	Tenants []TenantStats `json:"tenants"`
 }
 
-// SegmentStats counts fused-request (segment pipeline) activity. A
-// fused request is one submission decomposed into plan segments;
-// request-granularity conservation (Submitted == Completed + Failed +
-// Rejected after a drain) holds at the request level, and segment
-// counters conserve independently (Segments == SegmentsCompleted +
-// SegmentsFailed after a drain). No field carries omitempty: zero is
-// a meaningful reading on every counter.
+// SegmentStats counts fused-request (segment pipeline) activity: the
+// fleet's fused ledger (internal/fleet), folded from each fused
+// request's merged record when it resolves. A fused request is one
+// submission decomposed into plan segments; request-granularity
+// conservation (Submitted == Completed + Failed + Rejected after a
+// drain) holds at the request level, and segment counters conserve
+// independently (Segments == SegmentsCompleted + SegmentsFailed after
+// a drain). No field carries omitempty: zero is a meaningful reading
+// on every counter.
 type SegmentStats struct {
 	// FusedRequests counts accepted submissions that were decomposed
 	// into a multi-segment chain.
 	FusedRequests int64 `json:"fused_requests"`
-	// FusedCompleted / FusedFailed split finished fused requests;
-	// FusedLost counts chains orphaned by an engine Crash (their
-	// fleet-level retry, if any, is a fresh chain elsewhere).
+	// FusedCompleted / FusedFailed split finished fused requests.
+	// FusedLost stays 0: a segment a crash extracts resumes its chain
+	// on a survivor, so no chain ends lost (the field keeps the digest
+	// format).
 	FusedCompleted int64 `json:"fused_completed"`
 	FusedFailed    int64 `json:"fused_failed"`
 	FusedLost      int64 `json:"fused_lost"`
 
-	// Segments counts admitted chain segments; completed/failed/lost
-	// split the finished ones (lost = extracted by Crash before
-	// scheduling). Conservation after a drain: Segments ==
+	// Segments counts the plan segments of accepted fused requests;
+	// completed/failed split the finished ones, each segment counted
+	// once however often a crash moved it. SegmentsLost stays 0, like
+	// FusedLost. Conservation after a drain: Segments ==
 	// SegmentsCompleted + SegmentsFailed + SegmentsLost.
 	Segments          int64 `json:"segments"`
 	SegmentsCompleted int64 `json:"segments_completed"`
@@ -290,7 +291,6 @@ func (e *Engine) Stats() Stats {
 		Preemptions:      e.preemptions,
 		Resumes:          e.resumptions,
 		PEReassigns:      e.reassigns,
-		Segments:         e.segStats,
 	}
 	for _, w := range e.tenantWindowsLocked() {
 		st.Submitted += w.Submitted
