@@ -30,12 +30,15 @@ race:
 	$(GO) test -race ./internal/maestro ./internal/sched ./internal/dse ./internal/serve ./internal/fleet ./internal/replay
 
 # fuzz runs each trust-boundary fuzzer for 10 s (go test runs only
-# their seed corpora): the -partition parser and the -faults parser. A
-# crasher lands under the package's testdata/fuzz/ — commit it as a
-# seed along with the fix.
+# their seed corpora): the -partition parser, the -faults parser, the
+# capture-trace reader and the scenario-spec parser. A crasher lands
+# under the package's testdata/fuzz/ — commit it as a seed along with
+# the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePartition$$' -fuzztime 10s ./internal/config
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultPlan$$' -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzCaptureRead$$' -fuzztime 10s ./internal/capture
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/scenario
 
 # smoke builds and runs the end-to-end examples that exercise the
 # serving stack (fast, deterministic; CI runs this per PR): heraldd's

@@ -391,8 +391,9 @@ func TestFaultChainLostWhole(t *testing.T) {
 	if got := survivor.Stats().Submitted; got != 1 {
 		t.Errorf("survivor engine counted %d requests, want the trigger only", got)
 	}
-	if got := survivor.Snapshot().Workload.NumInstances(); got != int(n)+1 {
-		t.Errorf("survivor scheduled %d instances, want each of %d segments once plus the trigger", got, n)
+	snap := survivor.Snapshot()
+	if got := snap.Workload.NumInstances() + snap.Retired.Instances; got != int(n)+1 {
+		t.Errorf("survivor scheduled %d live + retired instances, want each of %d segments once plus the trigger", got, n)
 	}
 }
 

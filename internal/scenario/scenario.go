@@ -204,6 +204,9 @@ func ParseSpec(r io.Reader) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
 	}
+	if len(s.Models) == 0 {
+		s.Models = nil // an empty list means the default pool, as an absent one does
+	}
 	_, err := s.normalized()
 	return s, err
 }

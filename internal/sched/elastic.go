@@ -48,16 +48,21 @@ type Checkpoint struct {
 //
 // Instances that are part of a fused chain cannot be preempted (their
 // handoff buffers tie them to live peers); ErrNothingToPreempt is
-// returned when the instance finishes before the boundary.
+// returned when the instance finishes before the boundary, which a
+// retired instance always did.
 func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
-	if instance < 0 || instance >= len(inc.insts) {
+	if instance < 0 || instance >= inc.NumInstances() {
 		return Checkpoint{}, fmt.Errorf("sched: preempt of unknown instance %d", instance)
+	}
+	if instance < inc.retired.Instances {
+		return Checkpoint{}, ErrNothingToPreempt
 	}
 	if _, dup := inc.susp[instance]; dup {
 		return Checkpoint{}, fmt.Errorf("sched: instance %d is already preempted", instance)
 	}
 	st := inc.st
-	if st.pred[instance] >= 0 || st.succ[instance] >= 0 {
+	w := instance - inc.retired.Instances // window index
+	if st.pred[w] != noPred || st.succ[w] >= 0 {
 		return Checkpoint{}, fmt.Errorf("sched: instance %d is part of a fused chain and cannot be preempted", instance)
 	}
 	// The boundary can never precede the admission floor: slots ending
@@ -70,17 +75,17 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 	// Partition the instance's committed layers at the boundary. Layer
 	// starts are strictly increasing in layer order (dependence), so
 	// the rolled-back set is a contiguous suffix.
-	nl := inc.insts[instance].Model.NumLayers()
+	nl := inc.insts[w].Model.NumLayers()
 	var (
 		removed     []Assignment
 		freedBusy   int64
 		freedEnergy float64
 	)
 	firstRolled := nl
-	resumeCycle := inc.insts[instance].ArrivalCycle
+	resumeCycle := inc.insts[w].ArrivalCycle
 	for i := range st.assignments {
 		a := st.assignments[i]
-		if a.Instance != instance {
+		if a.Instance != w {
 			continue
 		}
 		if a.Start >= at {
@@ -104,7 +109,7 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 	kept := st.assignments[:0]
 	for i := range st.assignments {
 		a := st.assignments[i]
-		if a.Instance == instance && a.Start >= at {
+		if a.Instance == w && a.Start >= at {
 			continue
 		}
 		kept = append(kept, a)
@@ -150,9 +155,11 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 	}
 
 	// Rewind the per-sub timelines: free shrinks to the end of the
-	// last surviving commit on each touched sub (the layer boundary),
-	// busy and energy refund the rolled-back execution.
+	// last surviving commit on each touched sub (the layer boundary) —
+	// in the window or, when none there ends later, the retired
+	// frontier — and busy and energy refund the rolled-back execution.
 	frontier := make([]int64, len(st.free))
+	copy(frontier, inc.retired.FrontierCycles)
 	for i := range st.assignments {
 		a := &st.assignments[i]
 		if a.End > frontier[a.SubAcc] {
@@ -169,11 +176,11 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 
 	// Suspend: record the resume point and leave the visitation order,
 	// so retire/Extend skip the instance entirely until Resume.
-	st.nextLayer[instance] = firstRolled
-	st.ready[instance] = resumeCycle
+	st.nextLayer[w] = firstRolled
+	st.ready[w] = resumeCycle
 	order := st.order[:0]
 	for _, o := range st.order {
-		if o != instance {
+		if o != w {
 			order = append(order, o)
 		}
 	}
@@ -218,20 +225,21 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 	if at < inc.floor {
 		at = inc.floor
 	}
-	start := st.ready[cp.Instance] // kept-prefix completion
+	w := cp.Instance - inc.retired.Instances // suspended instances never retire
+	start := st.ready[w]                     // kept-prefix completion
 	if at > start {
 		start = at
 	}
 
-	st.checkpoint(cp.Instance)
+	st.checkpoint(w)
 	st.retire(inc.insts)
-	st.prio[cp.Instance] = priority
-	st.order = append(st.order, cp.Instance)
+	st.prio[w] = priority
+	st.order = append(st.order, w)
 	sort.SliceStable(st.order, func(i, j int) bool {
 		return st.prio[st.order[i]] > st.prio[st.order[j]]
 	})
-	st.remaining += inc.insts[cp.Instance].Model.NumLayers() - cp.NextLayer
-	st.ready[cp.Instance] = start
+	st.remaining += inc.insts[w].Model.NumLayers() - cp.NextLayer
+	st.ready[w] = start
 	st.prune = inc.floor
 	delete(inc.susp, cp.Instance)
 
@@ -245,7 +253,7 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 
 	pl := Placement{
 		Instance:     cp.Instance,
-		ArrivalCycle: inc.insts[cp.Instance].ArrivalCycle,
+		ArrivalCycle: inc.insts[w].ArrivalCycle,
 		StartCycle:   -1,
 	}
 	for i := mark; i < len(st.assignments); i++ {
@@ -276,9 +284,10 @@ func (inc *Incremental) Preempted() []int {
 // Reassign re-sizes the schedule's sub-accelerator slices in place:
 // the HDA is rebuilt over the same class with the given partitions
 // (sub count fixed — growing/shrinking the number of slices is a
-// migration, not a reassignment) and every admitted instance's cost
-// rows are re-resolved against the new slice sizes. Committed layers
-// keep their historical interned costs, so the swap is exactly a layer
+// migration, not a reassignment) and every live instance's cost rows
+// are re-resolved against the new slice sizes (retired instances have
+// nothing left to cost). Committed layers keep their historical
+// interned costs, so the swap is exactly a layer
 // boundary: in-flight layers finish on the old slices' cost model,
 // everything scheduled afterwards — resumed suffixes and future
 // admissions — is costed on the new one. The per-sub timelines, the

@@ -20,12 +20,33 @@ import (
 // not run (it reorders already-issued work, which an online engine
 // cannot do). Instance priorities are supplied per admission rather
 // than through Options.Priorities.
+//
+// Memory stays bounded by the work in flight, not by history: work
+// that ended at or before the admission floor can no longer affect a
+// placement (the argument that makes ledger pruning safe), so Extend
+// retires the longest prefix of instances that finished there into
+// counters (Retired). Global instance indices stay stable: the run
+// state and insts hold the live window, and a global index is the
+// retired count plus the window index.
 type Incremental struct {
 	s     *Scheduler
 	h     *accel.HDA
 	st    *runState
-	insts []workload.Instance
+	insts []workload.Instance // the live window
 	name  string
+
+	// retired summarizes the instances folded out of the window;
+	// retired.Instances is the global index of insts[0].
+	retired Retired
+
+	// done is the window index of the first instance not yet known to
+	// be retirable (see retirable; the property never reverts).
+	done int
+
+	// open holds the global indices of instances admitted with
+	// Admission.Continues whose successor has not been admitted yet:
+	// a later After may still name them, so they never retire.
+	open map[int]struct{}
 
 	// floor is the admission floor: every later admission must arrive
 	// at or after it, which is what makes memory-ledger pruning safe
@@ -74,8 +95,15 @@ type Admission struct {
 	// until the successor's first layer starts (the inter-segment
 	// handoff buffer). A predecessor may be in the same batch (at an
 	// earlier position) or already admitted by an earlier Extend; each
-	// instance can have at most one successor.
+	// instance can have at most one successor. A predecessor admitted
+	// by an earlier Extend must carry Continues, or it may have retired
+	// (naming a retired instance is an error).
 	After int
+
+	// Continues marks a pipeline segment whose successor a later
+	// Extend may admit: the instance is never retired until an
+	// admission names it in After, or EndChain drops the mark.
+	Continues bool
 }
 
 // Placement reports where one admitted instance landed.
@@ -107,8 +135,9 @@ func (inc *Incremental) Floor() int64 { return inc.floor }
 // locality handover that keeps post-migration admission latency flat.
 func (inc *Incremental) Prewarm(w *workload.Workload) { inc.s.Prewarm(inc.h, w) }
 
-// NumInstances returns the number of admitted instances so far.
-func (inc *Incremental) NumInstances() int { return len(inc.insts) }
+// NumInstances returns the number of admitted instances so far,
+// retired ones included: the next admission's global index.
+func (inc *Incremental) NumInstances() int { return inc.retired.Instances + len(inc.insts) }
 
 // MakespanCycles returns the committed schedule's makespan (Snapshot's
 // MakespanCycles) without materializing it: the latest per-sub free
@@ -117,8 +146,13 @@ func (inc *Incremental) NumInstances() int { return len(inc.insts) }
 func (inc *Incremental) MakespanCycles() int64 { return slices.Max(inc.st.free) }
 
 // SubBusyCycles returns a copy of the per-sub-accelerator busy cycles
-// committed so far (Snapshot's SubBusyCycles).
+// committed so far, retired work included (Snapshot's SubBusyCycles).
 func (inc *Incremental) SubBusyCycles() []int64 { return slices.Clone(inc.st.busy) }
+
+// EndChain drops the Continues mark of a placed instance whose
+// successor will never be admitted (its chain broke), so the instance
+// can retire. Unmarked or unknown instances are ignored.
+func (inc *Incremental) EndChain(instance int) { delete(inc.open, instance) }
 
 // Extend admits the given instances, schedules every one of their
 // layers against the committed timelines, and returns one Placement
@@ -128,7 +162,9 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 	if len(adms) == 0 {
 		return nil, nil
 	}
-	base := len(inc.insts)
+	// base is the batch's first window index, off the retired count:
+	// admission i gets global index off+base+i.
+	base, off := len(inc.insts), inc.retired.Instances
 	minArrival := adms[0].Instance.ArrivalCycle
 	for i, a := range adms {
 		if a.Instance.Model == nil || a.Instance.Model.NumLayers() == 0 {
@@ -142,12 +178,15 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 			minArrival = a.Instance.ArrivalCycle
 		}
 		if a.After != 0 {
-			p := a.After - 1
-			if p < 0 || p >= base+i {
+			p, g := a.After-1, off+base+i
+			if p < 0 || p >= g {
 				return nil, fmt.Errorf("sched: admission %d names predecessor %d, want an earlier instance in [0, %d)",
-					base+i, p, base+i)
+					g, p, g)
 			}
-			taken := p < base && inc.st.succ[p] >= 0
+			if p < off {
+				return nil, fmt.Errorf("sched: admission %d names retired predecessor %d (admit it with Continues)", g, p)
+			}
+			taken := p-off < base && inc.st.succ[p-off] >= 0
 			for j := 0; j < i && !taken; j++ {
 				taken = adms[j].After == a.After
 			}
@@ -169,13 +208,13 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 	inc.st.retire(inc.insts) // completed instances leave the hot loop
 	inc.insts = append(inc.insts, batch...)
 	inc.st.addInstances(batch, prios)
-	inc.st.link(base, adms, inc.insts)
+	inc.st.link(base, off, adms, inc.insts)
 	inc.st.prune = inc.floor
 
 	mark := len(inc.st.assignments)
 	if err := inc.s.run(inc.h, inc.insts, inc.st, minArrival, false); err != nil {
 		inc.st.restore()
-		inc.st.unlink(base, adms)
+		inc.st.unlink(base, off, adms)
 		inc.insts = inc.insts[:base]
 		return nil, err
 	}
@@ -188,7 +227,7 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 	out := make([]Placement, len(adms))
 	for i := range adms {
 		out[i] = Placement{
-			Instance:     base + i,
+			Instance:     off + base + i,
 			ArrivalCycle: adms[i].Instance.ArrivalCycle,
 			StartCycle:   -1,
 		}
@@ -206,12 +245,141 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 		p.BusyCycles += a.Cost.Cycles
 		p.EnergyPJ += a.Cost.Energy.Total()
 	}
+
+	for i, a := range adms {
+		if a.After != 0 {
+			delete(inc.open, a.After-1)
+		}
+		if a.Continues {
+			if inc.open == nil {
+				inc.open = make(map[int]struct{})
+			}
+			inc.open[off+base+i] = struct{}{}
+		}
+	}
+	inc.retire()
 	return out, nil
 }
 
-// Snapshot materializes the committed schedule so far as a regular
-// Schedule (over a synthesized workload holding every admitted
-// instance), suitable for Validate, trace export and Gantt rendering.
+// retirable reports whether window instance i can no longer affect a
+// placement: it finished at or before the admission floor, it is not
+// suspended (a suspended instance is unfinished), no later After may
+// name it, and a fused successor has already consumed its handoff.
+// Once true it stays true: the floor only rises, marks only clear, and
+// nothing revokes layers that ended at or before the floor.
+func (inc *Incremental) retirable(i int) bool {
+	st := inc.st
+	if st.nextLayer[i] < inc.insts[i].Model.NumLayers() || st.ready[i] > inc.floor {
+		return false
+	}
+	if sc := st.succ[i]; sc >= 0 && st.nextLayer[sc] == 0 {
+		return false
+	}
+	_, open := inc.open[inc.retired.Instances+i]
+	return !open
+}
+
+// retire folds the longest retirable prefix of the window into
+// inc.retired once it is at least half the window, so each instance is
+// copied O(1) times amortized and the window stays within twice the
+// instances in flight. Nothing a placement reads changes: the
+// timelines, the ledger and the handoffs never referenced retired work
+// except through its (kept) totals.
+func (inc *Incremental) retire() {
+	for inc.done < len(inc.insts) && inc.retirable(inc.done) {
+		inc.done++
+	}
+	k := inc.done
+	if k == 0 || 2*k < len(inc.insts) {
+		return
+	}
+	st, r := inc.st, &inc.retired
+	if r.BusyCycles == nil {
+		r.BusyCycles = make([]int64, len(st.free))
+		r.FrontierCycles = make([]int64, len(st.free))
+	}
+
+	// Assignments: the retired ones leave, the live ones shift to the
+	// front re-indexed, and the retired totals are what the live window
+	// no longer holds of the running totals.
+	liveBusy := make([]int64, len(st.free))
+	var liveEnergy float64
+	live := st.assignments[:0]
+	for _, a := range st.assignments {
+		if a.Instance < k {
+			r.Assignments++
+			r.FrontierCycles[a.SubAcc] = max(r.FrontierCycles[a.SubAcc], a.End)
+			continue
+		}
+		a.Instance -= k
+		liveBusy[a.SubAcc] += a.Cost.Cycles
+		liveEnergy += a.Cost.Energy.Total()
+		live = append(live, a)
+	}
+	clear(st.assignments[len(live):])
+	st.assignments = live
+	for a := range r.BusyCycles {
+		r.BusyCycles[a] = st.busy[a] - liveBusy[a]
+	}
+	r.EnergyPJ = st.energyPJ - liveEnergy
+	r.Instances += k
+
+	// Per-instance state: shift the window to the front, re-index the
+	// pipeline links. A live successor's retired predecessor is
+	// complete, which is all run() asks of it.
+	n := len(inc.insts) - k
+	inc.insts = shiftDown(inc.insts, k)
+	st.nextLayer = shiftDown(st.nextLayer, k)
+	st.ready = shiftDown(st.ready, k)
+	st.prio = shiftDown(st.prio, k)
+	st.rows = shiftDown(st.rows, k)
+	st.pred = shiftDown(st.pred, k)
+	st.succ = shiftDown(st.succ, k)
+	for i := 0; i < n; i++ {
+		if p := st.pred[i]; p >= int32(k) {
+			st.pred[i] = p - int32(k)
+		} else if p >= 0 {
+			st.pred[i] = retiredPred
+		}
+		if sc := st.succ[i]; sc >= 0 {
+			st.succ[i] = sc - int32(k)
+		}
+	}
+	// Finished instances may linger in the visitation order until the
+	// next run prunes them (runState.retire); retired ones leave now.
+	order := st.order[:0]
+	for _, o := range st.order {
+		if o >= k {
+			order = append(order, o-k)
+		}
+	}
+	st.order = order
+	// A retired successor's handoff closed when its first layer started,
+	// at or before the floor: prune would drop it on the next query.
+	hs := st.handoffs[:0]
+	for _, h := range st.handoffs {
+		if h.succ >= int32(k) {
+			h.succ -= int32(k)
+			hs = append(hs, h)
+		}
+	}
+	st.handoffs = hs
+	inc.done = 0
+}
+
+// shiftDown drops the first k elements of s in place, clearing the
+// vacated tail so it pins nothing.
+func shiftDown[T any](s []T, k int) []T {
+	n := copy(s, s[k:])
+	clear(s[n:])
+	return s[:n]
+}
+
+// Snapshot materializes the committed schedule as a regular Schedule:
+// the live window (a synthesized workload holding the instances not
+// yet retired, and their assignments) plus the retired totals, which
+// the aggregates include. It is suitable for Validate, trace export
+// and Gantt rendering, and costs O(window), not O(history).
 func (inc *Incremental) Snapshot() *Schedule {
 	w := &workload.Workload{
 		Name:      inc.name,
@@ -223,6 +391,10 @@ func (inc *Incremental) Snapshot() *Schedule {
 		Assignments:   append([]Assignment(nil), inc.st.assignments...),
 		EnergyPJ:      inc.st.energyPJ,
 		SubBusyCycles: append([]int64(nil), inc.st.busy...),
+		Retired:       inc.retired.clone(),
+	}
+	for _, f := range sch.Retired.FrontierCycles {
+		sch.MakespanCycles = max(sch.MakespanCycles, f)
 	}
 	for i := range sch.Assignments {
 		if e := sch.Assignments[i].End; e > sch.MakespanCycles {

@@ -331,8 +331,8 @@ func TestIncrementalExtendRollback(t *testing.T) {
 	if _, err := inc.Extend([]Admission{{Instance: workload.Instance{Model: giantModel(), Batch: 1}}}); err == nil {
 		t.Fatal("un-schedulable model admitted")
 	}
-	if inc.NumInstances() != before.Workload.NumInstances() {
-		t.Fatalf("failed Extend leaked instances: %d, want %d", inc.NumInstances(), before.Workload.NumInstances())
+	if want := before.Workload.NumInstances() + before.Retired.Instances; inc.NumInstances() != want {
+		t.Fatalf("failed Extend leaked instances: %d, want %d", inc.NumInstances(), want)
 	}
 	if inc.Floor() != floorBefore {
 		t.Errorf("failed Extend moved the floor: %d -> %d", floorBefore, inc.Floor())

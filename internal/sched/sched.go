@@ -12,6 +12,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -177,6 +178,14 @@ type Assignment struct {
 
 // Schedule is a complete layer execution schedule of a workload on an
 // HDA, with its aggregate cost metrics.
+//
+// An incremental schedule's Snapshot is its live window: Workload and
+// Assignments hold only the instances not yet retired, Retired
+// summarizes the rest, and the aggregates (makespan, energy, busy
+// cycles) cover both; the views computed from assignments
+// (PeakOccupancyBytes, EnergyBreakdown) see the window only.
+// Assignment.Instance indexes Workload.Instances; the global instance
+// index is Retired.Instances plus that.
 type Schedule struct {
 	HDA      *accel.HDA
 	Workload *workload.Workload
@@ -188,6 +197,10 @@ type Schedule struct {
 	EnergyPJ       float64
 	SubBusyCycles  []int64
 
+	// Retired is the committed work folded out of the window (zero for
+	// a batch schedule).
+	Retired Retired
+
 	// SchedulingTime is the wall-clock time the scheduler itself took
 	// (Table VII's "Scheduling Time").
 	SchedulingTime time.Duration
@@ -198,6 +211,33 @@ type Schedule struct {
 	// would forbid the value copies tests and callers legitimately
 	// make of finished schedules).
 	peakPlus1 int64
+}
+
+// Retired is the work an incremental schedule has folded out of its
+// live window (see Incremental.Extend): instances whose every layer
+// ended at or before the admission floor, kept only as totals.
+type Retired struct {
+	// Instances is the retired instance count, which is also the
+	// global index of the window's first instance.
+	Instances   int
+	Assignments int
+
+	// BusyCycles and EnergyPJ are the retired share of the schedule's
+	// totals (per sub-accelerator for the cycles).
+	BusyCycles []int64
+	EnergyPJ   float64
+
+	// FrontierCycles is, per sub-accelerator, the latest end of a
+	// retired layer there: the retired work occupies each sub until
+	// no later than its frontier.
+	FrontierCycles []int64
+}
+
+// clone returns a deep copy.
+func (r Retired) clone() Retired {
+	r.BusyCycles = slices.Clone(r.BusyCycles)
+	r.FrontierCycles = slices.Clone(r.FrontierCycles)
+	return r
 }
 
 // PeakOccupancyBytes returns the schedule's maximum concurrent
@@ -270,3 +310,7 @@ func (s *Schedule) Utilization() []float64 {
 type item struct {
 	inst, layer int
 }
+
+// global returns the item with its instance as a global index, given
+// the schedule's retired count.
+func (it item) global(base int) item { return item{base + it.inst, it.layer} }

@@ -421,7 +421,7 @@ type runState struct {
 	ready     []int64 // per instance: completion time of its last layer
 	order     []int   // instance visitation order (rearranged per Ordering)
 	prio      []int   // per instance: QoS priority (higher first)
-	pred      []int32 // per instance: pipeline predecessor (-1 = none)
+	pred      []int32 // per instance: pipeline predecessor (noPred, retiredPred, or its index)
 	succ      []int32 // per instance: pipeline successor (-1 = none)
 	ledger    ledger  // committed assignments not yet pruned (memory ledger)
 
@@ -462,6 +462,13 @@ type runState struct {
 	energyPJ    float64
 	remaining   int
 }
+
+// Sentinel pred values: no pipeline predecessor, and a predecessor the
+// incremental path has retired (complete, and out of the run state).
+const (
+	noPred      = -1
+	retiredPred = -2
+)
 
 // newRunState returns an empty run state for an nAcc-way HDA.
 func newRunState(nAcc int) *runState {
@@ -516,7 +523,7 @@ func (st *runState) addInstances(insts []workload.Instance, prios []int) {
 			p = prios[i]
 		}
 		st.prio = append(st.prio, p)
-		st.pred = append(st.pred, -1)
+		st.pred = append(st.pred, noPred)
 		st.succ = append(st.succ, -1)
 		st.remaining += in.Model.NumLayers()
 	}
@@ -529,16 +536,19 @@ func (st *runState) addInstances(insts []workload.Instance, prios []int) {
 }
 
 // link wires one admission batch's pipeline precedence into the run
-// state (addInstances must have run first). A predecessor that is
-// already complete hands its output over immediately: the successor
-// cannot become ready before the predecessor's recorded completion,
-// and the activation has occupied the global buffer since then.
-func (st *runState) link(base int, adms []Admission, insts []workload.Instance) {
+// state (addInstances must have run first). base is the batch's first
+// run-state index and off the number of retired instances, so an
+// After's global predecessor index maps to run-state index After-1-off.
+// A predecessor that is already complete hands its output over
+// immediately: the successor cannot become ready before the
+// predecessor's recorded completion, and the activation has occupied
+// the global buffer since then.
+func (st *runState) link(base, off int, adms []Admission, insts []workload.Instance) {
 	for i, a := range adms {
 		if a.After == 0 {
 			continue
 		}
-		p, sc := a.After-1, base+i
+		p, sc := a.After-1-off, base+i
 		st.pred[sc] = int32(p)
 		st.succ[p] = int32(sc)
 		if st.nextLayer[p] >= insts[p].Model.NumLayers() {
@@ -557,10 +567,10 @@ func (st *runState) link(base int, adms []Admission, insts []workload.Instance) 
 // unlink clears the successor links a failed Extend set on
 // pre-existing instances (restore truncates the batch's own entries,
 // but cannot see cross-batch writes).
-func (st *runState) unlink(base int, adms []Admission) {
+func (st *runState) unlink(base, off int, adms []Admission) {
 	for _, a := range adms {
-		if a.After != 0 && a.After-1 < base {
-			st.succ[a.After-1] = -1
+		if p := a.After - 1 - off; a.After != 0 && p < base {
+			st.succ[p] = -1
 		}
 	}
 }

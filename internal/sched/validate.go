@@ -12,10 +12,21 @@ import (
 // The scheduler's tests treat this as the ground-truth legality oracle
 // (§III-A: "a scheduler must check if generated schedules are valid in
 // terms of layer dependence and memory constraints").
+//
+// On an incremental snapshot the structural checks cover the live
+// window, errors name global instance indices, and the aggregates add
+// the retired totals: a retired instance is complete, its work ending
+// by the retired frontier of the sub that ran it. No live layer
+// depends on a retired one (instances retire whole).
 func (s *Schedule) Validate() error {
 	if s.HDA == nil || s.Workload == nil {
 		return fmt.Errorf("sched: schedule missing HDA or workload")
 	}
+	r := &s.Retired
+	if nr := len(s.HDA.Subs); r.BusyCycles != nil && (len(r.BusyCycles) != nr || len(r.FrontierCycles) != nr) {
+		return fmt.Errorf("sched: retired totals cover %d/%d subs, HDA has %d", len(r.BusyCycles), len(r.FrontierCycles), nr)
+	}
+	base := r.Instances // global index of Workload.Instances[0]
 
 	// Coverage.
 	want := 0
@@ -28,7 +39,7 @@ func (s *Schedule) Validate() error {
 	seen := make(map[item]int, len(s.Assignments))
 	for i, a := range s.Assignments {
 		if a.Instance < 0 || a.Instance >= len(s.Workload.Instances) {
-			return fmt.Errorf("sched: assignment %d: instance %d out of range", i, a.Instance)
+			return fmt.Errorf("sched: assignment %d: instance %d out of range", i, base+a.Instance)
 		}
 		if a.Layer < 0 || a.Layer >= s.Workload.Instances[a.Instance].Model.NumLayers() {
 			return fmt.Errorf("sched: assignment %d: layer %d out of range", i, a.Layer)
@@ -44,7 +55,7 @@ func (s *Schedule) Validate() error {
 		}
 		key := item{a.Instance, a.Layer}
 		if prev, dup := seen[key]; dup {
-			return fmt.Errorf("sched: layer %v scheduled twice (assignments %d and %d)", key, prev, i)
+			return fmt.Errorf("sched: layer %v scheduled twice (assignments %d and %d)", key.global(base), prev, i)
 		}
 		seen[key] = i
 	}
@@ -59,17 +70,17 @@ func (s *Schedule) Validate() error {
 		if key.layer == 0 {
 			if arr := s.Workload.Instances[key.inst].ArrivalCycle; s.Assignments[idx].Start < arr {
 				return fmt.Errorf("sched: instance %d starts %d before its arrival %d",
-					key.inst, s.Assignments[idx].Start, arr)
+					base+key.inst, s.Assignments[idx].Start, arr)
 			}
 			continue
 		}
 		predIdx, ok := seen[item{key.inst, key.layer - 1}]
 		if !ok {
-			return fmt.Errorf("sched: layer %v scheduled without predecessor", key)
+			return fmt.Errorf("sched: layer %v scheduled without predecessor", key.global(base))
 		}
 		if s.Assignments[idx].Start < s.Assignments[predIdx].End {
 			return fmt.Errorf("sched: dependence violation: %v starts %d before predecessor ends %d",
-				key, s.Assignments[idx].Start, s.Assignments[predIdx].End)
+				key.global(base), s.Assignments[idx].Start, s.Assignments[predIdx].End)
 		}
 	}
 
@@ -93,10 +104,14 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("sched: peak occupancy %d exceeds global buffer %d", peak, s.HDA.Class.GlobalBufBytes)
 	}
 
-	// Aggregates.
+	// Aggregates, retired work included.
 	var makespan int64
+	for _, f := range r.FrontierCycles {
+		makespan = max(makespan, f)
+	}
 	var energy float64
 	busy := make([]int64, len(s.HDA.Subs))
+	copy(busy, r.BusyCycles)
 	for _, a := range s.Assignments {
 		if a.End > makespan {
 			makespan = a.End
@@ -107,6 +122,7 @@ func (s *Schedule) Validate() error {
 	if makespan != s.MakespanCycles {
 		return fmt.Errorf("sched: makespan %d != recomputed %d", s.MakespanCycles, makespan)
 	}
+	energy += r.EnergyPJ
 	if diff := energy - s.EnergyPJ; diff > 1 || diff < -1 {
 		return fmt.Errorf("sched: energy %g != recomputed %g", s.EnergyPJ, energy)
 	}

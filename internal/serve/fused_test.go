@@ -111,8 +111,8 @@ func TestFusedRequestLifecycle(t *testing.T) {
 	if err := snap.Validate(); err != nil {
 		t.Errorf("schedule invalid: %v", err)
 	}
-	if got := snap.Workload.NumInstances(); got != 2*len(segs) {
-		t.Errorf("schedule has %d instances, want %d", got, 2*len(segs))
+	if got := snap.Workload.NumInstances() + snap.Retired.Instances; got != 2*len(segs) {
+		t.Errorf("schedule has %d live + retired instances, want %d", got, 2*len(segs))
 	}
 }
 
@@ -200,8 +200,8 @@ func TestFusedConservation(t *testing.T) {
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("committed schedule invalid: %v", err)
 	}
-	if got, want := snap.Workload.NumInstances(), wantSegs+12; got != want {
-		t.Errorf("schedule has %d instances, want %d (segments + tracked)", got, want)
+	if got, want := snap.Workload.NumInstances()+snap.Retired.Instances, wantSegs+12; got != want {
+		t.Errorf("schedule has %d live + retired instances, want %d (segments + tracked)", got, want)
 	}
 }
 

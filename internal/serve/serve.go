@@ -856,7 +856,7 @@ func (e *Engine) extendBatch(batch []*pending) ([]sched.Placement, []error) {
 			errs[i] = errChainBroken
 			continue
 		}
-		a := sched.Admission{Instance: e.clampFloor(p.inst), Priority: p.rec.Priority}
+		a := p.admission(e.clampFloor(p.inst))
 		if p.chain != nil && p.segIndex > 0 {
 			if gi := p.chain.placed[p.segIndex-1]; gi >= 0 {
 				a.After = gi + 1
@@ -899,9 +899,7 @@ func (e *Engine) extendBatch(batch []*pending) ([]sched.Placement, []error) {
 	if len(adms) == 1 {
 		i := live[0]
 		errs[i] = err
-		if p := batch[i]; p.chain != nil {
-			p.chain.failed = true
-		}
+		e.breakChain(batch[i])
 		return placements, errs
 	}
 
@@ -916,16 +914,14 @@ func (e *Engine) extendBatch(batch []*pending) ([]sched.Placement, []error) {
 		}
 		// Re-clamp: a successful earlier retry may have advanced the
 		// admission floor past this arrival.
-		a := sched.Admission{Instance: e.clampFloor(p.inst), Priority: p.rec.Priority}
+		a := p.admission(e.clampFloor(p.inst))
 		if p.chain != nil && p.segIndex > 0 {
 			a.After = p.chain.placed[p.segIndex-1] + 1 // placed, or the chain would be failed
 		}
 		one, err := e.inc.Extend([]sched.Admission{a})
 		if err != nil {
 			errs[i] = err
-			if p.chain != nil {
-				p.chain.failed = true
-			}
+			e.breakChain(p)
 			continue
 		}
 		placements[i] = one[0]
@@ -934,6 +930,32 @@ func (e *Engine) extendBatch(batch []*pending) ([]sched.Placement, []error) {
 		}
 	}
 	return placements, errs
+}
+
+// admission is the pending's schedule admission for inst (its
+// floor-clamped instance). Every chain segment but the last is marked
+// Continues: its successor may be admitted by a later Extend (a
+// MaxBatch split or a one-by-one retry), so the scheduler must keep it
+// live until then.
+func (p *pending) admission(inst workload.Instance) sched.Admission {
+	return sched.Admission{
+		Instance:  inst,
+		Priority:  p.rec.Priority,
+		Continues: p.chain != nil && p.segIndex+1 < len(p.chain.placed),
+	}
+}
+
+// breakChain fails the chain of a segment that could not be placed and
+// ends it at its placed predecessor, whose successor now never comes.
+// e.schedMu held.
+func (e *Engine) breakChain(p *pending) {
+	if p.chain == nil {
+		return
+	}
+	p.chain.failed = true
+	if k := p.segIndex; k > 0 && p.chain.placed[k-1] >= 0 {
+		e.inc.EndChain(p.chain.placed[k-1])
+	}
 }
 
 // clampFloor lifts an instance's arrival to the incremental schedule's
@@ -988,8 +1010,10 @@ func (e *Engine) Lookup(id int64) (Record, bool) {
 	return *rec, true
 }
 
-// Snapshot materializes the committed schedule so far (every admitted
-// instance), suitable for validation, Gantt rendering and export.
+// Snapshot materializes the committed schedule: the scheduler's live
+// window plus the totals of the retired work behind the admission
+// floor (see sched.Incremental), suitable for validation, Gantt
+// rendering and export. Instance indices in records stay global.
 func (e *Engine) Snapshot() *sched.Schedule {
 	e.schedMu.Lock()
 	defer e.schedMu.Unlock()

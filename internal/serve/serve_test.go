@@ -173,8 +173,8 @@ func TestMultiTenantInterleaved(t *testing.T) {
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("committed schedule invalid after %d requests: %v", total, err)
 	}
-	if snap.Workload.NumInstances() != total {
-		t.Errorf("schedule has %d instances, want %d", snap.Workload.NumInstances(), total)
+	if got := snap.Workload.NumInstances() + snap.Retired.Instances; got != total {
+		t.Errorf("schedule has %d live + retired instances, want %d", got, total)
 	}
 }
 

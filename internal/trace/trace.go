@@ -19,7 +19,8 @@ import (
 
 // Gantt renders the schedule as one text lane per sub-accelerator,
 // `width` characters wide. Each layer occupies a proportional span
-// labeled with its instance index; idle time renders as dots.
+// labeled with its global instance index (an incremental snapshot's
+// window starts at its retired count); idle time renders as dots.
 func Gantt(s *sched.Schedule, width int) string {
 	if width < 16 {
 		width = 16
@@ -41,7 +42,7 @@ func Gantt(s *sched.Schedule, width int) string {
 		if hi > width {
 			hi = width
 		}
-		mark := markFor(a.Instance)
+		mark := markFor(s.Retired.Instances + a.Instance)
 		for p := lo; p < hi; p++ {
 			lanes[a.SubAcc][p] = mark
 		}
@@ -69,7 +70,7 @@ func legend(s *sched.Schedule) string {
 	var b strings.Builder
 	b.WriteString("legend:")
 	for i, in := range s.Workload.Instances {
-		fmt.Fprintf(&b, " %c=%s", markFor(i), in.Name())
+		fmt.Fprintf(&b, " %c=%s", markFor(s.Retired.Instances+i), in.Name())
 		if i >= 61 {
 			b.WriteString(" ...")
 			break
@@ -175,23 +176,36 @@ func WriteCSV(w io.Writer, s *sched.Schedule) error {
 	return cw.Error()
 }
 
-// jsonSchedule is the exported JSON shape.
+// jsonSchedule is the exported JSON shape: an incremental snapshot's
+// live window (its assignments) plus the retired totals; makespan and
+// energy cover both, the peak occupancy the window.
 type jsonSchedule struct {
 	HDA         string           `json:"hda"`
 	Workload    string           `json:"workload"`
 	Makespan    int64            `json:"makespan_cycles"`
 	EnergyPJ    float64          `json:"energy_pj"`
 	PeakBytes   int64            `json:"peak_occupancy_bytes"`
+	Retired     jsonRetired      `json:"retired"`
 	Assignments []jsonAssignment `json:"assignments"`
 }
 
+// jsonRetired mirrors sched.Retired; all zero for a batch schedule.
+type jsonRetired struct {
+	Instances      int     `json:"instances"`
+	Assignments    int     `json:"assignments"`
+	BusyCycles     []int64 `json:"busy_cycles"`
+	EnergyPJ       float64 `json:"energy_pj"`
+	FrontierCycles []int64 `json:"frontier_cycles"`
+}
+
 type jsonAssignment struct {
-	Instance string  `json:"instance"`
-	Layer    int     `json:"layer"`
-	SubAcc   string  `json:"sub_acc"`
-	Start    int64   `json:"start"`
-	End      int64   `json:"end"`
-	EnergyPJ float64 `json:"energy_pj"`
+	Instance   string  `json:"instance"`
+	InstanceID int     `json:"instance_id"` // global index, stable across retirement
+	Layer      int     `json:"layer"`
+	SubAcc     string  `json:"sub_acc"`
+	Start      int64   `json:"start"`
+	End        int64   `json:"end"`
+	EnergyPJ   float64 `json:"energy_pj"`
 }
 
 // WriteJSON dumps the schedule as indented JSON.
@@ -202,15 +216,23 @@ func WriteJSON(w io.Writer, s *sched.Schedule) error {
 		Makespan:  s.MakespanCycles,
 		EnergyPJ:  s.EnergyPJ,
 		PeakBytes: s.PeakOccupancyBytes(),
+		Retired: jsonRetired{
+			Instances:      s.Retired.Instances,
+			Assignments:    s.Retired.Assignments,
+			BusyCycles:     s.Retired.BusyCycles,
+			EnergyPJ:       s.Retired.EnergyPJ,
+			FrontierCycles: s.Retired.FrontierCycles,
+		},
 	}
 	for _, a := range s.Assignments {
 		out.Assignments = append(out.Assignments, jsonAssignment{
-			Instance: s.Workload.Instances[a.Instance].Name(),
-			Layer:    a.Layer,
-			SubAcc:   s.HDA.Subs[a.SubAcc].Name,
-			Start:    a.Start,
-			End:      a.End,
-			EnergyPJ: a.Cost.EnergyPJ(),
+			Instance:   s.Workload.Instances[a.Instance].Name(),
+			InstanceID: s.Retired.Instances + a.Instance,
+			Layer:      a.Layer,
+			SubAcc:     s.HDA.Subs[a.SubAcc].Name,
+			Start:      a.Start,
+			End:        a.End,
+			EnergyPJ:   a.Cost.EnergyPJ(),
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -158,3 +158,65 @@ func TestWriteJSON(t *testing.T) {
 		t.Error("assignment count mismatch in JSON")
 	}
 }
+
+// TestWriteJSONRetiredWindow renders an incremental snapshot whose
+// early instances retired: the JSON carries the live window with
+// global instance ids plus the retired totals, and the Gantt legend
+// labels the window by global index.
+func TestWriteJSONRetiredWindow(t *testing.T) {
+	h, err := accel.New("t", accel.Edge, []accel.Partition{
+		{Style: dataflow.NVDLA, PEs: 512, BWGBps: 8},
+		{Style: dataflow.ShiDiannao, PEs: 512, BWGBps: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sched.DefaultOptions()
+	opts.PostProcess = false
+	inc, err := sched.MustNew(maestro.NewCache(energy.Default28nm()), opts).Incremental(h, "retire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := workload.MustNew("one", []workload.Entry{{Model: "brq-handpose", Batches: 1}}).Instances[0].Model
+	for i := 0; i < 12; i++ {
+		in := workload.Instance{Model: m, Batch: i + 1, ArrivalCycle: int64(i) * 50_000_000}
+		if _, err := inc.Extend([]sched.Admission{{Instance: in}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sch := inc.Snapshot()
+	base := sch.Retired.Instances
+	if base == 0 || base+sch.Workload.NumInstances() != 12 {
+		t.Fatalf("%d retired + %d live instances, want some retired out of 12", base, sch.Workload.NumInstances())
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, sch); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Makespan int64 `json:"makespan_cycles"`
+		Retired  struct {
+			Instances   int     `json:"instances"`
+			Assignments int     `json:"assignments"`
+			BusyCycles  []int64 `json:"busy_cycles"`
+		} `json:"retired"`
+		Assignments []struct {
+			InstanceID int `json:"instance_id"`
+		} `json:"assignments"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Makespan != sch.MakespanCycles || decoded.Retired.Instances != base ||
+		decoded.Retired.Assignments != base*m.NumLayers() || len(decoded.Retired.BusyCycles) != 2 {
+		t.Errorf("decoded totals %+v, want makespan %d and %d retired instances", decoded, sch.MakespanCycles, base)
+	}
+	for _, a := range decoded.Assignments {
+		if a.InstanceID < base || a.InstanceID >= 12 {
+			t.Fatalf("assignment instance id %d outside the live window [%d, 12)", a.InstanceID, base)
+		}
+	}
+	if g := Gantt(sch, 40); !strings.Contains(g, "b="+m.Name+"#12") {
+		t.Errorf("Gantt legend does not label the last instance by its global index 11:\n%s", g)
+	}
+}
