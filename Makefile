@@ -31,7 +31,8 @@ race:
 
 # fuzz runs each trust-boundary fuzzer for 10 s (go test runs only
 # their seed corpora): the -partition parser, the -faults parser, the
-# capture-trace reader and the scenario-spec parser. A crasher lands
+# capture-trace reader, the scenario-spec parser and the POST
+# /v1/requests body decoder. A crasher lands
 # under the package's testdata/fuzz/ — commit it as a seed along with
 # the fix.
 fuzz:
@@ -39,19 +40,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultPlan$$' -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzCaptureRead$$' -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime 10s ./internal/fleet
 
 # smoke builds and runs the end-to-end examples that exercise the
 # serving stack (fast, deterministic; CI runs this per PR): heraldd's
 # default path (a fleet of one behind the HTTP front end), fleet
-# dispatch, the control ladder's live migration, and layer-fused
-# segment serving — plus the benchmark harness's own checks.
+# dispatch, the control ladder's live migration, layer-fused segment
+# serving and the chaos drill — plus the benchmark harness's own
+# checks. The replay drill is its own target (make replay) and its own
+# CI step, so smoke does not run it a second time.
 smoke:
 	$(GO) run ./examples/serving
 	$(GO) run ./examples/fleet
 	$(GO) run ./examples/repartition
 	$(GO) run ./examples/segments
 	$(MAKE) chaos
-	$(MAKE) replay
 	$(MAKE) bench-check
 
 # bench-check vets and short-tests the benchmark harness (bench/). It

@@ -46,11 +46,12 @@
 // -mix-half-life makes the resweep probe's observed mix exponentially
 // decayed instead of all-time.
 //
-// -resweep-every N periodically re-runs the partition DSE on the
-// observed tenant mix. Alone it is a log-only probe; with
-// -repartition each period steps the control ladder instead: preempt
-// low-priority work on new SLA violations (-elastic-preempt-below),
-// else re-slice PEs between sub-accelerators in place
+// -resweep-every N steps the control ladder once per period on the
+// observed tenant mix. Alone it steps a hold-only ladder: the
+// migration rung re-runs the partition DSE and records a hold that
+// names the winner, but never acts. With -repartition the ladder
+// acts: preempt low-priority work on new SLA violations
+// (-elastic-preempt-below), else re-slice PEs between sub-accelerators in place
 // (-elastic-quantum), else live-migrate the fleet to the winning
 // partition (spawn new replica engines, drain the old generation,
 // hand tenants over) when the winner beats the serving partition by
@@ -67,7 +68,7 @@
 // that stop admitting. -shed-sla-factor turns on overload shedding:
 // arrivals whose best ETA already blows their SLA budget get 429 +
 // Retry-After instead of queueing. GET /v1/fleet/health reports
-// per-replica health and the fault-handling decision log. The daemon
+// per-replica health and the decision log. The daemon
 // shuts down gracefully on SIGINT/SIGTERM: stop admissions, drain
 // in-flight work, log final stats.
 //
@@ -119,7 +120,7 @@ func bindFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&c.strategy, "strategy", "exhaustive", "bootstrap search strategy: exhaustive, binary, random")
 	fs.StringVar(&c.bootstrap, "bootstrap", "arvr-a", "bootstrap workload the DSE optimizes the HDA for: arvr-a, arvr-b, mlperf, mlperf8, a zoo model, or model:batches")
 	fs.BoolVar(&c.fleetTopK, "fleet-topk", false, "heterogeneous fleet: replicas take the top-K bootstrap-DSE points instead of K copies of the best")
-	fs.DurationVar(&c.resweepEvery, "resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; log-only unless -repartition)")
+	fs.DurationVar(&c.resweepEvery, "resweep-every", 0, "periodically re-run the partition DSE on the observed tenant mix (0 = off; a hold-only ladder unless -repartition)")
 	fs.StringVar(&c.capture, "capture", "", "stream every accepted request to this JSONL trace file, flushed on graceful shutdown (replay it with cmd/heraldplay)")
 	c.sv = config.BindServing(fs, "")
 	return c
@@ -137,12 +138,8 @@ func main() {
 	// the control loop, drain, log final stats.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	if cfg.resweepEvery > 0 {
-		if s.ctrl != nil {
-			go s.ctrl.Run(ctx, cfg.resweepEvery)
-		} else {
-			go resweepLoop(ctx, s.fleet, cfg.resweepEvery, log.Printf)
-		}
+	if s.ctrl != nil {
+		go s.ctrl.Run(ctx, cfg.resweepEvery)
 	}
 
 	srv := &http.Server{
@@ -174,7 +171,7 @@ func main() {
 type server struct {
 	fleet *herald.Fleet
 	// ctrl steps the control ladder once per -resweep-every period
-	// (nil without -repartition).
+	// (nil without -resweep-every; hold-only without -repartition).
 	ctrl *herald.RepartitionController
 	// rec and captureFile are the -capture stream (nil without it).
 	rec         *herald.TraceRecorder
@@ -210,6 +207,13 @@ func newServer(cfg *flags, logf func(string, ...any)) (_ *server, err error) {
 	}
 	if ctrlOpts != nil && cfg.resweepEvery <= 0 {
 		return nil, errors.New("-repartition needs -resweep-every > 0 (the probe period is the control period)")
+	}
+	holdOnly := ctrlOpts == nil && cfg.resweepEvery > 0
+	if holdOnly {
+		// The migration rung alone, behind a threshold no step reaches:
+		// improvement is (serving-winner)/serving over non-negative
+		// objectives, so at most 1. Every step holds and names the winner.
+		ctrlOpts = &herald.RepartitionOptions{Threshold: 2}
 	}
 	cache := herald.NewCostCache(herald.DefaultEnergyTable())
 
@@ -272,17 +276,19 @@ func newServer(cfg *flags, logf func(string, ...any)) (_ *server, err error) {
 	if f := fopts.Health.ShedSLAFactor; f > 0 {
 		logf("overload shedding on: budget %gx SLA (-shed-sla-factor)", f)
 	}
-	switch {
-	case ctrlOpts != nil:
-		ctrlOpts.Logf = logf
-		if s.ctrl, err = herald.NewRepartitionController(s.fleet, *ctrlOpts); err != nil {
-			return nil, err
-		}
+	if ctrlOpts == nil {
+		return s, nil
+	}
+	ctrlOpts.Logf = logf
+	if s.ctrl, err = herald.NewRepartitionController(s.fleet, *ctrlOpts); err != nil {
+		return nil, err
+	}
+	if holdOnly {
+		logf("resweep probe every %v (hold-only ladder; add -repartition to act on it)", cfg.resweepEvery)
+	} else {
 		logf("control ladder every %v (migrate threshold %.3g, confirm %d, cooldown %d; reassign quantum %d threshold %.3g; preempt below %d max %d)",
 			cfg.resweepEvery, ctrlOpts.Threshold, ctrlOpts.Confirm, ctrlOpts.Cooldown,
 			ctrlOpts.PEQuantum, ctrlOpts.ReassignThreshold, ctrlOpts.PreemptBelow, ctrlOpts.PreemptMax)
-	case cfg.resweepEvery > 0:
-		logf("resweep probe every %v (log-only; add -repartition to act on it)", cfg.resweepEvery)
 	}
 	return s, nil
 }
@@ -309,33 +315,6 @@ func (s *server) shutdown(ctx context.Context, logf func(string, ...any)) {
 	if err := s.captureFile.Close(); err != nil {
 		logf("capture close: %v", err)
 	}
-}
-
-// resweepLoop periodically fires resweepProbe and logs the outcome
-// until ctx (the daemon's signal context) is cancelled.
-func resweepLoop(ctx context.Context, fl *herald.Fleet, every time.Duration, logf func(string, ...any)) {
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			logf("%s", resweepProbe(fl))
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// resweepProbe runs one observed-mix resweep and renders the log line:
-// what partition today's traffic would pick. It never acts on the
-// result — that is the -repartition controller's job.
-func resweepProbe(fl *herald.Fleet) string {
-	res, err := fl.Resweep(nil)
-	if err != nil {
-		return fmt.Sprintf("resweep probe: %v", err)
-	}
-	return fmt.Sprintf("resweep probe: observed mix would pick %v (EDP %.4g J*s, latency %.3f ms; %d evaluated, %d pruned)",
-		res.Best.HDA, res.Best.EDP, res.Best.LatencySec*1e3, res.Explored, res.Pruned)
 }
 
 // topKHDAs takes the fleet's replica substrates from the bootstrap

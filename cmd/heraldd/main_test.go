@@ -96,52 +96,71 @@ func TestBootstrapSearch(t *testing.T) {
 	}
 }
 
-// TestResweepProbe: the -resweep-every machinery end to end — a fleet
-// of one with the flag-built sweeper reports "no traffic" before any
-// request, and after serving a mixed load the probe names the
-// partition the observed mix would pick.
+// TestResweepProbe: -resweep-every without -repartition attaches a
+// hold-only ladder — the migration rung with a threshold no
+// improvement reaches. Before traffic it steps "no-traffic"; after
+// traffic the serving partition is worse for, it holds, names the
+// winner and leaves the generation alone; the step is in the fleet's
+// decision log and on GET /v1/fleet/repartition.
 func TestResweepProbe(t *testing.T) {
-	cache := herald.NewCostCache(herald.DefaultEnergyTable())
-	sw, err := serving(t, "-pe-units", "4", "-bw-units", "2").Sweeper(cache, "exhaustive")
+	fs := flag.NewFlagSet("heraldd", flag.ContinueOnError)
+	cfg := bindFlags(fs)
+	if err := fs.Parse([]string{"-partition", "nvdla:512:8,shi-diannao:512:8",
+		"-pe-units", "4", "-bw-units", "2", "-resweep-every", "1h"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(cfg, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hda, err := herald.NewHDA("probe", herald.Edge, []herald.Partition{
-		{Style: herald.NVDLA, PEs: 512, BWGBps: 8},
-		{Style: herald.ShiDiannao, PEs: 512, BWGBps: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
+	defer s.shutdown(context.Background(), t.Logf)
+	if s.ctrl == nil {
+		t.Fatal("-resweep-every alone attached no control ladder")
 	}
-	opts := herald.DefaultFleetOptions()
-	opts.Sweeper = sw
-	fl, err := herald.NewReplicatedFleet(cache, hda, 1, opts)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	if d, err := s.ctrl.Step(ctx); err != nil || d.Action != herald.RepartitionNoTraffic {
+		t.Fatalf("step before traffic: %+v %v", d, err)
 	}
 
-	if line := resweepProbe(fl); !strings.Contains(line, "no traffic") {
-		t.Errorf("probe before traffic: %q", line)
-	}
-
-	for _, model := range []string{"mobilenetv1", "mobilenetv1", "resnet50"} {
-		tk, err := fl.Submit(herald.InferenceRequest{Tenant: "t", Model: model, ArrivalCycle: 0})
+	// Mobilenet traffic wants a NVDLA-heavy split, not the served 512/512.
+	for _, model := range []string{"mobilenetv1", "mobilenetv1", "mobilenetv2"} {
+		tk, err := s.fleet.Submit(herald.InferenceRequest{Tenant: "t", Model: model, ArrivalCycle: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tk.Wait(context.Background()); err != nil {
+		if _, err := tk.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	line := resweepProbe(fl)
-	if !strings.Contains(line, "would pick") || !strings.Contains(line, "evaluated") {
-		t.Errorf("probe after traffic: %q", line)
-	}
-	if _, err := fl.Drain(context.Background()); err != nil {
+	d, err := s.ctrl.Step(ctx)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if d.Action != herald.RepartitionHold || d.WinnerHDA == "" || d.WinnerHDA == d.ServingHDA ||
+		d.Improvement <= 0 || d.Generation != 0 || s.fleet.Generation() != 0 {
+		t.Fatalf("step after traffic: %+v (generation %d), want a hold naming a better winner", d, s.fleet.Generation())
+	}
+	if log := s.fleet.Decisions(); len(log) != 2 || log[1].Kind != "control" || *log[1].Control != d {
+		t.Errorf("decision log %+v, want the two control steps", log)
+	}
+
+	srv := httptest.NewServer(s.fleet.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/fleet/repartition")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st herald.RepartitionStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.Steps != 2 || st.Migrations != 0 || st.Last == nil || *st.Last != d {
+		t.Errorf("GET /v1/fleet/repartition: %d %+v", resp.StatusCode, st)
 	}
 
 	// The flag parsers behind the sweeper must keep rejecting garbage.
+	cache := herald.NewCostCache(herald.DefaultEnergyTable())
 	if _, err := serving(t, "-styles", "warp").Sweeper(cache, "exhaustive"); err == nil {
 		t.Error("bad style accepted")
 	}

@@ -107,7 +107,7 @@ func main() {
 
 type result struct {
 	stats     fleet.Stats
-	decisions []fleet.FaultDecision
+	decisions []fleet.Event
 	p99       int64
 }
 

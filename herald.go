@@ -544,9 +544,9 @@ type (
 	FleetHealthOptions = fleet.HealthOptions
 	// FleetHealthReport is the GET /v1/fleet/health payload.
 	FleetHealthReport = fleet.HealthReport
-	// FaultDecision is one entry of the fleet's replayable
-	// fault-handling decision log.
-	FaultDecision = fleet.FaultDecision
+	// FleetEvent is one entry of the fleet's replayable decision log:
+	// a fault-handling decision or a control-ladder step.
+	FleetEvent = fleet.Event
 	// ShedError rejects an arrival the fleet's admission controller
 	// shed (HTTP 429 + Retry-After).
 	ShedError = fleet.ShedError
@@ -576,10 +576,10 @@ func NewRepartitionController(f *Fleet, opts RepartitionOptions) (*RepartitionCo
 	return fleet.NewController(f, opts)
 }
 
-// ExportFaultPlan reconstructs an injectable FaultPlan from a fault
+// ExportFaultPlan reconstructs an injectable FaultPlan from a
 // decision log (GET /v1/fleet/decisions) — the export-an-incident
 // path: capture the trace, export the decisions, re-run both offline.
-func ExportFaultPlan(decs []FaultDecision) (*FaultPlan, error) { return fleet.ExportFaultPlan(decs) }
+func ExportFaultPlan(decs []FleetEvent) (*FaultPlan, error) { return fleet.ExportFaultPlan(decs) }
 
 // FormatFaultPlan renders a plan in ParseFaultPlan's syntax
 // ("cycle:replica:kind[:arg],..."), round-tripping exactly.

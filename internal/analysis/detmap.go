@@ -10,8 +10,7 @@ import (
 // deliberately randomized, so any map range whose effects are
 // order-dependent (feeding scheduling decisions, logged output,
 // serialized state) breaks the repo's bit-reproducibility guarantees
-// — the replay-stable controller decisions and FaultDecision logs
-// rest on there being none.
+// — the replay-stable fleet decision log rests on there being none.
 //
 // A site is accepted without a directive only in the canonical
 // collect-then-sort idiom: the loop body does nothing but append the

@@ -216,7 +216,8 @@ type ControllerStatus struct {
 	Streak       int `json:"streak"`
 	CooldownLeft int `json:"cooldown_left"`
 
-	// Last is the most recent decision (nil before the first step).
+	// Last is the newest control step in the fleet's decision log (nil
+	// before the first step).
 	Last *Decision `json:"last,omitempty"`
 }
 
@@ -263,15 +264,14 @@ type Controller struct {
 	// mu guards the published state below. Writes happen only inside
 	// Step (under stepMu); Status/Migrations read concurrently.
 	mu             sync.Mutex
-	steps          int       // guarded by mu
-	preempts       int       // guarded by mu
-	reassigns      int       // guarded by mu
-	migrations     int       // guarded by mu
-	lastViolations int64     // guarded by mu
-	cooldownLeft   int       // guarded by mu
-	pendingKey     string    // partition string of the candidate being confirmed; guarded by mu
-	streak         int       // guarded by mu
-	last           *Decision // guarded by mu
+	steps          int    // guarded by mu
+	preempts       int    // guarded by mu
+	reassigns      int    // guarded by mu
+	migrations     int    // guarded by mu
+	lastViolations int64  // guarded by mu
+	cooldownLeft   int    // guarded by mu
+	pendingKey     string // partition string of the candidate being confirmed; guarded by mu
+	streak         int    // guarded by mu
 }
 
 // NewController attaches a control ladder to a fleet; GET
@@ -318,7 +318,6 @@ func NewElasticController(f *Fleet, opts ControllerOptions) (*Controller, error)
 // Status returns the controller's current state snapshot.
 func (c *Controller) Status() ControllerStatus {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := ControllerStatus{
 		State:        "stable",
 		Steps:        c.steps,
@@ -338,10 +337,8 @@ func (c *Controller) Status() ControllerStatus {
 	case c.streak > 0:
 		st.State = "confirming"
 	}
-	if c.last != nil {
-		d := *c.last
-		st.Last = &d
-	}
+	c.mu.Unlock()
+	st.Last = c.f.lastControl()
 	return st
 }
 
@@ -519,15 +516,18 @@ func (c *Controller) setState(mutate func()) {
 	c.mu.Unlock()
 }
 
-// finish records the decision as the controller's latest, copies the
-// hysteresis state into it, and logs it.
+// finish copies the hysteresis state into the decision, appends it to
+// the fleet's decision log stamped with the fault clock, and logs it.
+// c.mu and f.mu are never held together.
 func (c *Controller) finish(d Decision) Decision {
 	c.mu.Lock()
 	d.Streak = c.streak
 	d.CooldownLeft = c.cooldownLeft
-	last := d
-	c.last = &last
 	c.mu.Unlock()
+	f := c.f
+	f.mu.Lock()
+	f.noteDecisionLocked(f.faultCycle, "control", -1, "").Control = &d
+	f.mu.Unlock()
 	if c.opts.Logf != nil {
 		c.opts.Logf("%s", d)
 	}

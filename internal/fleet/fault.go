@@ -213,16 +213,15 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	return NewFaultPlan(events)
 }
 
-// ExportFaultPlan reconstructs a runnable FaultPlan from a
-// fault-handling decision log: injected-fault applications (crash,
-// stall, admit-fail, recover) become schedule events again, so a live
-// incident's Decisions() — or the payload of GET /v1/fleet/decisions —
-// can be re-run offline against a candidate configuration
-// (heraldplay -faults). Derived decisions (failovers, breaker
-// transitions, sheds) are consequences of the schedule, not part of
-// it, and are skipped. Returns (nil, nil) when the log holds no
-// injectable events.
-func ExportFaultPlan(decs []FaultDecision) (*FaultPlan, error) {
+// ExportFaultPlan reconstructs a runnable FaultPlan from a decision
+// log: injected-fault applications (crash, stall, admit-fail, recover)
+// become schedule events again, so a live incident's Decisions() — or
+// the payload of GET /v1/fleet/decisions — can be re-run offline
+// against a candidate configuration (heraldplay -faults). Derived
+// decisions (failovers, breaker transitions, sheds) are consequences
+// of the schedule, not part of it, and are skipped, as are control
+// steps. Returns (nil, nil) when the log holds no injectable events.
+func ExportFaultPlan(decs []Event) (*FaultPlan, error) {
 	var events []FaultEvent
 	for _, d := range decs {
 		ev := FaultEvent{Cycle: d.Cycle, Replica: d.Replica}
@@ -349,18 +348,19 @@ func (h healthState) String() string {
 	return fmt.Sprintf("healthState(%d)", int(h))
 }
 
-// FaultDecision is one entry of the fleet's fault-handling decision
-// log: fault applications, breaker transitions, failovers and sheds,
-// in the order the dispatcher took them. For a fixed submission trace
-// and FaultPlan the log replays identically.
-type FaultDecision struct {
+// Event is one entry of the fleet's decision log: fault
+// applications, breaker transitions, failovers and sheds in the order
+// the dispatcher took them, and every control-ladder step (kind
+// "control"), all in one Seq order. For a fixed submission trace,
+// FaultPlan and Step points the log replays identically.
+type Event struct {
 	// Seq orders decisions (1-based, monotonic).
 	Seq int `json:"seq"`
 	// Cycle is the fault-clock cycle the decision was taken at.
 	Cycle int64 `json:"cycle"`
 	// Kind is the decision type: crash, stall, admit-fail, recover,
 	// failover, failover-fail, shed, breaker-open, breaker-reopen,
-	// breaker-probe, breaker-close.
+	// breaker-probe, breaker-close, or control.
 	Kind string `json:"kind"`
 	// Replica is the replica acted on (-1 when not replica-specific).
 	Replica int `json:"replica"`
@@ -371,32 +371,49 @@ type FaultDecision struct {
 	Factor float64 `json:"factor,omitempty"` //herald:jsonzero only stall decisions carry a factor; 0 is never a valid factor
 	// Count carries an admit-fail decision's burst length (see Factor).
 	Count int `json:"count,omitempty"` //herald:jsonzero only admit-fail decisions carry a count; 0 is never a valid count
+	// Control is a control entry's ladder step (nil on fault entries).
+	Control *Decision `json:"control,omitempty"`
 }
 
-// maxDecisions bounds the retained decision log; older halves are
-// dropped once exceeded.
+// maxDecisions bounds a live fleet's retained decision log; older
+// halves are dropped once exceeded. A manual fleet's run is finite and
+// keeps every entry.
 const maxDecisions = 4096
 
 // noteDecisionLocked appends one decision log entry and returns a
 // pointer to it so callers can attach structured parameters (Factor,
-// Count); the pointer must not outlive f.mu. f.mu held.
-func (f *Fleet) noteDecisionLocked(cycle int64, kind string, replica int, detail string) *FaultDecision {
+// Count, Control); the pointer must not outlive f.mu. f.mu held.
+func (f *Fleet) noteDecisionLocked(cycle int64, kind string, replica int, detail string) *Event {
 	f.decSeq++
-	if len(f.decisions) >= maxDecisions {
+	if !f.serveOpts.Manual && len(f.decisions) >= maxDecisions {
 		keep := f.decisions[len(f.decisions)-maxDecisions/2:]
 		f.decisions = append(f.decisions[:0], keep...)
 	}
-	f.decisions = append(f.decisions, FaultDecision{
+	f.decisions = append(f.decisions, Event{
 		Seq: f.decSeq, Cycle: cycle, Kind: kind, Replica: replica, Detail: detail,
 	})
 	return &f.decisions[len(f.decisions)-1]
 }
 
-// Decisions returns a copy of the fault-handling decision log.
-func (f *Fleet) Decisions() []FaultDecision {
+// lastControl returns the newest control step still in the decision
+// log (nil when there is none).
+func (f *Fleet) lastControl() *Decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]FaultDecision(nil), f.decisions...)
+	for i := len(f.decisions) - 1; i >= 0; i-- {
+		if c := f.decisions[i].Control; c != nil {
+			d := *c
+			return &d
+		}
+	}
+	return nil
+}
+
+// Decisions returns a copy of the decision log, oldest first.
+func (f *Fleet) Decisions() []Event {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]Event(nil), f.decisions...)
 }
 
 // advanceFaultsLocked advances the fault clock to cycle and applies
@@ -781,8 +798,8 @@ type HealthReport struct {
 	Crashes      int64 `json:"crashes"`
 	Recoveries   int64 `json:"recoveries"`
 	BreakerTrips int64 `json:"breaker_trips"`
-	// Decisions is the fault-handling decision log (bounded).
-	Decisions []FaultDecision `json:"decisions"`
+	// Decisions is the decision log (bounded on a live fleet).
+	Decisions []Event `json:"decisions"`
 }
 
 // healthString renders a replica's health, folding in stall detection:
@@ -820,7 +837,7 @@ func (f *Fleet) Health() HealthReport {
 		Crashes:      f.crashes,
 		Recoveries:   f.recoveries,
 		BreakerTrips: f.breakerTrips,
-		Decisions:    append([]FaultDecision(nil), f.decisions...),
+		Decisions:    append([]Event(nil), f.decisions...),
 	}
 	minH := f.minHorizonLocked()
 	for _, r := range f.replicas {

@@ -62,7 +62,7 @@ func snapOf(st Stats) consSnap {
 // fused chain segment queued on the dying replica, both failed over to
 // the survivor. Returns the decision log and the
 // deterministic stats slice for replay comparison.
-func crashScenario(t *testing.T) ([]FaultDecision, consSnap) {
+func crashScenario(t *testing.T) ([]Event, consSnap) {
 	t.Helper()
 	const crashCycle = 1_000_000
 	cache := newTestCache()
@@ -603,6 +603,107 @@ func TestFaultShedFairness(t *testing.T) {
 	}
 }
 
+// TestDecisionLogRetention: a manual fleet's run is finite and keeps
+// every decision, so more than maxDecisions sheds all stay in the log
+// from Seq 1; a live fleet keeps its log bounded.
+func TestDecisionLogRetention(t *testing.T) {
+	const n = maxDecisions + 100
+	for _, manual := range []bool{true, false} {
+		opts := DefaultOptions()
+		opts.Health = HealthOptions{ShedSLAFactor: 1}
+		opts.Serve.Manual = manual
+		f := faultFleet(t, opts)
+		for i := 0; i < n; i++ {
+			// No SLA survives a 1-cycle budget: every arrival is shed.
+			if _, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: int64(i), SLACycles: 1}); !errors.Is(err, ErrShed) {
+				t.Fatalf("manual=%v arrival %d: %v, want a shed", manual, i, err)
+			}
+		}
+		log := f.Decisions()
+		last := log[len(log)-1]
+		switch {
+		case last.Seq != n || last.Kind != "shed":
+			t.Errorf("manual=%v: last entry %+v, want shed seq %d", manual, last, n)
+		case manual && (len(log) != n || log[0].Seq != 1):
+			t.Errorf("manual fleet kept %d entries from seq %d, want all %d from 1", len(log), log[0].Seq, n)
+		case !manual && len(log) > maxDecisions:
+			t.Errorf("live fleet kept %d entries, bound %d", len(log), maxDecisions)
+		}
+		if _, err := f.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDecisionLogConcurrent: a live fleet's decision log takes fault
+// decisions from submitters and control steps from the ladder at once,
+// while readers poll it and the ladder status; every entry lands, in
+// one strictly increasing seq order. Run it under -race.
+func TestDecisionLogConcurrent(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Health = HealthOptions{ShedSLAFactor: 1}
+	f := faultFleet(t, opts)
+	c, err := NewController(f, ControllerOptions{PEQuantum: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 4; i++ { // a mix for the steps to evaluate
+		tk, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sheds, steps = 200, 4
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < sheds; i++ {
+			if _, err := f.Submit(serve.Request{Tenant: "b", Model: "mobilenetv1", ArrivalCycle: int64(i), SLACycles: 1}); !errors.Is(err, ErrShed) {
+				t.Errorf("arrival %d: %v, want a shed", i, err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < steps; i++ {
+			if _, err := c.Step(ctx); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			_ = c.Status()
+			_ = f.Decisions()
+		}
+	}()
+	wg.Wait()
+
+	counts := map[string]int{}
+	log := f.Decisions()
+	for i, ev := range log {
+		if i > 0 && ev.Seq <= log[i-1].Seq {
+			t.Fatalf("seq %d after %d", ev.Seq, log[i-1].Seq)
+		}
+		counts[ev.Kind]++
+	}
+	if counts["shed"] != sheds || counts["control"] != steps {
+		t.Errorf("log kinds %v, want %d sheds and %d control steps", counts, sheds, steps)
+	}
+	if st := c.Status(); st.Last == nil || st.Last.Step != steps-1 {
+		t.Errorf("status last %+v, want step %d", st.Last, steps-1)
+	}
+	if _, err := f.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFaultStallDiversion: an injected stall is a gray failure — the
 // replica stays up, but cost-aware routing sees its estimates scaled
 // and drains traffic to the healthy replica.
@@ -885,13 +986,14 @@ func FuzzParseFaultPlan(f *testing.F) {
 // sheds — are consequences of the schedule, not part of it) and
 // FormatFaultPlan round-trips with ParseFaultPlan.
 func TestExportFormatFaultPlan(t *testing.T) {
-	decs := []FaultDecision{
+	decs := []Event{
 		{Seq: 0, Cycle: 100, Replica: 0, Kind: "stall", Factor: 2.5},
 		{Seq: 1, Cycle: 150, Replica: 1, Kind: "failover"}, // derived: skipped
 		{Seq: 2, Cycle: 200, Replica: 1, Kind: "admit-fail", Count: 3},
 		{Seq: 3, Cycle: 250, Replica: 0, Kind: "breaker-open"}, // derived: skipped
 		{Seq: 4, Cycle: 300, Replica: 0, Kind: "crash"},
-		{Seq: 5, Cycle: 400, Replica: 0, Kind: "recover"},
+		{Seq: 5, Cycle: 350, Replica: -1, Kind: "control", Control: &Decision{Action: ActionHold}}, // skipped
+		{Seq: 6, Cycle: 400, Replica: 0, Kind: "recover"},
 	}
 	p, err := ExportFaultPlan(decs)
 	if err != nil {
@@ -913,7 +1015,7 @@ func TestExportFormatFaultPlan(t *testing.T) {
 	}
 
 	// A log of only derived decisions exports no plan at all.
-	none, err := ExportFaultPlan([]FaultDecision{{Cycle: 5, Kind: "shed"}})
+	none, err := ExportFaultPlan([]Event{{Cycle: 5, Kind: "shed"}})
 	if err != nil || none != nil {
 		t.Fatalf("derived-only log: (%v, %v), want (nil, nil)", none, err)
 	}

@@ -345,7 +345,7 @@ type Fleet struct {
 	faultCycle     int64            // guarded by mu
 	dispatchSeq    int64            // guarded by mu
 	failedReplicas []*replica       // crashed, awaiting FaultRecover; guarded by mu
-	decisions      []FaultDecision  // guarded by mu
+	decisions      []Event          // guarded by mu
 	decSeq         int              // guarded by mu
 	shed           int64            // guarded by mu
 	shedT          map[string]int64 // guarded by mu
@@ -1601,20 +1601,14 @@ const mixDropFraction = 0.01
 const maxMixBatches = 8
 
 // Resweep re-runs the fleet's partition search (Options.Sweeper) on
-// workload w — or on the observed tenant mix when w is nil — and
-// returns the search result. It only reports what partition the
-// current traffic would pick; acting on it (spawning replicas on the
-// winner and draining the old ones) is the dynamic-repartitioning
-// controller's job, which builds on this probe. Sweeps are serialized
-// but do not block dispatch.
+// workload w — the control ladder's migration rung passes the observed
+// tenant mix (ObservedMix) — and returns the search result. It only
+// reports what partition w would pick; acting on it (spawning replicas
+// on the winner and draining the old ones) is the Controller's job.
+// Sweeps are serialized but do not block dispatch.
 func (f *Fleet) Resweep(w *workload.Workload) (*dse.Result, error) {
 	if f.sweeper == nil {
 		return nil, fmt.Errorf("fleet: no sweeper configured (set Options.Sweeper to enable Resweep)")
-	}
-	if w == nil {
-		if w = f.ObservedMix("observed-mix"); w == nil {
-			return nil, fmt.Errorf("fleet: no traffic observed yet")
-		}
 	}
 	f.resweepMu.Lock()
 	defer f.resweepMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -30,7 +31,7 @@ type DispatchRecord struct {
 
 // httpError is the JSON error body of every endpoint. Code is a
 // stable machine-readable discriminator: bad_request, not_found,
-// method_not_allowed, timeout, queue_full, shed, draining,
+// method_not_allowed, too_large, timeout, queue_full, shed, draining,
 // no_replicas.
 type httpError struct {
 	Error string `json:"error"`
@@ -78,9 +79,10 @@ func submitErrorStatus(err error) (status int, code string, retryAfter int) {
 //	GET  /v1/fleet/stats           fleet-wide aggregate + per-replica
 //	GET  /v1/stats                 alias of /v1/fleet/stats
 //	GET  /v1/fleet/health          per-replica health, fault counters,
-//	                               and the fault-handling decision log
-//	GET  /v1/fleet/decisions       the fault-handling decision log on
-//	                               its own (export an incident; see
+//	                               and the decision log
+//	GET  /v1/fleet/decisions       the decision log on its own: fault
+//	                               entries and control steps in one seq
+//	                               order (export an incident; see
 //	                               ExportFaultPlan)
 //	GET  /v1/fleet/repartition     control-ladder status (404 when no
 //	                               controller is attached)
@@ -142,13 +144,46 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func (f *Fleet) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxSubmitBody caps a POST /v1/requests body. A real submission is a
+// few hundred bytes; anything past 1 MiB is refused with 413.
+const maxSubmitBody = 1 << 20
+
+// decodeSubmit reads one submission body: exactly one JSON value of
+// at most maxSubmitBody bytes, followed by nothing but whitespace. On
+// failure it returns the HTTP status to answer (413 or 400).
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (serve.SubmitRequest, int, error) {
 	var req serve.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad request body: %v", err), 0)
-		return
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSubmitBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = tail
+			if err == nil {
+				err = errors.New("trailing data after the request object")
+			}
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		return req, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
 	req.Normalize()
+	return req, 0, nil
+}
+
+func (f *Fleet) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, status, err := decodeSubmit(w, r.Body)
+	if err != nil {
+		code := "bad_request"
+		if status == http.StatusRequestEntityTooLarge {
+			code = "too_large"
+		}
+		writeError(w, status, code, err.Error(), 0)
+		return
+	}
 	ticket, err := f.Submit(req.Request)
 	if err != nil {
 		status, code, retryAfter := submitErrorStatus(err)
@@ -175,16 +210,17 @@ func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, f.Health())
 }
 
-// DecisionLog is the GET /v1/fleet/decisions payload: the bounded
-// fault-handling decision log on its own, without the per-replica
-// health detail GET /v1/fleet/health wraps around it. An operator
-// exports it, feeds it to ExportFaultPlan (heraldplay -faults), and
-// re-runs the incident offline.
+// DecisionLog is the GET /v1/fleet/decisions payload: the decision
+// log on its own — fault-handling entries and control-ladder steps in
+// one Seq order — without the per-replica health detail GET
+// /v1/fleet/health wraps around it. An operator exports it, feeds it
+// to ExportFaultPlan (heraldplay -faults), and re-runs the incident
+// offline.
 type DecisionLog struct {
-	// Decisions is the retained log, oldest first. The log is bounded
-	// (older halves are dropped past the cap), so Seq of the first
-	// entry tells a consumer whether decisions were evicted.
-	Decisions []FaultDecision `json:"decisions"`
+	// Decisions is the retained log, oldest first. A live fleet's log
+	// is bounded (older halves are dropped past the cap), so Seq of
+	// the first entry tells a consumer whether decisions were evicted.
+	Decisions []Event `json:"decisions"`
 }
 
 func (f *Fleet) handleDecisions(w http.ResponseWriter, r *http.Request) {

@@ -5,12 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/capture"
 	"repro/internal/serve"
 )
 
@@ -251,6 +256,150 @@ func TestFleetHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// manualServer serves a one-replica manual fleet: nothing admits on
+// its own, so its counters move only with submissions.
+func manualServer(t *testing.T) (*Fleet, *httptest.Server) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Serve.Manual = true
+	f, err := Replicated(newTestCache(), testHDA(t), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+	return f, srv
+}
+
+// TestFleetHTTPBodyTooLarge: a submission body past the 1 MiB cap is
+// 413 too_large and counts nothing.
+func TestFleetHTTPBodyTooLarge(t *testing.T) {
+	f, _ := manualServer(t)
+	h := f.Handler()
+	for _, body := range []string{
+		`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0,"pad":"` + strings.Repeat("x", maxSubmitBody) + `"}`,
+		// Whitespace after the object counts against the cap too.
+		`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0}` + strings.Repeat(" ", maxSubmitBody),
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/requests", strings.NewReader(body)))
+		var e httpError
+		if err := json.NewDecoder(rr.Body).Decode(&e); err != nil || rr.Code != http.StatusRequestEntityTooLarge || e.Code != "too_large" {
+			t.Errorf("%d-byte body: %d %+v (%v), want 413 too_large", len(body), rr.Code, e, err)
+		}
+	}
+	if st := f.Stats(); st.Submitted != 0 || st.Rejected != 0 {
+		t.Errorf("oversized bodies counted: %+v", st)
+	}
+}
+
+// TestFleetHTTPTrailingData: anything but whitespace after the request
+// object is 400 bad_request and counts nothing; trailing whitespace is
+// fine.
+func TestFleetHTTPTrailingData(t *testing.T) {
+	f, srv := manualServer(t)
+	const obj = `{"tenant":"a","model":"mobilenetv1","arrival_cycle":0}`
+	for _, tail := range []string{` {"tenant":"b"}`, `x`, `}`, `[]`, ` "`, `0`} {
+		var e httpError
+		if code := doJSON(t, "POST", srv.URL+"/v1/requests", obj+tail, &e); code != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Errorf("trailing %q: %d %+v, want 400 bad_request", tail, code, e)
+		}
+	}
+	if st := f.Stats(); st.Submitted != 0 || st.Rejected != 0 {
+		t.Errorf("bodies with trailing data counted: %+v", st)
+	}
+	if code := doJSON(t, "POST", srv.URL+"/v1/requests", obj+" \n\t\r\n", nil); code != http.StatusAccepted {
+		t.Errorf("trailing whitespace: %d, want 202", code)
+	}
+}
+
+// statCounters is a Stats snapshot without its wall-clock readings.
+func statCounters(st Stats) Stats {
+	st.UptimeSeconds = 0
+	for i := range st.PerReplica {
+		st.PerReplica[i].Engine.UptimeSeconds = 0
+	}
+	return st
+}
+
+// FuzzSubmitRequest drives POST /v1/requests bodies through the
+// fleet's handler. Properties: no panic; a body that decodes
+// re-encodes and decodes to the same SubmitRequest after Normalize; a
+// body that does not decode is answered 400 or 413 and leaves every
+// Stats counter unchanged. Seeds are the scenario corpus's trace
+// entries rendered as bodies.
+func FuzzSubmitRequest(f *testing.F) {
+	paths, err := filepath.Glob("../../testdata/scenarios/*.trace.jsonl")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("scenario traces: %v (%d found)", err, len(paths))
+	}
+	for _, p := range paths {
+		tr, err := capture.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, e := range tr.Entries[:min(3, len(tr.Entries))] {
+			arrival := e.ArrivalCycle
+			body, err := json.Marshal(serve.SubmitRequest{Request: e.Request(), ArrivalCycle: &arrival, Wait: e.Priority > 0})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
+	for _, seed := range []string{``, `{}`, `null`, `{"tenant":"a","model":"mobilenetv1"} x`, `{"arrival_cycle":-1}`} {
+		f.Add([]byte(seed))
+	}
+
+	cache, hda := newTestCache(), testHDA(f)
+	var (
+		fl *Fleet
+		h  http.Handler
+	)
+	fresh := func(t testing.TB) {
+		opts := DefaultOptions()
+		opts.Serve.Manual = true // counters move only with submissions
+		var err error
+		if fl, err = Replicated(cache, hda, 1, opts); err != nil {
+			t.Fatal(err)
+		}
+		h = fl.Handler()
+	}
+	fresh(f)
+	// A waiting submission on a manual fleet would block forever; a
+	// cancelled request context answers it 408 at once.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if fl.Stats().Submitted >= 64 { // bound the queued backlog
+			fresh(t)
+		}
+		before := statCounters(fl.Stats())
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/requests", bytes.NewReader(body)).WithContext(cancelled))
+
+		req, status, err := decodeSubmit(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)))
+		if err != nil {
+			if rr.Code != status || (status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge) {
+				t.Fatalf("undecodable body answered %d, decoder says %d (%v)", rr.Code, status, err)
+			}
+			if after := statCounters(fl.Stats()); !reflect.DeepEqual(before, after) {
+				t.Fatalf("undecodable body moved the counters:\nbefore %+v\nafter  %+v", before, after)
+			}
+			return
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", req, err)
+		}
+		again, _, err := decodeSubmit(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(wire)))
+		if err != nil || !reflect.DeepEqual(req, again) {
+			t.Fatalf("round trip: %+v -> %s -> %+v (%v)", req, wire, again, err)
+		}
+	})
+}
+
 // TestFleetHTTPReplicaBadRequests covers malformed lookups on the
 // per-replica view: a non-numeric id is 400, an unknown id and an
 // unknown view are 404.
@@ -353,9 +502,10 @@ func TestFleetHTTPReplicaViewReadOnly(t *testing.T) {
 }
 
 // TestFleetHTTPDecisions: GET /v1/fleet/decisions exposes the
-// fault-handling decision log on its own, with the stall factor and
-// admit-fail count surviving the JSON round trip — exactly what an
-// operator feeds to ExportFaultPlan to re-run an incident offline.
+// decision log on its own, with the stall factor and admit-fail count
+// surviving the JSON round trip — exactly what an operator feeds to
+// ExportFaultPlan to re-run an incident offline — and a control step
+// joins it in the same seq order.
 func TestFleetHTTPDecisions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Faults = mustPlan(t,
@@ -394,7 +544,27 @@ func TestFleetHTTPDecisions(t *testing.T) {
 		t.Errorf("admit-fail decision lost its count over HTTP: %+v", d)
 	}
 
-	// The exported log reconstructs the injected plan.
+	// A control step joins the same log, after the fault entries.
+	ctrl, err := NewController(f, ControllerOptions{PEQuantum: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, err := ctrl.Step(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, "GET", srv.URL+"/v1/fleet/decisions", "", &log); code != http.StatusOK {
+		t.Fatalf("decisions: %d", code)
+	}
+	if len(log.Decisions) != 3 {
+		t.Fatalf("decision log after a step: %+v", log.Decisions)
+	}
+	if d := log.Decisions[2]; d.Kind != "control" || d.Seq != 3 || d.Replica != -1 || d.Control == nil || *d.Control != step {
+		t.Errorf("control entry over HTTP: %+v, want step %+v", d, step)
+	}
+
+	// The exported log reconstructs the injected plan; the control
+	// entry is not part of it.
 	p, err := ExportFaultPlan(log.Decisions)
 	if err != nil {
 		t.Fatal(err)

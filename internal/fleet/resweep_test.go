@@ -78,13 +78,17 @@ func TestObservedMix(t *testing.T) {
 }
 
 // TestResweepObservedMix: a fleet with a sweeper re-runs the search on
-// its own traffic and returns a servable best partition; repeated
-// probes on the same history are identical (warm sweep state must not
-// change the answer).
+// its own observed traffic and returns a servable best partition;
+// repeated probes on the same history are identical (warm sweep state
+// must not change the answer). Before traffic there is no mix to
+// sweep.
 func TestResweepObservedMix(t *testing.T) {
 	f := resweepFleet(t, 2)
-	if _, err := f.Resweep(nil); err == nil || !strings.Contains(err.Error(), "no traffic") {
-		t.Fatalf("resweep before traffic: %v", err)
+	if w := f.ObservedMix("observed-mix"); w != nil {
+		t.Fatalf("observed mix before traffic: %v", w)
+	}
+	if _, err := f.Resweep(nil); err == nil {
+		t.Fatal("resweep of no workload accepted")
 	}
 	for _, r := range skewedRequests(2) {
 		tk, err := f.Submit(r)
@@ -95,7 +99,7 @@ func TestResweepObservedMix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res1, err := f.Resweep(nil)
+	res1, err := f.Resweep(f.ObservedMix("observed-mix"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestResweepObservedMix(t *testing.T) {
 	if res1.Explored+res1.Pruned == 0 {
 		t.Error("resweep covered no partitions")
 	}
-	res2, err := f.Resweep(nil)
+	res2, err := f.Resweep(f.ObservedMix("observed-mix"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +121,8 @@ func TestResweepObservedMix(t *testing.T) {
 	}
 }
 
-// TestResweepExplicitWorkload: an explicit workload overrides the
-// observed mix, and a fleet without a sweeper refuses.
+// TestResweepExplicitWorkload: any workload can be swept, traffic or
+// not, and a fleet without a sweeper refuses.
 func TestResweepExplicitWorkload(t *testing.T) {
 	f := resweepFleet(t, 1)
 	w := workload.MustNew("explicit", []workload.Entry{{Model: "unet", Batches: 1}})

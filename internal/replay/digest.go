@@ -38,9 +38,11 @@ type Digest struct {
 	// Tenants aggregates each tenant across every replica, sorted by
 	// tenant name; percentiles are over the merged sample windows.
 	Tenants []serve.TenantStats `json:"tenants"`
-	// FaultDecisions is the fleet's fault-handling decision log.
-	FaultDecisions []fleet.FaultDecision `json:"fault_decisions,omitempty"`
-	// Control is every control-ladder step taken during the replay.
+	// FaultDecisions is the fault-handling half of the fleet's
+	// decision log, every entry kept.
+	FaultDecisions []fleet.Event `json:"fault_decisions,omitempty"`
+	// Control is the log's other half: every control-ladder step
+	// taken during the replay.
 	Control []fleet.Decision `json:"control,omitempty"`
 }
 

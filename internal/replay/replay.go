@@ -160,11 +160,9 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 		if o.Window > 0 && (i+1)%o.Window == 0 {
 			f.Admit()
 			if ctrl != nil {
-				dec, err := ctrl.Step(ctx)
-				if err != nil {
+				if _, err := ctrl.Step(ctx); err != nil {
 					return nil, fmt.Errorf("replay: controller step: %w", err)
 				}
-				d.Control = append(d.Control, dec)
 			}
 		}
 	}
@@ -208,6 +206,13 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 		d.Rejects = rejects
 	}
 	d.Tenants = st.Tenants
-	d.FaultDecisions = f.Decisions()
+	// The manual fleet's decision log keeps every entry.
+	for _, ev := range f.Decisions() {
+		if ev.Control != nil {
+			d.Control = append(d.Control, *ev.Control)
+		} else {
+			d.FaultDecisions = append(d.FaultDecisions, ev)
+		}
+	}
 	return d, nil
 }

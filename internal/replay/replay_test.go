@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -315,5 +316,85 @@ func TestRunEngineFusionAcrossCrash(t *testing.T) {
 	if seg.FusedRequests != seg.FusedCompleted+seg.FusedFailed+seg.FusedLost ||
 		seg.Segments != seg.SegmentsCompleted+seg.SegmentsFailed+seg.SegmentsLost {
 		t.Errorf("segments not conserved: %+v", seg)
+	}
+}
+
+// TestRunMergedDecisionLog: a replay with both a fault plan and the
+// control ladder keeps one decision log. The digest's control list is
+// exactly the Step returns of the same windowed protocol run by hand,
+// its fault list is the log's other entries, seqs strictly increase
+// across both kinds, and the mixed log exports the same fault plan as
+// its fault entries alone.
+func TestRunMergedDecisionLog(t *testing.T) {
+	tr := corpusTrace(t, "flipflop")
+	cache := newTestCache()
+	hdas, o := armOptions(t, cache, []string{"-faults", "1000000:0:crash,2000000:0:recover,4000000:1:stall:3",
+		"-window", "16", "-pe-units", "4", "-bw-units", "2", "-mix-half-life", "64",
+		"-max-queue", "4096", "-repartition", "-elastic-quantum", "256"})
+	ctx := context.Background()
+	d, err := Run(ctx, cache, hdas, tr, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fo := o.Fleet
+	fo.Serve.Manual = true
+	f, err := fleet.New(cache, hdas, fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := fleet.NewController(f, *o.Controller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []fleet.Decision
+	for i, e := range tr.Entries {
+		_, _ = f.Submit(e.Request())
+		if (i+1)%o.Window == 0 {
+			f.Admit()
+			dec, err := ctrl.Step(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = append(steps, dec)
+		}
+	}
+	if _, err := f.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) == 0 || !reflect.DeepEqual(d.Control, steps) {
+		t.Fatalf("digest control %+v\nStep returns %+v", d.Control, steps)
+	}
+
+	log := f.Decisions()
+	var faults []fleet.Event
+	for i, ev := range log {
+		if i > 0 && ev.Seq <= log[i-1].Seq {
+			t.Fatalf("seq %d after %d: the log is not one seq order", ev.Seq, log[i-1].Seq)
+		}
+		if ev.Kind == "control" {
+			if ev.Control == nil || ev.Replica != -1 {
+				t.Errorf("control entry %+v", ev)
+			}
+			continue
+		}
+		faults = append(faults, ev)
+	}
+	if len(faults) == 0 || len(faults)+len(steps) != len(log) {
+		t.Fatalf("%d fault and %d control entries in a %d-entry log", len(faults), len(steps), len(log))
+	}
+	if !reflect.DeepEqual(d.FaultDecisions, faults) {
+		t.Errorf("digest fault_decisions differ from the log's fault entries")
+	}
+	mixed, err := fleet.ExportFaultPlan(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := fleet.ExportFaultPlan(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fleet.FormatFaultPlan(mixed), fleet.FormatFaultPlan(alone); got != want || got == "" {
+		t.Errorf("mixed log exports %q, fault entries alone %q", got, want)
 	}
 }
