@@ -251,8 +251,9 @@ func (r *replica) estWork(cache *maestro.Cache, work []*dnn.Model) int64 {
 }
 
 // estCycles returns the model's best-case busy cycles on this
-// replica's HDA — every layer on its cheapest sub-accelerator, via
-// the shared cost cache. Steady state is one map hit per dispatch.
+// replica's HDA — every layer on its cheapest sub-accelerator, read
+// from one shared cost column per sub-accelerator. Steady state is one
+// map hit per dispatch.
 // Fleet.mu held.
 func (r *replica) estCycles(cache *maestro.Cache, model *dnn.Model) int64 {
 	if model == nil {
@@ -261,13 +262,15 @@ func (r *replica) estCycles(cache *maestro.Cache, model *dnn.Model) int64 {
 	if v, ok := r.est[model]; ok {
 		return v
 	}
+	cols := make([][]*maestro.Cost, len(r.hda.Subs))
+	for a, sub := range r.hda.Subs {
+		cols[a] = cache.CostColumn(model, sub.Style, sub.HW)
+	}
 	var total int64
 	for li := range model.Layers {
 		best := int64(math.MaxInt64)
-		for _, sub := range r.hda.Subs {
-			if c := cache.EstimateRef(&model.Layers[li], sub.Style, sub.HW).Cycles; c < best {
-				best = c
-			}
+		for _, col := range cols {
+			best = min(best, col[li].Cycles)
 		}
 		total += best
 	}

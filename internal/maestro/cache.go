@@ -1,65 +1,66 @@
 package maestro
 
 import (
-	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataflow"
 	"repro/internal/dnn"
 	"repro/internal/energy"
 )
 
-// The cache is two-level (see the package comment):
+// The cache addresses entries by dense ids (see the package comment):
 //
-//	L1 mapping cache:  (shape, style, PEs)        -> dataflow.Mapping
-//	L1 cost cache:     (shape, style, full HW)    -> Cost, sharded
-//	column cache:      (model, style, full HW)    -> []*Cost
+//	shape ids:     dnn.ShapeKey       -> int32, one per distinct layer shape
+//	model ids:     *dnn.Model         -> []int32, each layer's shape id
+//	mapping rows:  (style, PEs)       -> []*dataflow.Mapping by shape id
+//	cost rows:     (style, full HW)   -> []*Cost by shape id, plus the
+//	                                     row's *dnn.Model -> []*Cost columns
+//
+// A cold CostColumn hashes once for its substrate row and once for the
+// model, then indexes slices per layer; a warm one is the same two
+// lookups and returns the interned column. The cost model itself is
+// cheap arithmetic, so hashing a wide (shape, style, HW) key per layer
+// would cost a DSE sweep more CPU than the estimates it memoizes.
 //
 // The mapping level exists because dataflow.Map depends only on the
 // layer shape, the style and the PE count — not on the bandwidth or
 // buffer shares. A DSE sweep evaluates the same (shape, style, PEs)
-// triple under dozens of bandwidth/buffer partitions; those cost-cache
+// triple under dozens of bandwidth/buffer partitions; those cost-row
 // misses all reuse one memoized mapping instead of re-running the
-// fold/multicast analysis. The cost level is sharded by key hash so
-// the DSE worker pool and a concurrently-running serving engine do
-// not serialize on a single lock. (Schedulers additionally keep a
-// private unsynchronized L0 in front of this cache.)
+// fold/multicast analysis. Each row has its own lock, so the DSE
+// worker pool and a concurrently-running serving engine only meet on
+// a row they both fill. (Schedulers additionally keep a private
+// unsynchronized L0 in front of this cache.)
 
-// costShards is the cost-cache shard count. Shard selection hashes
-// the full key, so any power of two comfortably above the typical
-// core count spreads contention; 64 keeps the fixed footprint small.
-const costShards = 64
-
-// costKey identifies a cost query: layer shape × style × substrate.
-// Multi-batch workloads re-evaluate identical layer shapes constantly
-// and the DSE re-schedules the same workload across hundreds of
-// partition points, so memoization is what keeps full-paper runs in
-// seconds.
-type costKey struct {
-	shape dnn.ShapeKey
+// substrate identifies a cost row: one style on one sub-accelerator.
+type substrate struct {
 	style dataflow.Style
 	hw    HW
 }
 
-// mapKey identifies a mapping query: the subset of costKey that
-// dataflow.Map actually reads.
-type mapKey struct {
-	shape dnn.ShapeKey
+// array identifies a mapping row: the part of a substrate that
+// dataflow.Map reads.
+type array struct {
 	style dataflow.Style
 	pes   int
 }
 
-// columnKey identifies a whole-model cost column. Zoo models are
-// interned (dnn.ByName caches), so the pointer is a stable identity.
-type columnKey struct {
-	model *dnn.Model
-	style dataflow.Style
-	hw    HW
+// costRow holds the interned costs of one substrate.
+type costRow struct {
+	maps *mapRow // the substrate's (style, PEs) mapping row; immutable
+
+	mu    sync.RWMutex
+	costs []*Cost                // indexed by shape id; guarded by mu
+	cols  map[*dnn.Model][]*Cost // whole-model columns; guarded by mu
 }
 
-type costShard struct {
-	mu sync.RWMutex
-	m  map[costKey]*Cost
+// mapRow holds the interned mappings of one (style, PEs) array.
+type mapRow struct {
+	array // immutable
+
+	mu   sync.RWMutex
+	maps []*dataflow.Mapping // indexed by shape id; guarded by mu
 }
 
 // Cache memoizes Estimate results for a fixed energy table. It is safe
@@ -67,58 +68,169 @@ type costShard struct {
 type Cache struct {
 	table energy.Table
 
-	// mappings is the shared (shape, style, PEs) -> *dataflow.Mapping
-	// level. A typed RWMutex map, not a sync.Map: lookups happen only
-	// on cost-entry misses, where sync.Map's per-Load interface boxing
-	// and type hashing profiled as a double-digit share of a cold DSE
-	// sweep.
-	mappings struct {
+	// Each level is a typed RWMutex map, not a sync.Map: sync.Map's
+	// per-Load interface boxing and type hashing profiled as a
+	// double-digit share of a cold DSE sweep.
+	shapes struct {
+		mu  sync.RWMutex
+		ids map[dnn.ShapeKey]int32
+	}
+	models struct {
+		mu  sync.RWMutex
+		ids map[*dnn.Model][]int32
+	}
+	rows struct {
 		mu sync.RWMutex
-		m  map[mapKey]*dataflow.Mapping
+		m  map[substrate]*costRow
+	}
+	arrays struct {
+		mu sync.RWMutex
+		m  map[array]*mapRow
 	}
 
-	// columns interns whole-model cost rows: (model, style, HW) ->
-	// []*Cost, one interned entry per layer. Schedulers and DSE bound
-	// computations that walk a model's layers on one substrate share a
-	// single column instead of re-hashing one cost key per layer; like
-	// mappings, the population is read-mostly and write-once.
-	columns struct {
-		mu sync.RWMutex
-		m  map[columnKey][]*Cost
-	}
-
-	shards [costShards]costShard
+	costs, mappings atomic.Int64 // entry counts (Len, MappingLen)
 }
 
 // NewCache returns an empty cost cache bound to the given energy table.
 func NewCache(et energy.Table) *Cache {
 	c := &Cache{table: et}
-	c.mappings.m = make(map[mapKey]*dataflow.Mapping)
-	c.columns.m = make(map[columnKey][]*Cost)
-	for i := range c.shards {
-		c.shards[i].m = make(map[costKey]*Cost)
-	}
+	c.shapes.ids = make(map[dnn.ShapeKey]int32)
+	c.models.ids = make(map[*dnn.Model][]int32)
+	c.rows.m = make(map[substrate]*costRow)
+	c.arrays.m = make(map[array]*mapRow)
 	return c
 }
 
 // Table returns the energy table this cache is bound to.
 func (c *Cache) Table() energy.Table { return c.table }
 
-func (c *Cache) shard(key costKey) *costShard {
-	// Shard selection only needs to spread contention, not be a
-	// cryptographic hash: a multiplicative mix of the fields that
-	// actually vary (layer shape, style, substrate) replaces a full
-	// maphash over the ~100-byte key, which profiled at several
-	// percent of a DSE sweep on its own.
-	h := uint64(key.shape.K)
-	h = h*0x9E3779B97F4A7C15 + uint64(key.shape.C)
-	h = h*0x9E3779B97F4A7C15 + uint64(key.shape.Y)
-	h = h*0x9E3779B97F4A7C15 + uint64(key.shape.X+key.shape.R+key.shape.S)
-	h = h*0x9E3779B97F4A7C15 + uint64(key.shape.Op)<<8 + uint64(key.style)
-	h = h*0x9E3779B97F4A7C15 + uint64(key.hw.PEs)
-	h = h*0x9E3779B97F4A7C15 + math.Float64bits(key.hw.BWGBps)
-	h ^= h >> 29
-	return &c.shards[(h*0x9E3779B97F4A7C15>>52)&(costShards-1)]
+// at returns row[id], or nil past the row's end.
+func at[T any](row []*T, id int32) *T {
+	if int(id) < len(row) {
+		return row[id]
+	}
+	return nil
+}
+
+// put stores p at row[id], growing the row as needed.
+func put[T any](row []*T, id int32, p *T) []*T {
+	if n := int(id) + 1; n > len(row) {
+		row = append(row, make([]*T, n-len(row))...)
+	}
+	row[id] = p
+	return row
+}
+
+// shapeID returns the dense id of l's shape, interning it on first
+// sight.
+func (c *Cache) shapeID(l *dnn.Layer) int32 {
+	k := l.Key()
+	c.shapes.mu.RLock()
+	id, ok := c.shapes.ids[k]
+	c.shapes.mu.RUnlock()
+	if ok {
+		return id
+	}
+	c.shapes.mu.Lock()
+	id = c.internShapeLocked(k)
+	c.shapes.mu.Unlock()
+	return id
+}
+
+// internShapeLocked returns k's shape id, assigning the next free one
+// on first sight.
+func (c *Cache) internShapeLocked(k dnn.ShapeKey) int32 {
+	id, ok := c.shapes.ids[k]
+	if !ok {
+		id = int32(len(c.shapes.ids))
+		c.shapes.ids[k] = id
+	}
+	return id
+}
+
+// modelIDs returns the shape id of each of m's layers. Zoo models are
+// interned (dnn.ByName caches), so the pointer is a stable identity.
+func (c *Cache) modelIDs(m *dnn.Model) []int32 {
+	c.models.mu.RLock()
+	ids, ok := c.models.ids[m]
+	c.models.mu.RUnlock()
+	if ok {
+		return ids
+	}
+	ids = make([]int32, len(m.Layers))
+	c.shapes.mu.Lock()
+	for i := range m.Layers {
+		ids[i] = c.internShapeLocked(m.Layers[i].Key())
+	}
+	c.shapes.mu.Unlock()
+	c.models.mu.Lock()
+	if q, ok := c.models.ids[m]; ok {
+		ids = q // another goroutine won the race; keep one canonical slice
+	} else {
+		c.models.ids[m] = ids
+	}
+	c.models.mu.Unlock()
+	return ids
+}
+
+// row returns the cost row of style on hw, creating it on first use.
+func (c *Cache) row(style dataflow.Style, hw HW) *costRow {
+	k := substrate{style: style, hw: hw}
+	c.rows.mu.RLock()
+	r := c.rows.m[k]
+	c.rows.mu.RUnlock()
+	if r != nil {
+		return r
+	}
+	maps := c.mapRow(style, hw.PEs)
+	c.rows.mu.Lock()
+	if r = c.rows.m[k]; r == nil {
+		r = &costRow{maps: maps}
+		c.rows.m[k] = r
+	}
+	c.rows.mu.Unlock()
+	return r
+}
+
+// mapRow returns the mapping row of style on a pes-sized array,
+// creating it on first use.
+func (c *Cache) mapRow(style dataflow.Style, pes int) *mapRow {
+	k := array{style: style, pes: pes}
+	c.arrays.mu.RLock()
+	r := c.arrays.m[k]
+	c.arrays.mu.RUnlock()
+	if r != nil {
+		return r
+	}
+	c.arrays.mu.Lock()
+	if r = c.arrays.m[k]; r == nil {
+		r = &mapRow{array: k}
+		c.arrays.m[k] = r
+	}
+	c.arrays.mu.Unlock()
+	return r
+}
+
+// mappingRef returns the interned mapping of layer l (shape id id) on
+// mapping row mr — the pointer Cost.Mapping carries, so every cost of
+// a (shape, style, PEs) triple shares one mapping struct. The pointee
+// must not be modified.
+func (c *Cache) mappingRef(mr *mapRow, id int32, l *dnn.Layer) *dataflow.Mapping {
+	mr.mu.RLock()
+	p := at(mr.maps, id)
+	mr.mu.RUnlock()
+	if p != nil {
+		return p
+	}
+	m := dataflow.Map(mr.style, l, mr.pes)
+	mr.mu.Lock()
+	if p = at(mr.maps, id); p == nil {
+		p = &m
+		mr.maps = put(mr.maps, id, p)
+		c.mappings.Add(1)
+	}
+	mr.mu.Unlock()
+	return p
 }
 
 // Estimate returns the (possibly memoized) cost of layer l under style
@@ -131,23 +243,22 @@ func (c *Cache) Estimate(l *dnn.Layer, style dataflow.Style, hw HW) Cost {
 // sparing hot callers (the scheduler's inner loop) a ~250-byte struct
 // copy per query. The pointee is shared and must not be modified.
 func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
-	key := costKey{shape: l.Key(), style: style, hw: hw}
-	sh := c.shard(key)
-	sh.mu.RLock()
-	p, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
+	id := c.shapeID(l)
+	r := c.row(style, hw)
+	r.mu.RLock()
+	p := at(r.costs, id)
+	r.mu.RUnlock()
+	if p != nil {
 		return p
 	}
-	cost := estimate(l, c.mappingRef(l, style, hw.PEs), hw, c.table)
-	sh.mu.Lock()
-	if q, ok := sh.m[key]; ok {
-		p = q // another goroutine won the race; keep one canonical entry
-	} else {
+	cost := estimate(l, c.mappingRef(r.maps, id, l), hw, c.table)
+	r.mu.Lock()
+	if p = at(r.costs, id); p == nil {
 		p = &cost
-		sh.m[key] = p
+		r.costs = put(r.costs, id, p)
+		c.costs.Add(1)
 	}
-	sh.mu.Unlock()
+	r.mu.Unlock()
 	return p
 }
 
@@ -157,54 +268,49 @@ func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
 // ETA estimates consume. The column (and each entry) is shared and
 // must not be modified.
 //
-// Misses are filled through fixed-size slab blocks instead of one
-// heap object per layer: a DSE sweep interns tens of thousands of
-// Cost entries, and slab-backed entries cut both the allocation count
-// and the garbage collector's scan set. A block never reallocates
-// once a pointer into it is published (appends move to a fresh block
-// when one fills), so interned pointers stay valid.
+// A miss fills the column under its row's write lock, so goroutines
+// racing on one substrate estimate each shape once and share one
+// canonical column. Misses are filled through fixed-size slab blocks
+// instead of one heap object per layer: a DSE sweep interns tens of
+// thousands of Cost entries, and slab-backed entries cut both the
+// allocation count and the garbage collector's scan set. A block never
+// reallocates once a pointer into it is published (appends move to a
+// fresh block when one fills), so interned pointers stay valid.
 func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
-	key := columnKey{model: m, style: style, hw: hw}
-	c.columns.mu.RLock()
-	col, ok := c.columns.m[key]
-	c.columns.mu.RUnlock()
+	r := c.row(style, hw)
+	r.mu.RLock()
+	col, ok := r.cols[m]
+	r.mu.RUnlock()
 	if ok {
 		return col
 	}
+	ids := c.modelIDs(m)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if col, ok := r.cols[m]; ok {
+		return col // another goroutine won the race; keep one canonical column
+	}
 	const slabBlock = 16
-	col = make([]*Cost, len(m.Layers))
+	col = make([]*Cost, len(ids))
 	var slab []Cost
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		ck := costKey{shape: l.Key(), style: style, hw: hw}
-		sh := c.shard(ck)
-		sh.mu.RLock()
-		p, ok := sh.m[ck]
-		sh.mu.RUnlock()
-		if !ok {
-			cost := estimate(l, c.mappingRef(l, style, hw.PEs), hw, c.table)
-			sh.mu.Lock()
-			if q, ok := sh.m[ck]; ok {
-				p = q // another goroutine won the race; keep one canonical entry
-			} else {
-				if len(slab) == cap(slab) {
-					slab = make([]Cost, 0, min(slabBlock, len(m.Layers)-i))
-				}
-				slab = append(slab, cost)
-				p = &slab[len(slab)-1]
-				sh.m[ck] = p
+	for i, id := range ids {
+		p := at(r.costs, id)
+		if p == nil {
+			if len(slab) == cap(slab) {
+				slab = make([]Cost, 0, min(slabBlock, len(ids)-i))
 			}
-			sh.mu.Unlock()
+			l := &m.Layers[i]
+			slab = append(slab, estimate(l, c.mappingRef(r.maps, id, l), hw, c.table))
+			p = &slab[len(slab)-1]
+			r.costs = put(r.costs, id, p)
+			c.costs.Add(1)
 		}
 		col[i] = p
 	}
-	c.columns.mu.Lock()
-	if q, ok := c.columns.m[key]; ok {
-		col = q // another goroutine won the race; keep one canonical column
-	} else {
-		c.columns.m[key] = col
+	if r.cols == nil {
+		r.cols = make(map[*dnn.Model][]*Cost)
 	}
-	c.columns.mu.Unlock()
+	r.cols[m] = col
 	return col
 }
 
@@ -213,50 +319,14 @@ func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
 // query, shared across substrates that differ only in bandwidth or
 // buffer shares.
 func (c *Cache) Mapping(l *dnn.Layer, style dataflow.Style, pes int) dataflow.Mapping {
-	return *c.mappingRef(l, style, pes)
-}
-
-// mappingRef is Mapping returning the interned entry itself — the
-// pointer Cost.Mapping carries, so every cost of a (shape, style,
-// PEs) triple shares one mapping struct. The pointee must not be
-// modified.
-func (c *Cache) mappingRef(l *dnn.Layer, style dataflow.Style, pes int) *dataflow.Mapping {
-	mk := mapKey{shape: l.Key(), style: style, pes: pes}
-	c.mappings.mu.RLock()
-	p, ok := c.mappings.m[mk]
-	c.mappings.mu.RUnlock()
-	if ok {
-		return p
-	}
-	m := dataflow.Map(style, l, pes)
-	c.mappings.mu.Lock()
-	if q, ok := c.mappings.m[mk]; ok {
-		p = q // another goroutine won the race; keep one canonical entry
-	} else {
-		p = &m
-		c.mappings.m[mk] = p
-	}
-	c.mappings.mu.Unlock()
-	return p
+	return *c.mappingRef(c.mapRow(style, pes), c.shapeID(l), l)
 }
 
 // Len returns the number of memoized cost entries (diagnostics).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return int(c.costs.Load()) }
 
 // MappingLen returns the number of memoized mappings (diagnostics).
-func (c *Cache) MappingLen() int {
-	c.mappings.mu.RLock()
-	defer c.mappings.mu.RUnlock()
-	return len(c.mappings.m)
-}
+func (c *Cache) MappingLen() int { return int(c.mappings.Load()) }
 
 // ModelCost aggregates the sequential execution of a whole model on a
 // single monolithic substrate (the FDA execution model: one layer

@@ -20,10 +20,10 @@ func raceLayers() []dnn.Layer {
 	}
 }
 
-// TestCacheConcurrentHammer drives the sharded cost cache from many
+// TestCacheConcurrentHammer drives the cost cache from many
 // goroutines at once — the DSE-worker-pool-plus-serving-engine access
 // pattern — and checks every concurrent answer against an uncached
-// reference estimate. Run with -race (CI does) to catch shard or
+// reference estimate. Run with -race (CI does) to catch row or
 // mapping-level synchronization bugs.
 func TestCacheConcurrentHammer(t *testing.T) {
 	et := energy.Default28nm()
@@ -46,7 +46,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				// Each goroutine walks the key space in a different
-				// order so cold misses race on every shard.
+				// order so cold misses race on every row.
 				for i := 0; i < len(layers)*len(styles)*len(hws); i++ {
 					j := (i*7 + g*13 + r) % (len(layers) * len(styles) * len(hws))
 					l := &layers[j%len(layers)]
@@ -115,5 +115,112 @@ func TestCacheInterning(t *testing.T) {
 	}
 	if n := cache.Len(); n != 1 {
 		t.Fatalf("cache holds %d entries for a single hammered key", n)
+	}
+}
+
+// TestCacheInterleavedPaths interleaves CostColumn, EstimateRef and
+// Mapping from several goroutines over models that share layer shapes
+// and over substrates of which two differ only in bandwidth, then
+// checks that every path converged on one interned entry per key.
+// Run with -race -count=10 (make race does).
+func TestCacheInterleavedPaths(t *testing.T) {
+	cache := NewCache(energy.Default28nm())
+	ls := raceLayers()
+	models := []*dnn.Model{
+		{Name: "a", Layers: []dnn.Layer{ls[0], ls[1], ls[2], ls[1]}},
+		{Name: "b", Layers: []dnn.Layer{ls[2], ls[3], ls[4]}},
+		{Name: "c", Layers: []dnn.Layer{ls[4], ls[1], ls[3], ls[0], ls[3]}},
+	}
+	styles := []dataflow.Style{dataflow.NVDLA, dataflow.ShiDiannao}
+	hws := []HW{
+		{PEs: 256, BWGBps: 8, L2Bytes: 2 << 20},
+		{PEs: 256, BWGBps: 16, L2Bytes: 2 << 20}, // hws[0] but for bandwidth
+		{PEs: 512, BWGBps: 8, L2Bytes: 2 << 20},
+	}
+	n := len(models) * len(styles) * len(hws)
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// i*5 mod n is a permutation (n = 18), so every goroutine
+			// visits every (model, style, HW) once, starting apart.
+			for i := 0; i < n; i++ {
+				j := (i*5 + g*7) % n
+				m := models[j%len(models)]
+				st := styles[(j/len(models))%len(styles)]
+				hw := hws[j/(len(models)*len(styles))]
+				switch (g + i) % 3 {
+				case 0:
+					col := cache.CostColumn(m, st, hw)
+					for li := range m.Layers {
+						if cache.EstimateRef(&m.Layers[li], st, hw) != col[li] {
+							t.Errorf("%s layer %d: EstimateRef and CostColumn differ", m.Name, li)
+						}
+					}
+				case 1:
+					for li := range m.Layers {
+						p := cache.EstimateRef(&m.Layers[li], st, hw)
+						if p != cache.CostColumn(m, st, hw)[li] {
+							t.Errorf("%s layer %d: EstimateRef and CostColumn differ", m.Name, li)
+						}
+					}
+				case 2:
+					for li := range m.Layers {
+						mp := cache.Mapping(&m.Layers[li], st, hw.PEs)
+						if mp != *cache.EstimateRef(&m.Layers[li], st, hw).Mapping {
+							t.Errorf("%s layer %d: Mapping differs from the cost's mapping", m.Name, li)
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	type costEntry struct {
+		shape dnn.ShapeKey
+		style dataflow.Style
+		hw    HW
+	}
+	type mappingEntry struct {
+		shape dnn.ShapeKey
+		style dataflow.Style
+		pes   int
+	}
+	costs := make(map[costEntry]bool)
+	maps := make(map[mappingEntry]bool)
+	for _, m := range models {
+		for li := range m.Layers {
+			for _, st := range styles {
+				for _, hw := range hws {
+					costs[costEntry{m.Layers[li].Key(), st, hw}] = true
+					maps[mappingEntry{m.Layers[li].Key(), st, hw.PEs}] = true
+				}
+			}
+		}
+	}
+	if got := cache.Len(); got != len(costs) {
+		t.Errorf("Len() = %d, want %d distinct (shape, style, HW) keys", got, len(costs))
+	}
+	if got := cache.MappingLen(); got != len(maps) {
+		t.Errorf("MappingLen() = %d, want %d distinct (shape, style, PEs) keys", got, len(maps))
+	}
+
+	for _, m := range models {
+		for li := range m.Layers {
+			l := &m.Layers[li]
+			for _, st := range styles {
+				lo, hi := cache.EstimateRef(l, st, hws[0]), cache.EstimateRef(l, st, hws[1])
+				if lo == hi {
+					t.Fatalf("%s layer %d: substrates that differ in bandwidth share one cost", m.Name, li)
+				}
+				if lo.Mapping != hi.Mapping {
+					t.Errorf("%s layer %d: costs that differ only in bandwidth hold distinct mappings", m.Name, li)
+				}
+			}
+		}
 	}
 }

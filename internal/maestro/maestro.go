@@ -19,16 +19,20 @@
 //
 // # Caching
 //
-// Cost queries are memoized by a two-level Cache. The upper level maps
-// (layer shape, style, PEs) to the dataflow.Mapping — the expensive
-// fold/multicast analysis, which is independent of bandwidth and
-// buffer shares, so DSE partition points that differ only in those
-// reuse one mapping. The lower level maps the full (layer shape,
-// style, HW) key to the finished Cost and is sharded by key hash, so
-// a DSE worker pool and the online serving engine never contend on a
-// single lock. Single-threaded hot loops (the scheduler) keep a
-// private unsynchronized L0 map in front of the shared cache; see
-// internal/sched.
+// Cost queries are memoized by a Cache that addresses entries by dense
+// ids. Each distinct layer shape is interned once to an int32 shape
+// id, and each model once to the shape ids of its layers. Each (style,
+// HW) substrate is a cost row: a slice of finished Costs indexed by
+// shape id, plus the row's whole-model cost columns. Each (style, PEs)
+// pair is a mapping row: a slice of dataflow.Mappings indexed by shape
+// id — the expensive fold/multicast analysis, which is independent of
+// bandwidth and buffer shares, so DSE partition points that differ
+// only in those reuse one mapping. A cold CostColumn therefore does
+// one hashed row lookup per column and a slice index per layer. Every
+// row has its own lock, so a DSE worker pool and the online serving
+// engine only contend on a substrate they both fill. Single-threaded
+// hot loops (the scheduler) keep a private unsynchronized L0 table in
+// front of the shared cache; see internal/sched.
 package maestro
 
 import (

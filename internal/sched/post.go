@@ -32,7 +32,11 @@ type simState struct {
 	trialSeqs [][]item // hoist scratch, swapped with the live seqs on acceptance
 	liveSeqs  [][]item // extractSeqs scratch (the live set between swaps)
 	finish    []int64  // flowTime scratch
-	timeline  map[item]int
+
+	// timeline maps each (instance, layer) to its assignment index:
+	// entry tlOff[inst]+layer of tl, -1 while unassigned.
+	tlOff []int
+	tl    []int
 }
 
 // extractSeqs converts a schedule into per-sub-accelerator item
@@ -243,25 +247,31 @@ func (s *Scheduler) postProcess(h *accel.HDA, w *workload.Workload, sch *Schedul
 	moves := 0
 
 	// timeline maps each (instance, layer) to its assignment index in
-	// cur.Assignments (indices, not copies; the scratch map is rebuilt
-	// after every accepted move).
-	if s.sim.timeline == nil {
-		s.sim.timeline = make(map[item]int, len(sch.Assignments))
+	// cur.Assignments (indices, not copies; the dense scratch index is
+	// rebuilt after every accepted move).
+	off := resetInt(s.sim.tlOff, len(w.Instances)+1)
+	for i, in := range w.Instances {
+		off[i+1] = off[i] + len(in.Model.Layers)
 	}
-	tl := s.sim.timeline
+	s.sim.tlOff = off
+	tl := resetInt(s.sim.tl, off[len(w.Instances)])
+	s.sim.tl = tl
+	at := func(it item) int { return tl[off[it.inst]+it.layer] }
 	timeline := func(sc *Schedule) {
-		clear(tl)
+		for i := range tl {
+			tl[i] = -1
+		}
 		for i := range sc.Assignments {
 			a := &sc.Assignments[i]
-			tl[item{a.Instance, a.Layer}] = i
+			tl[off[a.Instance]+a.Layer] = i
 		}
 	}
 	timeline(cur)
 
 	for a := range seqs {
 		for i := 0; i+1 < len(seqs[a]) && moves < s.opts.MaxPostMoves; i++ {
-			hereEnd := cur.Assignments[tl[seqs[a][i]]].End
-			nextStart := cur.Assignments[tl[seqs[a][i+1]]].Start
+			hereEnd := cur.Assignments[at(seqs[a][i])].End
+			nextStart := cur.Assignments[at(seqs[a][i+1])].Start
 			if nextStart-hereEnd <= 0 {
 				continue
 			}
@@ -276,8 +286,8 @@ func (s *Scheduler) postProcess(h *accel.HDA, w *workload.Workload, sch *Schedul
 				// gap — its model predecessor complete (or, for a
 				// first layer, its instance arrived) by the gap start.
 				if cand.layer > 0 {
-					pred, ok := tl[item{cand.inst, cand.layer - 1}]
-					if !ok || cur.Assignments[pred].End > hereEnd {
+					pred := at(item{cand.inst, cand.layer - 1})
+					if pred < 0 || cur.Assignments[pred].End > hereEnd {
 						continue
 					}
 				} else if w.Instances[cand.inst].ArrivalCycle > hereEnd {

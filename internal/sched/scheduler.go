@@ -20,7 +20,7 @@ import (
 // unsynchronized L0 cost cache and scratch buffers so the steady-state
 // assignment loop performs no heap allocations and no lock
 // operations. Create one Scheduler per goroutine; cross-goroutine
-// reuse of cost-model results happens through the shared (sharded)
+// reuse of cost-model results happens through the shared
 // maestro.Cache they all sit in front of.
 type Scheduler struct {
 	cache *maestro.Cache
@@ -31,7 +31,7 @@ type Scheduler struct {
 	// pointers plus precomputed ranking metrics (see costTable). The
 	// assignment loop indexes these columns instead of hashing a full
 	// (shape, style, HW) key per query — the same results as the
-	// shared sharded cache, minus both the locks and the hashing.
+	// shared cache, minus both the locks and the hashing.
 	// Columns resolve once per (HDA, model) through the shared cache,
 	// and the columns themselves are interned process-wide, so sibling
 	// DSE partitions that share a sub-accelerator config never re-walk

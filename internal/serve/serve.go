@@ -612,10 +612,14 @@ func (s *servingHDA) feasible(cache *maestro.Cache, model *dnn.Model) error {
 		return err
 	}
 	buf := s.hda.Class.GlobalBufBytes
+	cols := make([][]*maestro.Cost, len(s.hda.Subs))
+	for a, sub := range s.hda.Subs {
+		cols[a] = cache.CostColumn(model, sub.Style, sub.HW)
+	}
 	for li := range model.Layers {
 		fits := false
-		for _, sub := range s.hda.Subs {
-			if cache.EstimateRef(&model.Layers[li], sub.Style, sub.HW).OccupancyBytes <= buf {
+		for _, col := range cols {
+			if col[li].OccupancyBytes <= buf {
 				fits = true
 				break
 			}
