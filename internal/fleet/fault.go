@@ -489,7 +489,7 @@ func (f *Fleet) applyCrashLocked(ev FaultEvent) {
 	f.replicas = append(f.replicas[:idx], f.replicas[idx+1:]...)
 	f.failedReplicas = append(f.failedReplicas, r)
 	r.health = healthCrashed
-	f.crashes++
+	f.ctr.Crashes++
 	// Crash fires every lost request's resolve hook before returning,
 	// so lostQ is complete for this event when failover runs. Safe
 	// under f.mu: resolution takes only outMu, and the engine never
@@ -543,7 +543,7 @@ func (f *Fleet) failoverOneLocked(d *dispatch, cycle int64) {
 		return
 	}
 	d.attempts++
-	f.failovers++
+	f.ctr.Failovers++
 	what := fmt.Sprintf("request %d", d.t.ID)
 	if d.segs != nil {
 		what = fmt.Sprintf("fused request %d segment %d", d.t.ID, len(d.rec.Segments))
@@ -557,9 +557,8 @@ func (f *Fleet) failoverOneLocked(d *dispatch, cycle int64) {
 // record (for a chain, the merged record with its first unfinished
 // segment failed, which the fleet's fused ledger counts). A whole
 // request's lost admission is no longer in any engine's accounting
-// (the crash rolled it back), so fleet aggregates count it via
-// lostFailed — added to both Submitted and Failed, keeping
-// conservation exact. f.mu held.
+// (the crash rolled it back), so the fleet counts it itself — in both
+// Submitted and Failed, keeping conservation exact. f.mu held.
 func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 	f.noteDecisionLocked(cycle, "failover-fail", -1,
 		fmt.Sprintf("request %d (tenant %q): %s", d.t.ID, d.req.Tenant, reason))
@@ -573,7 +572,8 @@ func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 		f.finishChainLocked(d)
 		return
 	}
-	f.lostFailed++
+	f.ctr.Submitted++
+	f.ctr.Failed++
 	f.lostFailedT[d.req.Tenant]++
 	rec := serve.Record{
 		ID:           d.t.ID,
@@ -607,9 +607,9 @@ func (f *Fleet) applyRecoverLocked(ev FaultEvent) {
 		f.foldLocked(r)
 		nr := rs[0]
 		nr.id = r.id
-		nr.gen = f.generation
+		nr.gen = f.ctr.Generation
 		f.replicas = append(f.replicas, nr)
-		f.recoveries++
+		f.ctr.Recoveries++
 		f.noteDecisionLocked(ev.Cycle, "recover", r.id, "crashed replica rebuilt on "+r.hda.Name)
 		return
 	}
@@ -622,7 +622,7 @@ func (f *Fleet) applyRecoverLocked(ev FaultEvent) {
 	r.admitFails = 0
 	r.consecFails = 0
 	r.health = healthHealthy
-	f.recoveries++
+	f.ctr.Recoveries++
 	f.noteDecisionLocked(ev.Cycle, "recover", r.id, "health state reset")
 }
 
@@ -642,7 +642,7 @@ func (f *Fleet) noteFailureLocked(r *replica, cycle int64, reason string) {
 		if r.consecFails >= f.health.FailureThreshold {
 			r.health = healthOpen
 			r.openedSeq = f.dispatchSeq
-			f.breakerTrips++
+			f.ctr.BreakerTrips++
 			f.noteDecisionLocked(cycle, "breaker-open", r.id,
 				fmt.Sprintf("%d consecutive failures, last: %s", r.consecFails, reason))
 		}
@@ -748,7 +748,7 @@ func (f *Fleet) shedLocked(req serve.Request, eta int64) error {
 	if retry < 1 {
 		retry = 1
 	}
-	f.shed++
+	f.ctr.Shed++
 	f.shedT[req.Tenant]++
 	f.noteDecisionLocked(arrival, "shed", -1,
 		fmt.Sprintf("tenant %q: lateness %d exceeds budget %d (%.3g x SLA %d), outstanding %d of %d",
@@ -792,7 +792,8 @@ type HealthReport struct {
 	// replicas awaiting recovery.
 	Replicas []ReplicaHealth `json:"replicas"`
 	Failed   []ReplicaHealth `json:"failed,omitempty"`
-	// Counters, mirroring Stats.
+	// The fault-handling slice of the fleet Counters, as Stats reports
+	// them.
 	Shed         int64 `json:"shed"`
 	Failovers    int64 `json:"failovers"`
 	Crashes      int64 `json:"crashes"`
@@ -832,11 +833,11 @@ func (f *Fleet) Health() HealthReport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	rep := HealthReport{
-		Shed:         f.shed,
-		Failovers:    f.failovers,
-		Crashes:      f.crashes,
-		Recoveries:   f.recoveries,
-		BreakerTrips: f.breakerTrips,
+		Shed:         f.ctr.Shed,
+		Failovers:    f.ctr.Failovers,
+		Crashes:      f.ctr.Crashes,
+		Recoveries:   f.ctr.Recoveries,
+		BreakerTrips: f.ctr.BreakerTrips,
 		Decisions:    append([]Event(nil), f.decisions...),
 	}
 	minH := f.minHorizonLocked()

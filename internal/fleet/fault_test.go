@@ -839,6 +839,85 @@ func TestFaultRecovery(t *testing.T) {
 	}
 }
 
+// TestFoldMovesNoCount: folding engines into the fleet's retired
+// counters — a crash recovery, then a migration to the same HDAs —
+// moves no count. Counters and tenant rows read the same just before
+// and just after each fold; only Generation and Migrations step on the
+// migration, and RetiredReplicas grows by the engines folded. Both
+// replicas carry fused requests, so their fused windows fold too.
+func TestFoldMovesNoCount(t *testing.T) {
+	const crashAt, recoverAt = 1_000_000, 2_000_000
+	cache := newTestCache()
+	opts := DefaultOptions()
+	opts.Policy = RoundRobin
+	opts.Serve.Manual = true
+	opts.Serve.Plans = fleetPlans(t, cache, "mobilenetv2")
+	opts.Faults = mustPlan(t,
+		FaultEvent{Cycle: crashAt, Replica: 0, Kind: FaultCrash},
+		FaultEvent{Cycle: recoverAt, Replica: 0, Kind: FaultRecover})
+	f, err := Replicated(cache, testHDA(t), 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round-robin puts one fused and one plain request on each replica;
+	// the last arrival fires the crash of the (idle) replica 0.
+	for _, req := range []serve.Request{
+		{Tenant: "ar", Model: "mobilenetv2"},
+		{Tenant: "a", Model: "mobilenetv1"},
+		{Tenant: "a", Model: "mobilenetv1"},
+		{Tenant: "ar", Model: "mobilenetv2"},
+	} {
+		if _, err := f.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Admit()
+	if _, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: crashAt}); err != nil {
+		t.Fatal(err)
+	}
+	f.Admit()
+
+	check := func(what string, before, after Stats, retired, gen int) {
+		t.Helper()
+		want := before.Counters
+		want.Generation += gen
+		want.Migrations += int64(gen)
+		if !reflect.DeepEqual(after.Counters, want) {
+			t.Errorf("%s moved the counters:\nbefore %+v\nafter  %+v", what, before.Counters, after.Counters)
+		}
+		if !reflect.DeepEqual(after.Tenants, before.Tenants) {
+			t.Errorf("%s moved the tenant rows:\nbefore %+v\nafter  %+v", what, before.Tenants, after.Tenants)
+		}
+		if after.RetiredReplicas != before.RetiredReplicas+retired {
+			t.Errorf("%s: %d retired replicas, want %d", what, after.RetiredReplicas, before.RetiredReplicas+retired)
+		}
+	}
+
+	before := f.Stats()
+	if before.Crashes != 1 || before.Segments.FusedCompleted != 2 {
+		t.Fatalf("before recovery: %+v, want one crash and two fused completions", snapOf(before))
+	}
+	f.mu.Lock()
+	f.advanceFaultsLocked(recoverAt)
+	f.mu.Unlock()
+	after := f.Stats()
+	if after.Recoveries != 1 {
+		t.Fatalf("recovery did not fire: %+v", snapOf(after))
+	}
+	before.Recoveries++ // the recovery's own count
+	check("recovery", before, after, 1, 0)
+
+	before = f.Stats()
+	if err := f.Migrate(context.Background(), f.ActiveHDAs(), nil); err != nil {
+		t.Fatal(err)
+	}
+	check("migration", before, f.Stats(), 2, 1)
+
+	if st, err := f.Drain(context.Background()); err != nil || st.Submitted != 5 || st.Completed != 5 {
+		t.Fatalf("drain: %+v %v, want 5 submitted and completed", snapOf(st), err)
+	}
+}
+
 // TestFaultNoReplicas: when the last replica crashes, submissions are
 // refused with ErrNoReplicas (HTTP 503) instead of hanging, and the
 // fleet still drains cleanly.

@@ -297,15 +297,17 @@ type Fleet struct {
 	// but still finishing in-flight work; once drained they fold into
 	// history and are dropped. Guarded by mu.
 	retiring []*replica
-	// history accumulates the final statistics of fully-retired
-	// generations so fleet aggregates never lose a served request.
-	// Guarded by mu.
-	history    retiredHistory
-	rrNext     int   // guarded by mu
-	draining   bool  // guarded by mu
-	generation int   // guarded by mu
-	migrations int64 // guarded by mu
-	nextID     int   // guarded by mu
+	// ctr holds the fleet's own counters (generation, migrations, fault
+	// handling, cross-replica handoffs, terminal failover failures)
+	// plus the folded totals of retired and crash-recovered engines, so
+	// fleet aggregates never lose a served request. Its Segments stay
+	// zero: the fused-request ledger is segStats. Guarded by mu.
+	ctr      Counters
+	retired  int                            // folded engines; guarded by mu
+	retiredT map[string]*serve.TenantWindow // their tenant windows; guarded by mu
+	rrNext   int                            // guarded by mu
+	draining bool                           // guarded by mu
+	nextID   int                            // guarded by mu
 
 	// mix tracks accepted submissions per model name (under mu) — the
 	// observed tenant mix Resweep searches over. With MixHalfLife set,
@@ -315,9 +317,6 @@ type Fleet struct {
 	mixTick  int64                // guarded by mu
 	mixDecay float64              // per-submission multiplier; 1 = no decay (construction-set, immutable)
 
-	// crossHandoffs counts chain admissions routed to another replica
-	// than their predecessor.
-	crossHandoffs int64 // guarded by mu
 	// ready parks the fused chains whose admission a completion hook
 	// settled with a successor to route — the next segment, or the
 	// first lost one — keyed by the replica that ran it; Admit settles
@@ -350,19 +349,12 @@ type Fleet struct {
 	failedReplicas []*replica       // crashed, awaiting FaultRecover; guarded by mu
 	decisions      []Event          // guarded by mu
 	decSeq         int              // guarded by mu
-	shed           int64            // guarded by mu
 	shedT          map[string]int64 // guarded by mu
-	failovers      int64            // guarded by mu
-	crashes        int64            // guarded by mu
-	recoveries     int64            // guarded by mu
-	breakerTrips   int64            // guarded by mu
-	// lostFailed counts crash-orphaned requests no survivor could take
-	// (terminal fleet-side failures). Their engines erased them, so
-	// aggregates add lostFailed to both Submitted and Failed to keep
-	// conservation exact.
-	// Guarded by mu.
-	lostFailed  int64
-	lostFailedT map[string]int64 // guarded by mu
+	// lostFailedT counts, per tenant, crash-orphaned requests no
+	// survivor could take (terminal fleet-side failures). Their engines
+	// erased them, so Stats adds them to both Submitted and Failed to
+	// keep conservation exact. Guarded by mu.
+	lostFailedT map[string]int64
 
 	// outMu guards the failover queue and the per-tenant outstanding
 	// counts. Lock order: mu → outMu. Lost-request hooks take only
@@ -379,18 +371,6 @@ type Fleet struct {
 	// failed-over chain counts once. The requests' tenant windows live
 	// per replica (replica.fused).
 	segStats serve.SegmentStats // guarded by outMu
-}
-
-// retiredHistory is the folded statistics of retired and
-// crash-recovered engines.
-type retiredHistory struct {
-	replicas                               int
-	submitted, completed, failed, rejected int64
-	pending                                int64 // requests lost to a cancelled drain (should stay 0)
-	lost                                   int64 // crash-extracted requests (failover re-admits them)
-	preemptions, resumes, reassigns        int64 // elastic counters of retired engines
-	makespan                               int64
-	tenants                                map[string]*serve.TenantWindow
 }
 
 // New starts one serving engine per HDA, all sharing one cost cache.
@@ -419,6 +399,7 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 		mixDecay:    1,
 		sweeper:     opts.Sweeper,
 		health:      opts.Health.withDefaults(),
+		retiredT:    make(map[string]*serve.TenantWindow),
 		shedT:       make(map[string]int64),
 		lostFailedT: make(map[string]int64),
 		tenantOut:   make(map[string]int64),
@@ -510,7 +491,7 @@ func (f *Fleet) Size() int {
 func (f *Fleet) Generation() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.generation
+	return f.ctr.Generation
 }
 
 // Engine returns active replica i's serving engine (for per-replica
@@ -854,11 +835,11 @@ func (f *Fleet) countFusedLocked(r *replica, rec *serve.Record) {
 		window(r.fused, rec.Tenant).AddRecord(rec)
 		return
 	}
-	window(f.history.tenants, rec.Tenant).AddRecord(rec)
+	window(f.retiredT, rec.Tenant).AddRecord(rec)
 	if rec.Status == serve.StatusDone {
-		f.history.completed++
+		f.ctr.Completed++
 	} else {
-		f.history.failed++
+		f.ctr.Failed++
 	}
 }
 
@@ -1072,7 +1053,7 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 			d.t.ID = id
 			d.t.Replica = r.id
 		} else if d.segs != nil && r.id != prev.id {
-			f.crossHandoffs++
+			f.ctr.CrossReplicaHandoffs++
 		}
 		r.dispatched++
 		if f.policy == CostAware {
@@ -1291,22 +1272,11 @@ type ReplicaStats struct {
 	Engine              serve.Stats `json:"engine"`
 }
 
-// Stats is a fleet-wide snapshot: per-replica engine statistics plus
-// tenant aggregates merged across replicas — including retiring and
-// retired generations, so no served request ever drops out of the
-// aggregates across a repartition.
-type Stats struct {
-	Policy        string  `json:"policy"`
-	Replicas      int     `json:"replicas"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-
-	// Generation counts completed migrations; RetiredReplicas counts
-	// fully-drained previous-generation engines folded into the
-	// aggregates.
-	Generation      int   `json:"generation"`
-	Migrations      int64 `json:"migrations"`
-	RetiredReplicas int   `json:"retired_replicas"`
-
+// Counters is the deterministic slice of the fleet statistics: the
+// counters a replay digest compares, with the wall-clock fields left
+// out. Zero values are all meaningful (a clean run has 0 failures), so
+// no field carries omitempty.
+type Counters struct {
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
@@ -1318,16 +1288,17 @@ type Stats struct {
 	// chain remainders) re-admitted on survivors; Lost counts engine
 	// admissions extracted by replica crashes — a chain's queued
 	// segments one by one — each either failed over (counted once on
-	// its survivor) or terminally failed; BreakerTrips
-	// counts circuit-breaker opens. FailedReplicas is the current
-	// number of crashed replicas awaiting recovery.
-	Shed           int64 `json:"shed"`
-	Failovers      int64 `json:"failovers"`
-	Lost           int64 `json:"lost"`
-	Crashes        int64 `json:"crashes"`
-	Recoveries     int64 `json:"recoveries"`
-	BreakerTrips   int64 `json:"breaker_trips"`
-	FailedReplicas int   `json:"failed_replicas"`
+	// its survivor) or terminally failed; BreakerTrips counts
+	// circuit-breaker opens.
+	Shed         int64 `json:"shed"`
+	Failovers    int64 `json:"failovers"`
+	Lost         int64 `json:"lost"`
+	Crashes      int64 `json:"crashes"`
+	Recoveries   int64 `json:"recoveries"`
+	BreakerTrips int64 `json:"breaker_trips"`
+
+	// Migrations counts completed migrations.
+	Migrations int64 `json:"migrations"`
 
 	// Elastic counters summed across live engines and folded history:
 	// preempted placements, successful resumptions, and per-engine PE
@@ -1336,22 +1307,72 @@ type Stats struct {
 	Resumes     int64 `json:"resumes"`
 	PEReassigns int64 `json:"pe_reassigns"`
 
+	// Generation is the current replica generation: 0 at startup,
+	// incremented by every completed migration.
+	Generation int `json:"generation"`
+
 	// MakespanCycles is the slowest replica's committed horizon —
 	// replicas run in parallel in simulated time, so fleet throughput
 	// is total completions over the maximum makespan, not the sum.
-	MakespanCycles   int64   `json:"makespan_cycles"`
-	SimThroughputRPS float64 `json:"sim_throughput_rps"`
+	MakespanCycles int64 `json:"makespan_cycles"`
+
+	// CrossReplicaHandoffs counts chain hops where a segment was
+	// routed to a different replica than its predecessor — the
+	// dispatches where the horizon-ledger ETA overruled locality, and
+	// a crashed chain's resumption on a survivor.
+	CrossReplicaHandoffs int64 `json:"cross_replica_handoffs"`
 
 	// Segments reports the fleet-wide fused-serving counters: requests
 	// decomposed into segment chains, their segment outcomes, and the
 	// pipeline-overlap cycle sums, folded from each fused request's
 	// final merged record (a failed-over chain counts once).
 	Segments serve.SegmentStats `json:"segments"`
-	// CrossReplicaHandoffs counts chain hops where a segment was
-	// routed to a different replica than its predecessor — the
-	// dispatches where the horizon-ledger ETA overruled locality, and
-	// a crashed chain's resumption on a survivor.
-	CrossReplicaHandoffs int64 `json:"cross_replica_handoffs"`
+}
+
+// addEngine adds one engine's statistics and its replica's fused-request
+// windows to c. The fused windows are those requests' only count: the
+// engine keeps chain segments out of its own ledgers. Stats adds the
+// live engines, foldLocked the retired ones; both hold Fleet.outMu,
+// which guards fused.
+func (c *Counters) addEngine(es *serve.Stats, fused map[string]*serve.TenantWindow) {
+	c.Submitted += es.Submitted
+	c.Completed += es.Completed
+	c.Failed += es.Failed
+	c.Rejected += es.Rejected
+	c.Pending += es.Pending
+	c.Lost += es.Lost
+	c.Preemptions += es.Preemptions
+	c.Resumes += es.Resumes
+	c.PEReassigns += es.PEReassigns
+	c.MakespanCycles = max(c.MakespanCycles, es.MakespanCycles)
+	//herald:nondet exact integer sums; order cannot change the result
+	for _, w := range fused {
+		c.Submitted += w.Submitted
+		c.Completed += w.Completed
+		c.Failed += w.Failed
+	}
+}
+
+// Stats is a fleet-wide snapshot: per-replica engine statistics plus
+// tenant aggregates merged across replicas — including retiring and
+// retired generations, so no served request ever drops out of the
+// aggregates across a repartition.
+type Stats struct {
+	Policy        string  `json:"policy"`
+	Replicas      int     `json:"replicas"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+
+	// RetiredReplicas counts fully-drained previous-generation (and
+	// crash-recovered) engines folded into the aggregates.
+	RetiredReplicas int `json:"retired_replicas"`
+
+	Counters
+
+	// FailedReplicas is the current number of crashed replicas
+	// awaiting recovery.
+	FailedReplicas int `json:"failed_replicas"`
+
+	SimThroughputRPS float64 `json:"sim_throughput_rps"`
 
 	// Tenants aggregates each tenant across every replica; latency
 	// percentiles are computed over the merged sample windows (they
@@ -1373,8 +1394,8 @@ func addWindow(tenants map[string]*serve.TenantWindow, w *serve.TenantWindow) {
 func (f *Fleet) Stats() Stats {
 	tenants := make(map[string]*serve.TenantWindow)
 
-	// Snapshot the live replica set and fold the retired history under
-	// the dispatch lock; engine probes run on the snapshot afterwards
+	// Snapshot the live replica set and the fleet counters under the
+	// dispatch lock; engine probes run on the snapshot afterwards
 	// (an engine outlives its membership in f.replicas, so reading it
 	// after unlock is safe even if a migration swaps the set).
 	type rsnap struct {
@@ -1387,29 +1408,12 @@ func (f *Fleet) Stats() Stats {
 	}
 	f.mu.Lock()
 	st := Stats{
-		Policy:               f.policy.String(),
-		Replicas:             len(f.replicas),
-		UptimeSeconds:        time.Since(f.start).Seconds(), //herald:nondet wall-clock uptime is reporting-only
-		Generation:           f.generation,
-		Migrations:           f.migrations,
-		RetiredReplicas:      f.history.replicas,
-		Submitted:            f.history.submitted + f.lostFailed,
-		Completed:            f.history.completed,
-		Failed:               f.history.failed + f.lostFailed,
-		Rejected:             f.history.rejected,
-		Pending:              f.history.pending,
-		Lost:                 f.history.lost,
-		Shed:                 f.shed,
-		Failovers:            f.failovers,
-		Crashes:              f.crashes,
-		Recoveries:           f.recoveries,
-		BreakerTrips:         f.breakerTrips,
-		FailedReplicas:       len(f.failedReplicas),
-		Preemptions:          f.history.preemptions,
-		Resumes:              f.history.resumes,
-		PEReassigns:          f.history.reassigns,
-		MakespanCycles:       f.history.makespan,
-		CrossReplicaHandoffs: f.crossHandoffs,
+		Policy:          f.policy.String(),
+		Replicas:        len(f.replicas),
+		UptimeSeconds:   time.Since(f.start).Seconds(), //herald:nondet wall-clock uptime is reporting-only
+		RetiredReplicas: f.retired,
+		Counters:        f.ctr,
+		FailedReplicas:  len(f.failedReplicas),
 	}
 	minH := f.minHorizonLocked()
 	snaps := make([]rsnap, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))
@@ -1426,7 +1430,7 @@ func (f *Fleet) Stats() Stats {
 			health: r.health.String()})
 	}
 	//herald:nondet one window per tenant, each into its own aggregate; every source merges in a fixed order (history, then each replica's engine and fused windows in snapshot order), so the float sums associate alike run to run
-	for _, w := range f.history.tenants {
+	for _, w := range f.retiredT {
 		addWindow(tenants, w)
 	}
 	shedT := make(map[string]int64, len(f.shedT))
@@ -1443,18 +1447,6 @@ func (f *Fleet) Stats() Stats {
 		r := sn.r
 		es := r.engine.Stats()
 		clockGHz = es.ClockGHz
-		st.Submitted += es.Submitted
-		st.Completed += es.Completed
-		st.Failed += es.Failed
-		st.Rejected += es.Rejected
-		st.Pending += es.Pending
-		st.Lost += es.Lost
-		st.Preemptions += es.Preemptions
-		st.Resumes += es.Resumes
-		st.PEReassigns += es.PEReassigns
-		if es.MakespanCycles > st.MakespanCycles {
-			st.MakespanCycles = es.MakespanCycles
-		}
 		rs := ReplicaStats{
 			Replica:             r.id,
 			Generation:          r.gen,
@@ -1478,10 +1470,8 @@ func (f *Fleet) Stats() Stats {
 		//herald:nondet one window per tenant, each into its own aggregate, right after the same replica's engine windows (see above)
 		for _, w := range r.fused {
 			addWindow(tenants, w)
-			st.Submitted += w.Submitted
-			st.Completed += w.Completed
-			st.Failed += w.Failed
 		}
+		st.addEngine(&es, r.fused)
 		f.outMu.Unlock()
 	}
 
@@ -1672,12 +1662,12 @@ func (f *Fleet) Migrate(ctx context.Context, hdas []*accel.HDA, prewarm *workloa
 		return serve.ErrDraining
 	}
 	old := f.replicas
-	f.generation++
-	f.migrations++
+	f.ctr.Generation++
+	f.ctr.Migrations++
 	for _, r := range rs {
 		r.id = f.nextID
 		f.nextID++
-		r.gen = f.generation
+		r.gen = f.ctr.Generation
 	}
 	f.replicas = rs
 	f.rrNext = 0
@@ -1724,39 +1714,20 @@ func (f *Fleet) fold(r *replica) {
 func (f *Fleet) foldLocked(r *replica) {
 	es := r.engine.Stats()
 	windows := r.engine.TenantWindows()
-	h := &f.history
-	if h.tenants == nil {
-		h.tenants = make(map[string]*serve.TenantWindow)
-	}
 	f.outMu.Lock()
 	for _, name := range slices.Sorted(maps.Keys(r.fused)) {
-		w := r.fused[name]
-		windows = append(windows, *w)
-		es.Submitted += w.Submitted
-		es.Completed += w.Completed
-		es.Failed += w.Failed
+		windows = append(windows, *r.fused[name])
 	}
+	f.ctr.addEngine(&es, r.fused)
 	r.folded = true
 	f.outMu.Unlock()
-	h.replicas++
-	h.submitted += es.Submitted
-	h.completed += es.Completed
-	h.failed += es.Failed
-	h.rejected += es.Rejected
-	h.pending += es.Pending
-	h.lost += es.Lost
-	h.preemptions += es.Preemptions
-	h.resumes += es.Resumes
-	h.reassigns += es.PEReassigns
-	if es.MakespanCycles > h.makespan {
-		h.makespan = es.MakespanCycles
-	}
+	f.retired++
 	for i := range windows {
-		addWindow(h.tenants, &windows[i])
+		addWindow(f.retiredT, &windows[i])
 		// The folded window is a sliding window like the per-engine
 		// ones: keep the most recent samples, bounded across any
 		// number of retired generations.
-		t := h.tenants[windows[i].Tenant]
+		t := f.retiredT[windows[i].Tenant]
 		if n := len(t.Latencies); n > maxHistoryLatencies {
 			t.Latencies = append(t.Latencies[:0], t.Latencies[n-maxHistoryLatencies:]...)
 		}
@@ -1770,8 +1741,8 @@ const maxHistoryLatencies = 4096
 // Drain stops admissions, waits until every accepted ticket has
 // resolved or ctx is done (a manual fleet admits on the caller's
 // goroutine first; a live one admits on its own goroutines), then
-// fans the drain out to every live replica (active and retiring),
-// joins them, and returns the final statistics — with ctx's error if
+// quiesces every live replica (active and retiring), joins them in
+// order, and returns the final statistics — with ctx's error if
 // tickets were still open. The ticket wait comes first: quiescing
 // engines under a fused chain would fail its remaining segments.
 func (f *Fleet) Drain(ctx context.Context) (Stats, error) {
@@ -1807,18 +1778,17 @@ func (f *Fleet) Drain(ctx context.Context) (Stats, error) {
 	live = append(live, f.failedReplicas...)
 	f.mu.Unlock()
 
-	errs := make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, r := range live {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			if _, err := r.engine.Drain(ctx); err != nil {
-				errs[i] = fmt.Errorf("fleet: replica %d drain: %w", r.id, err)
-			}
-		}(i, r)
+	// Stop every engine's admissions before waiting on any single one,
+	// then join them in order, as Migrate does.
+	for _, r := range live {
+		r.engine.Quiesce()
 	}
-	wg.Wait()
+	var errs []error
+	for _, r := range live {
+		if _, err := r.engine.Drain(ctx); err != nil {
+			errs = append(errs, fmt.Errorf("fleet: replica %d drain: %w", r.id, err))
+		}
+	}
 	if !idle {
 		errs = append(errs, ctx.Err())
 	}

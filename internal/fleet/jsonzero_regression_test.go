@@ -28,12 +28,16 @@ func requireKeys(t *testing.T, v any, keys ...string) {
 
 // TestZeroValuedStatsFieldsSurviveJSON pins the jsonzero triage for
 // this package: every counter and flag below is meaningful at zero
-// and must round-trip through JSON even when zero.
+// and must round-trip through JSON even when zero. Stats lists every
+// key /v1/fleet/stats renders, so a slip in the embedded Counters or
+// its tags cannot drop one.
 func TestZeroValuedStatsFieldsSurviveJSON(t *testing.T) {
 	requireKeys(t, Stats{},
-		"migrations", "retired_replicas", "failed", "rejected", "shed",
-		"failovers", "lost", "crashes", "recoveries", "breaker_trips",
-		"failed_replicas")
+		"policy", "replicas", "uptime_seconds", "generation", "migrations", "retired_replicas",
+		"submitted", "completed", "failed", "rejected", "pending",
+		"shed", "failovers", "lost", "crashes", "recoveries", "breaker_trips", "failed_replicas",
+		"preemptions", "resumes", "pe_reassigns", "makespan_cycles", "sim_throughput_rps",
+		"segments", "cross_replica_handoffs", "tenants", "per_replica")
 	requireKeys(t, ReplicaStats{},
 		"retiring", "consecutive_failures", "dispatched", "inflight")
 	requireKeys(t, ReplicaHealth{},

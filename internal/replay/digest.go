@@ -29,7 +29,7 @@ type Digest struct {
 	Setup Setup `json:"setup"`
 	// Counters is the deterministic slice of the final fleet
 	// statistics (wall-clock fields like uptime are excluded).
-	Counters Counters `json:"counters"`
+	Counters fleet.Counters `json:"counters"`
 	// Conservation restates the invariant the drill gates on.
 	Conservation Conservation `json:"conservation"`
 	// Rejects counts submissions the dispatch layer refused, keyed by
@@ -77,31 +77,6 @@ type Setup struct {
 	// Repartition reports whether a controller stepped at window
 	// boundaries.
 	Repartition bool `json:"repartition,omitempty"` //herald:jsonzero false means no controller; absent means the same
-}
-
-// Counters is the deterministic slice of fleet.Stats. Zero values are
-// all meaningful (a clean run has 0 failures), so no field carries
-// omitempty.
-type Counters struct {
-	Submitted            int64              `json:"submitted"`
-	Completed            int64              `json:"completed"`
-	Failed               int64              `json:"failed"`
-	Rejected             int64              `json:"rejected"`
-	Pending              int64              `json:"pending"`
-	Shed                 int64              `json:"shed"`
-	Failovers            int64              `json:"failovers"`
-	Lost                 int64              `json:"lost"`
-	Crashes              int64              `json:"crashes"`
-	Recoveries           int64              `json:"recoveries"`
-	BreakerTrips         int64              `json:"breaker_trips"`
-	Migrations           int64              `json:"migrations"`
-	Preemptions          int64              `json:"preemptions"`
-	Resumes              int64              `json:"resumes"`
-	PEReassigns          int64              `json:"pe_reassigns"`
-	Generation           int                `json:"generation"`
-	MakespanCycles       int64              `json:"makespan_cycles"`
-	CrossReplicaHandoffs int64              `json:"cross_replica_handoffs"`
-	Segments             serve.SegmentStats `json:"segments"`
 }
 
 // Conservation restates the serving invariant: every accepted request

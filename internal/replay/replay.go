@@ -174,27 +174,7 @@ func Run(ctx context.Context, cache *maestro.Cache, hdas []*accel.HDA, tr *captu
 		return nil, fmt.Errorf("replay: drain: %w", err)
 	}
 
-	d.Counters = Counters{
-		Submitted:            st.Submitted,
-		Completed:            st.Completed,
-		Failed:               st.Failed,
-		Rejected:             st.Rejected,
-		Pending:              st.Pending,
-		Shed:                 st.Shed,
-		Failovers:            st.Failovers,
-		Lost:                 st.Lost,
-		Crashes:              st.Crashes,
-		Recoveries:           st.Recoveries,
-		BreakerTrips:         st.BreakerTrips,
-		Migrations:           st.Migrations,
-		Preemptions:          st.Preemptions,
-		Resumes:              st.Resumes,
-		PEReassigns:          st.PEReassigns,
-		Generation:           st.Generation,
-		MakespanCycles:       st.MakespanCycles,
-		CrossReplicaHandoffs: st.CrossReplicaHandoffs,
-		Segments:             st.Segments,
-	}
+	d.Counters = st.Counters
 	d.Conservation = Conservation{
 		Submitted: st.Submitted,
 		Completed: st.Completed,
