@@ -75,7 +75,9 @@ func TestSchedulerAllocationBudget(t *testing.T) {
 // stay within a small constant of the same Extend on a 50-instance
 // backlog, although every backlog layer is still live in the memory
 // ledger. (A rollback point that copies the ledger grows with it.) The
-// median drops the odd sample where an append-only array doubles.
+// median drops the odd sample where an append-only array — a
+// per-instance array or a ledger slot list — doubles; the assignment
+// log adds a fixed 12 KB page instead, every 256 commits.
 func TestExtendBytesIndependentOfBacklog(t *testing.T) {
 	h := incTestHDA(t)
 	s := incTestScheduler(t)

@@ -83,13 +83,12 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 	)
 	firstRolled := nl
 	resumeCycle := inc.insts[w].ArrivalCycle
-	for i := range st.assignments {
-		a := st.assignments[i]
+	for a := range st.log.from(0) {
 		if a.Instance != w {
 			continue
 		}
 		if a.Start >= at {
-			removed = append(removed, a)
+			removed = append(removed, *a)
 			if a.Layer < firstRolled {
 				firstRolled = a.Layer
 			}
@@ -106,15 +105,7 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("sched: instance %d rollback is not a layer suffix (first %d + %d removed != %d layers)",
 			instance, firstRolled, len(removed), nl)
 	}
-	kept := st.assignments[:0]
-	for i := range st.assignments {
-		a := st.assignments[i]
-		if a.Instance == w && a.Start >= at {
-			continue
-		}
-		kept = append(kept, a)
-	}
-	st.assignments = kept
+	st.log.filter(func(a *Assignment) bool { return a.Instance != w || a.Start < at })
 
 	// Remove the rolled-back intervals from the per-sub memory ledger
 	// and rebuild its occupancy prefix sums. The boundary sits at or
@@ -160,8 +151,7 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 	// frontier — and busy and energy refund the rolled-back execution.
 	frontier := make([]int64, len(st.free))
 	copy(frontier, inc.retired.FrontierCycles)
-	for i := range st.assignments {
-		a := &st.assignments[i]
+	for a := range st.log.from(0) {
 		if a.End > frontier[a.SubAcc] {
 			frontier[a.SubAcc] = a.End
 		}
@@ -243,7 +233,7 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 	st.prune = inc.floor
 	delete(inc.susp, cp.Instance)
 
-	mark := len(st.assignments)
+	mark := st.log.len()
 	if err := inc.s.run(inc.h, inc.insts, st, start, false); err != nil {
 		st.restore()
 		inc.susp[cp.Instance] = stored
@@ -256,8 +246,7 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 		ArrivalCycle: inc.insts[w].ArrivalCycle,
 		StartCycle:   -1,
 	}
-	for i := mark; i < len(st.assignments); i++ {
-		a := &st.assignments[i]
+	for a := range st.log.from(mark) {
 		if pl.StartCycle < 0 || a.Start < pl.StartCycle {
 			pl.StartCycle = a.Start
 		}

@@ -211,7 +211,7 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 	inc.st.link(base, off, adms, inc.insts)
 	inc.st.prune = inc.floor
 
-	mark := len(inc.st.assignments)
+	mark := inc.st.log.len()
 	if err := inc.s.run(inc.h, inc.insts, inc.st, minArrival, false); err != nil {
 		inc.st.restore()
 		inc.st.unlink(base, off, adms)
@@ -232,9 +232,7 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 			StartCycle:   -1,
 		}
 	}
-	added := inc.st.assignments[mark:]
-	for i := range added {
-		a := &added[i]
+	for a := range inc.st.log.from(mark) {
 		p := &out[a.Instance-base]
 		if p.StartCycle < 0 || a.Start < p.StartCycle {
 			p.StartCycle = a.Start
@@ -304,20 +302,17 @@ func (inc *Incremental) retire() {
 	// no longer holds of the running totals.
 	liveBusy := make([]int64, len(st.free))
 	var liveEnergy float64
-	live := st.assignments[:0]
-	for _, a := range st.assignments {
+	st.log.filter(func(a *Assignment) bool {
 		if a.Instance < k {
 			r.Assignments++
 			r.FrontierCycles[a.SubAcc] = max(r.FrontierCycles[a.SubAcc], a.End)
-			continue
+			return false
 		}
 		a.Instance -= k
 		liveBusy[a.SubAcc] += a.Cost.Cycles
 		liveEnergy += a.Cost.Energy.Total()
-		live = append(live, a)
-	}
-	clear(st.assignments[len(live):])
-	st.assignments = live
+		return true
+	})
 	for a := range r.BusyCycles {
 		r.BusyCycles[a] = st.busy[a] - liveBusy[a]
 	}
@@ -388,7 +383,7 @@ func (inc *Incremental) Snapshot() *Schedule {
 	sch := &Schedule{
 		HDA:           inc.h,
 		Workload:      w,
-		Assignments:   append([]Assignment(nil), inc.st.assignments...),
+		Assignments:   inc.st.log.clone(),
 		EnergyPJ:      inc.st.energyPJ,
 		SubBusyCycles: append([]int64(nil), inc.st.busy...),
 		Retired:       inc.retired.clone(),

@@ -100,6 +100,11 @@ func backlogIncremental(tb testing.TB, s *Scheduler, h *accel.HDA, m *dnn.Model,
 // it, so each size is measured between n and 2n committed instances.
 // ns/op and B/op should not grow with the backlog: the rollback point
 // an Extend takes costs O(batch), not O(committed ledger).
+//
+// The overload case admits arrivals ten times faster than the HDA
+// serves them (see overloadIncremental) on top of a window of 8k to
+// 16k committed assignments, none of which ever retires: its B/op is
+// what appending to a window that only grows costs.
 func BenchmarkIncrementalExtend(b *testing.B) {
 	h := incTestHDA(b)
 	s := incTestScheduler(b)
@@ -122,6 +127,23 @@ func BenchmarkIncrementalExtend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("overload", func(b *testing.B) {
+		const n = 768 // 8448 committed assignments
+		b.ReportAllocs()
+		inc := overloadIncremental(b, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if inc.NumInstances() >= 2*n {
+				b.StopTimer()
+				if inc.retired.Instances != 0 {
+					b.Fatalf("%d instances retired under overload", inc.retired.Instances)
+				}
+				inc = overloadIncremental(b, n)
+				b.StartTimer()
+			}
+			overloadExtend(b, inc, m)
+		}
+	})
 }
 
 // TestIncrementalMatchesBatch: admitting the whole workload in one

@@ -458,9 +458,9 @@ type runState struct {
 	// its storage is reused from run to run.
 	undo checkpointState
 
-	assignments []Assignment
-	energyPJ    float64
-	remaining   int
+	log       assignLog // committed assignments, in commit order
+	energyPJ  float64
+	remaining int
 }
 
 // Sentinel pred values: no pipeline predecessor, and a predecessor the
@@ -482,8 +482,8 @@ func newRunState(nAcc int) *runState {
 
 // reset rewinds a reusable run state for a fresh batch run on an
 // nAcc-way HDA: every array is emptied in place (capacity kept from
-// earlier runs) except assignments, which escaped into the previous
-// run's Schedule and must not be recycled.
+// earlier runs) except the assignment log, whose page escaped into the
+// previous run's Schedule; assign gives it a fresh page.
 func (st *runState) reset(nAcc int) {
 	if len(st.free) != nAcc {
 		st.free = make([]int64, nAcc)
@@ -506,7 +506,6 @@ func (st *runState) reset(nAcc int) {
 	st.prune = 0
 	st.events = st.events[:0]
 	st.costs = nil
-	st.assignments = nil
 	st.energyPJ = 0
 	st.remaining = 0
 }
@@ -653,7 +652,7 @@ func (st *runState) checkpoint(resumed int) {
 	c.handoffs = append(c.handoffs[:0], st.handoffs...)
 	st.ledger.mark(&c.ledger)
 	c.nInsts = len(st.nextLayer)
-	c.nAssign = len(st.assignments)
+	c.nAssign = st.log.len()
 	c.remaining = st.remaining
 	c.energyPJ = st.energyPJ
 	c.prune = st.prune
@@ -685,7 +684,7 @@ func (st *runState) restore() {
 	if len(st.rows) > c.nInsts {
 		st.rows = st.rows[:c.nInsts]
 	}
-	st.assignments = st.assignments[:c.nAssign]
+	st.log.truncate(c.nAssign)
 	st.remaining = c.remaining
 	st.energyPJ = c.energyPJ
 	st.prune = c.prune
@@ -720,7 +719,7 @@ func (s *Scheduler) assign(h *accel.HDA, w *workload.Workload) (*Schedule, error
 	st.reset(len(h.Subs))
 	st.costs = s.tableFor(h)
 	st.addInstances(w.Instances, s.opts.Priorities)
-	st.assignments = s.takeAssignments(st.remaining)
+	st.log = assignLog{tail: s.takeAssignments(st.remaining)}
 	st.ledger.grow(st.remaining)
 
 	if err := s.run(h, w.Instances, st, 0, true); err != nil {
@@ -843,7 +842,7 @@ func (s *Scheduler) tryAssign(h *accel.HDA, insts []workload.Instance, st *runSt
 		st.energyPJ += c.cost.Energy.Total()
 		st.ledger.add(c.acc, runSlot{start: startT, end: endT, occ: c.cost.OccupancyBytes})
 		st.pushEvent(endT, c.acc, inst)
-		st.assignments = append(st.assignments, Assignment{
+		st.log.push(Assignment{
 			Instance: inst, Layer: li, SubAcc: c.acc,
 			Start: startT, End: endT, Cost: c.cost,
 		})
@@ -1035,7 +1034,7 @@ func (s *Scheduler) finalize(h *accel.HDA, w *workload.Workload, st *runState) *
 	sch := &Schedule{
 		HDA:           h,
 		Workload:      w,
-		Assignments:   st.assignments,
+		Assignments:   st.log.tail, // a batch run's log is one exact-size page
 		EnergyPJ:      st.energyPJ,
 		SubBusyCycles: append([]int64(nil), st.busy...),
 	}
