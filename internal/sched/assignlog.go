@@ -18,16 +18,13 @@ const pageSize = 256
 // tail: the exact-size buffer that becomes Schedule.Assignments with
 // no copy.
 //
-// Entries a truncation drops are cleared, so they pin no
-// *maestro.Cost. The log keeps one emptied full page as a spare, enough
-// for a rolled-back run to regrow across a page boundary without
-// allocating, and lets the others go: a retirement fold hands the
-// memory of the window it folded back to the collector, where a slice
-// would have kept its high-water capacity.
+// A truncation clears the vacated part of the page that becomes the
+// tail, so it pins no *maestro.Cost, and lets every page after it go:
+// a retirement fold hands the memory of the window it folded back to
+// the collector, where a slice would have kept its high-water capacity.
 type assignLog struct {
 	pages [][]Assignment
 	tail  []Assignment
-	spare []Assignment // an empty full page, or nil
 }
 
 // len returns the number of entries in the log.
@@ -43,36 +40,14 @@ func (l *assignLog) push(a Assignment) {
 }
 
 // grow makes room for one more entry: a full tail page joins pages
-// and a spare or fresh page replaces it; a tail below pageSize doubles
-// (copying at most half a page).
+// and a new page replaces it; a tail below pageSize doubles (copying
+// at most half a page).
 func (l *assignLog) grow() {
-	switch t := l.tail; {
-	case cap(t) == pageSize:
+	if t := l.tail; cap(t) == pageSize {
 		l.pages = append(l.pages, t)
-		l.tail = l.fresh(pageSize)
-	case len(t) == 0:
-		l.tail = l.fresh(8)
-	default:
-		l.tail = append(make([]Assignment, 0, min(2*cap(t), pageSize)), t...)
-	}
-}
-
-// fresh returns an empty page: the spare, or a new one with room for n
-// entries.
-func (l *assignLog) fresh(n int) []Assignment {
-	if p := l.spare; p != nil {
-		l.spare = nil
-		return p
-	}
-	return make([]Assignment, 0, n)
-}
-
-// release zeroes a page dropped from the log and keeps it as the spare
-// if it is full-size and the spare slot is free.
-func (l *assignLog) release(p []Assignment) {
-	clear(p)
-	if cap(p) == pageSize && l.spare == nil {
-		l.spare = p[:0]
+		l.tail = make([]Assignment, 0, pageSize)
+	} else {
+		l.tail = append(make([]Assignment, 0, min(max(2*cap(t), 8), pageSize)), t...)
 	}
 }
 
@@ -101,8 +76,8 @@ func (l *assignLog) from(mark int) iter.Seq[*Assignment] {
 	}
 }
 
-// truncate drops every entry from index n on, zeroing them; a page
-// left empty may become the spare.
+// truncate drops every entry from index n on, zeroing those left in
+// the tail's backing page; the pages after it are dropped.
 func (l *assignLog) truncate(n int) {
 	if full := len(l.pages) * pageSize; n >= full {
 		clear(l.tail[n-full:])
@@ -110,15 +85,10 @@ func (l *assignLog) truncate(n int) {
 		return
 	}
 	// The page holding entry n becomes the tail.
-	l.release(l.tail)
 	k := n / pageSize
-	for i := k + 1; i < len(l.pages); i++ {
-		l.release(l.pages[i])
-		l.pages[i] = nil
-	}
 	l.tail = l.pages[k][:n%pageSize]
 	clear(l.pages[k][n%pageSize:])
-	l.pages[k] = nil
+	clear(l.pages[k:])
 	l.pages = l.pages[:k]
 }
 

@@ -14,7 +14,7 @@ func entry(v int) Assignment { return Assignment{Instance: v % 7, Layer: v, Star
 
 // checkLog compares the log with a reference slice and checks the page
 // invariants: every full page holds pageSize entries, everything past
-// the tail's length is zero, and the spare page is empty and zero.
+// the tail's length is zero, and no dropped page stays reachable.
 func checkLog(t *testing.T, l *assignLog, want []Assignment) {
 	t.Helper()
 	if got := l.clone(); !slices.Equal(got, want) {
@@ -41,14 +41,9 @@ func checkLog(t *testing.T, l *assignLog, want []Assignment) {
 			t.Fatalf("tail slot %d past the end holds %+v, want zero", len(l.tail)+i, a)
 		}
 	}
-	if pg := l.spare; pg != nil {
-		if len(pg) != 0 || cap(pg) != pageSize {
-			t.Fatalf("spare has len %d cap %d", len(pg), cap(pg))
-		}
-		for _, a := range pg[:cap(pg)] {
-			if a != (Assignment{}) {
-				t.Fatalf("spare page pins %+v", a)
-			}
+	for i, pg := range l.pages[len(l.pages):cap(l.pages)] {
+		if pg != nil {
+			t.Fatalf("dropped page slot %d still holds a page", len(l.pages)+i)
 		}
 	}
 }
@@ -99,10 +94,10 @@ func TestAssignLogPushAndWalk(t *testing.T) {
 	}
 }
 
-// TestAssignLogTruncateReusesZeroedPages truncates onto, inside and
-// below page boundaries: the cut entries are zeroed, one emptied page
-// stays as the spare, and the next page boundary reuses it.
-func TestAssignLogTruncateReusesZeroedPages(t *testing.T) {
+// TestAssignLogTruncateZeroesTail truncates onto, inside and below
+// page boundaries: the cut entries are zeroed, and the page holding the
+// cut becomes the tail, refilled in place up to the next boundary.
+func TestAssignLogTruncateZeroesTail(t *testing.T) {
 	var l assignLog
 	var want []Assignment
 	for v := range 4*pageSize + 3 {
@@ -110,22 +105,23 @@ func TestAssignLogTruncateReusesZeroedPages(t *testing.T) {
 		want = append(want, entry(v))
 	}
 	for _, n := range []int{4*pageSize + 1, 3 * pageSize, 2*pageSize + 5, 2 * pageSize, pageSize - 1} {
+		kept := l.at(n / pageSize * pageSize)
 		l.truncate(n)
 		want = want[:n]
 		checkLog(t, &l, want)
+		if n%pageSize != 0 && &l.tail[0] != kept {
+			t.Fatalf("truncate(%d) replaced the page holding the cut", n)
+		}
 	}
-	if l.spare == nil {
-		t.Fatal("no spare page after cutting five pages back to one")
-	}
-	spare := &l.spare[:1][0]
-	// Refill across the next page boundary: the spare becomes the tail.
+	first := &l.tail[0]
+	// Refill across the next page boundary.
 	for v := len(want); v < pageSize+2; v++ {
 		l.push(entry(v))
 		want = append(want, entry(v))
 	}
 	checkLog(t, &l, want)
-	if &l.tail[0] != spare || l.spare != nil {
-		t.Error("the page after the boundary is freshly allocated, not the spare")
+	if &l.pages[0][0] != first {
+		t.Error("refilling the truncated tail moved its entries")
 	}
 }
 
