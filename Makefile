@@ -95,10 +95,11 @@ vulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@v1.1.4 ./...
 
 # doclint fails on broken intra-repo markdown links (file + anchor)
-# and on exported identifiers in the serving-tier packages missing
-# doc comments. CI runs this per PR.
+# and on exported identifiers missing doc comments in the serving
+# tier, the search and scheduler, and the cost-model, accelerator and
+# trace packages they build on. CI runs this per PR.
 doclint:
-	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,internal/config,cmd/heraldplay
+	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,internal/config,cmd/heraldplay,internal/maestro,internal/trace,internal/accel,internal/core
 
 # bench runs the root benchmark suite once per benchmark (short form:
 # the perf trajectory gate wants per-PR numbers, not nanosecond-grade

@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
-	"repro/internal/dnn"
 	"repro/internal/serve"
 )
 
 // ReassignAll re-slices every active replica to the given partitions
-// at its current layer boundary (serve.Engine.Reassign) and refreshes
-// the dispatcher's per-replica state that depends on slice sizes (the
-// cost-estimate memo). All replicas are validated before any is
-// touched, so a sub-count mismatch on a heterogeneous fleet leaves the
-// fleet unchanged. Returns the number of replicas reassigned.
+// at its current layer boundary (serve.Engine.Reassign, which also
+// starts the engine's cost-estimate memo afresh for the new slices).
+// All replicas are validated before any is touched, so a sub-count
+// mismatch on a heterogeneous fleet leaves the fleet unchanged.
+// Returns the number of replicas reassigned.
 func (f *Fleet) ReassignAll(parts []accel.Partition) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -21,9 +20,9 @@ func (f *Fleet) ReassignAll(parts []accel.Partition) (int, error) {
 		return 0, serve.ErrDraining
 	}
 	for _, r := range f.replicas {
-		if len(parts) != len(r.hda.Subs) {
+		if subs := len(r.engine.HDA().Subs); len(parts) != subs {
 			return 0, fmt.Errorf("fleet: replica %d has %d subs, reassignment has %d partitions (migrate instead)",
-				r.id, len(r.hda.Subs), len(parts))
+				r.id, subs, len(parts))
 		}
 	}
 	n := 0
@@ -31,10 +30,6 @@ func (f *Fleet) ReassignAll(parts []accel.Partition) (int, error) {
 		if err := r.engine.Reassign(parts); err != nil {
 			return n, fmt.Errorf("fleet: replica %d: %w", r.id, err)
 		}
-		r.hda = r.engine.HDA()
-		// The cost-estimate memo keys on slice sizes; drop it so the
-		// horizon ledger re-learns the new slices.
-		r.est = make(map[*dnn.Model]int64)
 		n++
 	}
 	return n, nil

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
+	"repro/internal/dnn"
+	"repro/internal/maestro"
 	"repro/internal/serve"
 )
 
@@ -328,6 +331,69 @@ func TestFleetReassignAllValidation(t *testing.T) {
 	if st.PEReassigns != 2 || st.Completed != 3 {
 		t.Fatalf("post-reassign stats: %+v", st)
 	}
+}
+
+// TestReassignRefreshesETA: the first cost-aware dispatch after
+// ReassignAll grows the replica's horizon by the model's best-case busy
+// cycles on the re-sliced HDA, recomputed here from the cost cache, not
+// by an estimate memoized on the old slices.
+func TestReassignRefreshesETA(t *testing.T) {
+	cache := newTestCache()
+	opts := DefaultOptions()
+	opts.Serve.Manual = true
+	f, err := Replicated(cache, testHDA(t), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := dnn.ByName("mobilenetv1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatch := func() int64 {
+		t.Helper()
+		if _, err := f.Submit(serve.Request{Tenant: "a", Model: model.Name, ArrivalCycle: 0}); err != nil {
+			t.Fatal(err)
+		}
+		f.Admit()
+		return f.Stats().PerReplica[0].HorizonCycles
+	}
+	before := bestCaseCycles(cache, f.ActiveHDAs()[0], model)
+	if h := dispatch(); h != before {
+		t.Fatalf("first dispatch horizon %d, want the best-case cycles %d", h, before)
+	}
+	if _, err := f.ReassignAll([]accel.Partition{
+		{Style: dataflow.NVDLA, PEs: 768, BWGBps: 12},
+		{Style: dataflow.ShiDiannao, PEs: 256, BWGBps: 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after := bestCaseCycles(cache, f.ActiveHDAs()[0], model)
+	if after == before {
+		t.Fatalf("re-slicing left the best case at %d cycles; pick slices that move it", after)
+	}
+	if est, _ := f.Engine(0).Estimate(model); est != after {
+		t.Errorf("engine estimate %d after reassignment, want %d", est, after)
+	}
+	if grew := dispatch() - before; grew != after {
+		t.Errorf("post-reassign dispatch grew the horizon by %d, want the re-sliced estimate %d (old %d)", grew, after, before)
+	}
+	if _, err := f.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bestCaseCycles is the reference cost-aware estimate: every layer of m
+// on its cheapest sub-accelerator of h, summed.
+func bestCaseCycles(cache *maestro.Cache, h *accel.HDA, m *dnn.Model) int64 {
+	var total int64
+	for li := range m.Layers {
+		best := int64(math.MaxInt64)
+		for _, sub := range h.Subs {
+			best = min(best, cache.CostColumn(m, sub.Style, sub.HW)[li].Cycles)
+		}
+		total += best
+	}
+	return total
 }
 
 // TestFleetPreemptBelow: fleet-wide preemption revokes only work below

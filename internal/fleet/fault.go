@@ -531,9 +531,7 @@ func (f *Fleet) failoverLocked(cycle int64) {
 // fast with a terminal fleet-side record. f.mu held.
 func (f *Fleet) failoverOneLocked(d *dispatch, cycle int64) {
 	// A re-admission cannot arrive before the crash that caused it.
-	if d.req.ArrivalCycle >= 0 && d.req.ArrivalCycle < cycle {
-		d.req.ArrivalCycle = cycle
-	}
+	d.req.ArrivalCycle = max(d.req.ArrivalCycle, cycle)
 	if d.attempts >= f.health.MaxAttempts {
 		f.failTicketLocked(d, cycle, fmt.Sprintf("attempt budget exhausted (%d admissions)", d.attempts))
 		return
@@ -598,7 +596,7 @@ func (f *Fleet) applyRecoverLocked(ev FaultEvent) {
 		if r.id != ev.Replica {
 			continue
 		}
-		rs, err := f.buildReplicas([]*accel.HDA{r.hda})
+		rs, err := f.buildReplicas([]*accel.HDA{r.engine.HDA()})
 		if err != nil {
 			f.noteDecisionLocked(ev.Cycle, "recover", ev.Replica, "engine rebuild failed: "+err.Error())
 			return
@@ -610,7 +608,7 @@ func (f *Fleet) applyRecoverLocked(ev FaultEvent) {
 		nr.gen = f.ctr.Generation
 		f.replicas = append(f.replicas, nr)
 		f.ctr.Recoveries++
-		f.noteDecisionLocked(ev.Cycle, "recover", r.id, "crashed replica rebuilt on "+r.hda.Name)
+		f.noteDecisionLocked(ev.Cycle, "recover", r.id, "crashed replica rebuilt on "+r.engine.HDA().Name)
 		return
 	}
 	r := f.activeByID(ev.Replica)
@@ -722,8 +720,7 @@ func (f *Fleet) shedLocked(req serve.Request, eta int64) error {
 	if !f.shedEnabled(req) {
 		return nil
 	}
-	arrival := max(req.ArrivalCycle, 0)
-	lateness := eta - arrival
+	lateness := eta - req.ArrivalCycle
 	budget := int64(float64(req.SLACycles) * f.health.ShedSLAFactor)
 	if lateness <= budget {
 		return nil
@@ -740,17 +737,13 @@ func (f *Fleet) shedLocked(req serve.Request, eta int64) error {
 	if n > 0 && out*n < total {
 		return nil // below fair share: spare this tenant
 	}
-	clock := f.serveOpts.ClockGHz
-	if clock <= 0 {
-		clock = 1
-	}
-	retry := int(math.Ceil(float64(lateness-budget) / (clock * 1e9)))
+	retry := int(math.Ceil(float64(lateness-budget) / (f.serveOpts.ClockGHz * 1e9)))
 	if retry < 1 {
 		retry = 1
 	}
 	f.ctr.Shed++
 	f.shedT[req.Tenant]++
-	f.noteDecisionLocked(arrival, "shed", -1,
+	f.noteDecisionLocked(req.ArrivalCycle, "shed", -1,
 		fmt.Sprintf("tenant %q: lateness %d exceeds budget %d (%.3g x SLA %d), outstanding %d of %d",
 			req.Tenant, lateness, budget, f.health.ShedSLAFactor, req.SLACycles, out, total))
 	return &ShedError{Tenant: req.Tenant, ETACycles: eta, BudgetCycles: budget, RetryAfterSeconds: retry}
@@ -844,7 +837,7 @@ func (f *Fleet) Health() HealthReport {
 	for _, r := range f.replicas {
 		rh := ReplicaHealth{
 			Replica:             r.id,
-			HDA:                 r.hda.Name,
+			HDA:                 r.engine.HDA().Name,
 			Health:              f.healthStringLocked(r, minH),
 			ConsecutiveFailures: r.consecFails,
 			PendingAdmitFaults:  r.admitFails,
@@ -857,7 +850,7 @@ func (f *Fleet) Health() HealthReport {
 	}
 	for _, r := range f.failedReplicas {
 		rep.Failed = append(rep.Failed, ReplicaHealth{
-			Replica: r.id, HDA: r.hda.Name, Health: r.health.String(), HorizonCycles: r.horizon,
+			Replica: r.id, HDA: r.engine.HDA().Name, Health: r.health.String(), HorizonCycles: r.horizon,
 		})
 	}
 	return rep

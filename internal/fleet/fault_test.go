@@ -344,7 +344,8 @@ func TestFaultChainFailsAfterRecovery(t *testing.T) {
 // TestFaultChainLostWhole: a chain whose every segment is still queued
 // when its replica crashes reports them all lost at once; the fleet
 // counts the loss once and resumes the chain from segment 0 on the
-// survivor, in one admission.
+// survivor, in one admission, re-arriving at the crash cycle as a lost
+// whole request does.
 func TestFaultChainLostWhole(t *testing.T) {
 	const crashCycle = 1_000_000
 	cache := newTestCache()
@@ -369,6 +370,9 @@ func TestFaultChainLostWhole(t *testing.T) {
 	rec, err := fused.Wait(context.Background())
 	if err != nil || rec.Status != serve.StatusDone || fused.Served() != 1 {
 		t.Fatalf("fused request: %+v %v, served by %d (want survivor 1)", rec, err, fused.Served())
+	}
+	if rec.ArrivalCycle != crashCycle {
+		t.Errorf("resumed chain arrival %d, want the crash cycle %d", rec.ArrivalCycle, crashCycle)
 	}
 	for k, sr := range rec.Segments {
 		if sr.Replica != 1 {

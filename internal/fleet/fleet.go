@@ -17,16 +17,19 @@
 //   - CostAware estimates each replica's completion time (ETA) for
 //     the candidate model — the dispatcher-side horizon of work
 //     already routed there, plus the model's best-case busy cycles on
-//     that replica's sub-accelerators from the shared cost cache —
-//     and picks the minimum. On heterogeneous fleets this routes each
+//     that replica's sub-accelerators (serve.Engine.Estimate) — and
+//     picks the minimum. On heterogeneous fleets this routes each
 //     model toward the replica whose dataflow mix runs it fastest;
 //     on homogeneous fleets it is work-aware load balancing (a skewed
 //     heavy/light request mix defeats round-robin's aliasing).
 //
 // RoundRobin and CostAware dispatch decisions are serialized and
-// depend only on the submission sequence (never on wall-clock or
-// goroutine timing), so a fixed request sequence always produces the
-// same replica assignment — replayable capacity planning.
+// depend only on the submission sequence and its arrival cycles (never
+// on goroutine timing), so a fixed request sequence always produces the
+// same replica assignment — replayable capacity planning. A live-clock
+// ("now") arrival is fixed to an explicit cycle once, at Submit, and
+// everything downstream — the fault clock, shedding, routing, the
+// engine and the OnAccept capture — sees that one cycle.
 // LeastOutstanding is the exception on a live fleet: it probes engine
 // state, so its assignments depend on how far each engine's driver has
 // progressed. A manual fleet (serve.Options.Manual) admits only inside
@@ -91,7 +94,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/accel"
@@ -177,13 +179,16 @@ type Options struct {
 	Health HealthOptions
 
 	// OnAccept, when set, is called once per accepted submission with
-	// the normalized request — model name resolved, live-clock
-	// arrivals pinned to an explicit cycle — and the fusion-plan id
-	// ("model/segments", "" when unfused) from Serve.Plans. It fires
-	// under the dispatch lock, so callback order is exactly the fleet's
-	// acceptance order; trace capture (internal/capture) hooks here. Callbacks must be
-	// fast and must not call back into the fleet. Rejected and shed
-	// submissions do not fire it.
+	// the normalized request — model name resolved, and the arrival
+	// cycle the fleet routed and the engine scheduled it at (a
+	// live-clock arrival is fixed once, on the fleet's clock, at
+	// Submit) — and the fusion-plan id ("model/segments", "" when
+	// unfused) from Serve.Plans. It fires under the dispatch lock, so
+	// callback order is exactly the fleet's acceptance order; trace
+	// capture (internal/capture) hooks here, and a captured trace
+	// replays the schedule it recorded. Callbacks must be fast and must
+	// not call back into the fleet. Rejected and shed submissions do
+	// not fire it.
 	OnAccept func(req serve.Request, plan string)
 }
 
@@ -193,25 +198,19 @@ func DefaultOptions() Options {
 	return Options{Serve: serve.DefaultOptions(), Policy: CostAware}
 }
 
-// replica is one serving engine plus the dispatcher's bookkeeping.
+// replica is one serving engine plus the dispatcher's bookkeeping. The
+// engine owns its HDA, cost estimates and queue; the replica keeps only
+// what the dispatcher decides.
 type replica struct {
 	id     int
 	gen    int // the migration generation that created it
-	hda    *accel.HDA
 	engine *serve.Engine
-
-	// inflight counts requests dispatched but not yet finished,
-	// decremented by the engine's OnRequestDone hook (runs on whichever
-	// goroutine admits, hence atomic).
-	inflight atomic.Int64
 
 	// Dispatcher state, under Fleet.mu.
 	dispatched int64
 	// horizon is the cost-aware ETA ledger: the estimated completion
 	// cycle of all work routed to this replica so far.
 	horizon int64
-	// est memoizes each model's best-case busy cycles on this HDA.
-	est map[*dnn.Model]int64
 
 	// fused holds the tenant windows of fused requests counted on this
 	// replica: accepted with their first admission here (Submitted),
@@ -239,42 +238,18 @@ type replica struct {
 }
 
 // estWork returns the best-case busy cycles of one admission's models
-// on this replica's HDA. The estimate is an integer sum over layers,
-// so a chain's segments add up exactly to the whole model's. Fleet.mu
-// held.
-func (r *replica) estWork(cache *maestro.Cache, work []*dnn.Model) int64 {
+// on this replica's engine (serve.Engine.Estimate). An unknown model
+// (nil) counts 0. The estimate's error is left to the engine, which
+// rejects an infeasible model when it is submitted; until then its
+// cycles still rank the replicas. Fleet.mu held.
+func (r *replica) estWork(work []*dnn.Model) int64 {
 	var total int64
 	for _, m := range work {
-		total += r.estCycles(cache, m)
-	}
-	return total
-}
-
-// estCycles returns the model's best-case busy cycles on this
-// replica's HDA — every layer on its cheapest sub-accelerator, read
-// from one shared cost column per sub-accelerator. Steady state is one
-// map hit per dispatch.
-// Fleet.mu held.
-func (r *replica) estCycles(cache *maestro.Cache, model *dnn.Model) int64 {
-	if model == nil {
-		return 0
-	}
-	if v, ok := r.est[model]; ok {
-		return v
-	}
-	cols := make([][]*maestro.Cost, len(r.hda.Subs))
-	for a, sub := range r.hda.Subs {
-		cols[a] = cache.CostColumn(model, sub.Style, sub.HW)
-	}
-	var total int64
-	for li := range model.Layers {
-		best := int64(math.MaxInt64)
-		for _, col := range cols {
-			best = min(best, col[li].Cycles)
+		if m != nil {
+			c, _ := r.engine.Estimate(m)
+			total += c
 		}
-		total += best
 	}
-	r.est[model] = total
 	return total
 }
 
@@ -390,6 +365,9 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 	if opts.MixHalfLife < 0 {
 		return nil, fmt.Errorf("fleet: MixHalfLife must be >= 0 (got %d)", opts.MixHalfLife)
 	}
+	if opts.Serve.ClockGHz <= 0 {
+		opts.Serve.ClockGHz = 1 // the engines' default, for the fleet's own cycle clock
+	}
 	f := &Fleet{
 		cache:       cache,
 		policy:      opts.Policy,
@@ -442,24 +420,14 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 func (f *Fleet) buildReplicas(hdas []*accel.HDA) ([]*replica, error) {
 	rs := make([]*replica, 0, len(hdas))
 	for i, h := range hdas {
-		r := &replica{hda: h, est: make(map[*dnn.Model]int64), fused: make(map[string]*serve.TenantWindow), stall: 1}
-		so := f.serveOpts
-		userHook := so.OnRequestDone
-		so.OnRequestDone = func(rec serve.Record) {
-			r.inflight.Add(-1)
-			if userHook != nil {
-				userHook(rec)
-			}
-		}
-		eng, err := serve.New(f.cache, h, so)
+		eng, err := serve.New(f.cache, h, f.serveOpts)
 		if err != nil {
 			for _, started := range rs {
 				_, _ = started.engine.Drain(context.Background())
 			}
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
-		r.engine = eng
-		rs = append(rs, r)
+		rs = append(rs, &replica{engine: eng, fused: make(map[string]*serve.TenantWindow), stall: 1})
 	}
 	return rs, nil
 }
@@ -510,7 +478,7 @@ func (f *Fleet) ActiveHDAs() []*accel.HDA {
 	defer f.mu.Unlock()
 	out := make([]*accel.HDA, len(f.replicas))
 	for i, r := range f.replicas {
-		out[i] = r.hda
+		out[i] = r.engine.HDA()
 	}
 	return out
 }
@@ -714,7 +682,7 @@ func (d *dispatch) resolve(rec serve.Record) {
 func (d *dispatch) foldSegment(rec serve.Record) {
 	k := len(d.rec.Segments)
 	if k == 0 {
-		d.rec.ArrivalCycle = rec.ArrivalCycle // "now" arrivals resolve at admission
+		d.rec.ArrivalCycle = rec.ArrivalCycle // a chain lost before its first segment re-arrives at the crash
 	}
 	sr := serve.SegmentRecord{Index: k, Model: rec.Model, Replica: d.rep.id}
 	if rec.Status != serve.StatusDone {
@@ -893,6 +861,14 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 	// Unknown models resolve to nil: the picked engine rejects and
 	// accounts them, and a zero cost estimate keeps routing sound.
 	model, _ := dnn.ByName(req.Model)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if req.ArrivalCycle < 0 {
+		// Fix a live-clock ("now") arrival once, on the fleet's clock:
+		// everything downstream sees this one cycle.
+		//herald:nondet live-mode arrival by design; bit-reproducible replays pass explicit arrival_cycle
+		req.ArrivalCycle = int64(time.Since(f.start).Seconds() * f.serveOpts.ClockGHz * 1e9)
+	}
 	d := &dispatch{f: f, req: req, whole: [1]*dnn.Model{model},
 		t: &Ticket{Replica: -1, served: -1, done: make(chan struct{})}}
 	if model != nil {
@@ -902,13 +878,10 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 			}
 		}
 	}
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.draining {
 		return nil, serve.ErrDraining
 	}
-	f.advanceFaultsLocked(max(req.ArrivalCycle, 0))
+	f.advanceFaultsLocked(req.ArrivalCycle)
 	if f.shedEnabled(req) {
 		if eta, ok := f.bestETALocked(f.workLocked(d), req.ArrivalCycle); ok {
 			if err := f.shedLocked(req, eta); err != nil {
@@ -931,7 +904,8 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 			if d.segs != nil {
 				id = fmt.Sprintf("%s/%d", model.Name, len(d.segs))
 			}
-			f.onAccept(f.acceptedLocked(req, model), id)
+			req.Model = model.Name
+			f.onAccept(req, id)
 		}
 	}
 	if d.segs != nil {
@@ -950,7 +924,7 @@ func (f *Fleet) Submit(req serve.Request) (*Ticket, error) {
 // reassignments change). f.mu held.
 func (f *Fleet) uniformLocked() bool {
 	for i := 1; i < len(f.replicas); i++ {
-		if !f.replicas[i].hda.SamePartition(f.replicas[0].hda) {
+		if !f.replicas[i].engine.HDA().SamePartition(f.replicas[0].engine.HDA()) {
 			return false
 		}
 	}
@@ -975,24 +949,6 @@ func (d *dispatch) decompose(plan dse.SegmentPlan) error {
 		Segments:     make([]serve.SegmentRecord, 0, len(segs)),
 	}
 	return nil
-}
-
-// acceptedLocked normalizes an accepted submission for the OnAccept
-// capture hook: the model name canonicalized and a live-clock arrival
-// pinned to an explicit cycle, so a captured trace always replays
-// deterministically even though the capturing run was wall-clock
-// driven. f.mu held.
-func (f *Fleet) acceptedLocked(req serve.Request, model *dnn.Model) serve.Request {
-	req.Model = model.Name
-	if req.ArrivalCycle < 0 {
-		ghz := f.serveOpts.ClockGHz
-		if ghz <= 0 {
-			ghz = 1
-		}
-		//herald:nondet live-mode arrival fallback by design; bit-reproducible replays pass explicit arrival_cycle
-		req.ArrivalCycle = int64(time.Since(f.start).Seconds() * ghz * 1e9)
-	}
-	return req
 }
 
 // dispatchLocked admits one tracked request (or a fused chain's next
@@ -1030,17 +986,14 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 			f.noteFailureLocked(r, cycle, "injected admission fault")
 			continue
 		}
-		// Publish the serving replica and count the dispatch before the
-		// engine sees the request: a live engine can finish it (firing
-		// resolve and the inflight hook, once per record) before this
-		// returns.
+		// Publish the serving replica and the admission's record count
+		// before the engine sees the request: a live engine can finish it
+		// (firing resolve once per record) before this returns.
 		d.rep = r
 		d.out, d.lost = len(work), false
-		r.inflight.Add(int64(len(work)))
 		id, err := d.submitTo(r.engine, work)
 		if err != nil {
 			d.rep = prev
-			r.inflight.Add(-int64(len(work)))
 			if retryableAdmit(err) {
 				f.noteFailureLocked(r, cycle, err.Error())
 				overload = err
@@ -1173,13 +1126,7 @@ func (f *Fleet) etaLocked(r *replica, work []*dnn.Model, arrival int64) int64 {
 	if f.policy != CostAware {
 		return 0
 	}
-	// "Now" arrivals (negative) estimate from cycle 0: the horizon
-	// term dominates and wall-clock must not enter dispatch (it
-	// would break replayability).
-	if arrival < 0 {
-		arrival = 0
-	}
-	from, cost := max(r.horizon, arrival), stallCycles(r.estWork(f.cache, work), r.stall)
+	from, cost := max(r.horizon, arrival), stallCycles(r.estWork(work), r.stall)
 	if cost > math.MaxInt64-from {
 		return math.MaxInt64 // a saturated stall stays the latest ETA
 	}
@@ -1258,7 +1205,9 @@ type ReplicaStats struct {
 	// receives dispatches but is still finishing in-flight work.
 	Retiring   bool  `json:"retiring"`
 	Dispatched int64 `json:"dispatched"`
-	Inflight   int64 `json:"inflight"`
+	// Inflight counts the requests (and chain segments) queued on the
+	// replica's engine, not yet admitted: its Stats().Pending.
+	Inflight int64 `json:"inflight"`
 	// HorizonCycles is the cost-aware dispatcher's completion-time
 	// estimate for everything routed here (0 under other policies).
 	HorizonCycles int64 `json:"horizon_cycles"`
@@ -1450,10 +1399,10 @@ func (f *Fleet) Stats() Stats {
 		rs := ReplicaStats{
 			Replica:             r.id,
 			Generation:          r.gen,
-			HDA:                 r.hda.Name,
+			HDA:                 r.engine.HDA().Name,
 			Retiring:            sn.retiring,
 			Dispatched:          sn.dispatched,
-			Inflight:            r.inflight.Load(),
+			Inflight:            es.Pending,
 			HorizonCycles:       sn.horizon,
 			Health:              sn.health,
 			ConsecutiveFailures: sn.consecFails,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -445,8 +446,8 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestOnRequestDoneChain: a user hook installed on Options.Serve still
-// fires alongside the fleet's own in-flight bookkeeping.
+// TestOnRequestDoneChain: a user hook installed on Options.Serve
+// reaches every replica engine and fires once per request.
 func TestOnRequestDoneChain(t *testing.T) {
 	done := make(chan serve.Record, 4)
 	opts := DefaultOptions()
@@ -473,6 +474,67 @@ func TestOnRequestDoneChain(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("user hook fired %d times, want 2", n)
+	}
+}
+
+// TestLiveClockArrivalCaptured: a live-clock ("now") arrival is fixed
+// once, on the fleet's clock, so the OnAccept capture records the cycle
+// the engine scheduled: on the original engines, on the fresh engines
+// of a Migrate, and on an engine rebuilt by a crash→recover fault pair.
+func TestLiveClockArrivalCaptured(t *testing.T) {
+	const faultCycle = 1 << 40 // beyond any wall-clock arrival; an explicit arrival fires it
+	var mu sync.Mutex
+	var captured []serve.Request
+	opts := DefaultOptions()
+	opts.OnAccept = func(req serve.Request, _ string) {
+		mu.Lock()
+		captured = append(captured, req)
+		mu.Unlock()
+	}
+	opts.Faults = mustPlan(t, // replica 2 is the migrated generation's first
+		FaultEvent{Cycle: faultCycle, Replica: 2, Kind: FaultCrash},
+		FaultEvent{Cycle: faultCycle, Replica: 2, Kind: FaultRecover})
+	h := testHDA(t)
+	f, err := Replicated(newTestCache(), h, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*Ticket
+	submit := func(arrival int64) {
+		t.Helper()
+		tk, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: arrival})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+		waitAll(t, []*Ticket{tk}) // served before the next step, so no crash re-arrives it
+	}
+	submit(-1)
+	if err := f.Migrate(context.Background(), []*accel.HDA{h, h}, nil); err != nil {
+		t.Fatal(err)
+	}
+	submit(-1)
+	submit(faultCycle)
+	submit(-1)
+	if st := f.Stats(); st.Crashes != 1 || st.Recoveries != 1 {
+		t.Fatalf("crashes %d, recoveries %d; want the fault pair to fire once", st.Crashes, st.Recoveries)
+	}
+	if got := tickets[3].Served(); got != 2 {
+		t.Errorf("post-recovery request served by replica %d, want the rebuilt replica 2", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(captured) != len(tickets) {
+		t.Fatalf("captured %d submissions, want %d", len(captured), len(tickets))
+	}
+	for i, tk := range tickets {
+		rec, _ := tk.Wait(context.Background())
+		if got := captured[i].ArrivalCycle; got < 0 || got != rec.ArrivalCycle {
+			t.Errorf("submission %d: captured arrival %d, engine scheduled arrival %d", i, got, rec.ArrivalCycle)
+		}
+	}
+	if _, err := f.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

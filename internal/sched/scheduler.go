@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -1046,7 +1047,7 @@ func (s *Scheduler) finalize(h *accel.HDA, w *workload.Workload, st *runState) *
 	return sch
 }
 
-// occEvent is one entry of the peak-occupancy sweep: an encoded key
+// occEvent is one entry of the occupancy sweep: an encoded key
 // (cycle << 1, releases before claims at the same cycle) and an
 // occupancy delta.
 type occEvent struct {
@@ -1054,34 +1055,50 @@ type occEvent struct {
 	d   int64
 }
 
-// peakOccupancySweep sweeps assignment intervals and returns the
-// maximum concurrent global-buffer occupancy. Events sort by an
+// OccupancySteps yields the global-buffer occupancy of the assignments
+// as a step function: one (cycle, bytes) pair per distinct start or end
+// cycle, in cycle order, holding the occupancy after that cycle's
+// releases and claims. Releases apply before claims, so the largest
+// step is the peak (Schedule.PeakOccupancyBytes). Events sort by an
 // encoded key through the generic sort, avoiding sort.Slice's
-// reflection-based swaps. It runs only for schedules whose peak is
-// actually read (see Schedule.PeakOccupancyBytes) plus Validate, so
-// it allocates its own event buffer.
-func peakOccupancySweep(as []Assignment) int64 {
-	evs := make([]occEvent, 0, 2*len(as))
-	for i := range as {
-		evs = append(evs,
-			occEvent{key: as[i].Start<<1 | 1, d: as[i].Cost.OccupancyBytes},
-			occEvent{key: as[i].End << 1, d: -as[i].Cost.OccupancyBytes})
+// reflection-based swaps; each call allocates its own event buffer.
+func OccupancySteps(as []Assignment) iter.Seq2[int64, int64] {
+	return func(yield func(cycle, bytes int64) bool) {
+		evs := make([]occEvent, 0, 2*len(as))
+		for i := range as {
+			evs = append(evs,
+				occEvent{key: as[i].Start<<1 | 1, d: as[i].Cost.OccupancyBytes},
+				occEvent{key: as[i].End << 1, d: -as[i].Cost.OccupancyBytes})
+		}
+		slices.SortFunc(evs, func(a, b occEvent) int {
+			switch {
+			case a.key < b.key:
+				return -1
+			case a.key > b.key:
+				return 1
+			}
+			return 0
+		})
+		var cur int64
+		for i, e := range evs {
+			cur += e.d
+			if i+1 < len(evs) && evs[i+1].key>>1 == e.key>>1 {
+				continue
+			}
+			if !yield(e.key>>1, cur) {
+				return
+			}
+		}
 	}
-	slices.SortFunc(evs, func(a, b occEvent) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		}
-		return 0
-	})
-	var cur, peak int64
-	for _, e := range evs {
-		cur += e.d
-		if cur > peak {
-			peak = cur
-		}
+}
+
+// peakOccupancySweep returns the largest OccupancySteps value. It runs
+// only for schedules whose peak is actually read (see
+// Schedule.PeakOccupancyBytes) plus Validate.
+func peakOccupancySweep(as []Assignment) int64 {
+	var peak int64
+	for _, b := range OccupancySteps(as) {
+		peak = max(peak, b)
 	}
 	return peak
 }

@@ -34,19 +34,22 @@
 // on its handoff ledger. Every segment reports its own record; the
 // dispatcher merges them and counts the request once.
 //
-// Probes for dispatchers and monitors: Load (pending count + committed
-// backlog horizon), Stats / TenantWindows (aggregate and per-tenant
-// raw statistics; fleets merge windows across replicas), Snapshot (the
-// committed schedule), and Options.OnRequestDone (a per-completion
-// callback outside the engine's locks). The JSON-over-HTTP front end
-// is the fleet's (internal/fleet); this package keeps only its wire
-// type, SubmitRequest.
+// Probes for dispatchers and monitors: HDA, Estimate (a model's
+// best-case busy cycles, memoized with Submit's feasibility check),
+// Load (pending count + committed backlog horizon), Stats /
+// TenantWindows (aggregate and per-tenant raw statistics; fleets merge
+// windows across replicas), Snapshot (the committed schedule), and
+// Options.OnRequestDone (a per-completion callback outside the
+// engine's locks). A fleet reads these instead of keeping copies. The
+// JSON-over-HTTP front end is the fleet's (internal/fleet); this
+// package keeps only its wire type, SubmitRequest.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,8 +89,7 @@ type Options struct {
 	// request's final record (done or failed) after it is published.
 	// It runs on the goroutine running Admit, outside the engine's
 	// locks: callbacks may submit back into the engine but must not
-	// block, or they stall admission. Dispatchers (internal/fleet) use
-	// it to track per-engine in-flight work.
+	// block, or they stall admission.
 	OnRequestDone func(Record)
 
 	// Manual starts the engine without a driver goroutine: submissions
@@ -161,9 +163,11 @@ type Request struct {
 	SLACycles int64 `json:"sla_cycles,omitempty"` //herald:jsonzero 0 is the no-SLA sentinel on this input struct; absent means the same
 
 	// ArrivalCycle is the request's arrival on the engine's cycle
-	// clock. Negative means "now" (wall clock scaled by ClockGHz).
-	// Arrivals in the committed past are clamped to the admission
-	// floor at scheduling time.
+	// clock. Negative means "now" (wall clock scaled by ClockGHz); a
+	// fleet fixes it to an explicit cycle on its own clock at Submit,
+	// so its engines only see explicit arrivals. Arrivals in the
+	// committed past are clamped to the admission floor at scheduling
+	// time.
 	ArrivalCycle int64 `json:"arrival_cycle,omitempty"` //herald:jsonzero 0 is the live-clock sentinel on this input struct; HTTP replays use SubmitRequest's pointer field
 }
 
@@ -319,7 +323,7 @@ var errChainBroken = errors.New("serve: predecessor segment failed")
 // Engine is the online serving engine over one fixed HDA.
 type Engine struct {
 	opts Options
-	// hda is the serving accelerator with its feasibility memo. It is
+	// hda is the serving accelerator with its cost memo. It is
 	// atomic because Reassign swaps in a re-sliced HDA (and a fresh
 	// memo) while lock-free readers (submissions, HDA) hold no engine
 	// lock; the pointed-to HDA is immutable.
@@ -448,7 +452,7 @@ func (e *Engine) SubmitTracked(req Request, onDone func(Record)) (*Ticket, error
 		e.countRejected(req.Tenant)
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if err := e.hda.Load().feasible(e.cache, model); err != nil {
+	if _, err := e.Estimate(model); err != nil {
 		e.countRejected(req.Tenant)
 		return nil, err
 	}
@@ -492,7 +496,7 @@ func (e *Engine) SubmitChain(req Request, segs []*dnn.Model, onDone func(Record)
 			e.countRejected(req.Tenant)
 			return nil, fmt.Errorf("serve: nil or empty segment model")
 		}
-		if err := e.hda.Load().feasible(e.cache, m); err != nil {
+		if _, err := e.Estimate(m); err != nil {
 			e.countRejected(req.Tenant)
 			return nil, err
 		}
@@ -586,54 +590,65 @@ func (e *Engine) enqueueLocked(req Request, model *dnn.Model, arrival int64, onD
 }
 
 // servingHDA is an engine's accelerator together with its per-model
-// feasibility memo. Reassign replaces the whole value, so a memoized
-// answer is only ever served for the HDA it was computed on, and the
-// memo never outgrows one HDA's model set.
+// cost memo. Reassign replaces the whole value, so a memoized answer is
+// only ever served for the HDA it was computed on, and the memo never
+// outgrows one HDA's model set.
 type servingHDA struct {
-	hda  *accel.HDA
-	mu   sync.Mutex
-	feas map[*dnn.Model]error // guarded by mu
+	hda *accel.HDA
+	mu  sync.Mutex
+	est map[*dnn.Model]estimate // guarded by mu
+}
+
+// estimate is one model's memoized Estimate.
+type estimate struct {
+	cycles int64
+	err    error
 }
 
 func newServingHDA(h *accel.HDA) *servingHDA {
-	return &servingHDA{hda: h, feas: make(map[*dnn.Model]error)}
+	return &servingHDA{hda: h, est: make(map[*dnn.Model]estimate)}
 }
 
-// feasible rejects models with a layer whose buffer occupancy exceeds
-// the global buffer on every sub-accelerator — admitting one would
-// deadlock the assignment loop (the incremental scheduler rolls back,
-// but the request can never be served on this HDA). The answer is
-// memoized per model, so steady state is one map hit per submission.
-func (s *servingHDA) feasible(cache *maestro.Cache, model *dnn.Model) error {
+// Estimate returns the model's best-case busy cycles on the engine's
+// current HDA — every layer on its cheapest sub-accelerator, summed —
+// and the error Submit rejects the model with when a layer's buffer
+// occupancy exceeds the global buffer on every sub-accelerator:
+// admitting one would deadlock the assignment loop (the incremental
+// scheduler rolls back, but the request can never be served on this
+// HDA). Both come from one walk of the model's cost columns, memoized
+// per model and HDA, so steady state is one map hit per call. The
+// cycles are an integer sum over layers, so a chain's segment
+// estimates add up exactly to the whole model's; a fleet dispatcher
+// sums them into its cost-aware ETA.
+func (e *Engine) Estimate(model *dnn.Model) (int64, error) {
+	s := e.hda.Load()
 	s.mu.Lock()
-	err, ok := s.feas[model]
+	v, ok := s.est[model]
 	s.mu.Unlock()
 	if ok {
-		return err
+		return v.cycles, v.err
 	}
 	buf := s.hda.Class.GlobalBufBytes
 	cols := make([][]*maestro.Cost, len(s.hda.Subs))
 	for a, sub := range s.hda.Subs {
-		cols[a] = cache.CostColumn(model, sub.Style, sub.HW)
+		cols[a] = e.cache.CostColumn(model, sub.Style, sub.HW)
 	}
 	for li := range model.Layers {
-		fits := false
+		best, fits := int64(math.MaxInt64), false
 		for _, col := range cols {
-			if col[li].OccupancyBytes <= buf {
-				fits = true
-				break
-			}
+			best = min(best, col[li].Cycles)
+			fits = fits || col[li].OccupancyBytes <= buf
 		}
-		if !fits {
-			err = fmt.Errorf("serve: %s layer %d cannot fit the %d-byte global buffer on any sub-accelerator",
+		v.cycles += best
+		if !fits && v.err == nil {
+			v.err = fmt.Errorf("serve: %s layer %d cannot fit the %d-byte global buffer on any sub-accelerator",
 				model.Name, li, buf)
-			break
 		}
 	}
 	s.mu.Lock()
-	s.feas[model] = err
+	s.est[model] = v
 	s.mu.Unlock()
-	return err
+	return v.cycles, v.err
 }
 
 func (e *Engine) countRejected(tenant string) {

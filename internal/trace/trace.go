@@ -87,31 +87,12 @@ type Sample struct {
 }
 
 // OccupancyTimeline returns the shared-global-buffer occupancy as a
-// step function: a sample at every instant it changes.
+// step function: a sample at every instant it changes
+// (sched.OccupancySteps).
 func OccupancyTimeline(s *sched.Schedule) []Sample {
-	type ev struct {
-		t int64
-		d int64
-	}
-	evs := make([]ev, 0, 2*len(s.Assignments))
-	for _, a := range s.Assignments {
-		evs = append(evs, ev{a.Start, a.Cost.OccupancyBytes}, ev{a.End, -a.Cost.OccupancyBytes})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t != evs[j].t {
-			return evs[i].t < evs[j].t
-		}
-		return evs[i].d < evs[j].d // releases before claims at the same instant
-	})
 	var out []Sample
-	var cur int64
-	for _, e := range evs {
-		cur += e.d
-		if n := len(out); n > 0 && out[n-1].Cycle == e.t {
-			out[n-1].Bytes = cur
-			continue
-		}
-		out = append(out, Sample{Cycle: e.t, Bytes: cur})
+	for c, b := range sched.OccupancySteps(s.Assignments) {
+		out = append(out, Sample{Cycle: c, Bytes: b})
 	}
 	return out
 }
