@@ -5,11 +5,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# vet is the tier-1 static gate: the stock toolchain vet plus
-# heraldvet, the repo's own analyzer suite (determinism, lock
-# discipline, JSON zero-value contracts — see internal/analysis).
+# vet is the tier-1 static gate: the stock toolchain vet, a gofmt
+# check (any file `gofmt -l .` lists fails it) and heraldvet, the
+# repo's own analyzer suite (determinism, lock discipline, JSON
+# zero-value contracts — see internal/analysis).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l lists files to format:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(MAKE) heraldvet
 
 # heraldvet runs the four repo-specific analyzers (detmap, wallclock,
@@ -50,13 +53,21 @@ fuzz:
 # default path (a fleet of one behind the HTTP front end), fleet
 # dispatch, the control ladder's live migration, layer-fused segment
 # serving and the chaos drill — plus the benchmark harness's own
-# checks. The replay drill is its own target (make replay) and its own
-# CI step, so smoke does not run it a second time.
+# checks. The fleet, repartition and segments demos drive manual
+# fleets, so each runs twice and fails on any difference between the
+# two outputs. The replay drill is its own target (make replay) and
+# its own CI step, so smoke does not run it a second time.
 smoke:
 	$(GO) run ./examples/serving
-	$(GO) run ./examples/fleet
-	$(GO) run ./examples/repartition
-	$(GO) run ./examples/segments
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for ex in fleet repartition segments; do \
+		echo "$(GO) run ./examples/$$ex (twice)"; \
+		$(GO) run ./examples/$$ex > "$$tmp/$$ex.1"; \
+		$(GO) run ./examples/$$ex > "$$tmp/$$ex.2"; \
+		cat "$$tmp/$$ex.1"; \
+		diff "$$tmp/$$ex.1" "$$tmp/$$ex.2" || { \
+			echo "smoke: examples/$$ex printed different output on its second run" >&2; exit 1; }; \
+	done
 	$(MAKE) chaos
 	$(MAKE) bench-check
 

@@ -67,8 +67,9 @@
 // (-breaker-threshold, -breaker-probe-after) routes around replicas
 // that stop admitting. -shed-sla-factor turns on overload shedding:
 // arrivals whose best ETA already blows their SLA budget get 429 +
-// Retry-After instead of queueing. GET /v1/fleet/health reports
-// per-replica health and the decision log. The daemon
+// Retry-After instead of queueing. GET /v1/fleet/stats reports
+// per-replica health and the fault counters, GET /v1/fleet/decisions
+// the decision log. The daemon
 // shuts down gracefully on SIGINT/SIGTERM: stop admissions, drain
 // in-flight work, log final stats.
 //
@@ -84,7 +85,7 @@
 //	POST /v1/requests      {"tenant":"arvr","model":"unet","wait":true}
 //	GET  /v1/stats         (alias of /v1/fleet/stats)
 //	POST /v1/drain
-//	GET  /v1/fleet/health | /v1/fleet/decisions | /v1/fleet/repartition
+//	GET  /v1/fleet/decisions | /v1/fleet/repartition
 //	GET  /v1/models | /v1/healthz
 //	GET  /v1/replicas/{i}/requests/{id} | stats | schedule | hda | healthz
 package main

@@ -73,9 +73,12 @@ func main() {
 		rr.SimThroughputRPS/single.SimThroughputRPS, ca.SimThroughputRPS/single.SimThroughputRPS)
 }
 
+// fleetOpts builds a manual fleet: its engines admit only on Admit,
+// so the printed figures do not depend on driver-goroutine timing.
 func fleetOpts(p herald.FleetPolicy) herald.FleetOptions {
 	o := herald.DefaultFleetOptions()
 	o.Policy = p
+	o.Serve.Manual = true
 	return o
 }
 
@@ -87,8 +90,8 @@ func mustFleet(f *herald.Fleet, err error) *herald.Fleet {
 }
 
 // drive submits the skewed mix sequentially (dispatch decisions are
-// deterministic for a fixed sequence), waits for every completion,
-// and drains the fleet.
+// deterministic for a fixed sequence), admits it in one Admit call,
+// waits for every completion, and drains the fleet.
 func drive(f *herald.Fleet) herald.FleetStats {
 	var tickets []*herald.FleetTicket
 	submit := func(tenant, model string) {
@@ -105,6 +108,7 @@ func drive(f *herald.Fleet) herald.FleetStats {
 		submit("render", "unet")        // heavy
 		submit("track", "brq-handpose") // light
 	}
+	f.Admit()
 	for _, t := range tickets {
 		rec, err := t.Wait(context.Background())
 		if err != nil {

@@ -67,6 +67,9 @@ func main() {
 	}
 	fopts := herald.DefaultFleetOptions()
 	fopts.Sweeper = sweeper
+	// A manual fleet admits only on Admit, so each burst's latencies
+	// (and the printed p99s) do not depend on driver-goroutine timing.
+	fopts.Serve.Manual = true
 	fl, err := herald.NewReplicatedFleet(cache, design.HDA, replicas, fopts)
 	if err != nil {
 		log.Fatal(err)
@@ -82,14 +85,14 @@ func main() {
 
 	// Phase 1: the expected traffic arrives; the controller holds.
 	fmt.Println("=== phase 1: mobilenet traffic (matches the deploy-time assumption) ===")
-	waitAll(submit(fl, "mobile", "mobilenetv1", warmupMob, 0))
+	waitAll(fl, submit(fl, "mobile", "mobilenetv1", warmupMob, 0))
 	step(ctrl)
 
 	// Phase 2: the mix shifts — an AR/VR tenant starts streaming unet
 	// bursts. Measure the burst's p99 on the old partition, then let
 	// the controller confirm the shift and migrate.
 	fmt.Println("\n=== phase 2: traffic shifts to unet ===")
-	before := waitAll(submit(fl, "arvr", "unet", burst, 2_000_000_000))
+	before := waitAll(fl, submit(fl, "arvr", "unet", burst, 2_000_000_000))
 	fmt.Printf("unet burst p99 on the old partition: %d cycles\n", p99(before))
 	step(ctrl) // confirming (streak 1 of 2)
 	d := step(ctrl)
@@ -100,7 +103,7 @@ func main() {
 
 	// Phase 3: the same burst shape on the new generation.
 	fmt.Println("\n=== phase 3: the same unet burst on the new partition ===")
-	after := waitAll(submit(fl, "arvr", "unet", burst, 0))
+	after := waitAll(fl, submit(fl, "arvr", "unet", burst, 0))
 	fmt.Printf("unet burst p99: %d -> %d cycles (%.1f%% better)\n",
 		p99(before), p99(after), 100*(1-float64(p99(after))/float64(p99(before))))
 	fmt.Printf("objective on the shifted mix: %.4g -> %.4g (%s, %.1f%% better)\n",
@@ -138,8 +141,10 @@ func submit(fl *herald.Fleet, tenant, model string, n int, base int64) []*herald
 	return out
 }
 
-// waitAll waits for every ticket and returns the latencies in cycles.
-func waitAll(tickets []*herald.FleetTicket) []int64 {
+// waitAll admits the fleet's queued requests, waits for every ticket
+// and returns the latencies in cycles.
+func waitAll(fl *herald.Fleet, tickets []*herald.FleetTicket) []int64 {
+	fl.Admit()
 	lats := make([]int64, 0, len(tickets))
 	for _, tk := range tickets {
 		rec, err := tk.Wait(context.Background())

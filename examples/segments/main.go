@@ -91,14 +91,17 @@ func main() {
 
 // drive submits the AR/VR burst (every request arrives at cycle 0 —
 // the regime where whole-request dispatch strands each request on one
-// dataflow), waits for every completion, drains the fleet and returns
-// its stats. The fleet counts a fused request once, on its merged
+// dataflow), admits it, waits for every completion, drains the fleet
+// and returns its stats. The fleet is manual — its engines admit only
+// on Admit — so the printed figures do not depend on driver-goroutine
+// timing. The fleet counts a fused request once, on its merged
 // record, so fused and unfused tenant latencies compare at the same
 // granularity (a fused request's latency ends at its last segment's
 // completion).
 func drive(cache *herald.CostCache, hdas []*herald.HDA, plans map[string]herald.SegmentPlan) herald.FleetStats {
 	opts := herald.DefaultFleetOptions()
 	opts.Serve.Plans = plans
+	opts.Serve.Manual = true
 	f, err := herald.NewFleet(cache, hdas, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -118,6 +121,7 @@ func drive(cache *herald.CostCache, hdas []*herald.HDA, plans map[string]herald.
 			tickets = append(tickets, t)
 		}
 	}
+	f.Admit()
 	for _, t := range tickets {
 		rec, err := t.Wait(context.Background())
 		if err != nil {

@@ -542,8 +542,6 @@ type (
 	// stall detection), failover attempt budgets and overload
 	// shedding (FleetOptions.Health).
 	FleetHealthOptions = fleet.HealthOptions
-	// FleetHealthReport is the GET /v1/fleet/health payload.
-	FleetHealthReport = fleet.HealthReport
 	// FleetEvent is one entry of the fleet's replayable decision log:
 	// a fault-handling decision or a control-ladder step.
 	FleetEvent = fleet.Event

@@ -7,14 +7,56 @@ package dnn
 // with the extreme channel-activation ratio spread (3/224 ≈ 0.013 at
 // the stem, 1280/1 at the classifier input) and depth-wise layers that
 // punish channel-parallel dataflows.
-func MobileNetV2() *Model {
-	b := newBuilder("mobilenetv2", 3, 224, 224)
-	b.conv("stem", 32, 3, 2)
+func MobileNetV2() *Model { return MobileNetV2Width(1) }
 
+// MobileNetV1 builds the MobileNet-V1 classification network (Howard et
+// al.) at 224×224×3: a 3×3 stem, 13 depth-wise-separable blocks
+// (DW + PW each), and a 1000-way classifier. 28 compute layers,
+// ~569 MMACs. Used by the MLPerf workload (Table II).
+func MobileNetV1() *Model { return MobileNetV1Width(1) }
+
+// mobileNetV1Trunk builds the MobileNet-V1 trunk (stem plus the 13
+// depth-wise-separable blocks, no classifier) at the given square
+// input resolution, with every output channel count scaled by width.
+// The classifiers and the SSD-MobileNetV1 detector share it.
+func mobileNetV1Trunk(name string, input int, width float64) *builder {
+	b := newBuilder(name, 3, input, input)
+	b.conv("stem", scaleChannels(32, width), 3, 2)
+	type block struct {
+		out, stride int
+	}
+	blocks := []block{
+		{64, 1},
+		{128, 2}, {128, 1},
+		{256, 2}, {256, 1},
+		{512, 2}, {512, 1}, {512, 1}, {512, 1}, {512, 1}, {512, 1},
+		{1024, 2}, {1024, 1},
+	}
+	for i, bl := range blocks {
+		b.dw("dw-b"+itoa(i+1), 3, bl.stride)
+		b.pw("pw-b"+itoa(i+1), scaleChannels(bl.out, width), 1)
+	}
+	return b
+}
+
+// MobileNetV1Width builds MobileNet-V1 with a width multiplier
+// (0 < width <= 1); MobileNetV1() is the width-1.0 instance.
+func MobileNetV1Width(width float64) *Model {
+	b := mobileNetV1Trunk(nameWithWidth("mobilenetv1", width), 224, width)
+	b.globalPool()
+	b.fc("fc1000", 1000)
+	return b.model()
+}
+
+// MobileNetV2Width builds MobileNet-V2 with a width multiplier;
+// MobileNetV2() is the width-1.0 instance.
+func MobileNetV2Width(width float64) *Model {
+	scale := func(ch int) int { return scaleChannels(ch, width) }
+	b := newBuilder(nameWithWidth("mobilenetv2", width), 3, 224, 224)
+	b.conv("stem", scale(32), 3, 2)
 	// First block: no expansion (t=1).
 	b.dw("dw-b1", 3, 1)
-	b.pw("proj-b1", 16, 1)
-
+	b.pw("proj-b1", scale(16), 1)
 	type group struct {
 		n, out, stride int
 	}
@@ -26,6 +68,7 @@ func MobileNetV2() *Model {
 	}
 	blk := 1
 	for _, g := range groups {
+		out := scale(g.out)
 		for i := 0; i < g.n; i++ {
 			blk++
 			stride := 1
@@ -33,66 +76,22 @@ func MobileNetV2() *Model {
 				stride = g.stride
 			}
 			entry := b.idx()
-			residual := stride == 1 && b.c == g.out
+			residual := stride == 1 && b.c == out
 			b.pw("expand-b"+itoa(blk), b.c*6, 1)
 			b.dw("dw-b"+itoa(blk), 3, stride)
-			b.pw("proj-b"+itoa(blk), g.out, 1)
+			b.pw("proj-b"+itoa(blk), out, 1)
 			if residual {
 				b.skipFrom(entry)
 			}
 		}
 	}
-	b.pw("head", 1280, 1)
+	// The head does not scale below 1280 in the reference model.
+	head := 1280
+	if width > 1 {
+		head = scaleChannels(head, width)
+	}
+	b.pw("head", head, 1)
 	b.globalPool()
 	b.fc("fc1000", 1000)
 	return b.model()
-}
-
-// MobileNetV1 builds the MobileNet-V1 classification network (Howard et
-// al.) at 224×224×3: a 3×3 stem, 13 depth-wise-separable blocks
-// (DW + PW each), and a 1000-way classifier. 28 compute layers,
-// ~569 MMACs. Used by the MLPerf workload (Table II).
-func MobileNetV1() *Model {
-	b := newBuilder("mobilenetv1", 3, 224, 224)
-	b.conv("stem", 32, 3, 2)
-
-	type block struct {
-		out, stride int
-	}
-	blocks := []block{
-		{64, 1},
-		{128, 2}, {128, 1},
-		{256, 2}, {256, 1},
-		{512, 2}, {512, 1}, {512, 1}, {512, 1}, {512, 1}, {512, 1},
-		{1024, 2}, {1024, 1},
-	}
-	for i, bl := range blocks {
-		b.dw("dw-b"+itoa(i+1), 3, bl.stride)
-		b.pw("pw-b"+itoa(i+1), bl.out, 1)
-	}
-	b.globalPool()
-	b.fc("fc1000", 1000)
-	return b.model()
-}
-
-// mobileNetV1Backbone builds the MobileNet-V1 trunk (no classifier) at
-// the given input resolution, for the SSD-MobileNetV1 detector.
-func mobileNetV1Backbone(name string, input int) *builder {
-	b := newBuilder(name, 3, input, input)
-	b.conv("stem", 32, 3, 2)
-	type block struct {
-		out, stride int
-	}
-	blocks := []block{
-		{64, 1},
-		{128, 2}, {128, 1},
-		{256, 2}, {256, 1},
-		{512, 2}, {512, 1}, {512, 1}, {512, 1}, {512, 1}, {512, 1},
-		{1024, 2}, {1024, 1},
-	}
-	for i, bl := range blocks {
-		b.dw("dw-b"+itoa(i+1), 3, bl.stride)
-		b.pw("pw-b"+itoa(i+1), bl.out, 1)
-	}
-	return b
 }

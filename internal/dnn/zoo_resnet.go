@@ -50,26 +50,26 @@ func ResNet50() *Model {
 	return b.model()
 }
 
-// resNet34Backbone builds the convolutional trunk of ResNet-34 (basic
-// blocks, no classifier) at the given square input resolution. Used by
-// the SSD-ResNet34 detector.
-func resNet34Backbone(name string, input int) *builder {
+// resNetTrunk builds the convolutional trunk of a basic-block ResNet
+// (no classifier) at the given square input resolution: a 7×7 stem, a
+// max-pool, and four stages of blocks[i] two-conv basic blocks with
+// 64/128/256/512 channels, each stage after the first opening at
+// stride 2. ResNet18 and ResNet34 add a classifier; the SSD-ResNet34
+// detector adds its heads to the [3,4,6,3] trunk.
+func resNetTrunk(name string, input int, blocks []int) *builder {
 	b := newBuilder(name, 3, input, input)
 	b.conv("stem", 64, 7, 2)
 	b.pool(2)
-	type stage struct {
-		blocks, out, stride int
-	}
-	stages := []stage{{3, 64, 1}, {4, 128, 2}, {6, 256, 2}, {3, 512, 2}}
-	for si, st := range stages {
-		for blk := 0; blk < st.blocks; blk++ {
+	outs := []int{64, 128, 256, 512}
+	for si, n := range blocks {
+		for blk := 0; blk < n; blk++ {
 			stride := 1
-			if blk == 0 {
-				stride = st.stride
+			if blk == 0 && si > 0 {
+				stride = 2
 			}
 			entry := b.idx()
-			b.conv(stageName("a", si, blk), st.out, 3, stride)
-			b.conv(stageName("b", si, blk), st.out, 3, 1)
+			b.conv(stageName("a", si, blk), outs[si], 3, stride)
+			b.conv(stageName("b", si, blk), outs[si], 3, 1)
 			if blk != 0 && entry >= 0 {
 				b.skipFrom(entry)
 			}

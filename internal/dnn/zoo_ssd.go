@@ -35,7 +35,7 @@ type featMap struct {
 // 150×150 down to 3×3. 53 compute layers, dominated by the
 // high-resolution backbone (~100 GMACs).
 func SSDResNet34() *Model {
-	b := resNet34Backbone("ssd-resnet34", 1200)
+	b := resNetTrunk("ssd-resnet34", 1200, []int{3, 4, 6, 3})
 	extra := []extraLayer{
 		{256, 512, 2, 1},
 		{256, 512, 2, 1},
@@ -60,7 +60,7 @@ func SSDResNet34() *Model {
 // extra feature stages, and six detection-head pairs from 19×19 down
 // to 1×1. 47 compute layers, ~1.2 GMACs.
 func SSDMobileNetV1() *Model {
-	b := mobileNetV1Backbone("ssd-mobilenetv1", 300)
+	b := mobileNetV1Trunk("ssd-mobilenetv1", 300, 1)
 	extra := []extraLayer{
 		{256, 512, 2, 1},
 		{128, 256, 2, 1},

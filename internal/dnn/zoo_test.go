@@ -1,6 +1,9 @@
 package dnn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -254,5 +257,35 @@ func TestLayerNamesUnique(t *testing.T) {
 				t.Errorf("%s: layer name %q not namespaced by model", name, ln)
 			}
 		}
+	}
+}
+
+// zooFingerprint is the SHA-256 of every zoo model's layer list and
+// skip edges, rendered by fingerprintZoo. It pins each network's exact
+// structure — the layer counts and MAC ballparks above would miss a
+// changed stride or channel count that keeps the totals in range.
+const zooFingerprint = "6cf04a81ab4ddc3ed8d86962c24184de64d3296dbe7f436e0514b078018f9f84"
+
+// fingerprintZoo hashes every dnn.Names() model: per layer its name,
+// op, shape (K, C, Y, X, R, S), stride, pad and repeat, then the
+// model's skip edges.
+func fingerprintZoo(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	for _, name := range Names() {
+		m := MustByName(name)
+		fmt.Fprintf(h, "model %s\n", name)
+		for _, l := range m.Layers {
+			fmt.Fprintf(h, "%s %s K%d C%d Y%d X%d R%d S%d stride%d pad%d repeat%d\n",
+				l.Name, l.Op, l.K, l.C, l.Y, l.X, l.R, l.S, l.Stride, l.Pad, l.Repeat)
+		}
+		fmt.Fprintf(h, "skips %v\n", m.SkipEdges)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestZooFingerprint(t *testing.T) {
+	if got := fingerprintZoo(t); got != zooFingerprint {
+		t.Errorf("zoo fingerprint %s, want %s: a model's layers or skip edges changed", got, zooFingerprint)
 	}
 }

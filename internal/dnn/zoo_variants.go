@@ -2,80 +2,11 @@ package dnn
 
 // This file extends the zoo beyond the paper's nine evaluated networks
 // with the standard variants a workload library needs in practice:
-// width-scaled MobileNets (the MobileNet papers' width multiplier),
-// the smaller ResNet classifiers, and the VGG-16 backbone the
-// Focal-Length DepthNet encoder is based on. They let users compose
-// custom workloads at different compute scales without leaving the
-// library.
-
-// MobileNetV1Width builds MobileNet-V1 with a width multiplier
-// (0 < width <= 1); MobileNetV1() is the width-1.0 instance.
-func MobileNetV1Width(width float64) *Model {
-	scale := func(ch int) int { return scaleChannels(ch, width) }
-	b := newBuilder(nameWithWidth("mobilenetv1", width), 3, 224, 224)
-	b.conv("stem", scale(32), 3, 2)
-	type block struct {
-		out, stride int
-	}
-	blocks := []block{
-		{64, 1},
-		{128, 2}, {128, 1},
-		{256, 2}, {256, 1},
-		{512, 2}, {512, 1}, {512, 1}, {512, 1}, {512, 1}, {512, 1},
-		{1024, 2}, {1024, 1},
-	}
-	for i, bl := range blocks {
-		b.dw("dw-b"+itoa(i+1), 3, bl.stride)
-		b.pw("pw-b"+itoa(i+1), scale(bl.out), 1)
-	}
-	b.globalPool()
-	b.fc("fc1000", 1000)
-	return b.model()
-}
-
-// MobileNetV2Width builds MobileNet-V2 with a width multiplier.
-func MobileNetV2Width(width float64) *Model {
-	scale := func(ch int) int { return scaleChannels(ch, width) }
-	b := newBuilder(nameWithWidth("mobilenetv2", width), 3, 224, 224)
-	b.conv("stem", scale(32), 3, 2)
-	b.dw("dw-b1", 3, 1)
-	b.pw("proj-b1", scale(16), 1)
-	type group struct {
-		n, out, stride int
-	}
-	groups := []group{
-		{2, 24, 2}, {3, 32, 2}, {4, 64, 2},
-		{3, 96, 1}, {3, 160, 2}, {1, 320, 1},
-	}
-	blk := 1
-	for _, g := range groups {
-		out := scale(g.out)
-		for i := 0; i < g.n; i++ {
-			blk++
-			stride := 1
-			if i == 0 {
-				stride = g.stride
-			}
-			entry := b.idx()
-			residual := stride == 1 && b.c == out
-			b.pw("expand-b"+itoa(blk), b.c*6, 1)
-			b.dw("dw-b"+itoa(blk), 3, stride)
-			b.pw("proj-b"+itoa(blk), out, 1)
-			if residual {
-				b.skipFrom(entry)
-			}
-		}
-	}
-	// The head does not scale below 1280 in the reference model.
-	head := 1280
-	if width > 1 {
-		head = scaleChannels(head, width)
-	}
-	b.pw("head", head, 1)
-	b.globalPool()
-	b.fc("fc1000", 1000)
-	return b.model()
-}
+// width-scaled MobileNets (the MobileNet papers' width multiplier;
+// zoo_mobilenet.go builds every width), the smaller ResNet
+// classifiers, and the VGG-16 backbone the Focal-Length DepthNet
+// encoder is based on. They let users compose custom workloads at
+// different compute scales without leaving the library.
 
 // ResNet18 builds the 18-layer basic-block ResNet classifier at
 // 224×224×3 (17 convs + FC).
@@ -87,24 +18,7 @@ func ResNet18() *Model { return basicResNet("resnet18", []int{2, 2, 2, 2}) }
 func ResNet34() *Model { return basicResNet("resnet34", []int{3, 4, 6, 3}) }
 
 func basicResNet(name string, blocks []int) *Model {
-	b := newBuilder(name, 3, 224, 224)
-	b.conv("stem", 64, 7, 2)
-	b.pool(2)
-	outs := []int{64, 128, 256, 512}
-	for si, n := range blocks {
-		for blk := 0; blk < n; blk++ {
-			stride := 1
-			if blk == 0 && si > 0 {
-				stride = 2
-			}
-			entry := b.idx()
-			b.conv(stageName("a", si, blk), outs[si], 3, stride)
-			b.conv(stageName("b", si, blk), outs[si], 3, 1)
-			if blk != 0 && entry >= 0 {
-				b.skipFrom(entry)
-			}
-		}
-	}
+	b := resNetTrunk(name, 224, blocks)
 	b.globalPool()
 	b.fc("fc1000", 1000)
 	return b.model()

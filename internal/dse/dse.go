@@ -188,17 +188,6 @@ type Options struct {
 	// requested, pruning is automatically disabled, because skipped
 	// points could be cloud or front members.
 	Prune bool
-
-	// MaxSegments adds the segment-cut search axis: after the partition
-	// sweep picks Best, every distinct workload model's fusion cuts are
-	// searched on the winning HDA (see PlanSegments) and the winners
-	// returned in Result.SegmentPlans, each with at most this many
-	// segments. The cut search is a per-model post-pass over the
-	// already-interned cost columns — it never alters which partitions
-	// are scheduled or pruned, so the partition sweep (Best, Explored,
-	// Pruned, and all prune decisions) stays bit-identical to a
-	// cut-free search. 0 or 1 disables the axis (unfused plans).
-	MaxSegments int
 }
 
 // DefaultOptions returns an exhaustive search with Herald's default
@@ -230,10 +219,6 @@ type Result struct {
 	// enumerated space (Pruned is always 0 unless Prune && BestOnly).
 	Explored int
 	Pruned   int
-
-	// SegmentPlans maps each distinct workload model to its winning
-	// fusion cut on Best.HDA; nil unless Options.MaxSegments > 1.
-	SegmentPlans map[string]SegmentPlan
 }
 
 // Search explores the space, scheduling workload w on every candidate

@@ -6,7 +6,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/dnn"
 	"repro/internal/maestro"
-	"repro/internal/workload"
 )
 
 // Segment is one contiguous layer range of a model pinned to one
@@ -243,22 +242,4 @@ func PlanSegments(cache *maestro.Cache, h *accel.HDA, m *dnn.Model, o Objective,
 		consider(cur)
 	}
 	return best, nil
-}
-
-// planWorkload computes the winning segment plan of every distinct
-// model in w on HDA h (the per-model post-pass of a fused sweep).
-func planWorkload(cache *maestro.Cache, h *accel.HDA, w *workload.Workload, o Objective, maxSegments int) (map[string]SegmentPlan, error) {
-	plans := make(map[string]SegmentPlan)
-	for i := range w.Instances {
-		m := w.Instances[i].Model
-		if _, ok := plans[m.Name]; ok {
-			continue
-		}
-		p, err := PlanSegments(cache, h, m, o, maxSegments)
-		if err != nil {
-			return nil, err
-		}
-		plans[m.Name] = p
-	}
-	return plans, nil
 }

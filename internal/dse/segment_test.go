@@ -165,10 +165,10 @@ func TestSlicesValidation(t *testing.T) {
 		t.Error("nil model should error")
 	}
 	bad := []SegmentPlan{
-		{Segments: []Segment{{From: 1, To: L}}},                      // misses layer 0
-		{Segments: []Segment{{From: 0, To: 3}, {From: 4, To: L}}},    // gap at layer 3
-		{Segments: []Segment{{From: 0, To: 3}, {From: 2, To: L}}},    // overlap
-		{Segments: []Segment{{From: 0, To: L - 1}}},                  // short coverage
+		{Segments: []Segment{{From: 1, To: L}}},                       // misses layer 0
+		{Segments: []Segment{{From: 0, To: 3}, {From: 4, To: L}}},     // gap at layer 3
+		{Segments: []Segment{{From: 0, To: 3}, {From: 2, To: L}}},     // overlap
+		{Segments: []Segment{{From: 0, To: L - 1}}},                   // short coverage
 		{Segments: []Segment{{From: 0, To: 3}, {From: 3, To: L + 1}}}, // past the end
 	}
 	for i, p := range bad {

@@ -47,10 +47,6 @@ type sweepWorker struct {
 	// a partition gets its own index's name, whichever worker drew it.
 	hdas map[hdaKey]*accel.HDA
 
-	// cols caches per-(HDA, model) sub-accelerator cost columns for the
-	// bound path (interned columns from the shared maestro cache).
-	cols map[colsKey][][]*maestro.Cost
-
 	// bounds memoizes the bound tiers' per-(substrate-set, model)
 	// summaries (see bound.go).
 	bounds map[boundKey]modelBound
@@ -62,11 +58,6 @@ type sweepWorker struct {
 type hdaKey struct {
 	part string
 	idx  int
-}
-
-type colsKey struct {
-	h *accel.HDA
-	m *dnn.Model
 }
 
 // NewSweeper validates the space and search options and builds the
@@ -89,7 +80,6 @@ func NewSweeper(cache *maestro.Cache, sp Space, opts Options) (*Sweeper, error) 
 			cache:  cache,
 			s:      sched.MustNew(cache, opts.Sched),
 			hdas:   make(map[hdaKey]*accel.HDA),
-			cols:   make(map[colsKey][][]*maestro.Cost),
 			bounds: make(map[boundKey]modelBound),
 		})
 	}
@@ -286,17 +276,6 @@ func (sw *Sweeper) Sweep(w *workload.Workload) (*Result, error) {
 	if points != nil {
 		res.Pareto = ParetoFront(points)
 	}
-	if sw.opts.MaxSegments > 1 {
-		// Segment-cut axis: a per-model post-pass on the winning HDA
-		// over the already-interned cost columns (see
-		// Options.MaxSegments). Running it after the merge keeps the
-		// partition sweep bit-identical to a cut-free search.
-		plans, err := planWorkload(sw.cache, res.Best.HDA, w, sw.opts.Objective, sw.opts.MaxSegments)
-		if err != nil {
-			return nil, err
-		}
-		res.SegmentPlans = plans
-	}
 	return res, nil
 }
 
@@ -311,8 +290,8 @@ func (wk *sweepWorker) partKey(part []int) string {
 	return string(buf)
 }
 
-// maxWorkerMemo caps each worker's partition-keyed memo tables (HDAs,
-// bound summaries, column sets). They deliberately cache the swept
+// maxWorkerMemo caps each worker's partition-keyed memo tables (HDAs
+// and bound summaries). They deliberately cache the swept
 // space across sweeps — that is what makes a warm Resweep cheap — but
 // a fleet-held Sweeper over a huge space must not grow without bound,
 // so past the cap everything is dropped and rebuilt through the
@@ -327,10 +306,9 @@ func (wk *sweepWorker) hda(sp Space, key string, part []int, idx int) (*accel.HD
 		return h, nil
 	}
 	if len(wk.hdas) >= maxWorkerMemo {
-		// The cols/bounds memos key off the cached HDA pointers and
-		// partition keys; drop all three together.
+		// The bounds memo keys off the same partition keys; drop
+		// both together.
 		clear(wk.hdas)
-		clear(wk.cols)
 		clear(wk.bounds)
 	}
 	peUnit := sp.Class.PEs / sp.PEUnits
@@ -352,19 +330,15 @@ func (wk *sweepWorker) hda(sp Space, key string, part []int, idx int) (*accel.HD
 	return h, nil
 }
 
-// colsFor resolves (memoizing) the per-sub-accelerator cost columns of
-// model m on HDA h for the bound path. The columns are the same
-// interned maestro entries the scheduler's L0 tables hold.
+// colsFor builds the per-sub-accelerator cost columns of model m on
+// HDA h for the bound path. The columns are the same interned maestro
+// entries the scheduler's L0 tables hold; the bounds memo keeps only
+// their summary.
 func (wk *sweepWorker) colsFor(h *accel.HDA, m *dnn.Model) [][]*maestro.Cost {
-	key := colsKey{h: h, m: m}
-	if cols, ok := wk.cols[key]; ok {
-		return cols
-	}
 	cols := make([][]*maestro.Cost, len(h.Subs))
 	for a := range h.Subs {
 		cols[a] = wk.cache.CostColumn(m, h.Subs[a].Style, h.Subs[a].HW)
 	}
-	wk.cols[key] = cols
 	return cols
 }
 

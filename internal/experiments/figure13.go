@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/workload"
 )
 
 // Fig13Cell is the average latency/energy of one accelerator
@@ -124,6 +123,3 @@ func (r *Fig13Result) String() string {
 		r.PaperMismatchEnergy, r.AvgMismatchEnergyPct)
 	return b.String()
 }
-
-// ensure workload import is used in docs-only builds
-var _ = workload.ARVRA

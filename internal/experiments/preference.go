@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/maestro"
-	"repro/internal/workload"
 )
 
 // PreferenceRow is one workload's layer-preference census on one
@@ -84,5 +83,3 @@ func (c *Config) PreferenceReportString() (string, error) {
 		" spatial layers prefer Shi-diannao — the tension Herald's partitioning resolves)\n")
 	return b.String(), nil
 }
-
-var _ = workload.ARVRA // doc reference

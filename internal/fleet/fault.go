@@ -29,10 +29,6 @@ var (
 	// ErrShed is the sentinel every ShedError unwraps to. HTTP maps it
 	// to 429 with a Retry-After header.
 	ErrShed = errors.New("fleet: request shed")
-	// ErrReplicaFault marks an injected admission failure (FaultAdmitFail)
-	// — visible only in breaker decision logs, never returned to
-	// submitters (the dispatcher retries another replica).
-	ErrReplicaFault = errors.New("fleet: injected replica admission fault")
 )
 
 // ShedError rejects an arrival the admission controller shed: the best
@@ -756,49 +752,10 @@ func retryableAdmit(err error) bool {
 	return errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrDraining)
 }
 
-// ReplicaHealth is one replica's health slice of the fleet's fault
-// surface.
-type ReplicaHealth struct {
-	// Replica is the stable replica id; HDA names its partition.
-	Replica int    `json:"replica"`
-	HDA     string `json:"hda"`
-	// Health is the dispatcher-side state: healthy, degraded,
-	// breaker-open, breaker-half-open or crashed.
-	Health string `json:"health"`
-	// StallFactor is the injected slowdown multiplier (omitted at 1).
-	StallFactor float64 `json:"stall_factor,omitempty"` //herald:jsonzero a valid stall factor is > 1; unset means not stalled
-	// ConsecutiveFailures is the current breaker failure streak.
-	ConsecutiveFailures int `json:"consecutive_failures"`
-	// PendingAdmitFaults is the remaining injected admission-failure
-	// burst.
-	PendingAdmitFaults int `json:"pending_admit_faults"`
-	// HorizonCycles is the dispatcher's completion-time ledger for the
-	// replica — what stall detection reads.
-	HorizonCycles int64 `json:"horizon_cycles"`
-}
-
-// HealthReport is the GET /v1/fleet/health payload: per-replica health
-// (active and crashed), the fault-handling counters, and the decision
-// log.
-type HealthReport struct {
-	// Replicas covers the active dispatch set; Failed the crashed
-	// replicas awaiting recovery.
-	Replicas []ReplicaHealth `json:"replicas"`
-	Failed   []ReplicaHealth `json:"failed,omitempty"`
-	// The fault-handling slice of the fleet Counters, as Stats reports
-	// them.
-	Shed         int64 `json:"shed"`
-	Failovers    int64 `json:"failovers"`
-	Crashes      int64 `json:"crashes"`
-	Recoveries   int64 `json:"recoveries"`
-	BreakerTrips int64 `json:"breaker_trips"`
-	// Decisions is the decision log (bounded on a live fleet).
-	Decisions []Event `json:"decisions"`
-}
-
-// healthString renders a replica's health, folding in stall detection:
-// an otherwise-healthy replica whose horizon exceeds StallFactor × the
-// smallest positive active horizon reports "degraded". f.mu held.
+// healthStringLocked renders a replica's health, folding in stall
+// detection: an otherwise-healthy replica whose horizon exceeds
+// StallFactor × the smallest positive active horizon reports
+// "degraded". f.mu held.
 func (f *Fleet) healthStringLocked(r *replica, minHorizon int64) string {
 	if r.health == healthHealthy && f.health.StallFactor > 0 && minHorizon > 0 &&
 		float64(r.horizon) > f.health.StallFactor*float64(minHorizon) {
@@ -818,40 +775,4 @@ func (f *Fleet) minHorizonLocked() int64 {
 		}
 	}
 	return m
-}
-
-// Health snapshots the fleet's fault surface: per-replica health,
-// fault counters and the decision log.
-func (f *Fleet) Health() HealthReport {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rep := HealthReport{
-		Shed:         f.ctr.Shed,
-		Failovers:    f.ctr.Failovers,
-		Crashes:      f.ctr.Crashes,
-		Recoveries:   f.ctr.Recoveries,
-		BreakerTrips: f.ctr.BreakerTrips,
-		Decisions:    append([]Event(nil), f.decisions...),
-	}
-	minH := f.minHorizonLocked()
-	for _, r := range f.replicas {
-		rh := ReplicaHealth{
-			Replica:             r.id,
-			HDA:                 r.engine.HDA().Name,
-			Health:              f.healthStringLocked(r, minH),
-			ConsecutiveFailures: r.consecFails,
-			PendingAdmitFaults:  r.admitFails,
-			HorizonCycles:       r.horizon,
-		}
-		if r.stall > 1 {
-			rh.StallFactor = r.stall
-		}
-		rep.Replicas = append(rep.Replicas, rh)
-	}
-	for _, r := range f.failedReplicas {
-		rep.Failed = append(rep.Failed, ReplicaHealth{
-			Replica: r.id, HDA: r.engine.HDA().Name, Health: r.health.String(), HorizonCycles: r.horizon,
-		})
-	}
-	return rep
 }

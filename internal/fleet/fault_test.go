@@ -509,10 +509,9 @@ func TestFaultBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker decisions %v, want %v", kinds, want)
 	}
 
-	rep := f.Health()
-	for _, rh := range rep.Replicas {
-		if rh.Health != "healthy" {
-			t.Errorf("replica %d health %q after close, want healthy", rh.Replica, rh.Health)
+	for _, rs := range f.Stats().PerReplica {
+		if rs.Health != "healthy" {
+			t.Errorf("replica %d health %q after close, want healthy", rs.Replica, rs.Health)
 		}
 	}
 	st, err := f.Drain(context.Background())
@@ -726,9 +725,8 @@ func TestFaultStallDiversion(t *testing.T) {
 			t.Fatalf("request %d routed to stalled replica (%d)", i, tk.Replica)
 		}
 	}
-	rep := f.Health()
-	if len(rep.Replicas) != 2 || rep.Replicas[0].StallFactor != 50 {
-		t.Fatalf("health report stall factor: %+v", rep.Replicas)
+	if rows := f.Stats().PerReplica; len(rows) != 2 || rows[0].StallFactor != 50 {
+		t.Fatalf("live stats stall factor: %+v", rows)
 	}
 	st, err := f.Drain(context.Background())
 	if err != nil {
@@ -743,7 +741,7 @@ func TestFaultStallDiversion(t *testing.T) {
 
 // TestStallDetectionDegraded: with StallFactor detection on, a
 // replica whose work horizon towers over the fleet minimum reports
-// "degraded" on the health surface — no injected fault needed, the
+// "degraded" in its Stats row — no injected fault needed, the
 // signal comes from the dispatcher's own ledger.
 func TestStallDetectionDegraded(t *testing.T) {
 	opts := DefaultOptions()
@@ -765,12 +763,12 @@ func TestStallDetectionDegraded(t *testing.T) {
 		t.Fatalf("routing: heavy %d light %d, want 0 and 1", heavy.Replica, light.Replica)
 	}
 
-	rep := f.Health()
-	if rep.Replicas[0].Health != "degraded" {
-		t.Errorf("towering-horizon replica health %q, want degraded", rep.Replicas[0].Health)
+	rows := f.Stats().PerReplica
+	if rows[0].Health != "degraded" {
+		t.Errorf("towering-horizon replica health %q, want degraded", rows[0].Health)
 	}
-	if rep.Replicas[1].Health != "healthy" {
-		t.Errorf("baseline replica health %q, want healthy", rep.Replicas[1].Health)
+	if rows[1].Health != "healthy" {
+		t.Errorf("baseline replica health %q, want healthy", rows[1].Health)
 	}
 	if _, err := f.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -805,9 +803,11 @@ func TestFaultRecovery(t *testing.T) {
 	if _, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	rep := f.Health()
-	if len(rep.Replicas) != 1 || len(rep.Failed) != 1 || rep.Failed[0].Health != "crashed" {
-		t.Fatalf("post-crash health: %+v", rep)
+	// PerReplica lists the active set first, crashed replicas last.
+	live := f.Stats()
+	if crashed := live.PerReplica[len(live.PerReplica)-1]; live.Replicas != 1 || live.FailedReplicas != 1 ||
+		live.Crashes != 1 || len(live.PerReplica) != 2 || crashed.Replica != 0 || crashed.Health != "crashed" {
+		t.Fatalf("post-crash stats: %+v", live)
 	}
 
 	// Recover fires before this submission routes: replica 0 is rebuilt
@@ -823,13 +823,13 @@ func TestFaultRecovery(t *testing.T) {
 	if _, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", ArrivalCycle: 2001}); err != nil {
 		t.Fatal(err)
 	}
-	rep = f.Health()
-	if len(rep.Replicas) != 2 || len(rep.Failed) != 0 {
-		t.Fatalf("post-recovery health: %+v", rep)
+	live = f.Stats()
+	if live.Replicas != 2 || live.FailedReplicas != 0 || live.Recoveries != 1 || len(live.PerReplica) != 2 {
+		t.Fatalf("post-recovery stats: %+v", live)
 	}
-	for _, rh := range rep.Replicas {
-		if rh.Health != "healthy" {
-			t.Errorf("replica %d health %q after recovery", rh.Replica, rh.Health)
+	for _, rs := range live.PerReplica {
+		if rs.Health != "healthy" {
+			t.Errorf("replica %d health %q after recovery", rs.Replica, rs.Health)
 		}
 	}
 

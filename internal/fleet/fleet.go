@@ -1216,9 +1216,12 @@ type ReplicaStats struct {
 	Health string `json:"health"`
 	// StallFactor is the injected slowdown multiplier (omitted at 1);
 	// ConsecutiveFailures is the breaker's current failure streak.
-	StallFactor         float64     `json:"stall_factor,omitempty"` //herald:jsonzero a valid stall factor is > 1; unset means not stalled
-	ConsecutiveFailures int         `json:"consecutive_failures"`
-	Engine              serve.Stats `json:"engine"`
+	StallFactor         float64 `json:"stall_factor,omitempty"` //herald:jsonzero a valid stall factor is > 1; unset means not stalled
+	ConsecutiveFailures int     `json:"consecutive_failures"`
+	// PendingAdmitFaults is the remaining injected admission-failure
+	// burst.
+	PendingAdmitFaults int         `json:"pending_admit_faults"`
+	Engine             serve.Stats `json:"engine"`
 }
 
 // Counters is the deterministic slice of the fleet statistics: the
@@ -1328,9 +1331,9 @@ type Stats struct {
 	// cannot be derived from per-replica percentiles).
 	Tenants []serve.TenantStats `json:"tenants"`
 
-	// PerReplica covers the live replicas: the active generation plus
-	// any still-retiring ones. Fully-retired engines appear only in
-	// the folded aggregates.
+	// PerReplica covers the live replicas: the active generation, any
+	// still-retiring ones, then crashed replicas awaiting recovery.
+	// Fully-retired engines appear only in the folded aggregates.
 	PerReplica []ReplicaStats `json:"per_replica"`
 }
 
@@ -1339,22 +1342,38 @@ func addWindow(tenants map[string]*serve.TenantWindow, w *serve.TenantWindow) {
 	window(tenants, w.Tenant).Add(w)
 }
 
+// replicaRowLocked builds one replica's PerReplica row from the
+// dispatcher's state: every field but the engine probes (Inflight,
+// Engine), which Stats fills after releasing f.mu. minHorizon is the
+// stall-detection baseline; pass 0 for retiring and crashed replicas,
+// which stall detection does not cover. f.mu held.
+func (f *Fleet) replicaRowLocked(r *replica, retiring bool, minHorizon int64) ReplicaStats {
+	rs := ReplicaStats{
+		Replica:             r.id,
+		Generation:          r.gen,
+		HDA:                 r.engine.HDA().Name,
+		Retiring:            retiring,
+		Dispatched:          r.dispatched,
+		HorizonCycles:       r.horizon,
+		Health:              f.healthStringLocked(r, minHorizon),
+		ConsecutiveFailures: r.consecFails,
+		PendingAdmitFaults:  r.admitFails,
+	}
+	if r.stall > 1 {
+		rs.StallFactor = r.stall
+	}
+	return rs
+}
+
 // Stats returns the current fleet-wide statistics.
 func (f *Fleet) Stats() Stats {
 	tenants := make(map[string]*serve.TenantWindow)
 
-	// Snapshot the live replica set and the fleet counters under the
-	// dispatch lock; engine probes run on the snapshot afterwards
-	// (an engine outlives its membership in f.replicas, so reading it
-	// after unlock is safe even if a migration swaps the set).
-	type rsnap struct {
-		r                   *replica
-		retiring            bool
-		dispatched, horizon int64
-		health              string
-		stall               float64
-		consecFails         int
-	}
+	// Snapshot the live replica set, each replica's row and the fleet
+	// counters under the dispatch lock; engine probes run on the
+	// snapshot afterwards (an engine outlives its membership in
+	// f.replicas, so reading it after unlock is safe even if a
+	// migration swaps the set).
 	f.mu.Lock()
 	st := Stats{
 		Policy:          f.policy.String(),
@@ -1364,19 +1383,19 @@ func (f *Fleet) Stats() Stats {
 		Counters:        f.ctr,
 		FailedReplicas:  len(f.failedReplicas),
 	}
+	live := make([]*replica, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))
 	minH := f.minHorizonLocked()
-	snaps := make([]rsnap, 0, len(f.replicas)+len(f.retiring)+len(f.failedReplicas))
 	for _, r := range f.replicas {
-		snaps = append(snaps, rsnap{r: r, dispatched: r.dispatched, horizon: r.horizon,
-			health: f.healthStringLocked(r, minH), stall: r.stall, consecFails: r.consecFails})
+		live = append(live, r)
+		st.PerReplica = append(st.PerReplica, f.replicaRowLocked(r, false, minH))
 	}
 	for _, r := range f.retiring {
-		snaps = append(snaps, rsnap{r: r, retiring: true, dispatched: r.dispatched, horizon: r.horizon,
-			health: r.health.String()})
+		live = append(live, r)
+		st.PerReplica = append(st.PerReplica, f.replicaRowLocked(r, true, 0))
 	}
 	for _, r := range f.failedReplicas {
-		snaps = append(snaps, rsnap{r: r, dispatched: r.dispatched, horizon: r.horizon,
-			health: r.health.String()})
+		live = append(live, r)
+		st.PerReplica = append(st.PerReplica, f.replicaRowLocked(r, false, 0))
 	}
 	//herald:nondet one window per tenant, each into its own aggregate; every source merges in a fixed order (history, then each replica's engine and fused windows in snapshot order), so the float sums associate alike run to run
 	for _, w := range f.retiredT {
@@ -1392,26 +1411,11 @@ func (f *Fleet) Stats() Stats {
 	f.mu.Unlock()
 
 	var clockGHz float64
-	for _, sn := range snaps {
-		r := sn.r
+	for i, r := range live {
 		es := r.engine.Stats()
 		clockGHz = es.ClockGHz
-		rs := ReplicaStats{
-			Replica:             r.id,
-			Generation:          r.gen,
-			HDA:                 r.engine.HDA().Name,
-			Retiring:            sn.retiring,
-			Dispatched:          sn.dispatched,
-			Inflight:            es.Pending,
-			HorizonCycles:       sn.horizon,
-			Health:              sn.health,
-			ConsecutiveFailures: sn.consecFails,
-			Engine:              es,
-		}
-		if sn.stall > 1 {
-			rs.StallFactor = sn.stall
-		}
-		st.PerReplica = append(st.PerReplica, rs)
+		st.PerReplica[i].Inflight = es.Pending
+		st.PerReplica[i].Engine = es
 		for _, w := range r.engine.TenantWindows() {
 			addWindow(tenants, &w)
 		}

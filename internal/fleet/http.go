@@ -76,13 +76,13 @@ func submitErrorStatus(err error) (status int, code string, retryAfter int) {
 //	POST /v1/requests              dispatch a request via the routing
 //	                               policy (serve.SubmitRequest body;
 //	                               responses carry the replica index)
-//	GET  /v1/fleet/stats           fleet-wide aggregate + per-replica
+//	GET  /v1/fleet/stats           fleet-wide aggregate, fault counters
+//	                               and per-replica rows (health, stall,
+//	                               breaker streak, pending admit faults)
 //	GET  /v1/stats                 alias of /v1/fleet/stats
-//	GET  /v1/fleet/health          per-replica health, fault counters,
-//	                               and the decision log
-//	GET  /v1/fleet/decisions       the decision log on its own: fault
-//	                               entries and control steps in one seq
-//	                               order (export an incident; see
+//	GET  /v1/fleet/decisions       the decision log: fault entries and
+//	                               control steps in one seq order
+//	                               (export an incident; see
 //	                               ExportFaultPlan)
 //	GET  /v1/fleet/repartition     control-ladder status (404 when no
 //	                               controller is attached)
@@ -108,7 +108,6 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/requests", f.handleSubmit)
 	mux.HandleFunc("GET /v1/fleet/stats", f.handleStats)
 	mux.HandleFunc("GET /v1/stats", f.handleStats)
-	mux.HandleFunc("GET /v1/fleet/health", f.handleHealth)
 	mux.HandleFunc("GET /v1/fleet/decisions", f.handleDecisions)
 	mux.HandleFunc("GET /v1/fleet/repartition", f.handleRepartition)
 	mux.HandleFunc("POST /v1/drain", f.handleDrain)
@@ -206,15 +205,11 @@ func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, f.Stats())
 }
 
-func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.Health())
-}
-
 // DecisionLog is the GET /v1/fleet/decisions payload: the decision
-// log on its own — fault-handling entries and control-ladder steps in
-// one Seq order — without the per-replica health detail GET
-// /v1/fleet/health wraps around it. An operator exports it, feeds it
-// to ExportFaultPlan (heraldplay -faults), and re-runs the incident
+// log — fault-handling entries and control-ladder steps in one Seq
+// order. Per-replica health and the fault counters are in GET
+// /v1/fleet/stats. An operator exports the log, feeds it to
+// ExportFaultPlan (heraldplay -faults), and re-runs the incident
 // offline.
 type DecisionLog struct {
 	// Decisions is the retained log, oldest first. A live fleet's log

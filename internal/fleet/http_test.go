@@ -573,3 +573,61 @@ func TestFleetHTTPDecisions(t *testing.T) {
 		t.Errorf("exported plan %q, want %q", got, want)
 	}
 }
+
+// TestFleetHTTPStatsPendingAdmitFaults: an injected admission-failure
+// burst shows on GET /v1/fleet/stats as the victim's
+// pending_admit_faults, counting down as dispatches hit it; the
+// replica without a burst reports an explicit 0.
+func TestFleetHTTPStatsPendingAdmitFaults(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Policy = RoundRobin
+	opts.Faults = mustPlan(t, FaultEvent{Cycle: 100, Replica: 1, Kind: FaultAdmitFail, Count: 3})
+	f := faultFleet(t, opts)
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+
+	pending := func() map[int]int {
+		t.Helper()
+		var st struct {
+			PerReplica []struct {
+				Replica            int  `json:"replica"`
+				PendingAdmitFaults *int `json:"pending_admit_faults"`
+			} `json:"per_replica"`
+		}
+		if code := doJSON(t, "GET", srv.URL+"/v1/fleet/stats", "", &st); code != http.StatusOK {
+			t.Fatalf("stats: %d", code)
+		}
+		got := make(map[int]int)
+		for _, rs := range st.PerReplica {
+			if rs.PendingAdmitFaults == nil {
+				t.Fatalf("replica %d: pending_admit_faults missing from /v1/fleet/stats", rs.Replica)
+			}
+			got[rs.Replica] = *rs.PendingAdmitFaults
+		}
+		return got
+	}
+	if got, want := pending(), map[int]int{0: 0, 1: 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending admit faults before the burst: %v, want %v", got, want)
+	}
+
+	// The first arrival past cycle 100 fires the burst; round-robin
+	// hands it to replica 0, so the burst is still whole.
+	submit := func(arrival int) {
+		t.Helper()
+		var rec DispatchRecord
+		body := fmt.Sprintf(`{"tenant":"a","model":"mobilenetv1","arrival_cycle":%d,"wait":true}`, arrival)
+		if code := doJSON(t, "POST", srv.URL+"/v1/requests", body, &rec); code != http.StatusOK {
+			t.Fatalf("submit at %d: %d", arrival, code)
+		}
+	}
+	submit(200)
+	if got, want := pending(), map[int]int{0: 0, 1: 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending admit faults after the burst fired: %v, want %v", got, want)
+	}
+	// The next dispatch tries replica 1, spends one injected failure
+	// and fails over to replica 0.
+	submit(300)
+	if got, want := pending(), map[int]int{0: 0, 1: 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending admit faults after one failed admission: %v, want %v", got, want)
+	}
+}

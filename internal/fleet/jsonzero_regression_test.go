@@ -39,9 +39,8 @@ func TestZeroValuedStatsFieldsSurviveJSON(t *testing.T) {
 		"preemptions", "resumes", "pe_reassigns", "makespan_cycles", "sim_throughput_rps",
 		"segments", "cross_replica_handoffs", "tenants", "per_replica")
 	requireKeys(t, ReplicaStats{},
-		"retiring", "consecutive_failures", "dispatched", "inflight")
-	requireKeys(t, ReplicaHealth{},
-		"consecutive_failures", "pending_admit_faults", "horizon_cycles")
+		"retiring", "consecutive_failures", "pending_admit_faults", "dispatched", "inflight",
+		"horizon_cycles")
 	requireKeys(t, Decision{},
 		"generation", "serving_value", "winner_value", "improvement",
 		"preempted", "reassigned", "streak", "cooldown_left", "explored", "pruned")

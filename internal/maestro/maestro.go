@@ -171,12 +171,6 @@ func Estimate(l *dnn.Layer, style dataflow.Style, hw HW, et energy.Table) Cost {
 	return estimate(l, &m, hw, et)
 }
 
-// EstimateMapping is Estimate for a pre-computed mapping (callers that
-// cache mappings per layer shape).
-func EstimateMapping(l *dnn.Layer, m dataflow.Mapping, hw HW, et energy.Table) Cost {
-	return estimate(l, &m, hw, et)
-}
-
 func estimate(l *dnn.Layer, m *dataflow.Mapping, hw HW, et energy.Table) Cost {
 	reps := int64(1)
 	if l.Repeat > 1 {

@@ -27,7 +27,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 
 	"repro/internal/capture"
@@ -209,20 +208,6 @@ func ParseSpec(r io.Reader) (Spec, error) {
 	}
 	_, err := s.normalized()
 	return s, err
-}
-
-// LoadSpec reads one JSON spec file.
-func LoadSpec(path string) (Spec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: %w", err)
-	}
-	defer f.Close()
-	s, err := ParseSpec(f)
-	if err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // tenant names hostile tenant i ("t00", "t01", ...).

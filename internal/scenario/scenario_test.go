@@ -149,9 +149,9 @@ func TestZipfIsHeavyTailed(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	bad := []Spec{
-		{Kind: Zipf},                          // no name
-		{Name: "x", Kind: "nope"},             // unknown kind
-		{Name: "x", Kind: Zipf, ZipfS: 0.5},   // exponent <= 1
+		{Kind: Zipf},                        // no name
+		{Name: "x", Kind: "nope"},           // unknown kind
+		{Name: "x", Kind: Zipf, ZipfS: 0.5}, // exponent <= 1
 		{Name: "x", Kind: FlipFlop, Models: []string{"mobilenetv1"}}, // one model
 		{Name: "x", Kind: Flash, FlashAt: 0.99, FlashWidth: 0.5},     // window past horizon
 		{Name: "x", Kind: Zipf, Models: []string{"no-such-model"}},

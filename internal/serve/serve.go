@@ -99,8 +99,8 @@ type Options struct {
 	// submissions and Admit calls, never on goroutine timing.
 	Manual bool
 
-	// Plans is the fleet's plan table: model names to fusion plans (a
-	// dse search's SegmentPlans). internal/fleet reads it from the
+	// Plans is the fleet's plan table: model names to fusion plans
+	// (dse.PlanSegments on the serving HDA). internal/fleet reads it from the
 	// Options it builds its replicas with, decomposes every request
 	// whose model has a multi-segment plan, and admits the segments
 	// through SubmitChain. A bare engine ignores it: Submit always
