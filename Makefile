@@ -38,7 +38,8 @@ race:
 # fuzz runs each trust-boundary fuzzer for 10 s (go test runs only
 # their seed corpora): the -partition parser, the -faults parser, the
 # capture-trace reader, the scenario-spec parser and the POST
-# /v1/requests body decoder. A crasher lands
+# /v1/requests body decoder, plus the cost model's footprint/cycles
+# split against the whole-Cost paths. A crasher lands
 # under the package's testdata/fuzz/ — commit it as a seed along with
 # the fix.
 fuzz:
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCaptureRead$$' -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzFootprint$$' -fuzztime 10s ./internal/maestro
 
 # smoke builds and runs the end-to-end examples that exercise the
 # serving stack (fast, deterministic; CI runs this per PR): heraldd's

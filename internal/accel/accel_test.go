@@ -44,6 +44,26 @@ func TestTableIVClasses(t *testing.T) {
 	}
 }
 
+// TestClassValidateRejects: a budget that is missing, too small or not
+// finite is rejected; NaN slips through a plain "<= 0" test.
+func TestClassValidateRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Class
+	}{
+		{"no PEs", Class{Name: "x", PEs: 0, BWGBps: 16, GlobalBufBytes: 4 << 20}},
+		{"zero bandwidth", Class{Name: "x", PEs: 1024, BWGBps: 0, GlobalBufBytes: 4 << 20}},
+		{"negative bandwidth", Class{Name: "x", PEs: 1024, BWGBps: -16, GlobalBufBytes: 4 << 20}},
+		{"NaN bandwidth", Class{Name: "x", PEs: 1024, BWGBps: math.NaN(), GlobalBufBytes: 4 << 20}},
+		{"+Inf bandwidth", Class{Name: "x", PEs: 1024, BWGBps: math.Inf(1), GlobalBufBytes: 4 << 20}},
+		{"tiny buffer", Class{Name: "x", PEs: 1024, BWGBps: 16, GlobalBufBytes: 1023}},
+	} {
+		if err := tc.c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.c)
+		}
+	}
+}
+
 func TestNewHDADefinition1(t *testing.T) {
 	// The Table V AR/VR-A cloud Maelstrom point: 9728/6656 PEs,
 	// 224/32 GB/s.

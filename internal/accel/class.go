@@ -14,7 +14,10 @@
 //     reconfiguration penalty.
 package accel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class is an accelerator resource budget (Table IV).
 type Class struct {
@@ -49,8 +52,8 @@ func (c Class) Validate() error {
 	if c.PEs < 1 {
 		return fmt.Errorf("accel: class %q: PEs must be >= 1", c.Name)
 	}
-	if c.BWGBps <= 0 {
-		return fmt.Errorf("accel: class %q: bandwidth must be positive", c.Name)
+	if !(c.BWGBps > 0) || math.IsInf(c.BWGBps, 1) {
+		return fmt.Errorf("accel: class %q: bandwidth must be positive and finite", c.Name)
 	}
 	if c.GlobalBufBytes < 1024 {
 		return fmt.Errorf("accel: class %q: global buffer must be >= 1 KiB", c.Name)

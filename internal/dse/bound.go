@@ -108,18 +108,27 @@ type boundKey struct {
 	model *dnn.Model
 }
 
-// minsOver folds per-layer cycle/energy minima across a column set
-// into a modelBound.
-func minsOver(cols [][]*maestro.Cost, layers int) modelBound {
+// minsOver folds model m's per-layer cycle/energy minima across h's
+// sub-accelerators into a modelBound. It reads the interned cycles and
+// footprint columns the scheduler's L0 tables hold; the bounds memo
+// keeps only their summary.
+func minsOver(cache *maestro.Cache, h *accel.HDA, m *dnn.Model) modelBound {
+	n := len(h.Subs)
+	cyc := make([][]int64, n)
+	fps := make([][]*maestro.Footprint, n)
+	for a, sub := range h.Subs {
+		cyc[a] = cache.Cycles(m, sub.Style, sub.HW)
+		fps[a] = cache.Footprints(m, sub.Style, sub.HW)
+	}
 	var mb modelBound
-	for li := 0; li < layers; li++ {
-		minC := cols[0][li].Cycles
-		minE := cols[0][li].Energy.Total()
-		for a := 1; a < len(cols); a++ {
-			if c := cols[a][li].Cycles; c < minC {
+	for li := range m.Layers {
+		minC := cyc[0][li]
+		minE := fps[0][li].Energy.Total()
+		for a := 1; a < n; a++ {
+			if c := cyc[a][li]; c < minC {
 				minC = c
 			}
-			if e := cols[a][li].Energy.Total(); e < minE {
+			if e := fps[a][li].Energy.Total(); e < minE {
 				minE = e
 			}
 		}
@@ -167,7 +176,7 @@ func (wk *sweepWorker) lowerBound(o Objective, h *accel.HDA, part string, w *wor
 		if mb, ok := wk.bounds[key]; ok {
 			return mb
 		}
-		mb := minsOver(wk.colsFor(h, m), len(m.Layers))
+		mb := minsOver(wk.cache, h, m)
 		wk.bounds[key] = mb
 		return mb
 	})

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
+	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/maestro"
 	"repro/internal/workload"
@@ -94,5 +95,61 @@ func TestSearchWorkerCountInvariance(t *testing.T) {
 		if len(res.Pareto) != len(ref.Pareto) {
 			t.Errorf("workers=%d: Pareto size %d != %d", workers, len(res.Pareto), len(ref.Pareto))
 		}
+	}
+}
+
+// TestColdSearchInternsBandwidthFreeKeys: a cold search interns one
+// footprint per bandwidth-free (shape, style, PEs, L2) key it touches,
+// however many bandwidth shares each PE count is scheduled under, and
+// a warm re-search interns nothing new.
+func TestColdSearchInternsBandwidthFreeKeys(t *testing.T) {
+	cache := maestro.NewCache(energy.Default28nm())
+	w := workload.MustNew("keys", []workload.Entry{
+		{Model: "mobilenetv2", Batches: 1},
+		{Model: "brq-handpose", Batches: 1},
+	})
+	sp := Space{
+		Class:  accel.Mobile,
+		Styles: []dataflow.Style{dataflow.NVDLA, dataflow.ShiDiannao},
+		// 15 PE x 7 BW compositions: each PE split under 7 bandwidths.
+		PEUnits: 16, BWUnits: 8,
+	}
+	opts := DefaultOptions()
+	if _, err := Search(cache, sp, w, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	type key struct {
+		shape dnn.ShapeKey
+		style dataflow.Style
+		pes   int
+		l2    int64
+	}
+	parts, err := enumerate(sp.withDefaults(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[key]bool)
+	peUnit := sp.Class.PEs / sp.PEUnits
+	for _, part := range parts {
+		for i, st := range sp.Styles {
+			for _, in := range w.Instances {
+				for li := range in.Model.Layers {
+					keys[key{in.Model.Layers[li].Key(), st, part[i] * peUnit, sp.Class.GlobalBufBytes}] = true
+				}
+			}
+		}
+	}
+	if got := cache.Len(); got != len(keys) {
+		t.Errorf("Len() = %d after a cold search, want %d distinct bandwidth-free keys", got, len(keys))
+	}
+	if got := cache.MappingLen(); got != len(keys) {
+		t.Errorf("MappingLen() = %d, want %d: one class fixes L2, so each footprint has its own mapping", got, len(keys))
+	}
+	if _, err := Search(cache, sp, w, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Len(); got != len(keys) {
+		t.Errorf("a warm search grew Len() to %d, want %d", got, len(keys))
 	}
 }

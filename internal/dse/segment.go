@@ -77,14 +77,14 @@ func (p SegmentPlan) Slices(m *dnn.Model) ([]*dnn.Model, error) {
 // ranking: the scalar a cut search minimizes when pinning a layer
 // range, using the same arithmetic (and hence the same floats) as the
 // scheduler's preference ranking.
-func segMetric(o Objective, c *maestro.Cost) float64 {
+func segMetric(o Objective, cycles int64, fp *maestro.Footprint) float64 {
 	switch o {
 	case ObjectiveLatency:
-		return float64(c.Cycles)
+		return float64(cycles)
 	case ObjectiveEnergy:
-		return c.Energy.Total()
+		return fp.Energy.Total()
 	default:
-		return c.Energy.Total() * 1e-12 * (float64(c.Cycles) / 1e9)
+		return fp.Energy.Total() * 1e-12 * (float64(cycles) / 1e9)
 	}
 }
 
@@ -109,25 +109,22 @@ func PlanSegments(cache *maestro.Cache, h *accel.HDA, m *dnn.Model, o Objective,
 	}
 	nAcc := len(h.Subs)
 	L := m.NumLayers()
-	cols := make([][]*maestro.Cost, nAcc)
-	for a := 0; a < nAcc; a++ {
-		cols[a] = cache.CostColumn(m, h.Subs[a].Style, h.Subs[a].HW)
-	}
 
 	// Prefix sums per sub-accelerator: pinning cost of any layer range
 	// becomes two lookups, so the merge loop never re-walks layers.
 	metricPre := make([][]float64, nAcc)
 	cyclePre := make([][]int64, nAcc)
 	energyPre := make([][]float64, nAcc)
-	for a := 0; a < nAcc; a++ {
+	for a, sub := range h.Subs {
+		cyc := cache.Cycles(m, sub.Style, sub.HW)
+		fps := cache.Footprints(m, sub.Style, sub.HW)
 		mp := make([]float64, L+1)
 		cp := make([]int64, L+1)
 		ep := make([]float64, L+1)
 		for li := 0; li < L; li++ {
-			c := cols[a][li]
-			mp[li+1] = mp[li] + segMetric(o, c)
-			cp[li+1] = cp[li] + c.Cycles
-			ep[li+1] = ep[li] + c.Energy.Total()
+			mp[li+1] = mp[li] + segMetric(o, cyc[li], fps[li])
+			cp[li+1] = cp[li] + cyc[li]
+			ep[li+1] = ep[li] + fps[li].Energy.Total()
 		}
 		metricPre[a], cyclePre[a], energyPre[a] = mp, cp, ep
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accel"
-	"repro/internal/dnn"
 	"repro/internal/maestro"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -328,18 +327,6 @@ func (wk *sweepWorker) hda(sp Space, key string, part []int, idx int) (*accel.HD
 	}
 	wk.hdas[hdaKey{key, idx}] = h
 	return h, nil
-}
-
-// colsFor builds the per-sub-accelerator cost columns of model m on
-// HDA h for the bound path. The columns are the same interned maestro
-// entries the scheduler's L0 tables hold; the bounds memo keeps only
-// their summary.
-func (wk *sweepWorker) colsFor(h *accel.HDA, m *dnn.Model) [][]*maestro.Cost {
-	cols := make([][]*maestro.Cost, len(h.Subs))
-	for a := range h.Subs {
-		cols[a] = wk.cache.CostColumn(m, h.Subs[a].Style, h.Subs[a].HW)
-	}
-	return cols
 }
 
 // evaluate schedules the workload on one cached HDA with the worker's

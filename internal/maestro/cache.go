@@ -11,32 +11,45 @@ import (
 
 // The cache addresses entries by dense ids (see the package comment):
 //
-//	shape ids:     dnn.ShapeKey       -> int32, one per distinct layer shape
-//	model ids:     *dnn.Model         -> []int32, each layer's shape id
-//	mapping rows:  (style, PEs)       -> []*dataflow.Mapping by shape id
-//	cost rows:     (style, full HW)   -> []*Cost by shape id, plus the
-//	                                     row's *dnn.Model -> []*Cost columns
+//	shape ids:       dnn.ShapeKey         -> int32, one per distinct layer shape
+//	model ids:       *dnn.Model           -> []int32, each layer's shape id
+//	mapping rows:    (style, PEs)         -> []*dataflow.Mapping by shape id
+//	footprint rows:  (style, PEs, L2, L1, -> []*Footprint by shape id, plus the
+//	                  context energy)        row's *dnn.Model -> []*Footprint columns
+//	substrate rows:  (style, full HW)     -> *dnn.Model -> []int64 cycles columns,
+//	                                         plus the Cost views EstimateRef and
+//	                                         CostColumn intern
 //
-// A cold CostColumn hashes once for its substrate row and once for the
-// model, then indexes slices per layer; a warm one is the same two
-// lookups and returns the interned column. The cost model itself is
-// cheap arithmetic, so hashing a wide (shape, style, HW) key per layer
-// would cost a DSE sweep more CPU than the estimates it memoizes.
+// A cold Footprints or Cycles column hashes once for its row and once
+// for the model, then indexes slices per layer; a warm one is the same
+// two lookups and returns the interned column. The cost model itself
+// is cheap arithmetic, so hashing a wide (shape, style, HW) key per
+// layer would cost a DSE sweep more CPU than the estimates it
+// memoizes.
 //
-// The mapping level exists because dataflow.Map depends only on the
-// layer shape, the style and the PE count — not on the bandwidth or
-// buffer shares. A DSE sweep evaluates the same (shape, style, PEs)
-// triple under dozens of bandwidth/buffer partitions; those cost-row
-// misses all reuse one memoized mapping instead of re-running the
-// fold/multicast analysis. Each row has its own lock, so the DSE
-// worker pool and a concurrently-running serving engine only meet on
-// a row they both fill. (Schedulers additionally keep a private
-// unsynchronized L0 in front of this cache.)
+// Each level is keyed by exactly what it reads. dataflow.Map depends
+// only on the layer shape, the style and the PE count; a footprint
+// adds the buffer sizes and the context energy; only the cycles read
+// the bandwidth share, the clock and the context cycles. A DSE sweep
+// evaluates the same (shape, style, PEs) triple under dozens of
+// bandwidth partitions of one class, and every one of them reuses one
+// mapping and one footprint: a bandwidth-only design point costs one
+// []int64 per model. Each row has its own lock, so the DSE worker pool
+// and a concurrently-running serving engine only meet on a row they
+// both fill. (Schedulers additionally keep a private unsynchronized L0
+// in front of this cache.)
 
-// substrate identifies a cost row: one style on one sub-accelerator.
+// substrate identifies a row: one style on one sub-accelerator, or on
+// its bandwidth-free part (footprintHW) for a footprint row.
 type substrate struct {
 	style dataflow.Style
 	hw    HW
+}
+
+// footprintHW returns the fields of hw a footprint reads: the PEs, the
+// buffer sizes and the context energy.
+func footprintHW(hw HW) HW {
+	return HW{PEs: hw.PEs, L2Bytes: hw.L2Bytes, L1Bytes: hw.L1Bytes, ContextPJ: hw.ContextPJ}
 }
 
 // array identifies a mapping row: the part of a substrate that
@@ -46,13 +59,25 @@ type array struct {
 	pes   int
 }
 
-// costRow holds the interned costs of one substrate.
-type costRow struct {
-	maps *mapRow // the substrate's (style, PEs) mapping row; immutable
+// subRow holds the cycles columns of one substrate.
+type subRow struct {
+	foot *footRow // the substrate's footprint row; immutable
 
-	mu    sync.RWMutex
-	costs []*Cost                // indexed by shape id; guarded by mu
-	cols  map[*dnn.Model][]*Cost // whole-model columns; guarded by mu
+	mu     sync.RWMutex
+	cycles map[*dnn.Model][]int64 // guarded by mu
+	costs  []*Cost                // EstimateRef entries by shape id; guarded by mu
+	cols   map[*dnn.Model][]*Cost // CostColumn columns; guarded by mu
+}
+
+// footRow holds the interned footprints of one bandwidth-free
+// substrate.
+type footRow struct {
+	hw   HW      // footprintHW of the substrates sharing the row; immutable
+	maps *mapRow // the row's (style, PEs) mapping row; immutable
+
+	mu   sync.RWMutex
+	fps  []*Footprint                // indexed by shape id; guarded by mu
+	cols map[*dnn.Model][]*Footprint // whole-model columns; guarded by mu
 }
 
 // mapRow holds the interned mappings of one (style, PEs) array.
@@ -79,16 +104,20 @@ type Cache struct {
 		mu  sync.RWMutex
 		ids map[*dnn.Model][]int32
 	}
-	rows struct {
+	subs struct {
 		mu sync.RWMutex
-		m  map[substrate]*costRow
+		m  map[substrate]*subRow
+	}
+	foots struct {
+		mu sync.RWMutex
+		m  map[substrate]*footRow
 	}
 	arrays struct {
 		mu sync.RWMutex
 		m  map[array]*mapRow
 	}
 
-	costs, mappings atomic.Int64 // entry counts (Len, MappingLen)
+	footprints, mappings atomic.Int64 // entry counts (Len, MappingLen)
 }
 
 // NewCache returns an empty cost cache bound to the given energy table.
@@ -96,7 +125,8 @@ func NewCache(et energy.Table) *Cache {
 	c := &Cache{table: et}
 	c.shapes.ids = make(map[dnn.ShapeKey]int32)
 	c.models.ids = make(map[*dnn.Model][]int32)
-	c.rows.m = make(map[substrate]*costRow)
+	c.subs.m = make(map[substrate]*subRow)
+	c.foots.m = make(map[substrate]*footRow)
 	c.arrays.m = make(map[array]*mapRow)
 	return c
 }
@@ -173,22 +203,43 @@ func (c *Cache) modelIDs(m *dnn.Model) []int32 {
 	return ids
 }
 
-// row returns the cost row of style on hw, creating it on first use.
-func (c *Cache) row(style dataflow.Style, hw HW) *costRow {
+// row returns the substrate row of style on hw, creating it on first
+// use.
+func (c *Cache) row(style dataflow.Style, hw HW) *subRow {
 	k := substrate{style: style, hw: hw}
-	c.rows.mu.RLock()
-	r := c.rows.m[k]
-	c.rows.mu.RUnlock()
+	c.subs.mu.RLock()
+	r := c.subs.m[k]
+	c.subs.mu.RUnlock()
+	if r != nil {
+		return r
+	}
+	foot := c.footRow(style, hw)
+	c.subs.mu.Lock()
+	if r = c.subs.m[k]; r == nil {
+		r = &subRow{foot: foot}
+		c.subs.m[k] = r
+	}
+	c.subs.mu.Unlock()
+	return r
+}
+
+// footRow returns the footprint row of style on hw's bandwidth-free
+// part, creating it on first use.
+func (c *Cache) footRow(style dataflow.Style, hw HW) *footRow {
+	k := substrate{style: style, hw: footprintHW(hw)}
+	c.foots.mu.RLock()
+	r := c.foots.m[k]
+	c.foots.mu.RUnlock()
 	if r != nil {
 		return r
 	}
 	maps := c.mapRow(style, hw.PEs)
-	c.rows.mu.Lock()
-	if r = c.rows.m[k]; r == nil {
-		r = &costRow{maps: maps}
-		c.rows.m[k] = r
+	c.foots.mu.Lock()
+	if r = c.foots.m[k]; r == nil {
+		r = &footRow{hw: k.hw, maps: maps}
+		c.foots.m[k] = r
 	}
-	c.rows.mu.Unlock()
+	c.foots.mu.Unlock()
 	return r
 }
 
@@ -212,9 +263,9 @@ func (c *Cache) mapRow(style dataflow.Style, pes int) *mapRow {
 }
 
 // mappingRef returns the interned mapping of layer l (shape id id) on
-// mapping row mr — the pointer Cost.Mapping carries, so every cost of
-// a (shape, style, PEs) triple shares one mapping struct. The pointee
-// must not be modified.
+// mapping row mr — the pointer Footprint.Mapping carries, so every
+// footprint of a (shape, style, PEs) triple shares one mapping struct.
+// The pointee must not be modified.
 func (c *Cache) mappingRef(mr *mapRow, id int32, l *dnn.Layer) *dataflow.Mapping {
 	mr.mu.RLock()
 	p := at(mr.maps, id)
@@ -233,15 +284,35 @@ func (c *Cache) mappingRef(mr *mapRow, id int32, l *dnn.Layer) *dataflow.Mapping
 	return p
 }
 
-// Estimate returns the (possibly memoized) cost of layer l under style
-// on substrate hw.
-func (c *Cache) Estimate(l *dnn.Layer, style dataflow.Style, hw HW) Cost {
-	return *c.EstimateRef(l, style, hw)
+// footprintRef returns the interned footprint of layer l (shape id id)
+// on footprint row fr. The pointee must not be modified.
+func (c *Cache) footprintRef(fr *footRow, id int32, l *dnn.Layer) *Footprint {
+	fr.mu.RLock()
+	p := at(fr.fps, id)
+	fr.mu.RUnlock()
+	if p != nil {
+		return p
+	}
+	fp := footprint(l, c.mappingRef(fr.maps, id, l), fr.hw, c.table)
+	fr.mu.Lock()
+	if p = at(fr.fps, id); p == nil {
+		p = &fp
+		fr.fps = put(fr.fps, id, p)
+		c.footprints.Add(1)
+	}
+	fr.mu.Unlock()
+	return p
 }
 
-// EstimateRef is Estimate returning the interned cache entry itself,
-// sparing hot callers (the scheduler's inner loop) a ~250-byte struct
-// copy per query. The pointee is shared and must not be modified.
+// Estimate returns the cost of layer l under style on substrate hw,
+// derived from the layer's memoized footprint.
+func (c *Cache) Estimate(l *dnn.Layer, style dataflow.Style, hw HW) Cost {
+	return c.footprintRef(c.footRow(style, hw), c.shapeID(l), l).Cost(hw)
+}
+
+// EstimateRef is Estimate returning an interned Cost, one per (shape,
+// style, HW). The pointee is shared and must not be modified. Hot
+// callers read Footprints and Cycles instead, which intern no Cost.
 func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
 	id := c.shapeID(l)
 	r := c.row(style, hw)
@@ -251,31 +322,107 @@ func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
 	if p != nil {
 		return p
 	}
-	cost := estimate(l, c.mappingRef(r.maps, id, l), hw, c.table)
+	cost := c.footprintRef(r.foot, id, l).Cost(hw)
 	r.mu.Lock()
 	if p = at(r.costs, id); p == nil {
 		p = &cost
 		r.costs = put(r.costs, id, p)
-		c.costs.Add(1)
 	}
 	r.mu.Unlock()
 	return p
 }
 
-// CostColumn returns model m's per-layer interned costs under style on
-// substrate hw — the scheduling-free "busy-cycle row" view that the
-// scheduler's L0 tables, the DSE's objective lower bounds, and fleet
-// ETA estimates consume. The column (and each entry) is shared and
-// must not be modified.
+// slabBlock is the number of entries per slab a column fill allocates:
+// a DSE sweep interns tens of thousands of footprints, and slab-backed
+// entries cut both the allocation count and the garbage collector's
+// scan set. A block never reallocates once a pointer into it is
+// published (appends move to a fresh block when one fills), so
+// interned pointers stay valid.
+const slabBlock = 16
+
+// Footprints returns model m's per-layer interned footprints under
+// style on substrate hw — shared by every substrate that differs from
+// hw only in bandwidth, clock or context cycles. The column (and each
+// entry) is shared and must not be modified.
 //
 // A miss fills the column under its row's write lock, so goroutines
-// racing on one substrate estimate each shape once and share one
-// canonical column. Misses are filled through fixed-size slab blocks
-// instead of one heap object per layer: a DSE sweep interns tens of
-// thousands of Cost entries, and slab-backed entries cut both the
-// allocation count and the garbage collector's scan set. A block never
-// reallocates once a pointer into it is published (appends move to a
-// fresh block when one fills), so interned pointers stay valid.
+// racing on one row derive each shape once and share one canonical
+// column.
+func (c *Cache) Footprints(m *dnn.Model, style dataflow.Style, hw HW) []*Footprint {
+	return c.footColumn(c.footRow(style, hw), m)
+}
+
+// footColumn is Footprints on a resolved footprint row.
+func (c *Cache) footColumn(fr *footRow, m *dnn.Model) []*Footprint {
+	fr.mu.RLock()
+	col, ok := fr.cols[m]
+	fr.mu.RUnlock()
+	if ok {
+		return col
+	}
+	ids := c.modelIDs(m)
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if col, ok := fr.cols[m]; ok {
+		return col // another goroutine won the race; keep one canonical column
+	}
+	col = make([]*Footprint, len(ids))
+	var slab []Footprint
+	for i, id := range ids {
+		p := at(fr.fps, id)
+		if p == nil {
+			if len(slab) == cap(slab) {
+				slab = make([]Footprint, 0, min(slabBlock, len(ids)-i))
+			}
+			l := &m.Layers[i]
+			slab = append(slab, footprint(l, c.mappingRef(fr.maps, id, l), fr.hw, c.table))
+			p = &slab[len(slab)-1]
+			fr.fps = put(fr.fps, id, p)
+			c.footprints.Add(1)
+		}
+		col[i] = p
+	}
+	if fr.cols == nil {
+		fr.cols = make(map[*dnn.Model][]*Footprint)
+	}
+	fr.cols[m] = col
+	return col
+}
+
+// Cycles returns model m's per-layer latency under style on substrate
+// hw: Footprints(m, style, hw)[i].Cycles(hw), interned per substrate
+// and model — the scheduling-free "busy-cycle row" the scheduler's L0
+// tables, the DSE's objective lower bounds, segment planning and
+// serving estimates read. The column is shared and must not be
+// modified.
+func (c *Cache) Cycles(m *dnn.Model, style dataflow.Style, hw HW) []int64 {
+	r := c.row(style, hw)
+	r.mu.RLock()
+	col, ok := r.cycles[m]
+	r.mu.RUnlock()
+	if ok {
+		return col
+	}
+	fps := c.footColumn(r.foot, m)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if col, ok := r.cycles[m]; ok {
+		return col // another goroutine won the race; keep one canonical column
+	}
+	col = make([]int64, len(fps))
+	for i, fp := range fps {
+		col[i] = fp.Cycles(hw)
+	}
+	if r.cycles == nil {
+		r.cycles = make(map[*dnn.Model][]int64)
+	}
+	r.cycles[m] = col
+	return col
+}
+
+// CostColumn returns model m's per-layer interned costs under style on
+// substrate hw: the EstimateRef entries of its layers, in layer order.
+// The column (and each entry) is shared and must not be modified.
 func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
 	r := c.row(style, hw)
 	r.mu.RLock()
@@ -285,12 +432,12 @@ func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
 		return col
 	}
 	ids := c.modelIDs(m)
+	fps := c.footColumn(r.foot, m)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if col, ok := r.cols[m]; ok {
 		return col // another goroutine won the race; keep one canonical column
 	}
-	const slabBlock = 16
 	col = make([]*Cost, len(ids))
 	var slab []Cost
 	for i, id := range ids {
@@ -299,11 +446,9 @@ func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
 			if len(slab) == cap(slab) {
 				slab = make([]Cost, 0, min(slabBlock, len(ids)-i))
 			}
-			l := &m.Layers[i]
-			slab = append(slab, estimate(l, c.mappingRef(r.maps, id, l), hw, c.table))
+			slab = append(slab, fps[i].Cost(hw))
 			p = &slab[len(slab)-1]
 			r.costs = put(r.costs, id, p)
-			c.costs.Add(1)
 		}
 		col[i] = p
 	}
@@ -322,8 +467,9 @@ func (c *Cache) Mapping(l *dnn.Layer, style dataflow.Style, pes int) dataflow.Ma
 	return *c.mappingRef(c.mapRow(style, pes), c.shapeID(l), l)
 }
 
-// Len returns the number of memoized cost entries (diagnostics).
-func (c *Cache) Len() int { return int(c.costs.Load()) }
+// Len returns the number of memoized footprints: distinct (shape,
+// style, PEs, L2, L1, context energy) keys (diagnostics).
+func (c *Cache) Len() int { return int(c.footprints.Load()) }
 
 // MappingLen returns the number of memoized mappings (diagnostics).
 func (c *Cache) MappingLen() int { return int(c.mappings.Load()) }

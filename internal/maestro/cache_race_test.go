@@ -118,10 +118,13 @@ func TestCacheInterning(t *testing.T) {
 	}
 }
 
-// TestCacheInterleavedPaths interleaves CostColumn, EstimateRef and
-// Mapping from several goroutines over models that share layer shapes
-// and over substrates of which two differ only in bandwidth, then
-// checks that every path converged on one interned entry per key.
+// TestCacheInterleavedPaths interleaves CostColumn, EstimateRef,
+// Cycles, Footprints and Mapping from several goroutines over models
+// that share layer shapes and over substrates of which two differ only
+// in bandwidth and two only in buffer size, then checks that every
+// path converged on one interned entry per key: one footprint per
+// bandwidth-free (shape, style, PEs, L2) key, one mapping per (shape,
+// style, PEs) key, and one Cost per full (shape, style, HW) key.
 // Run with -race -count=10 (make race does).
 func TestCacheInterleavedPaths(t *testing.T) {
 	cache := NewCache(energy.Default28nm())
@@ -136,6 +139,7 @@ func TestCacheInterleavedPaths(t *testing.T) {
 		{PEs: 256, BWGBps: 8, L2Bytes: 2 << 20},
 		{PEs: 256, BWGBps: 16, L2Bytes: 2 << 20}, // hws[0] but for bandwidth
 		{PEs: 512, BWGBps: 8, L2Bytes: 2 << 20},
+		{PEs: 256, BWGBps: 8, L2Bytes: 4 << 20}, // hws[0] but for buffer
 	}
 	n := len(models) * len(styles) * len(hws)
 
@@ -145,14 +149,14 @@ func TestCacheInterleavedPaths(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// i*5 mod n is a permutation (n = 18), so every goroutine
+			// i*5 mod n is a permutation (n = 24), so every goroutine
 			// visits every (model, style, HW) once, starting apart.
 			for i := 0; i < n; i++ {
 				j := (i*5 + g*7) % n
 				m := models[j%len(models)]
 				st := styles[(j/len(models))%len(styles)]
 				hw := hws[j/(len(models)*len(styles))]
-				switch (g + i) % 3 {
+				switch (g + i) % 4 {
 				case 0:
 					col := cache.CostColumn(m, st, hw)
 					for li := range m.Layers {
@@ -174,42 +178,55 @@ func TestCacheInterleavedPaths(t *testing.T) {
 							t.Errorf("%s layer %d: Mapping differs from the cost's mapping", m.Name, li)
 						}
 					}
+				case 3:
+					cyc, fps := cache.Cycles(m, st, hw), cache.Footprints(m, st, hw)
+					for li := range m.Layers {
+						c := cache.EstimateRef(&m.Layers[li], st, hw)
+						if cyc[li] != c.Cycles || fps[li].Mapping != c.Mapping {
+							t.Errorf("%s layer %d: Cycles/Footprints differ from the cost", m.Name, li)
+						}
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	type costEntry struct {
+	type footEntry struct {
 		shape dnn.ShapeKey
 		style dataflow.Style
-		hw    HW
+		hw    HW // bandwidth-free part
 	}
 	type mappingEntry struct {
 		shape dnn.ShapeKey
 		style dataflow.Style
 		pes   int
 	}
-	costs := make(map[costEntry]bool)
+	foots := make(map[footEntry]bool)
 	maps := make(map[mappingEntry]bool)
 	for _, m := range models {
 		for li := range m.Layers {
 			for _, st := range styles {
 				for _, hw := range hws {
-					costs[costEntry{m.Layers[li].Key(), st, hw}] = true
+					foots[footEntry{m.Layers[li].Key(), st, HW{PEs: hw.PEs, L2Bytes: hw.L2Bytes}}] = true
 					maps[mappingEntry{m.Layers[li].Key(), st, hw.PEs}] = true
 				}
 			}
 		}
 	}
-	if got := cache.Len(); got != len(costs) {
-		t.Errorf("Len() = %d, want %d distinct (shape, style, HW) keys", got, len(costs))
+	// 5 shapes x 2 styles x {256/2M, 512/2M, 256/4M}, and x {256, 512}.
+	if got := cache.Len(); got != len(foots) || got != 30 {
+		t.Errorf("Len() = %d, want %d distinct (shape, style, PEs, L2) keys", got, len(foots))
 	}
-	if got := cache.MappingLen(); got != len(maps) {
+	if got := cache.MappingLen(); got != len(maps) || got != 20 {
 		t.Errorf("MappingLen() = %d, want %d distinct (shape, style, PEs) keys", got, len(maps))
 	}
 
 	for _, m := range models {
+		fp0 := cache.Footprints(m, dataflow.NVDLA, hws[0])
+		if fp1 := cache.Footprints(m, dataflow.NVDLA, hws[1]); &fp0[0] != &fp1[0] {
+			t.Errorf("%s: substrates that differ in bandwidth hold distinct footprint columns", m.Name)
+		}
 		for li := range m.Layers {
 			l := &m.Layers[li]
 			for _, st := range styles {
@@ -219,6 +236,13 @@ func TestCacheInterleavedPaths(t *testing.T) {
 				}
 				if lo.Mapping != hi.Mapping {
 					t.Errorf("%s layer %d: costs that differ only in bandwidth hold distinct mappings", m.Name, li)
+				}
+				buf := cache.EstimateRef(l, st, hws[3])
+				if buf.Mapping != lo.Mapping {
+					t.Errorf("%s layer %d: costs that differ only in buffer hold distinct mappings", m.Name, li)
+				}
+				if cache.Footprints(m, st, hws[3])[li] == cache.Footprints(m, st, hws[0])[li] {
+					t.Errorf("%s layer %d: substrates that differ in buffer share one footprint", m.Name, li)
 				}
 			}
 		}

@@ -8,7 +8,8 @@
 // The pipeline is:
 //
 //	layer + style + PEs  ──dataflow.Map──▶  Mapping (folds, multicast)
-//	Mapping + HW + energy.Table ──Estimate──▶ Cost (cycles, pJ, bytes)
+//	Mapping + buffers + energy.Table ──▶ Footprint (bytes, pJ, occupancy)
+//	Footprint + bandwidth + clock ──Cycles──▶ latency; ──Cost──▶ Cost
 //
 // Latency follows the paper's execution model (§IV-A): compute and
 // data movement overlap via double buffering, so steady-state latency
@@ -19,24 +20,40 @@
 //
 // # Caching
 //
-// Cost queries are memoized by a Cache that addresses entries by dense
-// ids. Each distinct layer shape is interned once to an int32 shape
-// id, and each model once to the shape ids of its layers. Each (style,
-// HW) substrate is a cost row: a slice of finished Costs indexed by
-// shape id, plus the row's whole-model cost columns. Each (style, PEs)
-// pair is a mapping row: a slice of dataflow.Mappings indexed by shape
-// id — the expensive fold/multicast analysis, which is independent of
-// bandwidth and buffer shares, so DSE partition points that differ
-// only in those reuse one mapping. A cold CostColumn therefore does
-// one hashed row lookup per column and a slice index per layer. Every
-// row has its own lock, so a DSE worker pool and the online serving
-// engine only contend on a substrate they both fill. Single-threaded
-// hot loops (the scheduler) keep a private unsynchronized L0 table in
-// front of the shared cache; see internal/sched.
+// A cost splits into two parts with different keys. A Footprint is the
+// bandwidth-free part: the mapping, compute cycles, traffic bytes,
+// energy and buffer occupancy, which depend on the layer shape, the
+// (style, PEs) mapping, the buffer sizes and the context energy only.
+// The cycles are what the bandwidth share, the clock and the context
+// cycles add: Footprint.Cycles divides its compulsory, spill and fill
+// bytes by the bandwidth, with exactly the float expressions of the
+// whole-Cost model, so a Cost rebuilt from a footprint is bit-identical
+// to Estimate's.
+//
+// A Cache memoizes both by dense ids. Each distinct layer shape is
+// interned once to an int32 shape id, and each model once to the
+// shape ids of its layers. Each (style, PEs) pair is a mapping row of
+// dataflow.Mappings indexed by shape id — the expensive fold/multicast
+// analysis. Each bandwidth-free substrate is a footprint row of
+// Footprints indexed by shape id, plus its whole-model footprint
+// columns (Footprints). Each full (style, HW) substrate holds only
+// pointer-free whole-model cycles columns (Cycles). A DSE sweep that
+// schedules every PE split under every bandwidth split therefore
+// interns one mapping and one footprint per (shape, style, PEs) of a
+// class, and one []int64 per bandwidth-only design point and model.
+// A cold column does one hashed row lookup and a slice index per
+// layer. Every row has its own lock, so a DSE worker pool and the
+// online serving engine only contend on a row they both fill.
+// Single-threaded hot loops (the scheduler) keep a private
+// unsynchronized L0 table in front of the shared cache; see
+// internal/sched. EstimateRef and CostColumn still hand out interned
+// whole Costs, built on demand from the footprints; no hot path calls
+// them.
 package maestro
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dataflow"
 	"repro/internal/dnn"
@@ -98,14 +115,17 @@ func (h HW) Validate() error {
 	if h.PEs < 1 {
 		return fmt.Errorf("maestro: PEs must be >= 1 (got %d)", h.PEs)
 	}
-	if h.BWGBps <= 0 {
-		return fmt.Errorf("maestro: bandwidth must be positive (got %g)", h.BWGBps)
+	if !(h.BWGBps > 0) || math.IsInf(h.BWGBps, 1) {
+		return fmt.Errorf("maestro: bandwidth must be positive and finite (got %g)", h.BWGBps)
+	}
+	if math.IsNaN(h.ClockGHz) || math.IsInf(h.ClockGHz, 0) {
+		return fmt.Errorf("maestro: clock must be finite (got %g)", h.ClockGHz)
 	}
 	if h.L2Bytes < 1024 {
 		return fmt.Errorf("maestro: L2 share must be >= 1 KiB (got %d)", h.L2Bytes)
 	}
-	if h.ContextCycles < 0 || h.ContextPJ < 0 {
-		return fmt.Errorf("maestro: context penalties must be >= 0")
+	if h.ContextCycles < 0 || !(h.ContextPJ >= 0) || math.IsInf(h.ContextPJ, 1) {
+		return fmt.Errorf("maestro: context penalties must be finite and >= 0")
 	}
 	return nil
 }
@@ -164,14 +184,82 @@ func (c Cost) EDP(clockGHz float64) float64 {
 	return c.EnergyPJ() * 1e-12 * c.Seconds(clockGHz)
 }
 
+// Footprint is the bandwidth-free part of a layer's cost on one
+// (sub-)accelerator: everything the cost model derives from the layer
+// shape, the (style, PEs) mapping, the buffer sizes and the context
+// energy, plus the byte counts latency divides by the bandwidth. Two
+// substrates that differ only in bandwidth, clock or context cycles
+// share one Footprint; Cycles and Cost finish the estimate for a
+// given HW.
+type Footprint struct {
+	// Mapping is the dataflow mapping the footprint was derived from —
+	// shared with the mapping cache; treat the pointee as immutable.
+	Mapping *dataflow.Mapping
+
+	ComputeCycles int64 // PE-array busy cycles
+
+	DRAMBytes   int64 // DRAM <-> global buffer traffic
+	GlobalBytes int64 // global buffer <-> sub-accelerator traffic (partitioned NoC)
+	ArrayBytes  int64 // local buffer <-> PE array traffic (local interconnect)
+
+	// CompulsoryBytes is the traffic that overlaps with compute under
+	// double buffering (every tensor once); GlobalBytes beyond it is
+	// spill that serializes. FillBytes is the first tile's
+	// non-overlapped prologue.
+	CompulsoryBytes int64
+	FillBytes       int64
+
+	Energy EnergyBreakdown
+
+	// OccupancyBytes is the global-buffer footprint the layer holds
+	// while executing (its working set, capped at the substrate's L2
+	// share); the scheduler's memory-size constraint sums these across
+	// concurrently-running layers.
+	OccupancyBytes int64
+}
+
+// EnergyPJ returns total energy in picojoules.
+func (f *Footprint) EnergyPJ() float64 { return f.Energy.Total() }
+
+// Cycles returns the layer's latency on hw, which must share the
+// footprint's style, PEs, buffers and context energy: max(compute,
+// compulsory streaming) + spill streaming + fill + context cycles.
+func (f *Footprint) Cycles(hw HW) int64 {
+	bpc := hw.bytesPerCycle()
+	spill := max(f.GlobalBytes-f.CompulsoryBytes, 0)
+	steady := max(f.ComputeCycles, int64(float64(f.CompulsoryBytes)/bpc))
+	return steady + int64(float64(spill)/bpc) + int64(float64(f.FillBytes)/bpc) + hw.ContextCycles
+}
+
+// Cost returns the full cost of the footprint's layer on hw (see
+// Cycles for which hw fits).
+func (f *Footprint) Cost(hw HW) Cost {
+	bpc := hw.bytesPerCycle()
+	return Cost{
+		Mapping:        f.Mapping,
+		ComputeCycles:  f.ComputeCycles,
+		MemoryCycles:   int64(float64(max(f.GlobalBytes, f.DRAMBytes)) / bpc),
+		FillCycles:     int64(float64(f.FillBytes) / bpc),
+		Cycles:         f.Cycles(hw),
+		DRAMBytes:      f.DRAMBytes,
+		GlobalBytes:    f.GlobalBytes,
+		ArrayBytes:     f.ArrayBytes,
+		Energy:         f.Energy,
+		OccupancyBytes: f.OccupancyBytes,
+	}
+}
+
 // Estimate computes the cost of layer l under the given dataflow style
 // on substrate hw with energy table et. The layer must be valid.
 func Estimate(l *dnn.Layer, style dataflow.Style, hw HW, et energy.Table) Cost {
 	m := dataflow.Map(style, l, hw.PEs)
-	return estimate(l, &m, hw, et)
+	fp := footprint(l, &m, hw, et)
+	return fp.Cost(hw)
 }
 
-func estimate(l *dnn.Layer, m *dataflow.Mapping, hw HW, et energy.Table) Cost {
+// footprint derives layer l's bandwidth-free footprint under mapping m.
+// Of hw it reads only the buffer sizes and the context energy.
+func footprint(l *dnn.Layer, m *dataflow.Mapping, hw HW, et energy.Table) Footprint {
 	reps := int64(1)
 	if l.Repeat > 1 {
 		reps = int64(l.Repeat)
@@ -231,25 +319,18 @@ func estimate(l *dnn.Layer, m *dataflow.Mapping, hw HW, et energy.Table) Cost {
 	}
 	dram := dramIn + dramW + outBytes
 
-	// --- Latency. The partitioned global NoC carries the global-side
-	// streams and the DRAM fills; local re-streaming is served by the
-	// sub-accelerator's own interconnect at array rate. Compulsory
-	// traffic overlaps with compute under double buffering, but spill
-	// re-streams (working sets that overflow the buffers) cannot be
-	// prefetched into buffer space that does not exist — they serialize
-	// with compute. This is the latency tax weight-stationary dataflows
-	// pay on activation-dominated layers.
-	bpc := hw.bytesPerCycle()
+	// --- Latency inputs (see Cycles). The partitioned global NoC
+	// carries the global-side streams and the DRAM fills; local
+	// re-streaming is served by the sub-accelerator's own interconnect
+	// at array rate. Compulsory traffic overlaps with compute under
+	// double buffering, but spill re-streams (working sets that
+	// overflow the buffers) cannot be prefetched into buffer space that
+	// does not exist — they serialize with compute. This is the latency
+	// tax weight-stationary dataflows pay on activation-dominated
+	// layers. Only the division by the bandwidth share is left to
+	// Cycles.
 	compulsory := inBytes + wBytes + outBytes
-	spill := global - compulsory
-	if spill < 0 {
-		spill = 0
-	}
-	memCycles := int64(float64(max(global, dram)) / bpc)
-	spillCycles := int64(float64(spill) / bpc)
-	fill := int64(float64(min(inBytes1+wBytes, budget)) / bpc)
-	steady := max(m.ComputeCycles, int64(float64(compulsory)/bpc))
-	total := steady + spillCycles + fill + hw.ContextCycles
+	fill := min(inBytes1+wBytes, budget)
 
 	// --- Energy.
 	var e EnergyBreakdown
@@ -285,16 +366,15 @@ func estimate(l *dnn.Layer, m *dataflow.Mapping, hw HW, et energy.Table) Cost {
 		occ = l1
 	}
 
-	return Cost{
-		Mapping:        m,
-		ComputeCycles:  m.ComputeCycles,
-		MemoryCycles:   memCycles,
-		FillCycles:     fill,
-		Cycles:         total,
-		DRAMBytes:      dram,
-		GlobalBytes:    global,
-		ArrayBytes:     array,
-		Energy:         e,
-		OccupancyBytes: occ,
+	return Footprint{
+		Mapping:         m,
+		ComputeCycles:   m.ComputeCycles,
+		DRAMBytes:       dram,
+		GlobalBytes:     global,
+		ArrayBytes:      array,
+		CompulsoryBytes: compulsory,
+		FillBytes:       fill,
+		Energy:          e,
+		OccupancyBytes:  occ,
 	}
 }

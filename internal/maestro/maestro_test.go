@@ -1,6 +1,7 @@
 package maestro
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,15 +22,37 @@ func TestHWValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []HW{
 		{PEs: 0, BWGBps: 32, L2Bytes: 1 << 20},
 		{PEs: 256, BWGBps: 0, L2Bytes: 1 << 20},
 		{PEs: 256, BWGBps: 32, L2Bytes: 10},
 		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ContextCycles: -1},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ContextPJ: -1},
+		// Non-finite values: a NaN in a cache key never equals itself,
+		// so every lookup would intern a new row.
+		{PEs: 256, BWGBps: nan, L2Bytes: 1 << 20},
+		{PEs: 256, BWGBps: inf, L2Bytes: 1 << 20},
+		{PEs: 256, BWGBps: -inf, L2Bytes: 1 << 20},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ClockGHz: nan},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ClockGHz: inf},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ClockGHz: -inf},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ContextPJ: nan},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ContextPJ: inf},
 	}
 	for i, h := range bad {
 		if err := h.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, h)
+		}
+	}
+	good2 := []HW{
+		{PEs: 1, BWGBps: math.SmallestNonzeroFloat64, L2Bytes: 1024},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ClockGHz: 0.5, ContextCycles: 10, ContextPJ: 1e3},
+		{PEs: 256, BWGBps: 32, L2Bytes: 1 << 20, ClockGHz: -1}, // defaults to 1 GHz
+	}
+	for i, h := range good2 {
+		if err := h.Validate(); err != nil {
+			t.Errorf("case %d: Validate rejected %+v: %v", i, h, err)
 		}
 	}
 	if (HW{}).Clock() != 1.0 {

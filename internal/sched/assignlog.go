@@ -1,6 +1,10 @@
 package sched
 
-import "iter"
+import (
+	"iter"
+
+	"repro/internal/accel"
+)
 
 // pageSize is the number of entries per page of an assignment log:
 // 256 assignments, 12 KB.
@@ -19,12 +23,26 @@ const pageSize = 256
 // no copy.
 //
 // A truncation clears the vacated part of the page that becomes the
-// tail, so it pins no *maestro.Cost, and lets every page after it go:
-// a retirement fold hands the memory of the window it folded back to
-// the collector, where a slice would have kept its high-water capacity.
+// tail, so it pins no *maestro.Footprint, and lets every page after it
+// go: a retirement fold hands the memory of the window it folded back
+// to the collector, where a slice would have kept its high-water
+// capacity.
+//
+// past records which entries were costed on an HDA before a Reassign
+// (see Epoch): its Ends are log indices, which filter remaps and
+// truncate clamps, dropping epochs left empty.
 type assignLog struct {
 	pages [][]Assignment
 	tail  []Assignment
+	past  []Epoch
+}
+
+// seal closes the current epoch: every entry so far was costed on h.
+// An empty epoch is not recorded.
+func (l *assignLog) seal(h *accel.HDA) {
+	if n := l.len(); n > 0 && (len(l.past) == 0 || l.past[len(l.past)-1].End < n) {
+		l.past = append(l.past, Epoch{End: n, HDA: h})
+	}
 }
 
 // len returns the number of entries in the log.
@@ -77,8 +95,18 @@ func (l *assignLog) from(mark int) iter.Seq[*Assignment] {
 }
 
 // truncate drops every entry from index n on, zeroing those left in
-// the tail's backing page; the pages after it are dropped.
+// the tail's backing page; the pages after it are dropped, and so are
+// the epochs left empty.
 func (l *assignLog) truncate(n int) {
+	past, prev := l.past[:0], 0
+	for _, e := range l.past {
+		if e.End = min(e.End, n); e.End > prev {
+			past = append(past, e)
+			prev = e.End
+		}
+	}
+	clear(l.past[len(past):])
+	l.past = past
 	if full := len(l.pages) * pageSize; n >= full {
 		clear(l.tail[n-full:])
 		l.tail = l.tail[:n-full]
@@ -93,14 +121,22 @@ func (l *assignLog) truncate(n int) {
 }
 
 // filter compacts the log in place to the entries keep accepts, in
-// order. keep may rewrite the entry it is handed before accepting it.
+// order, and remaps each epoch's End to the kept entries before it.
+// keep may rewrite the entry it is handed before accepting it.
 func (l *assignLog) filter(keep func(*Assignment) bool) {
-	w := 0
+	r, w, e := 0, 0, 0
 	for a := range l.from(0) {
+		for ; e < len(l.past) && l.past[e].End == r; e++ {
+			l.past[e].End = w
+		}
 		if keep(a) {
 			*l.at(w) = *a
 			w++
 		}
+		r++
+	}
+	for ; e < len(l.past); e++ {
+		l.past[e].End = w
 	}
 	l.truncate(w)
 }

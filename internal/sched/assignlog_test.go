@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/dnn"
 	"repro/internal/workload"
 )
@@ -178,6 +180,72 @@ func TestAssignLogMatchesSlice(t *testing.T) {
 			want = slices.DeleteFunc(want, func(a Assignment) bool { return a.Layer%m == 0 })
 		}
 		checkLog(t, &l, want)
+	}
+}
+
+// TestAssignLogEpochs drives the log through one seeded sequence of
+// pushes, seals, truncations and filters against a slice that tags
+// each entry with the HDA it was sealed under: the epochs must stay
+// non-empty and in order, and attribute every entry to its tag.
+func TestAssignLogEpochs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var l assignLog
+	var want []Assignment
+	var tags []*accel.HDA // nil: the current HDA
+	v := 0
+	for step := range 400 {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			for range rng.Intn(pageSize) {
+				l.push(entry(v))
+				want = append(want, entry(v))
+				tags = append(tags, nil)
+				v++
+			}
+		case op < 7:
+			h := &accel.HDA{Name: fmt.Sprint("hda-", step)}
+			l.seal(h)
+			for i := range tags {
+				if tags[i] == nil {
+					tags[i] = h
+				}
+			}
+		case op < 9:
+			n := rng.Intn(len(want) + 1)
+			l.truncate(n)
+			want, tags = want[:n], tags[:n]
+		default:
+			m := 2 + rng.Intn(4)
+			l.filter(func(a *Assignment) bool { return a.Layer%m != 0 })
+			var kt []*accel.HDA
+			for i, a := range want {
+				if a.Layer%m != 0 {
+					kt = append(kt, tags[i])
+				}
+			}
+			want = slices.DeleteFunc(want, func(a Assignment) bool { return a.Layer%m == 0 })
+			tags = kt
+		}
+		checkLog(t, &l, want)
+		prev, e := 0, 0
+		for _, ep := range l.past {
+			if ep.End <= prev || ep.End > len(want) {
+				t.Fatalf("step %d: epoch end %d after %d in a %d-entry log", step, ep.End, prev, len(want))
+			}
+			prev = ep.End
+		}
+		for i, tag := range tags {
+			for e < len(l.past) && i >= l.past[e].End {
+				e++
+			}
+			var got *accel.HDA
+			if e < len(l.past) {
+				got = l.past[e].HDA
+			}
+			if got != tag {
+				t.Fatalf("step %d: entry %d attributed to %v, want %v", step, i, got, tag)
+			}
+		}
 	}
 }
 

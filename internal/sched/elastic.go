@@ -92,7 +92,7 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 			if a.Layer < firstRolled {
 				firstRolled = a.Layer
 			}
-			freedBusy += a.Cost.Cycles
+			freedBusy += a.End - a.Start
 			freedEnergy += a.Cost.Energy.Total()
 		} else if a.End > resumeCycle {
 			resumeCycle = a.End
@@ -160,7 +160,7 @@ func (inc *Incremental) Preempt(instance int, at int64) (Checkpoint, error) {
 		st.free[acc] = frontier[acc]
 	}
 	for _, a := range removed {
-		st.busy[a.SubAcc] -= a.Cost.Cycles
+		st.busy[a.SubAcc] -= a.End - a.Start
 	}
 	st.energyPJ -= freedEnergy
 
@@ -253,7 +253,7 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 		if a.End > pl.FinishCycle {
 			pl.FinishCycle = a.End
 		}
-		pl.BusyCycles += a.Cost.Cycles
+		pl.BusyCycles += a.End - a.Start
 		pl.EnergyPJ += a.Cost.Energy.Total()
 	}
 	return pl, nil
@@ -276,9 +276,10 @@ func (inc *Incremental) Preempted() []int {
 // migration, not a reassignment) and every live instance's cost rows
 // are re-resolved against the new slice sizes (retired instances have
 // nothing left to cost). Committed layers keep their historical
-// interned costs, so the swap is exactly a layer
-// boundary: in-flight layers finish on the old slices' cost model,
-// everything scheduled afterwards — resumed suffixes and future
+// footprints and intervals, and the assignment log closes an epoch
+// recording the old HDA (Schedule.Past), so the swap is exactly a
+// layer boundary: in-flight layers finish on the old slices' cost
+// model, everything scheduled afterwards — resumed suffixes and future
 // admissions — is costed on the new one. The per-sub timelines, the
 // memory ledger and the admission floor carry over untouched.
 func (inc *Incremental) Reassign(parts []accel.Partition) (*accel.HDA, error) {
@@ -290,8 +291,9 @@ func (inc *Incremental) Reassign(parts []accel.Partition) (*accel.HDA, error) {
 	if err != nil {
 		return nil, err
 	}
-	inc.h = nh
 	st := inc.st
+	st.log.seal(inc.h)
+	inc.h = nh
 	st.costs = inc.s.tableFor(nh)
 	for i := range st.rows {
 		ct, ok := st.costs[inc.insts[i].Model]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -254,6 +255,70 @@ func TestResumeOnReassignedSlice(t *testing.T) {
 	}
 	if err := inc.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateAcrossReassign: Validate checks each assignment against
+// the HDA it was costed on (Schedule.Past), so on a snapshot taken
+// after Reassign it still catches a pre-Reassign layer whose End moved
+// by one cycle, and an assignment that carries the other sub's
+// footprint even when its End matches that footprint.
+func TestValidateAcrossReassign(t *testing.T) {
+	inc, ps := elasticInc(t)
+	cp, err := inc.Preempt(1, (ps[1].StartCycle+ps[1].FinishCycle)/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := inc.h
+	if _, err := inc.Reassign([]accel.Partition{
+		{Style: dataflow.NVDLA, PEs: 768, BWGBps: 12},
+		{Style: dataflow.ShiDiannao, PEs: 256, BWGBps: 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Resume(cp, 0, cp.ResumeCycle); err != nil {
+		t.Fatal(err)
+	}
+	snap := inc.Snapshot()
+	if len(snap.Past) != 1 || snap.Past[0].HDA != old || snap.Past[0].End >= len(snap.Assignments) {
+		t.Fatalf("want one epoch on the old HDA before the resumed suffix, got %+v", snap.Past)
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	mutated := func(f func(s *Schedule)) *Schedule {
+		s := *snap
+		s.Assignments = slices.Clone(snap.Assignments)
+		s.Past = slices.Clone(snap.Past)
+		f(&s)
+		return &s
+	}
+	// The epoch is what makes the pre-Reassign layers valid: checked
+	// against the new slices they fail.
+	if err := mutated(func(s *Schedule) { s.Past = nil }).Validate(); err == nil {
+		t.Error("Validate accepted pre-Reassign layers checked against the reassigned HDA")
+	}
+	for _, i := range []int{0, snap.Past[0].End - 1} {
+		bad := mutated(func(s *Schedule) { s.Assignments[i].End-- })
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "duration") {
+			t.Errorf("pre-Reassign assignment %d ending one cycle early: Validate = %v, want a duration error", i, err)
+		}
+	}
+	for _, i := range []int{0, len(snap.Assignments) - 1} {
+		h := snap.HDA
+		if i < snap.Past[0].End {
+			h = old
+		}
+		a := snap.Assignments[i]
+		other := h.Subs[1-a.SubAcc]
+		fp := inc.s.cache.Footprints(snap.Workload.Instances[a.Instance].Model, other.Style, other.HW)[a.Layer]
+		bad := mutated(func(s *Schedule) {
+			s.Assignments[i].Cost = fp
+			s.Assignments[i].End = a.Start + fp.Cycles(other.HW)
+		})
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "footprint") {
+			t.Errorf("assignment %d carrying sub %d's footprint: Validate = %v, want a footprint error", i, 1-a.SubAcc, err)
+		}
 	}
 }
 
@@ -579,14 +644,14 @@ func TestFailedResumeRewindsInstance(t *testing.T) {
 
 	row := inc.st.rows[cp.Instance]
 	minOcc := func(li int) int64 {
-		m := row.cols[0][li].OccupancyBytes
-		for a := range row.cols {
-			m = min(m, row.cols[a][li].OccupancyBytes)
+		m := row.fps[0][li].OccupancyBytes
+		for a := range row.fps {
+			m = min(m, row.fps[a][li].OccupancyBytes)
 		}
 		return m
 	}
 	worst := cp.NextLayer
-	for li := cp.NextLayer + 1; li < len(row.cols[0]); li++ {
+	for li := cp.NextLayer + 1; li < len(row.fps[0]); li++ {
 		if minOcc(li) > minOcc(worst) {
 			worst = li
 		}

@@ -101,7 +101,7 @@ func refTryAssign(cache *maestro.Cache, opts Options, h *accel.HDA, insts []work
 		c := cache.Estimate(layer, h.Subs[a].Style, h.Subs[a].HW)
 		cands[a] = cand{
 			acc: a, cost: c,
-			metric: opts.Metric.value(&c),
+			metric: refMetric(opts.Metric, &c),
 			finish: max(cycle, st.free[a]) + c.Cycles,
 		}
 	}
@@ -139,11 +139,24 @@ func refTryAssign(cache *maestro.Cache, opts Options, h *accel.HDA, insts []work
 		st.running = append(st.running, runSlot{start: startT, end: endT, occ: c.cost.OccupancyBytes})
 		st.assignments = append(st.assignments, Assignment{
 			Instance: inst, Layer: li, SubAcc: c.acc,
-			Start: startT, End: endT, Cost: &c.cost,
+			Start: startT, End: endT,
 		})
 		return true
 	}
 	return false
+}
+
+// refMetric is the reference's ranking metric, read off a whole Cost
+// at the 1 GHz reference clock (Cost.EDP(1.0) for MetricEDP).
+func refMetric(m Metric, c *maestro.Cost) float64 {
+	switch m {
+	case MetricLatency:
+		return float64(c.Cycles)
+	case MetricEnergy:
+		return c.EnergyPJ()
+	default:
+		return c.EDP(1.0)
+	}
 }
 
 func refImbalanced(opts Options, st *refState, cycle int64) bool {

@@ -240,7 +240,7 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 		if a.End > p.FinishCycle {
 			p.FinishCycle = a.End
 		}
-		p.BusyCycles += a.Cost.Cycles
+		p.BusyCycles += a.End - a.Start
 		p.EnergyPJ += a.Cost.Energy.Total()
 	}
 
@@ -309,7 +309,7 @@ func (inc *Incremental) retire() {
 			return false
 		}
 		a.Instance -= k
-		liveBusy[a.SubAcc] += a.Cost.Cycles
+		liveBusy[a.SubAcc] += a.End - a.Start
 		liveEnergy += a.Cost.Energy.Total()
 		return true
 	})
@@ -384,6 +384,7 @@ func (inc *Incremental) Snapshot() *Schedule {
 		HDA:           inc.h,
 		Workload:      w,
 		Assignments:   inc.st.log.clone(),
+		Past:          slices.Clone(inc.st.log.past),
 		EnergyPJ:      inc.st.energyPJ,
 		SubBusyCycles: append([]int64(nil), inc.st.busy...),
 		Retired:       inc.retired.clone(),

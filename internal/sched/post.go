@@ -20,7 +20,7 @@ type simState struct {
 	nextLayer  []int
 	ready      []int64
 	running    []runSlot
-	rows       []costTable // per-instance cost-table resolution
+	rows       []*costTable // per-instance cost-table resolution
 
 	// assignBuf double-buffers trial assignments: buf[cur] is written
 	// by the next simulate call, the other half may be held by the
@@ -82,7 +82,7 @@ func (s *Scheduler) simulate(h *accel.HDA, w *workload.Workload, seqs [][]item) 
 	sim.running = sim.running[:0]
 	free, busy, pos, nextLayer, ready := sim.free, sim.busy, sim.pos, sim.nextLayer, sim.ready
 	if cap(sim.rows) < n {
-		sim.rows = make([]costTable, n)
+		sim.rows = make([]*costTable, n)
 	}
 	rows := sim.rows[:n]
 	table := s.tableFor(h)
@@ -90,8 +90,9 @@ func (s *Scheduler) simulate(h *accel.HDA, w *workload.Workload, seqs [][]item) 
 		ready[i] = in.ArrivalCycle
 		rows[i] = s.costCols(h, table, in.Model)
 	}
-	costAt := func(a int, it item) *maestro.Cost {
-		return rows[it.inst].cols[a][it.layer]
+	costAt := func(a int, it item) (int64, *maestro.Footprint) {
+		ct := rows[it.inst]
+		return ct.cycles[a][it.layer], ct.fps[a][it.layer]
 	}
 
 	total := 0
@@ -116,8 +117,8 @@ func (s *Scheduler) simulate(h *accel.HDA, w *workload.Workload, seqs [][]item) 
 				continue // blocked on a predecessor queued elsewhere
 			}
 			startT := max(free[a], ready[it.inst])
-			cost := costAt(a, it)
-			startT, ok := memFeasibleStart(h, sim.running, startT, cost.Cycles, cost.OccupancyBytes)
+			cyc, fp := costAt(a, it)
+			startT, ok := memFeasibleStart(h, sim.running, startT, cyc, fp.OccupancyBytes)
 			if !ok {
 				continue
 			}
@@ -132,19 +133,19 @@ func (s *Scheduler) simulate(h *accel.HDA, w *workload.Workload, seqs [][]item) 
 
 		a := bestAcc
 		it := seqs[a][pos[a]]
-		cost := costAt(a, it)
-		end := bestStart + cost.Cycles
+		cyc, fp := costAt(a, it)
+		end := bestStart + cyc
 		pos[a]++
 		nextLayer[it.inst]++
 		free[a] = end
-		busy[a] += cost.Cycles
+		busy[a] += cyc
 		ready[it.inst] = end
-		energy += cost.Energy.Total()
+		energy += fp.Energy.Total()
 		sim.running = pruneSlots(sim.running, bestStart)
-		sim.running = append(sim.running, runSlot{start: bestStart, end: end, occ: cost.OccupancyBytes})
+		sim.running = append(sim.running, runSlot{start: bestStart, end: end, occ: fp.OccupancyBytes})
 		assignments = append(assignments, Assignment{
 			Instance: it.inst, Layer: it.layer, SubAcc: a,
-			Start: bestStart, End: end, Cost: cost,
+			Start: bestStart, End: end, Cost: fp,
 		})
 		committed++
 	}

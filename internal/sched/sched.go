@@ -47,19 +47,19 @@ func (m Metric) String() string {
 	return fmt.Sprintf("Metric(%d)", int(m))
 }
 
-// value extracts the metric from a cost at a 1 GHz reference clock.
-// It takes the interned pointer and mirrors the Cost value-receiver
-// arithmetic exactly (same operation order, hence bit-equal results)
-// without copying the struct per ranking step.
-func (m Metric) value(c *maestro.Cost) float64 {
+// value extracts the metric of a layer that takes cycles with
+// footprint fp, at a 1 GHz reference clock. It mirrors the Cost
+// value-receiver arithmetic exactly (same operation order, hence
+// bit-equal results).
+func (m Metric) value(cycles int64, fp *maestro.Footprint) float64 {
 	switch m {
 	case MetricLatency:
-		return float64(c.Cycles)
+		return float64(cycles)
 	case MetricEnergy:
-		return c.Energy.Total()
+		return fp.Energy.Total()
 	default:
 		// Cost.EDP(1.0): EnergyPJ() * 1e-12 * Seconds(1.0).
-		return c.Energy.Total() * 1e-12 * (float64(c.Cycles) / 1e9)
+		return fp.Energy.Total() * 1e-12 * (float64(cycles) / 1e9)
 	}
 }
 
@@ -169,11 +169,22 @@ type Assignment struct {
 
 	Start, End int64
 
-	// Cost is the interned cost-model entry for this (layer,
-	// sub-accelerator) pair. It points into the shared maestro cache
-	// (an Assignment used to embed the ~300-byte Cost by value, which
-	// dominated DSE sweep allocations) and must not be modified.
-	Cost *maestro.Cost
+	// Cost is the interned bandwidth-free footprint of this (layer,
+	// sub-accelerator) pair: its mapping, energy, traffic and buffer
+	// occupancy. It points into the shared maestro cache and must not
+	// be modified. The layer's cycles are End-Start; Cost.Cycles(hw)
+	// recomputes them from the sub-accelerator's HW in the schedule's
+	// HDA of the assignment's epoch (see Schedule.Past).
+	Cost *maestro.Footprint
+}
+
+// Epoch is one stretch of an incremental schedule's assignments that
+// ran on an earlier HDA: the entries of Schedule.Assignments before
+// End, and at or after the previous epoch's End, were costed on HDA.
+// Incremental.Reassign opens one; a batch schedule has none.
+type Epoch struct {
+	End int
+	HDA *accel.HDA
 }
 
 // Schedule is a complete layer execution schedule of a workload on an
@@ -192,6 +203,11 @@ type Schedule struct {
 
 	// Assignments in commit order (non-decreasing Start).
 	Assignments []Assignment
+
+	// Past holds the epochs of assignments costed on an HDA before the
+	// last Reassign, in order, each non-empty; the assignments after
+	// the last epoch ran on HDA.
+	Past []Epoch
 
 	MakespanCycles int64
 	EnergyPJ       float64

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
@@ -197,7 +198,7 @@ func TestSingleSubAccIsSequential(t *testing.T) {
 	}
 	var sum int64
 	for _, a := range sch.Assignments {
-		sum += a.Cost.Cycles
+		sum += a.End - a.Start
 	}
 	if sch.MakespanCycles != sum {
 		t.Errorf("single-sub schedule should be dense: makespan %d != busy %d", sch.MakespanCycles, sum)
@@ -333,8 +334,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad.Assignments = append([]Assignment(nil), sch.Assignments...)
 	for i := range bad.Assignments {
 		if bad.Assignments[i].Layer == 1 {
-			bad.Assignments[i].Start = 0
-			bad.Assignments[i].End = bad.Assignments[i].Cost.Cycles
+			a := &bad.Assignments[i]
+			a.Start, a.End = 0, a.End-a.Start
 		}
 	}
 	if err := bad.Validate(); err == nil {
@@ -391,5 +392,14 @@ func TestWorkloadTableII(t *testing.T) {
 	}
 	if got := a.Instances[0].Name(); got != "resnet50#1" {
 		t.Errorf("instance name = %q", got)
+	}
+}
+
+// TestAssignmentSize pins the committed-log entry at 48 bytes with one
+// pointer: the assignment log's page size and every schedule's
+// footprint scale with it.
+func TestAssignmentSize(t *testing.T) {
+	if n := unsafe.Sizeof(Assignment{}); n != 48 {
+		t.Errorf("Assignment is %d bytes, want 48", n)
 	}
 }

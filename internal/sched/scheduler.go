@@ -28,16 +28,16 @@ type Scheduler struct {
 	opts  Options
 
 	// tables is the scheduler's L0 cost cache: per HDA, each model
-	// resolves to its per-sub-accelerator columns of interned cost
-	// pointers plus precomputed ranking metrics (see costTable). The
-	// assignment loop indexes these columns instead of hashing a full
-	// (shape, style, HW) key per query — the same results as the
-	// shared cache, minus both the locks and the hashing.
-	// Columns resolve once per (HDA, model) through the shared cache,
-	// and the columns themselves are interned process-wide, so sibling
-	// DSE partitions that share a sub-accelerator config never re-walk
-	// the cost model.
-	tables map[*accel.HDA]map[*dnn.Model]costTable
+	// resolves to its per-sub-accelerator columns of interned
+	// footprints and cycles plus precomputed ranking metrics (see
+	// costTable). The assignment loop indexes these columns instead of
+	// hashing a full (shape, style, HW) key per query — the same
+	// results as the shared cache, minus both the locks and the
+	// hashing. Columns resolve once per (HDA, model) through the shared
+	// cache, and the columns themselves are interned process-wide, so
+	// sibling DSE partitions that share a sub-accelerator config never
+	// re-walk the cost model.
+	tables map[*accel.HDA]map[*dnn.Model]*costTable
 
 	// batch is the reusable run state of the whole-workload path: one
 	// Schedule call's timelines, ledger, heap and scratch buffers are
@@ -61,18 +61,20 @@ func New(cache *maestro.Cache, opts Options) (*Scheduler, error) {
 	return &Scheduler{
 		cache:  cache,
 		opts:   opts,
-		tables: make(map[*accel.HDA]map[*dnn.Model]costTable),
+		tables: make(map[*accel.HDA]map[*dnn.Model]*costTable),
 	}, nil
 }
 
 // costTable is one (HDA, model) resolution: the interned per-sub
-// cost columns (cols[a][layer]) and the scheduler metric of each
-// entry (metric[a][layer]), precomputed so the hot ranking loop reads
-// a float instead of re-deriving EDP per scheduling step. The values
-// are the exact floats Metric.value produces — computing them once
-// is bit-identical to computing them every step.
+// footprint and cycles columns (fps[a][layer], cycles[a][layer]) and
+// the scheduler metric of each entry (metric[a][layer]), precomputed
+// so the hot ranking loop reads a float instead of re-deriving EDP per
+// scheduling step. The values are the exact floats Metric.value
+// produces — computing them once is bit-identical to computing them
+// every step.
 type costTable struct {
-	cols   [][]*maestro.Cost
+	fps    [][]*maestro.Footprint
+	cycles [][]int64
 	metric [][]float64
 }
 
@@ -102,13 +104,13 @@ const maxTables = 4096
 
 // tableFor returns (creating if needed) the per-model cost-column
 // table of one HDA.
-func (s *Scheduler) tableFor(h *accel.HDA) map[*dnn.Model]costTable {
+func (s *Scheduler) tableFor(h *accel.HDA) map[*dnn.Model]*costTable {
 	t := s.tables[h]
 	if t == nil {
 		if len(s.tables) >= maxTables {
 			clear(s.tables)
 		}
-		t = make(map[*dnn.Model]costTable)
+		t = make(map[*dnn.Model]*costTable)
 		s.tables[h] = t
 	}
 	return t
@@ -117,22 +119,24 @@ func (s *Scheduler) tableFor(h *accel.HDA) map[*dnn.Model]costTable {
 // costCols returns model m's cost table on HDA h, resolving the
 // columns through the shared interned column cache (and deriving the
 // metric columns) on the model's first appearance.
-func (s *Scheduler) costCols(h *accel.HDA, t map[*dnn.Model]costTable, m *dnn.Model) costTable {
+func (s *Scheduler) costCols(h *accel.HDA, t map[*dnn.Model]*costTable, m *dnn.Model) *costTable {
 	if ct, ok := t[m]; ok {
 		return ct
 	}
-	ct := costTable{
-		cols:   make([][]*maestro.Cost, len(h.Subs)),
-		metric: make([][]float64, len(h.Subs)),
+	n := len(h.Subs)
+	ct := &costTable{
+		fps:    make([][]*maestro.Footprint, n),
+		cycles: make([][]int64, n),
+		metric: make([][]float64, n),
 	}
-	for a := range h.Subs {
-		col := s.cache.CostColumn(m, h.Subs[a].Style, h.Subs[a].HW)
-		ct.cols[a] = col
-		mv := make([]float64, len(col))
-		for li, c := range col {
-			mv[li] = s.opts.Metric.value(c)
+	for a, sub := range h.Subs {
+		fps := s.cache.Footprints(m, sub.Style, sub.HW)
+		cyc := s.cache.Cycles(m, sub.Style, sub.HW)
+		mv := make([]float64, len(fps))
+		for li, fp := range fps {
+			mv[li] = s.opts.Metric.value(cyc[li], fp)
 		}
-		ct.metric[a] = mv
+		ct.fps[a], ct.cycles[a], ct.metric[a] = fps, cyc, mv
 	}
 	t[m] = ct
 	return ct
@@ -374,14 +378,13 @@ type event struct {
 	inst int32 // instance whose ready[inst] == t, or -1
 }
 
-// candidate is one (sub-accelerator, cost) pair under ranking in
-// tryAssign. It carries the interned cost pointer: ranking shuffles
-// 32-byte entries, not ~250-byte Cost structs.
+// candidate is one sub-accelerator under ranking in tryAssign: its
+// completion time and preference metric, read from the cycles and
+// metric columns. Only the candidate being placed reads its footprint.
 type candidate struct {
 	acc    int
 	finish int64
 	metric float64
-	cost   *maestro.Cost
 }
 
 // rankedBefore reports whether c ranks strictly before o: by earliest
@@ -449,11 +452,10 @@ type runState struct {
 
 	// costs is this run's HDA cost-column table (see Scheduler.tableFor)
 	// and rows its per-instance resolution: rows[i] is instance i's
-	// model cost table (cols[a][layer] + metric[a][layer]), so the hot
-	// loop indexes arrays instead of performing any cache lookup at
-	// all.
-	costs map[*dnn.Model]costTable
-	rows  []costTable
+	// model cost table, so the hot loop indexes arrays instead of
+	// performing any cache lookup at all.
+	costs map[*dnn.Model]*costTable
+	rows  []*costTable
 
 	// undo is the incremental path's rollback point (see checkpoint);
 	// its storage is reused from run to run.
@@ -810,11 +812,10 @@ func (s *Scheduler) tryAssign(h *accel.HDA, insts []workload.Instance, st *runSt
 	}
 	cands := st.cands[:0]
 	for a := 0; a < nAcc; a++ {
-		c := ct.cols[a][li]
 		nc := candidate{
-			acc: a, cost: c,
+			acc:    a,
 			metric: ct.metric[a][li],
-			finish: max(cycle, st.free[a]) + c.Cycles,
+			finish: max(cycle, st.free[a]) + ct.cycles[a][li],
 		}
 		// Insertion-ordered ranking into the scratch buffer:
 		// sub-accelerator counts are tiny, so this replaces a
@@ -830,22 +831,22 @@ func (s *Scheduler) tryAssign(h *accel.HDA, insts []workload.Instance, st *runSt
 
 	for i := range cands {
 		c := &cands[i]
-		startT := max(cycle, st.free[c.acc])
-		endT := startT + c.cost.Cycles
-		if !s.memOK(h, st, inst, startT, endT, c.cost.OccupancyBytes) {
+		fp := ct.fps[c.acc][li]
+		startT, endT := max(cycle, st.free[c.acc]), c.finish
+		if !s.memOK(h, st, inst, startT, endT, fp.OccupancyBytes) {
 			continue
 		}
 		st.free[c.acc] = endT
-		st.busy[c.acc] += c.cost.Cycles
+		st.busy[c.acc] += endT - startT
 		st.ready[inst] = endT
 		st.nextLayer[inst]++
 		st.remaining--
-		st.energyPJ += c.cost.Energy.Total()
-		st.ledger.add(c.acc, runSlot{start: startT, end: endT, occ: c.cost.OccupancyBytes})
+		st.energyPJ += fp.Energy.Total()
+		st.ledger.add(c.acc, runSlot{start: startT, end: endT, occ: fp.OccupancyBytes})
 		st.pushEvent(endT, c.acc, inst)
 		st.log.push(Assignment{
 			Instance: inst, Layer: li, SubAcc: c.acc,
-			Start: startT, End: endT, Cost: c.cost,
+			Start: startT, End: endT, Cost: fp,
 		})
 		if li == 0 && st.pred[inst] >= 0 {
 			// First layer of a fused successor: release the incoming

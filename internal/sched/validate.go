@@ -13,6 +13,12 @@ import (
 // (§III-A: "a scheduler must check if generated schedules are valid in
 // terms of layer dependence and memory constraints").
 //
+// Each assignment's footprint must be one of its sub-accelerator's
+// (same style and PE count), and its duration the footprint's cycles
+// on that sub's HW — in the HDA of the assignment's epoch (Past), so a
+// snapshot taken after Incremental.Reassign checks the layers that ran
+// before it against the slices they ran on.
+//
 // On an incremental snapshot the structural checks cover the live
 // window, errors name global instance indices, and the aggregates add
 // the retired totals: a retired instance is complete, its work ending
@@ -36,7 +42,15 @@ func (s *Schedule) Validate() error {
 	if len(s.Assignments) != want {
 		return fmt.Errorf("sched: %d assignments, workload has %d layers", len(s.Assignments), want)
 	}
+	prev := 0
+	for i, e := range s.Past {
+		if e.End <= prev || e.End > len(s.Assignments) || e.HDA == nil || len(e.HDA.Subs) != len(s.HDA.Subs) {
+			return fmt.Errorf("sched: epoch %d (end %d) is empty, out of order or not a %d-sub HDA", i, e.End, len(s.HDA.Subs))
+		}
+		prev = e.End
+	}
 	seen := make(map[item]int, len(s.Assignments))
+	epoch := 0
 	for i, a := range s.Assignments {
 		if a.Instance < 0 || a.Instance >= len(s.Workload.Instances) {
 			return fmt.Errorf("sched: assignment %d: instance %d out of range", i, base+a.Instance)
@@ -47,11 +61,24 @@ func (s *Schedule) Validate() error {
 		if a.SubAcc < 0 || a.SubAcc >= len(s.HDA.Subs) {
 			return fmt.Errorf("sched: assignment %d: sub-accelerator %d out of range", i, a.SubAcc)
 		}
-		if a.End <= a.Start && a.Cost.Cycles > 0 {
+		for epoch < len(s.Past) && i >= s.Past[epoch].End {
+			epoch++
+		}
+		h := s.HDA
+		if epoch < len(s.Past) {
+			h = s.Past[epoch].HDA
+		}
+		sub := &h.Subs[a.SubAcc]
+		if a.Cost == nil || a.Cost.Mapping.Style != sub.Style || a.Cost.Mapping.PEs != sub.HW.PEs {
+			return fmt.Errorf("sched: assignment %d: footprint is not one of sub-accelerator %d (%s, %d PEs)",
+				i, a.SubAcc, sub.Style, sub.HW.PEs)
+		}
+		cyc := a.Cost.Cycles(sub.HW)
+		if a.End <= a.Start && cyc > 0 {
 			return fmt.Errorf("sched: assignment %d: empty interval [%d,%d)", i, a.Start, a.End)
 		}
-		if a.End-a.Start != a.Cost.Cycles {
-			return fmt.Errorf("sched: assignment %d: duration %d != cost cycles %d", i, a.End-a.Start, a.Cost.Cycles)
+		if a.End-a.Start != cyc {
+			return fmt.Errorf("sched: assignment %d: duration %d != cost cycles %d", i, a.End-a.Start, cyc)
 		}
 		key := item{a.Instance, a.Layer}
 		if prev, dup := seen[key]; dup {
@@ -117,7 +144,7 @@ func (s *Schedule) Validate() error {
 			makespan = a.End
 		}
 		energy += a.Cost.EnergyPJ()
-		busy[a.SubAcc] += a.Cost.Cycles
+		busy[a.SubAcc] += a.End - a.Start
 	}
 	if makespan != s.MakespanCycles {
 		return fmt.Errorf("sched: makespan %d != recomputed %d", s.MakespanCycles, makespan)

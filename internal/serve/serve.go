@@ -629,15 +629,18 @@ func (e *Engine) Estimate(model *dnn.Model) (int64, error) {
 		return v.cycles, v.err
 	}
 	buf := s.hda.Class.GlobalBufBytes
-	cols := make([][]*maestro.Cost, len(s.hda.Subs))
+	n := len(s.hda.Subs)
+	cyc := make([][]int64, n)
+	fps := make([][]*maestro.Footprint, n)
 	for a, sub := range s.hda.Subs {
-		cols[a] = e.cache.CostColumn(model, sub.Style, sub.HW)
+		cyc[a] = e.cache.Cycles(model, sub.Style, sub.HW)
+		fps[a] = e.cache.Footprints(model, sub.Style, sub.HW)
 	}
 	for li := range model.Layers {
 		best, fits := int64(math.MaxInt64), false
-		for _, col := range cols {
-			best = min(best, col[li].Cycles)
-			fits = fits || col[li].OccupancyBytes <= buf
+		for a := range n {
+			best = min(best, cyc[a][li])
+			fits = fits || fps[a][li].OccupancyBytes <= buf
 		}
 		v.cycles += best
 		if !fits && v.err == nil {

@@ -119,7 +119,7 @@ func Instances(s *sched.Schedule) []InstanceSummary {
 		if a.End > sm.FinishedAt {
 			sm.FinishedAt = a.End
 		}
-		sm.BusyCycles += a.Cost.Cycles
+		sm.BusyCycles += a.End - a.Start
 		sm.EnergyMJ += a.Cost.EnergyPJ() * 1e-9
 	}
 	sort.Slice(sums, func(i, j int) bool { return sums[i].FinishedAt < sums[j].FinishedAt })
@@ -145,7 +145,7 @@ func WriteCSV(w io.Writer, s *sched.Schedule) error {
 			sub.Style.String(),
 			strconv.FormatInt(a.Start, 10),
 			strconv.FormatInt(a.End, 10),
-			strconv.FormatInt(a.Cost.Cycles, 10),
+			strconv.FormatInt(a.End-a.Start, 10),
 			strconv.FormatFloat(a.Cost.EnergyPJ(), 'f', 1, 64),
 			strconv.FormatInt(a.Cost.OccupancyBytes, 10),
 		}
