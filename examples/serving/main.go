@@ -123,7 +123,7 @@ func main() {
 			cyclesToMs(ts.MeanLatencyCycles), cyclesToMs(ts.P50LatencyCycles),
 			cyclesToMs(ts.P95LatencyCycles), cyclesToMs(ts.P99LatencyCycles))
 	}
-	fmt.Printf("\ncost-model cache: %d entries shared across all requests\n", engine.CostCacheEntries)
+	fmt.Printf("\ncost-model cache: %d footprints shared across all requests\n", engine.CostCacheEntries)
 }
 
 // submit posts one synchronous inference request.

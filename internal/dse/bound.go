@@ -117,8 +117,7 @@ func minsOver(cache *maestro.Cache, h *accel.HDA, m *dnn.Model) modelBound {
 	cyc := make([][]int64, n)
 	fps := make([][]*maestro.Footprint, n)
 	for a, sub := range h.Subs {
-		cyc[a] = cache.Cycles(m, sub.Style, sub.HW)
-		fps[a] = cache.Footprints(m, sub.Style, sub.HW)
+		cyc[a], fps[a] = cache.Cycles(m, sub.Style, sub.HW)
 	}
 	var mb modelBound
 	for li := range m.Layers {

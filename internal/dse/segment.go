@@ -116,8 +116,7 @@ func PlanSegments(cache *maestro.Cache, h *accel.HDA, m *dnn.Model, o Objective,
 	cyclePre := make([][]int64, nAcc)
 	energyPre := make([][]float64, nAcc)
 	for a, sub := range h.Subs {
-		cyc := cache.Cycles(m, sub.Style, sub.HW)
-		fps := cache.Footprints(m, sub.Style, sub.HW)
+		cyc, fps := cache.Cycles(m, sub.Style, sub.HW)
 		mp := make([]float64, L+1)
 		cp := make([]int64, L+1)
 		ep := make([]float64, L+1)

@@ -389,7 +389,8 @@ func bestCaseCycles(cache *maestro.Cache, h *accel.HDA, m *dnn.Model) int64 {
 	for li := range m.Layers {
 		best := int64(math.MaxInt64)
 		for _, sub := range h.Subs {
-			best = min(best, cache.CostColumn(m, sub.Style, sub.HW)[li].Cycles)
+			cyc, _ := cache.Cycles(m, sub.Style, sub.HW)
+			best = min(best, cyc[li])
 		}
 		total += best
 	}

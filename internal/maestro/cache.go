@@ -16,13 +16,14 @@ import (
 //	mapping rows:    (style, PEs)         -> []*dataflow.Mapping by shape id
 //	footprint rows:  (style, PEs, L2, L1, -> []*Footprint by shape id, plus the
 //	                  context energy)        row's *dnn.Model -> []*Footprint columns
-//	substrate rows:  (style, full HW)     -> *dnn.Model -> []int64 cycles columns,
-//	                                         plus the Cost views EstimateRef and
+//	substrate rows:  (style, full HW)     -> *dnn.Model -> []int64 cycles column
+//	                                         beside its []*Footprint column, plus
+//	                                         the Cost views EstimateRef and
 //	                                         CostColumn intern
 //
-// A cold Footprints or Cycles column hashes once for its row and once
-// for the model, then indexes slices per layer; a warm one is the same
-// two lookups and returns the interned column. The cost model itself
+// A cold Cycles call hashes once for its row and once for the model,
+// then indexes slices per layer; a warm one is the same two lookups
+// and returns both interned columns. The cost model itself
 // is cheap arithmetic, so hashing a wide (shape, style, HW) key per
 // layer would cost a DSE sweep more CPU than the estimates it
 // memoizes.
@@ -64,9 +65,17 @@ type subRow struct {
 	foot *footRow // the substrate's footprint row; immutable
 
 	mu     sync.RWMutex
-	cycles map[*dnn.Model][]int64 // guarded by mu
-	costs  []*Cost                // EstimateRef entries by shape id; guarded by mu
-	cols   map[*dnn.Model][]*Cost // CostColumn columns; guarded by mu
+	cycles map[*dnn.Model]cyclesCol // guarded by mu
+	costs  []*Cost                  // EstimateRef entries by shape id; guarded by mu
+	cols   map[*dnn.Model][]*Cost   // CostColumn columns; guarded by mu
+}
+
+// cyclesCol is one model's interned cycles column on a substrate, kept
+// beside the footprint column it was derived from so one lookup
+// returns both.
+type cyclesCol struct {
+	cycles []int64
+	fps    []*Footprint
 }
 
 // footRow holds the interned footprints of one bandwidth-free
@@ -117,7 +126,7 @@ type Cache struct {
 		m  map[array]*mapRow
 	}
 
-	footprints, mappings atomic.Int64 // entry counts (Len, MappingLen)
+	footprints, mappings, costs atomic.Int64 // entry counts (Len, MappingLen, CostLen)
 }
 
 // NewCache returns an empty cost cache bound to the given energy table.
@@ -312,7 +321,7 @@ func (c *Cache) Estimate(l *dnn.Layer, style dataflow.Style, hw HW) Cost {
 
 // EstimateRef is Estimate returning an interned Cost, one per (shape,
 // style, HW). The pointee is shared and must not be modified. Hot
-// callers read Footprints and Cycles instead, which intern no Cost.
+// callers read Cycles instead, which interns no Cost.
 func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
 	id := c.shapeID(l)
 	r := c.row(style, hw)
@@ -327,6 +336,7 @@ func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
 	if p = at(r.costs, id); p == nil {
 		p = &cost
 		r.costs = put(r.costs, id, p)
+		c.costs.Add(1)
 	}
 	r.mu.Unlock()
 	return p
@@ -340,19 +350,14 @@ func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
 // interned pointers stay valid.
 const slabBlock = 16
 
-// Footprints returns model m's per-layer interned footprints under
-// style on substrate hw — shared by every substrate that differs from
-// hw only in bandwidth, clock or context cycles. The column (and each
-// entry) is shared and must not be modified.
+// footColumn returns model m's per-layer interned footprints on
+// footprint row fr — shared by every substrate that differs only in
+// bandwidth, clock or context cycles. The column (and each entry) is
+// shared and must not be modified.
 //
 // A miss fills the column under its row's write lock, so goroutines
 // racing on one row derive each shape once and share one canonical
 // column.
-func (c *Cache) Footprints(m *dnn.Model, style dataflow.Style, hw HW) []*Footprint {
-	return c.footColumn(c.footRow(style, hw), m)
-}
-
-// footColumn is Footprints on a resolved footprint row.
 func (c *Cache) footColumn(fr *footRow, m *dnn.Model) []*Footprint {
 	fr.mu.RLock()
 	col, ok := fr.cols[m]
@@ -390,34 +395,37 @@ func (c *Cache) footColumn(fr *footRow, m *dnn.Model) []*Footprint {
 }
 
 // Cycles returns model m's per-layer latency under style on substrate
-// hw: Footprints(m, style, hw)[i].Cycles(hw), interned per substrate
-// and model — the scheduling-free "busy-cycle row" the scheduler's L0
-// tables, the DSE's objective lower bounds, segment planning and
-// serving estimates read. The column is shared and must not be
-// modified.
-func (c *Cache) Cycles(m *dnn.Model, style dataflow.Style, hw HW) []int64 {
+// hw, interned per substrate and model, together with the per-layer
+// footprints it was derived from: cycles[i] == fps[i].Cycles(hw). The
+// footprints are interned per bandwidth-free substrate, so every
+// substrate that differs from hw only in bandwidth, clock or context
+// cycles returns the same footprint pointers. These are the
+// scheduling-free "busy-cycle rows" the scheduler's L0 tables, the
+// DSE's objective lower bounds, segment planning and serving estimates
+// read. Both columns are shared and must not be modified.
+func (c *Cache) Cycles(m *dnn.Model, style dataflow.Style, hw HW) (cycles []int64, fps []*Footprint) {
 	r := c.row(style, hw)
 	r.mu.RLock()
 	col, ok := r.cycles[m]
 	r.mu.RUnlock()
 	if ok {
-		return col
+		return col.cycles, col.fps
 	}
-	fps := c.footColumn(r.foot, m)
+	fps = c.footColumn(r.foot, m)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if col, ok := r.cycles[m]; ok {
-		return col // another goroutine won the race; keep one canonical column
+		return col.cycles, col.fps // another goroutine won the race; keep one canonical column
 	}
-	col = make([]int64, len(fps))
+	cycles = make([]int64, len(fps))
 	for i, fp := range fps {
-		col[i] = fp.Cycles(hw)
+		cycles[i] = fp.Cycles(hw)
 	}
 	if r.cycles == nil {
-		r.cycles = make(map[*dnn.Model][]int64)
+		r.cycles = make(map[*dnn.Model]cyclesCol)
 	}
-	r.cycles[m] = col
-	return col
+	r.cycles[m] = cyclesCol{cycles: cycles, fps: fps}
+	return cycles, fps
 }
 
 // CostColumn returns model m's per-layer interned costs under style on
@@ -449,6 +457,7 @@ func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
 			slab = append(slab, fps[i].Cost(hw))
 			p = &slab[len(slab)-1]
 			r.costs = put(r.costs, id, p)
+			c.costs.Add(1)
 		}
 		col[i] = p
 	}
@@ -473,6 +482,11 @@ func (c *Cache) Len() int { return int(c.footprints.Load()) }
 
 // MappingLen returns the number of memoized mappings (diagnostics).
 func (c *Cache) MappingLen() int { return int(c.mappings.Load()) }
+
+// CostLen returns the number of whole Costs EstimateRef and CostColumn
+// have interned: distinct (shape, style, HW) keys they were asked for
+// (diagnostics). Cycles interns none.
+func (c *Cache) CostLen() int { return int(c.costs.Load()) }
 
 // ModelCost aggregates the sequential execution of a whole model on a
 // single monolithic substrate (the FDA execution model: one layer

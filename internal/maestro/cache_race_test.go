@@ -114,12 +114,15 @@ func TestCacheInterning(t *testing.T) {
 		}
 	}
 	if n := cache.Len(); n != 1 {
-		t.Fatalf("cache holds %d entries for a single hammered key", n)
+		t.Fatalf("cache holds %d footprints for a single hammered key", n)
+	}
+	if n := cache.CostLen(); n != 1 {
+		t.Fatalf("cache interned %d Costs for a single hammered key", n)
 	}
 }
 
 // TestCacheInterleavedPaths interleaves CostColumn, EstimateRef,
-// Cycles, Footprints and Mapping from several goroutines over models
+// Cycles and Mapping from several goroutines over models
 // that share layer shapes and over substrates of which two differ only
 // in bandwidth and two only in buffer size, then checks that every
 // path converged on one interned entry per key: one footprint per
@@ -179,11 +182,11 @@ func TestCacheInterleavedPaths(t *testing.T) {
 						}
 					}
 				case 3:
-					cyc, fps := cache.Cycles(m, st, hw), cache.Footprints(m, st, hw)
+					cyc, fps := cache.Cycles(m, st, hw)
 					for li := range m.Layers {
 						c := cache.EstimateRef(&m.Layers[li], st, hw)
 						if cyc[li] != c.Cycles || fps[li].Mapping != c.Mapping {
-							t.Errorf("%s layer %d: Cycles/Footprints differ from the cost", m.Name, li)
+							t.Errorf("%s layer %d: Cycles differs from the cost", m.Name, li)
 						}
 					}
 				}
@@ -202,17 +205,41 @@ func TestCacheInterleavedPaths(t *testing.T) {
 		style dataflow.Style
 		pes   int
 	}
+	type costEntry struct {
+		shape dnn.ShapeKey
+		style dataflow.Style
+		hw    HW
+	}
 	foots := make(map[footEntry]bool)
 	maps := make(map[mappingEntry]bool)
+	costs := make(map[costEntry]*Cost)
+	distinct := make(map[*Cost]bool)
 	for _, m := range models {
 		for li := range m.Layers {
 			for _, st := range styles {
 				for _, hw := range hws {
-					foots[footEntry{m.Layers[li].Key(), st, HW{PEs: hw.PEs, L2Bytes: hw.L2Bytes}}] = true
-					maps[mappingEntry{m.Layers[li].Key(), st, hw.PEs}] = true
+					k := m.Layers[li].Key()
+					foots[footEntry{k, st, HW{PEs: hw.PEs, L2Bytes: hw.L2Bytes}}] = true
+					maps[mappingEntry{k, st, hw.PEs}] = true
+					p := cache.EstimateRef(&m.Layers[li], st, hw)
+					if q, ok := costs[costEntry{k, st, hw}]; ok && q != p {
+						t.Errorf("%s layer %d %s on %+v: one key interned two Costs", m.Name, li, st, hw)
+					}
+					if p != cache.CostColumn(m, st, hw)[li] {
+						t.Errorf("%s layer %d %s on %+v: EstimateRef and CostColumn differ", m.Name, li, st, hw)
+					}
+					costs[costEntry{k, st, hw}] = p
+					distinct[p] = true
 				}
 			}
 		}
+	}
+	// 5 shapes x 2 styles x 4 HWs: one interned Cost per full key.
+	if len(costs) != 40 || len(distinct) != 40 {
+		t.Errorf("%d full (shape, style, HW) keys hold %d distinct Costs, want 40 and 40", len(costs), len(distinct))
+	}
+	if got := cache.CostLen(); got != 40 {
+		t.Errorf("CostLen() = %d, want 40 interned Costs", got)
 	}
 	// 5 shapes x 2 styles x {256/2M, 512/2M, 256/4M}, and x {256, 512}.
 	if got := cache.Len(); got != len(foots) || got != 30 {
@@ -223,8 +250,8 @@ func TestCacheInterleavedPaths(t *testing.T) {
 	}
 
 	for _, m := range models {
-		fp0 := cache.Footprints(m, dataflow.NVDLA, hws[0])
-		if fp1 := cache.Footprints(m, dataflow.NVDLA, hws[1]); &fp0[0] != &fp1[0] {
+		_, fp0 := cache.Cycles(m, dataflow.NVDLA, hws[0])
+		if _, fp1 := cache.Cycles(m, dataflow.NVDLA, hws[1]); &fp0[0] != &fp1[0] {
 			t.Errorf("%s: substrates that differ in bandwidth hold distinct footprint columns", m.Name)
 		}
 		for li := range m.Layers {
@@ -241,7 +268,8 @@ func TestCacheInterleavedPaths(t *testing.T) {
 				if buf.Mapping != lo.Mapping {
 					t.Errorf("%s layer %d: costs that differ only in buffer hold distinct mappings", m.Name, li)
 				}
-				if cache.Footprints(m, st, hws[3])[li] == cache.Footprints(m, st, hws[0])[li] {
+				_, buf3 := cache.Cycles(m, st, hws[3])
+				if _, fp := cache.Cycles(m, st, hws[0]); buf3[li] == fp[li] {
 					t.Errorf("%s layer %d: substrates that differ in buffer share one footprint", m.Name, li)
 				}
 			}

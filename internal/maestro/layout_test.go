@@ -201,8 +201,7 @@ func TestFootprintLayoutMatchesLegacy(t *testing.T) {
 						hw.ClockGHz = 0.7
 					}
 					for _, st := range layoutStyles {
-						cyc := cache.Cycles(m, st, hw)
-						fps := cache.Footprints(m, st, hw)
+						cyc, fps := cache.Cycles(m, st, hw)
 						for li := range m.Layers {
 							l := &m.Layers[li]
 							want := legacyEstimate(l, fps[li].Mapping, hw, et)
@@ -340,16 +339,17 @@ func FuzzFootprint(f *testing.F) {
 			t.Fatalf("EstimateRef differs:\n%+v\nwant\n%+v", *got, want)
 		}
 		m := &dnn.Model{Name: "fuzz", Layers: []dnn.Layer{l}}
-		fp := cache.Footprints(m, st, hw)[0]
-		if cyc := cache.Cycles(m, st, hw)[0]; cyc != want.Cycles || fp.Cycles(hw) != want.Cycles {
-			t.Fatalf("cycles column %d, footprint %d, want %d", cyc, fp.Cycles(hw), want.Cycles)
+		cyc, fps := cache.Cycles(m, st, hw)
+		fp := fps[0]
+		if cyc[0] != want.Cycles || fp.Cycles(hw) != want.Cycles {
+			t.Fatalf("cycles column %d, footprint %d, want %d", cyc[0], fp.Cycles(hw), want.Cycles)
 		}
 		if *fp.Mapping != *want.Mapping {
 			t.Fatal("footprint mapping differs from the estimate's")
 		}
 		other := hw
 		other.BWGBps = hw.BWGBps*3 + 1
-		if cache.Footprints(m, st, other)[0] != fp {
+		if _, ofps := cache.Cycles(m, st, other); ofps[0] != fp {
 			t.Fatalf("HWs that differ only in bandwidth hold distinct footprints (%g vs %g GB/s)", hw.BWGBps, other.BWGBps)
 		}
 		if got := cache.Estimate(&l, st, other); !sameCost(got, Estimate(&l, st, other, et)) {

@@ -36,8 +36,9 @@
 // dataflow.Mappings indexed by shape id — the expensive fold/multicast
 // analysis. Each bandwidth-free substrate is a footprint row of
 // Footprints indexed by shape id, plus its whole-model footprint
-// columns (Footprints). Each full (style, HW) substrate holds only
-// pointer-free whole-model cycles columns (Cycles). A DSE sweep that
+// columns. Each full (style, HW) substrate holds pointer-free
+// whole-model cycles columns, each kept beside the footprint column it
+// was derived from; Cycles returns both. A DSE sweep that
 // schedules every PE split under every bandwidth split therefore
 // interns one mapping and one footprint per (shape, style, PEs) of a
 // class, and one []int64 per bandwidth-only design point and model.
@@ -47,8 +48,8 @@
 // Single-threaded hot loops (the scheduler) keep a private
 // unsynchronized L0 table in front of the shared cache; see
 // internal/sched. EstimateRef and CostColumn still hand out interned
-// whole Costs, built on demand from the footprints; no hot path calls
-// them.
+// whole Costs, built on demand from the footprints (counted by
+// CostLen); no hot path calls them.
 package maestro
 
 import (

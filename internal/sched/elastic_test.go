@@ -311,7 +311,8 @@ func TestValidateAcrossReassign(t *testing.T) {
 		}
 		a := snap.Assignments[i]
 		other := h.Subs[1-a.SubAcc]
-		fp := inc.s.cache.Footprints(snap.Workload.Instances[a.Instance].Model, other.Style, other.HW)[a.Layer]
+		_, fps := inc.s.cache.Cycles(snap.Workload.Instances[a.Instance].Model, other.Style, other.HW)
+		fp := fps[a.Layer]
 		bad := mutated(func(s *Schedule) {
 			s.Assignments[i].Cost = fp
 			s.Assignments[i].End = a.Start + fp.Cycles(other.HW)

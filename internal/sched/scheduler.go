@@ -130,8 +130,7 @@ func (s *Scheduler) costCols(h *accel.HDA, t map[*dnn.Model]*costTable, m *dnn.M
 		metric: make([][]float64, n),
 	}
 	for a, sub := range h.Subs {
-		fps := s.cache.Footprints(m, sub.Style, sub.HW)
-		cyc := s.cache.Cycles(m, sub.Style, sub.HW)
+		cyc, fps := s.cache.Cycles(m, sub.Style, sub.HW)
 		mv := make([]float64, len(fps))
 		for li, fp := range fps {
 			mv[li] = s.opts.Metric.value(cyc[li], fp)

@@ -633,8 +633,7 @@ func (e *Engine) Estimate(model *dnn.Model) (int64, error) {
 	cyc := make([][]int64, n)
 	fps := make([][]*maestro.Footprint, n)
 	for a, sub := range s.hda.Subs {
-		cyc[a] = e.cache.Cycles(model, sub.Style, sub.HW)
-		fps[a] = e.cache.Footprints(model, sub.Style, sub.HW)
+		cyc[a], fps[a] = e.cache.Cycles(model, sub.Style, sub.HW)
 	}
 	for li := range model.Layers {
 		best, fits := int64(math.MaxInt64), false

@@ -67,8 +67,9 @@ type Stats struct {
 	// committed makespan.
 	Utilization []float64 `json:"utilization"`
 
-	// CostCacheEntries counts memoized cost-model results shared
-	// across requests.
+	// CostCacheEntries counts the bandwidth-free cost footprints
+	// (maestro.Cache.Len) memoized and shared across requests. The
+	// per-bandwidth cycles columns derived from them are not counted.
 	CostCacheEntries int `json:"cost_cache_entries"`
 
 	// Elastic counters (Options.Elastic): Preemptions counts revoked
