@@ -217,6 +217,10 @@ type Result struct {
 	// Explored counts fully-scheduled partitions; Pruned counts those
 	// the objective lower bound skipped. Explored+Pruned is the whole
 	// enumerated space (Pruned is always 0 unless Prune && BestOnly).
+	// Under Prune the workers share their best-so-far (bestTracker),
+	// so how the space splits into Explored and Pruned depends on
+	// worker timing: only Best and Explored+Pruned are deterministic
+	// (TestWorkerCountInvariance pins both).
 	Explored int
 	Pruned   int
 }

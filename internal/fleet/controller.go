@@ -479,13 +479,13 @@ func (c *Controller) migrate(ctx context.Context, serving *accel.HDA, mix *workl
 		return c.finish(d), nil
 	}
 
-	// Act: spawn the new generation on the winner, hand the mix over
-	// for prewarming, drain and retire the old one.
+	// Act: spawn the new generation on the winner, drain and retire
+	// the old one.
 	hdas := make([]*accel.HDA, len(c.f.ActiveHDAs()))
 	for i := range hdas {
 		hdas[i] = res.Best.HDA
 	}
-	migErr := c.f.Migrate(ctx, hdas, mix)
+	migErr := c.f.Migrate(ctx, hdas)
 	if migErr != nil && c.f.Generation() == d.Generation {
 		// The swap never happened (replica build failed): the fleet is
 		// untouched; the candidate streak survives for the next probe.

@@ -399,14 +399,14 @@ func TestControllerValidationAndStatus(t *testing.T) {
 func TestMigrateDirect(t *testing.T) {
 	cache := newTestCache()
 	f := testFleet(t, cache, 2, CostAware)
-	if err := f.Migrate(context.Background(), nil, nil); err == nil {
+	if err := f.Migrate(context.Background(), nil); err == nil {
 		t.Error("empty migration accepted")
 	}
 
 	// Grow from 2 to 3 replicas on a new partition mid-service.
 	waitAll(t, submitN(t, f, "a", "mobilenetv1", 4))
 	p31 := partition31(t)
-	if err := f.Migrate(context.Background(), []*accel.HDA{p31, p31, p31}, nil); err != nil {
+	if err := f.Migrate(context.Background(), []*accel.HDA{p31, p31, p31}); err != nil {
 		t.Fatal(err)
 	}
 	if f.Size() != 3 || f.Generation() != 1 {
@@ -422,7 +422,7 @@ func TestMigrateDirect(t *testing.T) {
 	}
 
 	// A draining fleet refuses migrations.
-	if err := f.Migrate(context.Background(), []*accel.HDA{p31}, nil); err != serve.ErrDraining {
+	if err := f.Migrate(context.Background(), []*accel.HDA{p31}); err != serve.ErrDraining {
 		t.Errorf("migrate after drain: %v, want ErrDraining", err)
 	}
 }

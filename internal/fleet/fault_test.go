@@ -912,7 +912,7 @@ func TestFoldMovesNoCount(t *testing.T) {
 	check("recovery", before, after, 1, 0)
 
 	before = f.Stats()
-	if err := f.Migrate(context.Background(), f.ActiveHDAs(), nil); err != nil {
+	if err := f.Migrate(context.Background(), f.ActiveHDAs()); err != nil {
 		t.Fatal(err)
 	}
 	check("migration", before, f.Stats(), 2, 1)

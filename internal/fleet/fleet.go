@@ -50,12 +50,13 @@
 // threshold for enough consecutive probes (hysteresis), outside a
 // post-migration cooldown — executes a live migration via
 // Fleet.Migrate: a new generation of replica engines is built on the
-// winning partition (prewarmed with the mix so the cost-cache
-// locality hands over), dispatch atomically switches to them, and the
-// old generation is quiesced (admissions stop, in-flight requests
-// finish) and retired. No request is lost or double-served: requests
-// dispatched before the switch complete on their original engine, and
-// every retired engine's statistics fold into the fleet aggregates.
+// winning partition (their scheduler tables fill on first admission,
+// from cost columns the winning sweep already interned), dispatch
+// atomically switches to them, and the old generation is quiesced
+// (admissions stop, in-flight requests finish) and retired. No request
+// is lost or double-served: requests dispatched before the switch
+// complete on their original engine, and every retired engine's
+// statistics fold into the fleet aggregates.
 //
 // Dispatch stays deterministic across migrations: a fixed submission
 // sequence with Controller.Step calls at fixed points always produces
@@ -1577,10 +1578,10 @@ func (f *Fleet) ResetMix() {
 // the given HDAs — the live-repartitioning primitive the Controller
 // drives. The sequence is spawn → switch → drain → fold:
 //
-//  1. New engines are built on the target partitions (and prewarmed
-//     with the given workload mix, if non-nil, so their scheduler
-//     tables inherit the traffic's cost-cache locality). A build
-//     failure leaves the fleet untouched.
+//  1. New engines are built on the target partitions; their scheduler
+//     tables fill on first admission, from cost columns the sweep that
+//     chose the partition already interned. A build failure leaves the
+//     fleet untouched.
 //  2. Under the dispatch lock, routing atomically switches to the new
 //     generation (fresh horizons, round-robin cursor reset). Requests
 //     already dispatched stay on their original engine.
@@ -1594,16 +1595,13 @@ func (f *Fleet) ResetMix() {
 // If ctx expires mid-drain the un-drained replicas stay in the
 // retiring set (their statistics remain live) and a later Drain picks
 // them up. Migrating a draining fleet fails with serve.ErrDraining.
-func (f *Fleet) Migrate(ctx context.Context, hdas []*accel.HDA, prewarm *workload.Workload) error {
+func (f *Fleet) Migrate(ctx context.Context, hdas []*accel.HDA) error {
 	if len(hdas) == 0 {
 		return fmt.Errorf("fleet: migration needs at least one replica HDA")
 	}
 	rs, err := f.buildReplicas(hdas)
 	if err != nil {
 		return err
-	}
-	for _, r := range rs {
-		r.engine.Prewarm(prewarm)
 	}
 
 	f.mu.Lock()

@@ -510,7 +510,7 @@ func TestLiveClockArrivalCaptured(t *testing.T) {
 		waitAll(t, []*Ticket{tk}) // served before the next step, so no crash re-arrives it
 	}
 	submit(-1)
-	if err := f.Migrate(context.Background(), []*accel.HDA{h, h}, nil); err != nil {
+	if err := f.Migrate(context.Background(), []*accel.HDA{h, h}); err != nil {
 		t.Fatal(err)
 	}
 	submit(-1)

@@ -323,10 +323,10 @@ func TestFleetFusedMigrateStraddle(t *testing.T) {
 	}
 
 	// Swap generations while chains are in flight.
-	if err := f.Migrate(context.Background(), nil, nil); err == nil {
+	if err := f.Migrate(context.Background(), nil); err == nil {
 		t.Fatal("empty migration accepted")
 	}
-	if err := f.Migrate(context.Background(), f.ActiveHDAs(), nil); err != nil {
+	if err := f.Migrate(context.Background(), f.ActiveHDAs()); err != nil {
 		t.Fatal(err)
 	}
 	if f.Generation() != 1 {

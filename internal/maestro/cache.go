@@ -17,9 +17,7 @@ import (
 //	footprint rows:  (style, PEs, L2, L1, -> []*Footprint by shape id, plus the
 //	                  context energy)        row's *dnn.Model -> []*Footprint columns
 //	substrate rows:  (style, full HW)     -> *dnn.Model -> []int64 cycles column
-//	                                         beside its []*Footprint column, plus
-//	                                         the Cost views EstimateRef and
-//	                                         CostColumn intern
+//	                                         beside its []*Footprint column
 //
 // A cold Cycles call hashes once for its row and once for the model,
 // then indexes slices per layer; a warm one is the same two lookups
@@ -66,8 +64,6 @@ type subRow struct {
 
 	mu     sync.RWMutex
 	cycles map[*dnn.Model]cyclesCol // guarded by mu
-	costs  []*Cost                  // EstimateRef entries by shape id; guarded by mu
-	cols   map[*dnn.Model][]*Cost   // CostColumn columns; guarded by mu
 }
 
 // cyclesCol is one model's interned cycles column on a substrate, kept
@@ -126,7 +122,7 @@ type Cache struct {
 		m  map[array]*mapRow
 	}
 
-	footprints, mappings, costs atomic.Int64 // entry counts (Len, MappingLen, CostLen)
+	footprints, mappings atomic.Int64 // entry counts (Len, MappingLen)
 }
 
 // NewCache returns an empty cost cache bound to the given energy table.
@@ -319,27 +315,11 @@ func (c *Cache) Estimate(l *dnn.Layer, style dataflow.Style, hw HW) Cost {
 	return c.footprintRef(c.footRow(style, hw), c.shapeID(l), l).Cost(hw)
 }
 
-// EstimateRef is Estimate returning an interned Cost, one per (shape,
-// style, HW). The pointee is shared and must not be modified. Hot
-// callers read Cycles instead, which interns no Cost.
+// EstimateRef is Estimate returning a pointer to a freshly built Cost;
+// nothing interns whole Costs. Hot callers read Cycles instead.
 func (c *Cache) EstimateRef(l *dnn.Layer, style dataflow.Style, hw HW) *Cost {
-	id := c.shapeID(l)
-	r := c.row(style, hw)
-	r.mu.RLock()
-	p := at(r.costs, id)
-	r.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	cost := c.footprintRef(r.foot, id, l).Cost(hw)
-	r.mu.Lock()
-	if p = at(r.costs, id); p == nil {
-		p = &cost
-		r.costs = put(r.costs, id, p)
-		c.costs.Add(1)
-	}
-	r.mu.Unlock()
-	return p
+	cost := c.Estimate(l, style, hw)
+	return &cost
 }
 
 // slabBlock is the number of entries per slab a column fill allocates:
@@ -428,52 +408,18 @@ func (c *Cache) Cycles(m *dnn.Model, style dataflow.Style, hw HW) (cycles []int6
 	return cycles, fps
 }
 
-// CostColumn returns model m's per-layer interned costs under style on
-// substrate hw: the EstimateRef entries of its layers, in layer order.
-// The column (and each entry) is shared and must not be modified.
+// CostColumn returns model m's per-layer costs under style on substrate
+// hw, in layer order, built from Cycles' interned footprint column. The
+// Costs are freshly built on every call.
 func (c *Cache) CostColumn(m *dnn.Model, style dataflow.Style, hw HW) []*Cost {
-	r := c.row(style, hw)
-	r.mu.RLock()
-	col, ok := r.cols[m]
-	r.mu.RUnlock()
-	if ok {
-		return col
+	_, fps := c.Cycles(m, style, hw)
+	costs := make([]Cost, len(fps))
+	col := make([]*Cost, len(fps))
+	for i, fp := range fps {
+		costs[i] = fp.Cost(hw)
+		col[i] = &costs[i]
 	}
-	ids := c.modelIDs(m)
-	fps := c.footColumn(r.foot, m)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if col, ok := r.cols[m]; ok {
-		return col // another goroutine won the race; keep one canonical column
-	}
-	col = make([]*Cost, len(ids))
-	var slab []Cost
-	for i, id := range ids {
-		p := at(r.costs, id)
-		if p == nil {
-			if len(slab) == cap(slab) {
-				slab = make([]Cost, 0, min(slabBlock, len(ids)-i))
-			}
-			slab = append(slab, fps[i].Cost(hw))
-			p = &slab[len(slab)-1]
-			r.costs = put(r.costs, id, p)
-			c.costs.Add(1)
-		}
-		col[i] = p
-	}
-	if r.cols == nil {
-		r.cols = make(map[*dnn.Model][]*Cost)
-	}
-	r.cols[m] = col
 	return col
-}
-
-// Mapping returns the (possibly memoized) dataflow mapping of layer l
-// under style on a pes-sized array — the expensive half of a cost
-// query, shared across substrates that differ only in bandwidth or
-// buffer shares.
-func (c *Cache) Mapping(l *dnn.Layer, style dataflow.Style, pes int) dataflow.Mapping {
-	return *c.mappingRef(c.mapRow(style, pes), c.shapeID(l), l)
 }
 
 // Len returns the number of memoized footprints: distinct (shape,
@@ -482,11 +428,6 @@ func (c *Cache) Len() int { return int(c.footprints.Load()) }
 
 // MappingLen returns the number of memoized mappings (diagnostics).
 func (c *Cache) MappingLen() int { return int(c.mappings.Load()) }
-
-// CostLen returns the number of whole Costs EstimateRef and CostColumn
-// have interned: distinct (shape, style, HW) keys they were asked for
-// (diagnostics). Cycles interns none.
-func (c *Cache) CostLen() int { return int(c.costs.Load()) }
 
 // ModelCost aggregates the sequential execution of a whole model on a
 // single monolithic substrate (the FDA execution model: one layer

@@ -90,45 +90,52 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestCacheInterning: concurrent queries for one key must converge on
-// a single interned *Cost (the racing-writer dedup in EstimateRef).
+// TestCacheInterning: concurrent Cycles calls for one (model, style,
+// HW) must converge on one canonical pair of columns (the racing-writer
+// dedup in Cycles and footColumn), and the model's repeated shape must
+// share one footprint.
 func TestCacheInterning(t *testing.T) {
 	cache := NewCache(energy.Default28nm())
-	l := raceLayers()[0]
+	ls := raceLayers()
+	m := &dnn.Model{Name: "m", Layers: []dnn.Layer{ls[0], ls[1], ls[2], ls[1]}}
 	hw := HW{PEs: 256, BWGBps: 8, L2Bytes: 2 << 20}
 
 	const goroutines = 8
-	ptrs := make([]*Cost, goroutines)
+	cycs := make([][]int64, goroutines)
+	fpss := make([][]*Footprint, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ptrs[g] = cache.EstimateRef(&l, dataflow.NVDLA, hw)
+			cycs[g], fpss[g] = cache.Cycles(m, dataflow.NVDLA, hw)
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < goroutines; g++ {
-		if ptrs[g] != ptrs[0] {
-			t.Fatal("EstimateRef returned distinct pointers for one key")
+		if &cycs[g][0] != &cycs[0][0] || &fpss[g][0] != &fpss[0][0] {
+			t.Fatal("Cycles returned distinct columns for one key")
 		}
 	}
-	if n := cache.Len(); n != 1 {
-		t.Fatalf("cache holds %d footprints for a single hammered key", n)
+	if fpss[0][1] != fpss[0][3] {
+		t.Error("a repeated layer shape holds two footprints")
 	}
-	if n := cache.CostLen(); n != 1 {
-		t.Fatalf("cache interned %d Costs for a single hammered key", n)
+	if n := cache.Len(); n != 3 {
+		t.Fatalf("cache holds %d footprints for a 3-shape model on one substrate", n)
+	}
+	if n := cache.MappingLen(); n != 3 {
+		t.Fatalf("cache holds %d mappings for a 3-shape model on one array", n)
 	}
 }
 
 // TestCacheInterleavedPaths interleaves CostColumn, EstimateRef,
-// Cycles and Mapping from several goroutines over models
-// that share layer shapes and over substrates of which two differ only
-// in bandwidth and two only in buffer size, then checks that every
-// path converged on one interned entry per key: one footprint per
-// bandwidth-free (shape, style, PEs, L2) key, one mapping per (shape,
-// style, PEs) key, and one Cost per full (shape, style, HW) key.
-// Run with -race -count=10 (make race does).
+// Estimate and Cycles from several goroutines over models that share
+// layer shapes and over substrates of which two differ only in
+// bandwidth and two only in buffer size, then checks that every path
+// agrees on each (shape, style, HW) Cost by value and converged on one
+// interned entry per memo key: one footprint per bandwidth-free
+// (shape, style, PEs, L2) key and one mapping per (shape, style, PEs)
+// key. Run with -race -count=10 (make race does).
 func TestCacheInterleavedPaths(t *testing.T) {
 	cache := NewCache(energy.Default28nm())
 	ls := raceLayers()
@@ -163,22 +170,25 @@ func TestCacheInterleavedPaths(t *testing.T) {
 				case 0:
 					col := cache.CostColumn(m, st, hw)
 					for li := range m.Layers {
-						if cache.EstimateRef(&m.Layers[li], st, hw) != col[li] {
+						if *cache.EstimateRef(&m.Layers[li], st, hw) != *col[li] {
 							t.Errorf("%s layer %d: EstimateRef and CostColumn differ", m.Name, li)
 						}
 					}
 				case 1:
 					for li := range m.Layers {
-						p := cache.EstimateRef(&m.Layers[li], st, hw)
-						if p != cache.CostColumn(m, st, hw)[li] {
-							t.Errorf("%s layer %d: EstimateRef and CostColumn differ", m.Name, li)
+						c := cache.Estimate(&m.Layers[li], st, hw)
+						if c != *cache.CostColumn(m, st, hw)[li] {
+							t.Errorf("%s layer %d: Estimate and CostColumn differ", m.Name, li)
 						}
 					}
 				case 2:
+					_, fps := cache.Cycles(m, st, hw)
 					for li := range m.Layers {
-						mp := cache.Mapping(&m.Layers[li], st, hw.PEs)
-						if mp != *cache.EstimateRef(&m.Layers[li], st, hw).Mapping {
-							t.Errorf("%s layer %d: Mapping differs from the cost's mapping", m.Name, li)
+						if fps[li].Mapping != cache.EstimateRef(&m.Layers[li], st, hw).Mapping {
+							t.Errorf("%s layer %d: the footprint's mapping differs from the cost's", m.Name, li)
+						}
+						if *fps[li].Mapping != dataflow.Map(st, &m.Layers[li], hw.PEs) {
+							t.Errorf("%s layer %d: interned mapping differs from dataflow.Map", m.Name, li)
 						}
 					}
 				case 3:
@@ -205,15 +215,8 @@ func TestCacheInterleavedPaths(t *testing.T) {
 		style dataflow.Style
 		pes   int
 	}
-	type costEntry struct {
-		shape dnn.ShapeKey
-		style dataflow.Style
-		hw    HW
-	}
 	foots := make(map[footEntry]bool)
 	maps := make(map[mappingEntry]bool)
-	costs := make(map[costEntry]*Cost)
-	distinct := make(map[*Cost]bool)
 	for _, m := range models {
 		for li := range m.Layers {
 			for _, st := range styles {
@@ -221,25 +224,13 @@ func TestCacheInterleavedPaths(t *testing.T) {
 					k := m.Layers[li].Key()
 					foots[footEntry{k, st, HW{PEs: hw.PEs, L2Bytes: hw.L2Bytes}}] = true
 					maps[mappingEntry{k, st, hw.PEs}] = true
-					p := cache.EstimateRef(&m.Layers[li], st, hw)
-					if q, ok := costs[costEntry{k, st, hw}]; ok && q != p {
-						t.Errorf("%s layer %d %s on %+v: one key interned two Costs", m.Name, li, st, hw)
+					ref := *cache.EstimateRef(&m.Layers[li], st, hw)
+					if ref != *cache.CostColumn(m, st, hw)[li] || ref != cache.Estimate(&m.Layers[li], st, hw) {
+						t.Errorf("%s layer %d %s on %+v: EstimateRef, CostColumn and Estimate differ", m.Name, li, st, hw)
 					}
-					if p != cache.CostColumn(m, st, hw)[li] {
-						t.Errorf("%s layer %d %s on %+v: EstimateRef and CostColumn differ", m.Name, li, st, hw)
-					}
-					costs[costEntry{k, st, hw}] = p
-					distinct[p] = true
 				}
 			}
 		}
-	}
-	// 5 shapes x 2 styles x 4 HWs: one interned Cost per full key.
-	if len(costs) != 40 || len(distinct) != 40 {
-		t.Errorf("%d full (shape, style, HW) keys hold %d distinct Costs, want 40 and 40", len(costs), len(distinct))
-	}
-	if got := cache.CostLen(); got != 40 {
-		t.Errorf("CostLen() = %d, want 40 interned Costs", got)
 	}
 	// 5 shapes x 2 styles x {256/2M, 512/2M, 256/4M}, and x {256, 512}.
 	if got := cache.Len(); got != len(foots) || got != 30 {
@@ -254,22 +245,18 @@ func TestCacheInterleavedPaths(t *testing.T) {
 		if _, fp1 := cache.Cycles(m, dataflow.NVDLA, hws[1]); &fp0[0] != &fp1[0] {
 			t.Errorf("%s: substrates that differ in bandwidth hold distinct footprint columns", m.Name)
 		}
-		for li := range m.Layers {
-			l := &m.Layers[li]
-			for _, st := range styles {
-				lo, hi := cache.EstimateRef(l, st, hws[0]), cache.EstimateRef(l, st, hws[1])
-				if lo == hi {
-					t.Fatalf("%s layer %d: substrates that differ in bandwidth share one cost", m.Name, li)
+		for _, st := range styles {
+			_, lo := cache.Cycles(m, st, hws[0])
+			_, hi := cache.Cycles(m, st, hws[1])
+			_, buf := cache.Cycles(m, st, hws[3])
+			for li := range m.Layers {
+				if lo[li].Mapping != hi[li].Mapping {
+					t.Errorf("%s layer %d: footprints that differ only in bandwidth hold distinct mappings", m.Name, li)
 				}
-				if lo.Mapping != hi.Mapping {
-					t.Errorf("%s layer %d: costs that differ only in bandwidth hold distinct mappings", m.Name, li)
+				if buf[li].Mapping != lo[li].Mapping {
+					t.Errorf("%s layer %d: footprints that differ only in buffer hold distinct mappings", m.Name, li)
 				}
-				buf := cache.EstimateRef(l, st, hws[3])
-				if buf.Mapping != lo.Mapping {
-					t.Errorf("%s layer %d: costs that differ only in buffer hold distinct mappings", m.Name, li)
-				}
-				_, buf3 := cache.Cycles(m, st, hws[3])
-				if _, fp := cache.Cycles(m, st, hws[0]); buf3[li] == fp[li] {
+				if buf[li] == lo[li] {
 					t.Errorf("%s layer %d: substrates that differ in buffer share one footprint", m.Name, li)
 				}
 			}

@@ -47,9 +47,10 @@
 // online serving engine only contend on a row they both fill.
 // Single-threaded hot loops (the scheduler) keep a private
 // unsynchronized L0 table in front of the shared cache; see
-// internal/sched. EstimateRef and CostColumn still hand out interned
-// whole Costs, built on demand from the footprints (counted by
-// CostLen); no hot path calls them.
+// internal/sched. Those mapping, footprint and cycles memos are all
+// the cache keeps: EstimateRef and CostColumn build whole Costs afresh
+// from the interned footprints on every call, and no hot path calls
+// them.
 package maestro
 
 import (
@@ -68,7 +69,7 @@ type HW struct {
 	PEs      int     // number of processing elements
 	BWGBps   float64 // global NoC + DRAM bandwidth share, GB/s
 	L2Bytes  int64   // global buffer share, bytes
-	L1Bytes  int64   // sub-accelerator local buffer; 0 = min(512 KiB, L2/4)
+	L1Bytes  int64   // sub-accelerator local buffer; 0 = L2/4 clamped to [1 KiB, 2 MiB]
 	ClockGHz float64 // PE clock; 0 defaults to 1 GHz
 
 	// ContextCycles and ContextPJ are charged once per layer executed

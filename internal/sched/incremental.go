@@ -128,13 +128,6 @@ func (p Placement) QueueCycles() int64 { return p.StartCycle - p.ArrivalCycle }
 // cycle Extend accepts.
 func (inc *Incremental) Floor() int64 { return inc.floor }
 
-// Prewarm resolves the cost columns of every model in w on the
-// schedule's HDA without admitting anything, so the first real
-// admissions start with a hot L0 table. A fleet migration prewarms
-// the new generation's engines with the observed mix — the cost-cache
-// locality handover that keeps post-migration admission latency flat.
-func (inc *Incremental) Prewarm(w *workload.Workload) { inc.s.Prewarm(inc.h, w) }
-
 // NumInstances returns the number of admitted instances so far,
 // retired ones included: the next admission's global index.
 func (inc *Incremental) NumInstances() int { return inc.retired.Instances + len(inc.insts) }

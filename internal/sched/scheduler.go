@@ -141,21 +141,6 @@ func (s *Scheduler) costCols(h *accel.HDA, t map[*dnn.Model]*costTable, m *dnn.M
 	return ct
 }
 
-// Prewarm resolves the cost columns of every model in w on HDA h
-// without scheduling anything, so a later Schedule/Incremental run (or
-// a DSE bound computation sharing the same interned columns) starts
-// with a hot L0 table — useful for serving cold-start and for sweep
-// handles that keep per-worker schedulers across searches.
-func (s *Scheduler) Prewarm(h *accel.HDA, w *workload.Workload) {
-	if h == nil || w == nil {
-		return
-	}
-	t := s.tableFor(h)
-	for i := range w.Instances {
-		s.costCols(h, t, w.Instances[i].Model)
-	}
-}
-
 // Recycle returns a schedule's assignment storage to the scheduler for
 // reuse by a later Schedule call. Only safe when the caller owns the
 // schedule and is dropping its last reference (a best-only DSE sweep

@@ -22,9 +22,9 @@
 // admissions while in-flight work finishes (Done observes the last
 // admission); Drain is Quiesce plus the wait. An engine is never
 // restarted — a fleet migration retires quiesced engines and routes
-// to freshly-built ones instead (see internal/fleet). Prewarm hands a
-// fresh engine the cost columns of an expected workload so its first
-// admissions hit warm scheduler tables.
+// to freshly-built ones instead (see internal/fleet). A fresh engine's
+// scheduler tables fill on its first admission of each model, from
+// cost columns the shared maestro.Cache has usually interned already.
 //
 // Fused chains: a fleet dispatcher that decomposes a fused request
 // (internal/fleet) admits the segments it routes here through
@@ -1129,19 +1129,6 @@ func (e *Engine) Crashed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.crashed
-}
-
-// Prewarm resolves the cost columns of every model in w on the
-// engine's HDA, so the first admissions after a cold start (or a
-// fleet migration handing tenants to fresh engines) hit a hot
-// scheduler table instead of paying the cost-model walk inline.
-func (e *Engine) Prewarm(w *workload.Workload) {
-	if w == nil {
-		return
-	}
-	e.schedMu.Lock()
-	e.inc.Prewarm(w)
-	e.schedMu.Unlock()
 }
 
 // Drain stops admissions, waits for the queues to empty (or ctx), and
