@@ -41,13 +41,16 @@ race:
 # /v1/requests body decoder, plus the cost model's footprint/cycles
 # split against the whole-Cost paths. A crasher lands
 # under the package's testdata/fuzz/ — commit it as a seed along with
-# the fix.
+# the fix. FuzzSubmitRequest's seeds include bodies at and past the
+# 1 MiB cap; minimizing a new input grown from one costs a run per
+# removed byte, so its minimization is capped at 1 s (a failure is
+# still reported, only less shrunk).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePartition$$' -fuzztime 10s ./internal/config
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultPlan$$' -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzCaptureRead$$' -fuzztime 10s ./internal/capture
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzFootprint$$' -fuzztime 10s ./internal/maestro
 
 # smoke builds and runs the end-to-end examples that exercise the

@@ -1,10 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,7 +32,7 @@ type DispatchRecord struct {
 // httpError is the JSON error body of every endpoint. Code is a
 // stable machine-readable discriminator: bad_request, not_found,
 // method_not_allowed, too_large, timeout, queue_full, shed, draining,
-// no_replicas.
+// no_replicas, internal (500: a reply that could not be encoded).
 type httpError struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
@@ -42,13 +42,24 @@ type httpError struct {
 // to retryable rejections: retryAfter seconds when positive, else 1
 // second for any 429.
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter int) {
+	setRetryAfter(w, status, retryAfter)
+	writeJSON(w, status, httpError{Error: msg, Code: code})
+}
+
+// writeSubmitError is writeError for POST /v1/requests: the same
+// headers, with the body compact and appended to b.
+func writeSubmitError(w http.ResponseWriter, b []byte, status int, code, msg string, retryAfter int) {
+	setRetryAfter(w, status, retryAfter)
+	writeLine(w, status, appendHTTPError(b, httpError{Error: msg, Code: code}))
+}
+
+func setRetryAfter(w http.ResponseWriter, status, retryAfter int) {
 	if retryAfter < 1 && status == http.StatusTooManyRequests {
 		retryAfter = 1
 	}
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeJSON(w, status, httpError{Error: msg, Code: code})
 }
 
 // submitErrorStatus maps a Submit error to its HTTP status, stable
@@ -135,70 +146,67 @@ func (f *Fleet) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers with v as indented JSON. It encodes before it
+// sends the status line, so a value encoding/json refuses (a NaN
+// float, say) is answered 500 internal, not a status with an empty
+// body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "encoding the response: "+err.Error(), 0)
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeLine answers with a compact JSON body, ended by a newline like
+// every body writeJSON sends.
+func writeLine(w http.ResponseWriter, status int, body []byte) {
+	writeBody(w, status, append(body, '\n'))
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
-// maxSubmitBody caps a POST /v1/requests body. A real submission is a
-// few hundred bytes; anything past 1 MiB is refused with 413.
-const maxSubmitBody = 1 << 20
-
-// decodeSubmit reads one submission body: exactly one JSON value of
-// at most maxSubmitBody bytes, followed by nothing but whitespace. On
-// failure it returns the HTTP status to answer (413 or 400).
-func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (serve.SubmitRequest, int, error) {
-	var req serve.SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSubmitBody))
-	err := dec.Decode(&req)
-	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = tail
-			if err == nil {
-				err = errors.New("trailing data after the request object")
-			}
-		}
-	}
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-	case err != nil:
-		return req, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
-	}
-	req.Normalize()
-	return req, 0, nil
-}
-
+// handleSubmit answers POST /v1/requests. Every reply is compact JSON
+// appended into the body's buffer (see codec.go).
 func (f *Fleet) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, status, err := decodeSubmit(w, r.Body)
+	req, buf, status, err := decodeSubmit(w, r.Body)
+	reply := buf[:0]
 	if err != nil {
 		code := "bad_request"
 		if status == http.StatusRequestEntityTooLarge {
 			code = "too_large"
 		}
-		writeError(w, status, code, err.Error(), 0)
+		writeSubmitError(w, reply, status, code, err.Error(), 0)
 		return
 	}
 	ticket, err := f.Submit(req.Request)
 	if err != nil {
 		status, code, retryAfter := submitErrorStatus(err)
-		writeError(w, status, code, err.Error(), retryAfter)
+		writeSubmitError(w, reply, status, code, err.Error(), retryAfter)
 		return
 	}
 	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, DispatchAck{ID: ticket.ID, Replica: ticket.Replica, Status: serve.StatusQueued})
+		writeLine(w, http.StatusAccepted, appendAck(reply, DispatchAck{ID: ticket.ID, Replica: ticket.Replica, Status: serve.StatusQueued}))
 		return
 	}
 	rec, err := ticket.Wait(r.Context())
 	if err != nil {
-		writeError(w, http.StatusRequestTimeout, "timeout", err.Error(), 0)
+		writeSubmitError(w, reply, http.StatusRequestTimeout, "timeout", err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, DispatchRecord{Record: rec, Replica: ticket.Served()})
+	body, err := appendRecord(reply, &DispatchRecord{Record: rec, Replica: ticket.Served()})
+	if err != nil {
+		writeSubmitError(w, reply, http.StatusInternalServerError, "internal", "encoding the record: "+err.Error(), 0)
+		return
+	}
+	writeLine(w, http.StatusOK, body)
 }
 
 func (f *Fleet) handleStats(w http.ResponseWriter, r *http.Request) {

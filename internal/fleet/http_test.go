@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -322,12 +323,42 @@ func statCounters(st Stats) Stats {
 	return st
 }
 
+// decodeSubmitReference is the reference submission decoder: a
+// json.Decoder straight over the capped body, then a Token that must
+// be EOF. FuzzSubmitRequest holds decodeSubmit, which buffers the body
+// and parses the canonical form itself, to it.
+func decodeSubmitReference(w http.ResponseWriter, body io.ReadCloser) (serve.SubmitRequest, int, error) {
+	var req serve.SubmitRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSubmitBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = tail
+			if err == nil {
+				err = errors.New("trailing data after the request object")
+			}
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		return req, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+	req.Normalize()
+	return req, 0, nil
+}
+
 // FuzzSubmitRequest drives POST /v1/requests bodies through the
-// fleet's handler. Properties: no panic; a body that decodes
+// fleet's handler. Properties: no panic; decodeSubmit answers every
+// body with the status of decodeSubmitReference (0, 400 or 413) and,
+// when it decodes, the same SubmitRequest; a body that decodes
 // re-encodes and decodes to the same SubmitRequest after Normalize; a
 // body that does not decode is answered 400 or 413 and leaves every
 // Stats counter unchanged. Seeds are the scenario corpus's trace
-// entries rendered as bodies.
+// entries rendered as bodies, plus valid bodies outside the canonical
+// form the fast parser takes, and bodies at and past the size cap.
 func FuzzSubmitRequest(f *testing.F) {
 	paths, err := filepath.Glob("../../testdata/scenarios/*.trace.jsonl")
 	if err != nil || len(paths) == 0 {
@@ -347,9 +378,28 @@ func FuzzSubmitRequest(f *testing.F) {
 			f.Add(body)
 		}
 	}
-	for _, seed := range []string{``, `{}`, `null`, `{"tenant":"a","model":"mobilenetv1"} x`, `{"arrival_cycle":-1}`} {
+	for _, seed := range []string{``, `{}`, `null`, `{"tenant":"a","model":"mobilenetv1"} x`, `{"arrival_cycle":-1}`,
+		`{"Tenant":"a","model":"mobilenetv1","arrival_cycle":0}`,
+		`{"tenant":"a\u0062","model":"mobile\/netv1","arrival_cycle":0}`,
+		`{"tenant":"a","model":"mobilenetv1","arrival_cycle":null}`,
+		`{"tenant":"a","tenant":"b","model":"mobilenetv1","arrival_cycle":5,"arrival_cycle":7,"wait":true,"wait":false}`,
+		`{"tenant":"a","model":"mobilenetv1","extra":{"nested":[1,2.5,{"x":null}]},"arrival_cycle":0}`,
+		`{"tenant":"a","model":"mobilenetv1","priority":1.0}`,
+		`{"tenant":"a","model":"mobilenetv1","sla_cycles":1e3}`,
+		`{"tenant":"a","model":"mobilenetv1","arrival_cycle":9223372036854775808}`,
+		`{"tenant":"a","model":"mobilenetv1","arrival_cycle":-9223372036854775808,"priority":-0}`,
+		`{"tenant":"a","model":"mobilenetv1","sla_cycles":01}`,
+		` {"tenant" : "a" ,"model":"mobilenetv1", "wait" : tru}`,
+	} {
 		f.Add([]byte(seed))
 	}
+	// Bodies exactly at the cap and one byte past it, once as a value
+	// still open at the cap (413) and once with trailing data inside
+	// it (400).
+	pad := func(obj string, n int) []byte { return []byte(obj + strings.Repeat(" ", n-len(obj))) }
+	f.Add(pad(`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0}`, maxSubmitBody))
+	f.Add(pad(`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0}`, maxSubmitBody+1))
+	f.Add(pad(`{"tenant":"a","model":"mobilenetv1","arrival_cycle":0} x`, maxSubmitBody+1))
 
 	cache, hda := newTestCache(), testHDA(f)
 	var (
@@ -379,7 +429,11 @@ func FuzzSubmitRequest(f *testing.F) {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/requests", bytes.NewReader(body)).WithContext(cancelled))
 
-		req, status, err := decodeSubmit(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)))
+		req, _, status, err := decodeSubmit(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)))
+		ref, refStatus, refErr := decodeSubmitReference(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)))
+		if status != refStatus || (err == nil && !reflect.DeepEqual(req, ref)) {
+			t.Fatalf("decodeSubmit: status %d %+v (%v); reference: status %d %+v (%v)", status, req, err, refStatus, ref, refErr)
+		}
 		if err != nil {
 			if rr.Code != status || (status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge) {
 				t.Fatalf("undecodable body answered %d, decoder says %d (%v)", rr.Code, status, err)
@@ -393,7 +447,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding %+v: %v", req, err)
 		}
-		again, _, err := decodeSubmit(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(wire)))
+		again, _, _, err := decodeSubmit(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(wire)))
 		if err != nil || !reflect.DeepEqual(req, again) {
 			t.Fatalf("round trip: %+v -> %s -> %+v (%v)", req, wire, again, err)
 		}
