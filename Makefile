@@ -26,14 +26,15 @@ test:
 
 # race runs the concurrency-sensitive packages under the race detector
 # (the cost cache, the scheduler, the DSE worker pool, the serving
-# engine, the fleet dispatcher, and the replay harness, whose replays
-# run Fleet.Admit's per-engine goroutines and fused completion hooks).
-# The cost cache interns shape, model and substrate ids and locks per
-# row, so its concurrent tests run ten times over to shake out rare
-# interleavings.
+# engine, the fleet dispatcher, the replay harness, whose replays run
+# Fleet.Admit's per-engine goroutines and fused completion hooks, the
+# heraldd daemon's live HTTP, fleet and capture path, and heraldplay's
+# digest-golden runs). The cost cache interns shape, model and
+# substrate ids and locks per row, so its concurrent tests run ten
+# times over to shake out rare interleavings.
 race:
 	$(GO) test -race -count=10 ./internal/maestro
-	$(GO) test -race ./internal/sched ./internal/dse ./internal/serve ./internal/fleet ./internal/replay
+	$(GO) test -race ./internal/sched ./internal/dse ./internal/serve ./internal/fleet ./internal/replay ./cmd/heraldd ./cmd/heraldplay
 
 # fuzz runs each trust-boundary fuzzer for 10 s (go test runs only
 # their seed corpora): the -partition parser, the -faults parser, the

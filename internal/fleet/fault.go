@@ -551,8 +551,9 @@ func (f *Fleet) failoverOneLocked(d *dispatch, cycle int64) {
 // record (for a chain, the merged record with its first unfinished
 // segment failed, which the fleet's fused ledger counts). A whole
 // request's lost admission is no longer in any engine's accounting
-// (the crash rolled it back), so the fleet counts it itself — in both
-// Submitted and Failed, keeping conservation exact. f.mu held.
+// (the crash rolled it back), so the fleet's history counts it in its
+// tenant's window — in both Submitted and Failed, keeping
+// conservation exact. f.mu held.
 func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 	f.noteDecisionLocked(cycle, "failover-fail", -1,
 		fmt.Sprintf("request %d (tenant %q): %s", d.t.ID, d.req.Tenant, reason))
@@ -566,9 +567,9 @@ func (f *Fleet) failTicketLocked(d *dispatch, cycle int64, reason string) {
 		f.finishChainLocked(d)
 		return
 	}
-	f.ctr.Submitted++
-	f.ctr.Failed++
-	f.lostFailedT[d.req.Tenant]++
+	w := window(f.history, d.req.Tenant)
+	w.Submitted++
+	w.Failed++
 	rec := serve.Record{
 		ID:           d.t.ID,
 		Tenant:       d.req.Tenant,
@@ -737,8 +738,7 @@ func (f *Fleet) shedLocked(req serve.Request, eta int64) error {
 	if retry < 1 {
 		retry = 1
 	}
-	f.ctr.Shed++
-	f.shedT[req.Tenant]++
+	window(f.history, req.Tenant).Shed++
 	f.noteDecisionLocked(req.ArrivalCycle, "shed", -1,
 		fmt.Sprintf("tenant %q: lateness %d exceeds budget %d (%.3g x SLA %d), outstanding %d of %d",
 			req.Tenant, lateness, budget, f.health.ShedSLAFactor, req.SLACycles, out, total))

@@ -450,6 +450,9 @@ func TestFaultAttemptBudget(t *testing.T) {
 	if st.Submitted != st.Completed+st.Failed || st.Failed != 1 || st.Failovers != 0 || st.Lost != 1 {
 		t.Fatalf("budget-exhausted conservation: %+v", snapOf(st))
 	}
+	if err := tenantSumsErr(st); err != nil {
+		t.Error(err)
+	}
 	for _, ts := range st.Tenants {
 		if ts.Tenant == "dd" && (ts.Submitted != 1 || ts.Failed != 1) {
 			t.Fatalf("tenant dd window: %+v", ts)
@@ -582,6 +585,9 @@ func TestFaultShedFairness(t *testing.T) {
 	}
 	if st.Shed != 1 || st.Completed != 4 {
 		t.Fatalf("shed %d completed %d, want 1 and 4", st.Shed, st.Completed)
+	}
+	if err := tenantSumsErr(st); err != nil {
+		t.Error(err)
 	}
 	for _, ts := range st.Tenants {
 		switch ts.Tenant {
@@ -894,6 +900,9 @@ func TestFoldMovesNoCount(t *testing.T) {
 		}
 		if after.RetiredReplicas != before.RetiredReplicas+retired {
 			t.Errorf("%s: %d retired replicas, want %d", what, after.RetiredReplicas, before.RetiredReplicas+retired)
+		}
+		if err := tenantSumsErr(after); err != nil {
+			t.Errorf("%s: %v", what, err)
 		}
 	}
 

@@ -274,16 +274,23 @@ type Fleet struct {
 	// history and are dropped. Guarded by mu.
 	retiring []*replica
 	// ctr holds the fleet's own counters (generation, migrations, fault
-	// handling, cross-replica handoffs, terminal failover failures)
-	// plus the folded totals of retired and crash-recovered engines, so
-	// fleet aggregates never lose a served request. Its Segments stay
-	// zero: the fused-request ledger is segStats. Guarded by mu.
-	ctr      Counters
-	retired  int                            // folded engines; guarded by mu
-	retiredT map[string]*serve.TenantWindow // their tenant windows; guarded by mu
-	rrNext   int                            // guarded by mu
-	draining bool                           // guarded by mu
-	nextID   int                            // guarded by mu
+	// handling, cross-replica handoffs) plus the folded engine counters
+	// tenant windows lack (rejected, pending, lost, elastic, makespan)
+	// of retired and crash-recovered engines. Its request counts and
+	// Shed stay zero: Stats sums them from the tenant rows. Its
+	// Segments stay zero too: the fused-request ledger is segStats.
+	// Guarded by mu.
+	ctr     Counters
+	retired int // folded engines; guarded by mu
+	// history is the fleet's own tenant ledger: the folded windows of
+	// retired and crash-recovered replicas (engine and fused), fused
+	// requests that end after their replica folded, crash-orphaned
+	// requests no survivor could take (Submitted and Failed) and shed
+	// arrivals. Guarded by mu.
+	history  map[string]*serve.TenantWindow
+	rrNext   int  // guarded by mu
+	draining bool // guarded by mu
+	nextID   int  // guarded by mu
 
 	// mix tracks accepted submissions per model name (under mu) — the
 	// observed tenant mix Resweep searches over. With MixHalfLife set,
@@ -317,20 +324,14 @@ type Fleet struct {
 	// (faultCycle) advances only with submission arrival cycles;
 	// dispatchSeq counts routing decisions (the breaker's probe window
 	// is measured in it).
-	health         HealthOptions    // construction-set limits, immutable afterwards
-	faults         []FaultEvent     // guarded by mu
-	faultNext      int              // guarded by mu
-	faultCycle     int64            // guarded by mu
-	dispatchSeq    int64            // guarded by mu
-	failedReplicas []*replica       // crashed, awaiting FaultRecover; guarded by mu
-	decisions      []Event          // guarded by mu
-	decSeq         int              // guarded by mu
-	shedT          map[string]int64 // guarded by mu
-	// lostFailedT counts, per tenant, crash-orphaned requests no
-	// survivor could take (terminal fleet-side failures). Their engines
-	// erased them, so Stats adds them to both Submitted and Failed to
-	// keep conservation exact. Guarded by mu.
-	lostFailedT map[string]int64
+	health         HealthOptions // construction-set limits, immutable afterwards
+	faults         []FaultEvent  // guarded by mu
+	faultNext      int           // guarded by mu
+	faultCycle     int64         // guarded by mu
+	dispatchSeq    int64         // guarded by mu
+	failedReplicas []*replica    // crashed, awaiting FaultRecover; guarded by mu
+	decisions      []Event       // guarded by mu
+	decSeq         int           // guarded by mu
 
 	// outMu guards the failover queue and the per-tenant outstanding
 	// counts. Lock order: mu → outMu. Lost-request hooks take only
@@ -370,20 +371,18 @@ func New(cache *maestro.Cache, hdas []*accel.HDA, opts Options) (*Fleet, error) 
 		opts.Serve.ClockGHz = 1 // the engines' default, for the fleet's own cycle clock
 	}
 	f := &Fleet{
-		cache:       cache,
-		policy:      opts.Policy,
-		serveOpts:   opts.Serve,
-		start:       time.Now(), //herald:nondet uptime diagnostics only; dispatch and the fault clock run on arrival_cycle
-		mix:         make(map[string]*mixEntry),
-		mixDecay:    1,
-		sweeper:     opts.Sweeper,
-		health:      opts.Health.withDefaults(),
-		retiredT:    make(map[string]*serve.TenantWindow),
-		shedT:       make(map[string]int64),
-		lostFailedT: make(map[string]int64),
-		tenantOut:   make(map[string]int64),
-		ready:       make(map[int][]*dispatch),
-		onAccept:    opts.OnAccept,
+		cache:     cache,
+		policy:    opts.Policy,
+		serveOpts: opts.Serve,
+		start:     time.Now(), //herald:nondet uptime diagnostics only; dispatch and the fault clock run on arrival_cycle
+		mix:       make(map[string]*mixEntry),
+		mixDecay:  1,
+		sweeper:   opts.Sweeper,
+		health:    opts.Health.withDefaults(),
+		history:   make(map[string]*serve.TenantWindow),
+		tenantOut: make(map[string]int64),
+		ready:     make(map[int][]*dispatch),
+		onAccept:  opts.OnAccept,
 	}
 	f.outIdle = sync.NewCond(&f.outMu)
 	f.readyCond = sync.NewCond(&f.mu)
@@ -796,20 +795,15 @@ func foldFused(s *serve.SegmentStats, rec *serve.Record, n int) {
 }
 
 // countFusedLocked counts a fused request's final record in its
-// tenant's window on r — or in the fleet history, totals included,
-// once r has been folded into it (a chain can only end failed there).
-// f.mu and f.outMu held.
+// tenant's window on r — or in the fleet history once r has been
+// folded into it (a chain can only end failed there). f.mu and
+// f.outMu held.
 func (f *Fleet) countFusedLocked(r *replica, rec *serve.Record) {
-	if !r.folded {
-		window(r.fused, rec.Tenant).AddRecord(rec)
-		return
+	ws := r.fused
+	if r.folded {
+		ws = f.history
 	}
-	window(f.retiredT, rec.Tenant).AddRecord(rec)
-	if rec.Status == serve.StatusDone {
-		f.ctr.Completed++
-	} else {
-		f.ctr.Failed++
-	}
+	window(ws, rec.Tenant).AddRecord(rec)
 }
 
 // window returns (creating if needed) a tenant's window in ws.
@@ -1228,7 +1222,8 @@ type ReplicaStats struct {
 // Counters is the deterministic slice of the fleet statistics: the
 // counters a replay digest compares, with the wall-clock fields left
 // out. Zero values are all meaningful (a clean run has 0 failures), so
-// no field carries omitempty.
+// no field carries omitempty. Submitted, Completed, Failed and Shed
+// are the sums of the Stats payload's tenant rows.
 type Counters struct {
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
@@ -1282,15 +1277,11 @@ type Counters struct {
 	Segments serve.SegmentStats `json:"segments"`
 }
 
-// addEngine adds one engine's statistics and its replica's fused-request
-// windows to c. The fused windows are those requests' only count: the
-// engine keeps chain segments out of its own ledgers. Stats adds the
-// live engines, foldLocked the retired ones; both hold Fleet.outMu,
-// which guards fused.
-func (c *Counters) addEngine(es *serve.Stats, fused map[string]*serve.TenantWindow) {
-	c.Submitted += es.Submitted
-	c.Completed += es.Completed
-	c.Failed += es.Failed
+// addEngine adds the engine counters tenant windows lack to c:
+// rejections (including those of tenants the engine never admitted),
+// pending and lost requests, the elastic counters and the makespan.
+// Stats adds the live engines, foldLocked the retired ones.
+func (c *Counters) addEngine(es *serve.Stats) {
 	c.Rejected += es.Rejected
 	c.Pending += es.Pending
 	c.Lost += es.Lost
@@ -1298,12 +1289,6 @@ func (c *Counters) addEngine(es *serve.Stats, fused map[string]*serve.TenantWind
 	c.Resumes += es.Resumes
 	c.PEReassigns += es.PEReassigns
 	c.MakespanCycles = max(c.MakespanCycles, es.MakespanCycles)
-	//herald:nondet exact integer sums; order cannot change the result
-	for _, w := range fused {
-		c.Submitted += w.Submitted
-		c.Completed += w.Completed
-		c.Failed += w.Failed
-	}
 }
 
 // Stats is a fleet-wide snapshot: per-replica engine statistics plus
@@ -1327,9 +1312,10 @@ type Stats struct {
 
 	SimThroughputRPS float64 `json:"sim_throughput_rps"`
 
-	// Tenants aggregates each tenant across every replica; latency
-	// percentiles are computed over the merged sample windows (they
-	// cannot be derived from per-replica percentiles).
+	// Tenants aggregates each tenant across every replica and the
+	// fleet history; latency percentiles are computed over the merged
+	// sample windows (they cannot be derived from per-replica
+	// percentiles). The request counters above are these rows' sums.
 	Tenants []serve.TenantStats `json:"tenants"`
 
 	// PerReplica covers the live replicas: the active generation, any
@@ -1399,64 +1385,41 @@ func (f *Fleet) Stats() Stats {
 		st.PerReplica = append(st.PerReplica, f.replicaRowLocked(r, false, 0))
 	}
 	//herald:nondet one window per tenant, each into its own aggregate; every source merges in a fixed order (history, then each replica's engine and fused windows in snapshot order), so the float sums associate alike run to run
-	for _, w := range f.retiredT {
+	for _, w := range f.history {
 		addWindow(tenants, w)
 	}
-	shedT := make(map[string]int64, len(f.shedT))
-	maps.Copy(shedT, f.shedT)
-	lostFailedT := make(map[string]int64, len(f.lostFailedT))
-	maps.Copy(lostFailedT, f.lostFailedT)
 	f.outMu.Lock()
 	st.Segments = f.segStats
 	f.outMu.Unlock()
 	f.mu.Unlock()
 
-	var clockGHz float64
 	for i, r := range live {
-		es := r.engine.Stats()
-		clockGHz = es.ClockGHz
+		es, windows := r.engine.Ledger()
 		st.PerReplica[i].Inflight = es.Pending
 		st.PerReplica[i].Engine = es
-		for _, w := range r.engine.TenantWindows() {
-			addWindow(tenants, &w)
+		for j := range windows {
+			addWindow(tenants, &windows[j])
 		}
 		f.outMu.Lock()
 		//herald:nondet one window per tenant, each into its own aggregate, right after the same replica's engine windows (see above)
 		for _, w := range r.fused {
 			addWindow(tenants, w)
 		}
-		st.addEngine(&es, r.fused)
 		f.outMu.Unlock()
+		st.addEngine(&es)
 	}
 
-	// Crash-orphaned requests that terminally failed were erased from
-	// their engines; count them per tenant on both sides of the
-	// conservation equation. Shed tenants get a row even if no engine
-	// ever saw them.
-	//herald:nondet additive per-tenant counters into a map; emission below iterates sorted names
-	for tn, c := range lostFailedT {
-		w := window(tenants, tn)
-		w.Submitted += c
-		w.Failed += c
-	}
-	//herald:nondet set insertion only; emission below iterates sorted names
-	for tn := range shedT {
-		window(tenants, tn)
-	}
-
-	names := make([]string, 0, len(tenants))
-	for name := range tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(tenants)) {
 		ts := tenants[name].Stats()
-		ts.Shed = shedT[name]
+		st.Submitted += ts.Submitted
+		st.Completed += ts.Completed
+		st.Failed += ts.Failed
+		st.Shed += ts.Shed
 		st.Tenants = append(st.Tenants, ts)
 	}
 
-	if st.MakespanCycles > 0 && clockGHz > 0 {
-		simSeconds := float64(st.MakespanCycles) / (clockGHz * 1e9)
+	if st.MakespanCycles > 0 {
+		simSeconds := float64(st.MakespanCycles) / (f.serveOpts.ClockGHz * 1e9)
 		st.SimThroughputRPS = float64(st.Completed) / simSeconds
 	}
 	return st
@@ -1656,29 +1619,29 @@ func (f *Fleet) fold(r *replica) {
 }
 
 // foldLocked accumulates one retired (or crash-recovered) replica's
-// final statistics into the fleet history: its engine's, then its
-// fused-request windows, the order Stats merges them in. f.mu held —
-// safe even though Stats/TenantWindows take the engine's own locks,
-// because an engine never takes f.mu. Crash recovery folds under f.mu
-// so the old engine's numbers and the replacement replica appear
-// atomically.
+// final statistics into the fleet history: its engine's tenant
+// windows, then its fused-request windows, the order Stats merges
+// them in, from one Ledger read. f.mu held — safe even though Ledger
+// takes the engine's own locks, because an engine never takes f.mu.
+// Crash recovery folds under f.mu so the old engine's numbers and the
+// replacement replica appear atomically.
 func (f *Fleet) foldLocked(r *replica) {
-	es := r.engine.Stats()
-	windows := r.engine.TenantWindows()
+	es, windows := r.engine.Ledger()
 	f.outMu.Lock()
 	for _, name := range slices.Sorted(maps.Keys(r.fused)) {
 		windows = append(windows, *r.fused[name])
 	}
-	f.ctr.addEngine(&es, r.fused)
 	r.folded = true
 	f.outMu.Unlock()
+	f.ctr.addEngine(&es)
 	f.retired++
 	for i := range windows {
-		addWindow(f.retiredT, &windows[i])
+		addWindow(f.history, &windows[i])
 		// The folded window is a sliding window like the per-engine
-		// ones: keep the most recent samples, bounded across any
-		// number of retired generations.
-		t := f.retiredT[windows[i].Tenant]
+		// ones: keep the most recent samples (Add appends them
+		// oldest-first), bounded across any number of retired
+		// generations.
+		t := f.history[windows[i].Tenant]
 		if n := len(t.Latencies); n > maxHistoryLatencies {
 			t.Latencies = append(t.Latencies[:0], t.Latencies[n-maxHistoryLatencies:]...)
 		}

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -222,5 +223,70 @@ func TestSubmitRequestWireFormat(t *testing.T) {
 	omitted.Normalize()
 	if omitted.Request.ArrivalCycle != -1 {
 		t.Errorf("omitted arrival should normalize to -1 (now), got %d", omitted.Request.ArrivalCycle)
+	}
+}
+
+// TestTenantWindowAddOldestFirst: Add merges wrapped rings oldest-first
+// and restarts the cursor, so an aggregate's tail holds the newest
+// samples and a full merged window overwrites its oldest. The old Add
+// appended a wrapped source in ring order with a stale cursor, so the
+// next record overwrote the newest sample.
+func TestTenantWindowAddOldestFirst(t *testing.T) {
+	done := func(lat int64) *Record { return &Record{Status: StatusDone, LatencyCycles: lat} }
+	var src TenantWindow
+	for i := range int64(maxLatencySamples + 10) {
+		src.AddRecord(done(i))
+	}
+	var dst TenantWindow
+	dst.Add(&src)
+	want := make([]int64, maxLatencySamples)
+	for i := range want {
+		want[i] = int64(10 + i)
+	}
+	if !slices.Equal(dst.Latencies, want) {
+		t.Fatalf("merged wrapped window starts %v, want %v", dst.Latencies[:3], want[:3])
+	}
+	// The full merged window is a ring again: a record replaces the
+	// oldest sample, and merging into the wrapped window keeps its
+	// samples oldest-first ahead of the source's.
+	dst.AddRecord(done(1 << 20))
+	var more TenantWindow
+	more.AddRecord(done(1 << 21))
+	dst.Add(&more)
+	want = append(want[1:], 1<<20, 1<<21)
+	if !slices.Equal(dst.Latencies, want) {
+		t.Fatalf("merged window ends %v, want %v", dst.Latencies[len(dst.Latencies)-3:], want[len(want)-3:])
+	}
+}
+
+// TestLedgerOneRead: Ledger's aggregate counters are the sums of the
+// windows returned with them, the copies keep their sample order (only
+// clones are sorted for the percentiles) and the engine's own window
+// is left untouched.
+func TestLedgerOneRead(t *testing.T) {
+	e := testEngine(t)
+	own := []int64{30, 10, 20}
+	e.mu.Lock()
+	e.tenants["a"] = &TenantWindow{Tenant: "a", Submitted: 4, Completed: 3, Failed: 1, LatencySum: 60, Latencies: slices.Clone(own)}
+	e.tenants["b"] = &TenantWindow{Tenant: "b", Submitted: 1, Rejected: 2}
+	e.rejectedOther = 5
+	e.mu.Unlock()
+
+	st, ws := e.Ledger()
+	if len(ws) != 2 || ws[0].Tenant != "a" || ws[1].Tenant != "b" {
+		t.Fatalf("windows %+v, want a then b", ws)
+	}
+	if !slices.Equal(ws[0].Latencies, own) || !slices.Equal(e.tenants["a"].Latencies, own) {
+		t.Errorf("window samples %v, engine's %v; want both in sample order %v", ws[0].Latencies, e.tenants["a"].Latencies, own)
+	}
+	if st.Submitted != 5 || st.Completed != 3 || st.Failed != 1 || st.Rejected != 7 {
+		t.Errorf("aggregate %d/%d/%d/%d submitted/completed/failed/rejected, want 5/3/1/7",
+			st.Submitted, st.Completed, st.Failed, st.Rejected)
+	}
+	if len(st.Tenants) != 2 || st.Tenants[0].P50LatencyCycles != 20 || st.Tenants[0].P99LatencyCycles != 30 {
+		t.Errorf("tenant rows %+v, want tenant a's p50 20 and p99 30", st.Tenants)
+	}
+	if e.Stats().Submitted != st.Submitted {
+		t.Error("Stats and Ledger disagree")
 	}
 }

@@ -36,11 +36,11 @@
 //
 // Probes for dispatchers and monitors: HDA, Estimate (a model's
 // best-case busy cycles, memoized with Submit's feasibility check),
-// Load (pending count + committed backlog horizon), Stats /
-// TenantWindows (aggregate and per-tenant raw statistics; fleets merge
-// windows across replicas), Snapshot (the committed schedule), and
-// Options.OnRequestDone (a per-completion callback outside the
-// engine's locks). A fleet reads these instead of keeping copies. The
+// Load (pending count + committed backlog horizon), Stats / Ledger
+// (aggregate statistics, and with Ledger the per-tenant raw windows
+// they sum, from one read; fleets merge windows across replicas),
+// Snapshot (the committed schedule), and Options.OnRequestDone (a
+// per-completion callback outside the engine's locks). A fleet reads these instead of keeping copies. The
 // JSON-over-HTTP front end is the fleet's (internal/fleet); this
 // package keeps only its wire type, SubmitRequest.
 package serve

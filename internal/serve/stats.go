@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/sched"
@@ -126,19 +126,24 @@ type SegmentStats struct {
 }
 
 // TenantWindow is one tenant's raw counters plus its latency sample
-// window — the pre-percentile form of TenantStats, and the engine's
-// own per-tenant ledger. Fleet dispatchers read these from every
-// replica and aggregate across engines (merged percentiles cannot be
-// computed from per-engine percentiles).
+// window — the pre-percentile form of TenantStats and the one place a
+// tenant's counts live: an engine keeps one per tenant it served, and
+// a fleet keeps one per tenant for its history. Fleet dispatchers read
+// an engine's windows with Ledger and merge them across engines
+// (merged percentiles cannot be computed from per-engine percentiles).
 type TenantWindow struct {
 	Tenant                                 string
 	Submitted, Completed, Failed, Rejected int64
-	SLATracked, SLAViolations              int64
-	LatencySum, QueueSum                   int64 // all-time, cycles
-	EnergyPJ                               float64
+	// Shed counts arrivals turned away by fleet-level overload
+	// shedding; engines never see them, so only a fleet's history
+	// windows count them.
+	Shed                      int64
+	SLATracked, SLAViolations int64
+	LatencySum, QueueSum      int64 // all-time, cycles
+	EnergyPJ                  float64
 	// Latencies is the sample window: AddRecord keeps the most recent
 	// maxLatencySamples completions as a ring whose next write
-	// position is next.
+	// position (and, once full, oldest sample) is next.
 	Latencies []int64
 	next      int
 }
@@ -146,18 +151,35 @@ type TenantWindow struct {
 // Add merges another window's counters into w and appends its latency
 // samples — the single merge rule every aggregator (fleet Stats
 // across replicas, retired-generation history folding) must share, so
-// a new TenantWindow field only ever needs one merge site.
+// a new TenantWindow field only ever needs one merge site. Either
+// window may be a wrapped ring: the samples land oldest-first, w's
+// before o's, so trimming the slice's head drops the oldest, and the
+// cursor restarts at position 0.
 func (w *TenantWindow) Add(o *TenantWindow) {
 	w.Submitted += o.Submitted
 	w.Completed += o.Completed
 	w.Failed += o.Failed
 	w.Rejected += o.Rejected
+	w.Shed += o.Shed
 	w.SLATracked += o.SLATracked
 	w.SLAViolations += o.SLAViolations
 	w.LatencySum += o.LatencySum
 	w.QueueSum += o.QueueSum
 	w.EnergyPJ += o.EnergyPJ
-	w.Latencies = append(w.Latencies, o.Latencies...)
+	w.Latencies = append(w.chronological(), o.Latencies[o.next:]...)
+	w.Latencies = append(w.Latencies, o.Latencies[:o.next]...)
+	w.next = 0
+}
+
+// chronological returns the samples oldest-first: Latencies itself
+// until the ring wraps, a rotated copy after.
+func (w *TenantWindow) chronological() []int64 {
+	if w.next == 0 {
+		return w.Latencies
+	}
+	chrono := make([]int64, 0, len(w.Latencies))
+	chrono = append(chrono, w.Latencies[w.next:]...)
+	return append(chrono, w.Latencies[:w.next]...)
 }
 
 // AddRecord folds one request's final record into the window: a done
@@ -203,9 +225,7 @@ func (w *TenantWindow) dropRecord(rec *Record) {
 			w.SLAViolations--
 		}
 	}
-	chrono := make([]int64, 0, len(w.Latencies))
-	chrono = append(chrono, w.Latencies[w.next:]...)
-	chrono = append(chrono, w.Latencies[:w.next]...)
+	chrono := w.chronological()
 	for i := len(chrono) - 1; i >= 0; i-- {
 		if chrono[i] == rec.LatencyCycles {
 			chrono = append(chrono[:i], chrono[i+1:]...)
@@ -221,8 +241,8 @@ func (w *TenantWindow) dropRecord(rec *Record) {
 
 // Stats summarizes the window: its counters, means over the all-time
 // sums and nearest-rank percentiles over the sample window. It sorts
-// Latencies in place, so call it on a window the caller owns (the
-// copies TenantWindows returns, or a fleet's merged aggregate).
+// Latencies in place, so call it on a window the caller owns and no
+// longer merges or records into (a fleet's merged aggregate, a clone).
 func (w *TenantWindow) Stats() TenantStats {
 	ts := TenantStats{
 		Tenant:        w.Tenant,
@@ -230,6 +250,7 @@ func (w *TenantWindow) Stats() TenantStats {
 		Completed:     w.Completed,
 		Failed:        w.Failed,
 		Rejected:      w.Rejected,
+		Shed:          w.Shed,
 		SLATracked:    w.SLATracked,
 		SLAViolations: w.SLAViolations,
 		EnergyPJ:      w.EnergyPJ,
@@ -245,32 +266,13 @@ func (w *TenantWindow) Stats() TenantStats {
 	return ts
 }
 
-// TenantWindows returns a copy of every tenant's raw statistics
-// window, sorted by tenant name.
-func (e *Engine) TenantWindows() []TenantWindow {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tenantWindowsLocked()
-}
-
-// tenantWindowsLocked is TenantWindows with e.mu held.
-func (e *Engine) tenantWindowsLocked() []TenantWindow {
-	names := make([]string, 0, len(e.tenants))
-	for name := range e.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]TenantWindow, 0, len(names))
-	for _, name := range names {
-		w := *e.tenants[name]
-		w.Latencies = append([]int64(nil), w.Latencies...)
-		out = append(out, w)
-	}
-	return out
-}
-
-// Stats returns the engine's current aggregate statistics.
-func (e *Engine) Stats() Stats {
+// Ledger returns the engine's aggregate statistics and a copy of every
+// tenant's raw window, sorted by tenant name, from one read of the
+// engine's ledger: the aggregate counters are the sums of the windows
+// returned with them. The copies keep their samples in window order
+// (only clones are sorted for Stats' per-tenant percentiles), so they
+// merge like the engine's own windows.
+func (e *Engine) Ledger() (Stats, []TenantWindow) {
 	// The makespan and per-sub busy cycles are all Stats needs of the
 	// committed schedule; a Snapshot would copy every assignment.
 	e.schedMu.Lock()
@@ -278,8 +280,6 @@ func (e *Engine) Stats() Stats {
 	e.schedMu.Unlock()
 
 	e.mu.Lock()
-	defer e.mu.Unlock()
-
 	st := Stats{
 		UptimeSeconds:    time.Since(e.start).Seconds(), //herald:nondet wall-clock uptime is reporting-only
 		ClockGHz:         e.opts.ClockGHz,
@@ -292,20 +292,35 @@ func (e *Engine) Stats() Stats {
 		Preemptions:      e.preemptions,
 		Resumes:          e.resumptions,
 		PEReassigns:      e.reassigns,
+		// Rejections from tenants that never had an admitted request.
+		Rejected: e.rejectedOther,
 	}
-	for _, w := range e.tenantWindowsLocked() {
+	windows := make([]TenantWindow, 0, len(e.tenants))
+	for _, name := range slices.Sorted(maps.Keys(e.tenants)) {
+		w := *e.tenants[name]
+		w.Latencies = slices.Clone(w.Latencies)
+		windows = append(windows, w)
+	}
+	e.mu.Unlock()
+
+	for _, w := range windows {
 		st.Submitted += w.Submitted
 		st.Completed += w.Completed
 		st.Failed += w.Failed
 		st.Rejected += w.Rejected
+		w.Latencies = slices.Clone(w.Latencies)
 		st.Tenants = append(st.Tenants, w.Stats())
 	}
-	// Rejections from tenants that never had an admitted request.
-	st.Rejected += e.rejectedOther
 	if st.MakespanCycles > 0 {
 		simSeconds := float64(st.MakespanCycles) / (e.opts.ClockGHz * 1e9)
 		st.SimThroughputRPS = float64(st.Completed) / simSeconds
 	}
+	return st, windows
+}
+
+// Stats returns the engine's current aggregate statistics.
+func (e *Engine) Stats() Stats {
+	st, _ := e.Ledger()
 	return st
 }
 
