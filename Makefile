@@ -31,10 +31,13 @@ test:
 # heraldd daemon's live HTTP, fleet and capture path, and heraldplay's
 # digest-golden runs). The cost cache interns shape, model and
 # substrate ids and locks per row, so its concurrent tests run ten
-# times over to shake out rare interleavings.
+# times over to shake out rare interleavings; the DSE sweep hands
+# partitions out off one atomic cursor and cuts a pruned sweep off at
+# the shared best, so its tests run five times over.
 race:
 	$(GO) test -race -count=10 ./internal/maestro
-	$(GO) test -race ./internal/sched ./internal/dse ./internal/serve ./internal/fleet ./internal/replay ./cmd/heraldd ./cmd/heraldplay
+	$(GO) test -race -count=5 ./internal/dse
+	$(GO) test -race ./internal/sched ./internal/serve ./internal/fleet ./internal/replay ./cmd/heraldd ./cmd/heraldplay
 
 # fuzz runs each trust-boundary fuzzer for 10 s (go test runs only
 # their seed corpora): the -partition parser, the -faults parser, the

@@ -289,9 +289,9 @@ func Search(cache *CostCache, space SearchSpace, w *Workload, opts SearchOptions
 }
 
 // SearchOptions configures a DSE run. BestOnly drops the design cloud
-// (memory O(workers) instead of O(space)); Prune additionally skips
-// scheduling partitions whose objective lower bound provably cannot
-// win — Best is bit-identical either way.
+// (no schedule retained but the winners'); Prune additionally
+// schedules partitions best-first by objective lower bound and stops
+// where no remaining bound can win — Best is bit-identical either way.
 type SearchOptions = dse.Options
 
 // SearchResult is a DSE outcome (cloud, Pareto front, best point).

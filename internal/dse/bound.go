@@ -10,10 +10,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Bound-based pruning (Options.Prune): before scheduling a partition,
-// the sweep computes lower bounds on the objective from cost-model
-// columns alone — no scheduling — and skips the full evaluation when
-// a bound cannot beat the best value any worker has seen so far.
+// Bound-based pruning (Options.Prune): before scheduling anything, the
+// sweep computes every partition's lower bound on the objective from
+// cost-model columns alone — no scheduling — then schedules partitions
+// in ascending bound order and stops at the first bound that cannot
+// beat the best value any worker has seen so far.
 //
 // The bound uses each sub-accelerator's actual substrate columns —
 // the very columns the scheduler needs anyway, so when it fails to
@@ -46,15 +47,29 @@ import (
 // positive values is monotone, so the product of lower bounds is a
 // lower bound of the product).
 //
-// Why pruning provably cannot change Best: a partition is skipped only
-// when some valid bound > current-best value. Since current-best >=
-// the true optimum v*, a skipped partition has objective >= bound >
-// v* — it is not an optimum. Every partition achieving v* has bound
-// <= v* <= current-best at any moment, so it is always evaluated; the
-// best-value set is evaluated in full and the earliest-index tie-break
-// reproduces the unpruned choice exactly. (The skip test is strictly
+// Evaluation order and the cut. A block's partitions are sorted by
+// (bound, enumeration index) and handed out off one atomic cursor, one
+// position per claim. Write b[p] for the bound at sorted position p
+// and val[p] for its objective. The cut k is the first position with
+// b[k] > min(incumbent, val[q] for q < k), the incumbent being the
+// best value of earlier blocks. A worker that claims position p stops
+// when b[p] > current-best; current-best is the minimum over finished
+// evaluations, all at positions < p, so p satisfies the cut test and
+// p >= k. Hence every position before k is evaluated, whatever the
+// timing, and k is computed after the block from the bounds and values
+// alone. A position >= k that a worker evaluated anyway has
+// val >= b >= b[k] > best value before k, so it is strictly worse and
+// drops out of the merge. Result.Explored adds up the cuts.
+//
+// Why pruning provably cannot change Best: the true optimum v* has
+// some partition with value v* and bound <= v*. Every position >= k
+// has value >= b[k] > the best value before k >= v*, so all partitions
+// achieving v* lie before the cut, the best-value set is evaluated in
+// full and the earliest-index tie-break reproduces the unpruned choice
+// exactly. The same argument shows that in a one-block space k is the
+// number of partitions whose bound is <= v*. (Both tests are strictly
 // ">": with ">=", a partition whose bound coincides with its own
-// optimal objective could be skipped after another optimum was found,
+// optimal objective could be cut after another optimum was found,
 // losing the index tie-break.)
 
 // energySlack absorbs summation-order float differences between the
@@ -92,20 +107,13 @@ func (t *bestTracker) offer(v float64) {
 // modelBound is one model's scheduling-free summary on one substrate
 // set: the dependence-chain cycle bound (sum over layers of the
 // cheapest sub-accelerator's cycles) and the matching per-layer
-// energy-minimum sum. Worker-private memoization makes repeated
-// re-sweeps (fleet.Resweep, figure sweeps over several workloads)
+// energy-minimum sum. Memoizing it in the partition's slot makes
+// repeated re-sweeps (fleet.Resweep, figure sweeps over several workloads)
 // reuse the arithmetic; the cost columns underneath are interned in
 // the shared maestro cache.
 type modelBound struct {
 	chainCycles int64
 	energyPJ    float64
-}
-
-// boundKey identifies a memoized model bound: the packed unit vector
-// of the partition plus the interned model.
-type boundKey struct {
-	part  string
-	model *dnn.Model
 }
 
 // minsOver folds model m's per-layer cycle/energy minima across h's
@@ -168,15 +176,17 @@ func aggregate(o Objective, w *workload.Workload, nAcc int, mbOf func(*dnn.Model
 
 // lowerBound computes the objective bound from each sub-accelerator's
 // actual substrate columns (the ones a subsequent evaluation reuses),
-// memoized per (partition, model).
-func (wk *sweepWorker) lowerBound(o Objective, h *accel.HDA, part string, w *workload.Workload) float64 {
-	return aggregate(o, w, len(h.Subs), func(m *dnn.Model) modelBound {
-		key := boundKey{part: part, model: m}
-		if mb, ok := wk.bounds[key]; ok {
+// memoized per (partition, model) in the slot.
+func (sl *partSlot) lowerBound(cache *maestro.Cache, o Objective, w *workload.Workload) float64 {
+	return aggregate(o, w, len(sl.h.Subs), func(m *dnn.Model) modelBound {
+		if mb, ok := sl.bounds[m]; ok {
 			return mb
 		}
-		mb := minsOver(wk.cache, h, m)
-		wk.bounds[key] = mb
+		mb := minsOver(cache, sl.h, m)
+		if sl.bounds == nil {
+			sl.bounds = make(map[*dnn.Model]modelBound)
+		}
+		sl.bounds[m] = mb
 		return mb
 	})
 }

@@ -9,13 +9,16 @@
 // paper.
 //
 // The sweep machinery is built for repeated online use, not just
-// design time: enumeration streams through a bounded channel (memory
-// O(workers), not O(space)); Options.BestOnly drops the design cloud;
-// Options.Prune skips scheduling partitions whose objective lower
-// bound (bound.go) provably cannot win; and a reusable Sweeper handle
-// (sweeper.go) keeps schedulers, HDAs and memo tables warm across
-// sweeps — the substrate for fleet.Resweep's dynamic-repartitioning
-// probes and the fleet Controller that acts on them.
+// design time: enumeration streams in blocks of at most maxWorkerMemo
+// partitions that workers take off one atomic cursor (memory bounded
+// by the block, not the space); Options.BestOnly drops the design
+// cloud; Options.Prune makes a best-only sweep a best-first
+// branch-and-bound that schedules partitions in lower-bound order
+// (bound.go) and stops where no remaining partition can win; and a
+// reusable Sweeper handle (sweeper.go) keeps schedulers, HDAs and memo
+// tables warm across sweeps — the substrate for fleet.Resweep's
+// dynamic-repartitioning probes and the fleet Controller that acts on
+// them.
 //
 // Key types: Space (the searchable partition space), Options
 // (strategy, objective, BestOnly/Prune sweep modes), Point (one
@@ -26,7 +29,9 @@
 // Best is bit-identical across runs, worker counts, and
 // pruned/unpruned modes (ties break toward the earlier enumeration
 // index; see prune_equiv_test.go) — which is what lets a serving
-// fleet compare sweep winners across probes by value.
+// fleet compare sweep winners across probes by value. Explored and
+// Pruned are as deterministic as Best: they follow from the bounds and
+// values alone, never from worker timing.
 package dse
 
 import (
@@ -175,16 +180,17 @@ type Options struct {
 
 	// BestOnly drops the per-point design cloud: Result.Points and
 	// Result.Pareto stay nil (TopK over the cloud is unavailable) and
-	// only Best plus the Explored/Pruned counters are returned. Sweep
-	// memory becomes O(workers) instead of O(space) — the right mode
-	// for online re-sweeps that only need the winning partition.
+	// only Best plus the Explored/Pruned counters are returned. No
+	// schedule but each worker's best is retained — the right mode for
+	// online re-sweeps that only need the winning partition.
 	BestOnly bool
 
-	// Prune enables bound-based pruning: partitions whose objective
-	// lower bound (computed from cost-model columns alone, no
-	// scheduling) cannot beat the best value seen so far are skipped.
-	// Pruning provably never changes Best (see bound.go). It requires
-	// BestOnly — when the full design cloud / Pareto front is
+	// Prune enables bound-based pruning: every partition's objective
+	// lower bound is computed from cost-model columns alone (no
+	// scheduling), partitions are scheduled in ascending bound order,
+	// and the sweep stops at the first bound above the best value
+	// found. Pruning provably never changes Best (see bound.go). It
+	// requires BestOnly — when the full design cloud / Pareto front is
 	// requested, pruning is automatically disabled, because skipped
 	// points could be cloud or front members.
 	Prune bool
@@ -214,13 +220,16 @@ type Result struct {
 	Best   Point   // minimizes Options.Objective (EDP by default)
 	Pareto []Point // latency-energy non-dominated set, by latency; nil under BestOnly
 
-	// Explored counts fully-scheduled partitions; Pruned counts those
-	// the objective lower bound skipped. Explored+Pruned is the whole
-	// enumerated space (Pruned is always 0 unless Prune && BestOnly).
-	// Under Prune the workers share their best-so-far (bestTracker),
-	// so how the space splits into Explored and Pruned depends on
-	// worker timing: only Best and Explored+Pruned are deterministic
-	// (TestWorkerCountInvariance pins both).
+	// Explored counts the partitions the search had to schedule;
+	// Pruned counts those the objective lower bound ruled out.
+	// Explored+Pruned is the whole enumerated space (Pruned is always 0
+	// unless Prune && BestOnly). Under Prune, Explored is the bounded
+	// prefix of the best-first order: the partitions whose bound is at
+	// or below Best's value (per block; every space the figures and the
+	// serving stack sweep is one block). Both are deterministic across
+	// runs and worker counts (TestWorkerCountInvariance,
+	// TestBestFirstCut); a worker that speculatively schedules a
+	// partition past the cut does not count it.
 	Explored int
 	Pruned   int
 }

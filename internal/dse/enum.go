@@ -11,14 +11,14 @@ import (
 // entry >= 1, sums equal the unit totals.
 //
 // The enumeration is streamed: spaceSize counts the partitions
-// combinatorially up front (so workers and result arrays can be
-// sized), and streamPartitions yields them one by one in the same
-// deterministic order the original eager enumerate produced — PE
-// composition outer, BW composition inner, each composition in
-// lexicographic prefix order. The enumeration itself holds
-// O(workers × chunk) partitions in flight instead of O(|space|);
-// what IS retained per worker — partition HDAs and bound memos that
-// keep re-sweeps warm — is capped by maxWorkerMemo (sweeper.go).
+// combinatorially up front (so result arrays can be sized), and
+// streamPartitions yields them one by one in the same deterministic
+// order the original eager enumerate produced — PE composition outer,
+// BW composition inner, each composition in lexicographic prefix
+// order. The sweep (sweeper.go) copies them into blocks of at most
+// maxWorkerMemo partitions, each with its HDA and bound memos that
+// keep re-sweeps warm, so it never holds more of the space than one
+// block.
 
 // compCount returns the number of ordered compositions of `total`
 // into n parts, each >= 1: C(total-1, n-1).
@@ -195,7 +195,7 @@ func streamPartitions(sp Space, opts Options, yield func(idx int, part []int) bo
 
 // enumerate materializes the whole partition stream. Only tests and
 // reference checks use it — the search path streams through
-// streamPartitions without ever holding the space in memory.
+// streamPartitions, holding one block at a time.
 func enumerate(sp Space, opts Options) ([][]int, error) {
 	if _, err := spaceSize(sp, opts); err != nil {
 		return nil, err

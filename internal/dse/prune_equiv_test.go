@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/accel"
@@ -131,23 +132,16 @@ func TestBoundIsSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wk := sw.workers[0]
-		i := 0
-		streamPartitions(sw.sp, sw.opts, func(idx int, part []int) bool {
-			key := wk.partKey(part)
-			h, err := wk.hda(sw.sp, key, part, idx)
-			if err != nil {
-				t.Fatal(err)
+		// The space fits in one block: one slot per point.
+		if len(sw.slots) != len(res.Points) {
+			t.Fatalf("%d slots for %d points", len(sw.slots), len(res.Points))
+		}
+		for i := range sw.slots {
+			sl := &sw.slots[i]
+			v := obj.value(res.Points[sl.idx])
+			if bound := sl.lowerBound(cache, obj, w); bound > v {
+				t.Errorf("%s: point %d bound %g exceeds objective %g", obj, sl.idx, bound, v)
 			}
-			v := obj.value(res.Points[idx])
-			if bound := wk.lowerBound(obj, h, key, w); bound > v {
-				t.Errorf("%s: point %d bound %g exceeds objective %g", obj, idx, bound, v)
-			}
-			i++
-			return true
-		})
-		if i != len(res.Points) {
-			t.Fatalf("checked %d of %d points", i, len(res.Points))
 		}
 	}
 }
@@ -176,9 +170,9 @@ func TestPrunedSweepPrunes(t *testing.T) {
 // TestWorkerCountInvariance enforces "Result is deterministic across
 // worker counts" for every strategy, repeatedly: a sweep on one worker
 // and on four must agree on every point's name, partition and metrics,
-// the Pareto front, Best and coverage. Pruned sweeps skip a
-// timing-dependent set of points, so there only Best and the total
-// coverage must agree.
+// the Pareto front, Best and coverage. Pruned sweeps must agree on
+// Explored and Pruned themselves: the cut is a property of the bounds
+// and values, not of which worker evaluated what.
 func TestWorkerCountInvariance(t *testing.T) {
 	cache := testCache()
 	w := workload.MustNew("invariance", []workload.Entry{
@@ -209,10 +203,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						got := fmt.Sprintf("best %scoverage %d\n", render(res.Best), res.Explored+res.Pruned)
+						got := fmt.Sprintf("best %sexplored %d pruned %d\n", render(res.Best), res.Explored, res.Pruned)
 						if !prune {
-							got += fmt.Sprintf("explored %d pruned %d\npoints\n%spareto\n%s",
-								res.Explored, res.Pruned, render(res.Points...), render(res.Pareto...))
+							got += fmt.Sprintf("points\n%spareto\n%s", render(res.Points...), render(res.Pareto...))
 						}
 						if want == "" {
 							want = got
@@ -222,6 +215,120 @@ func TestWorkerCountInvariance(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBestFirstCut pins the pruned sweep's coverage on a re-sweep
+// probe's shape: a light-traffic tenant mix on Edge at the paper's
+// 16/8 granularity (105 partitions). On one worker and on four, cold
+// and warm, Explored must be exactly the number of partitions whose
+// bound is at or below Best's value, and Best must match the
+// exhaustive sweep's.
+func TestBestFirstCut(t *testing.T) {
+	cache := testCache()
+	w := workload.MustNew("observed", []workload.Entry{
+		{Model: "mobilenetv1", Batches: 4},
+		{Model: "mobilenetv2", Batches: 2},
+		{Model: "brq-handpose", Batches: 2},
+	})
+	sp := Space{Class: accel.Edge, Styles: []dataflow.Style{dataflow.NVDLA, dataflow.ShiDiannao}, PEUnits: 16, BWUnits: 8}
+	exh, err := NewSweeper(cache, sp, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := exh.Sweep(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ObjectiveEDP.value(full.Best)
+	want := 0
+	for i := range exh.slots {
+		if exh.slots[i].lowerBound(cache, ObjectiveEDP, w) <= v {
+			want++
+		}
+	}
+	// Moves only with the cost model or the bound.
+	if len(full.Points) != 105 || want != 48 {
+		t.Errorf("%d partitions with %d bounds at or below the optimum, want 105 and 48", len(full.Points), want)
+	}
+	for _, workers := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.Prune, opts.BestOnly = true, true
+		sw, err := NewSweeper(cache, sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []string{"cold", "warm"} {
+			res, err := sw.Sweep(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%d workers, %s", workers, phase)
+			samePoint(t, label, res.Best, full.Best)
+			if res.Explored != want || res.Pruned != len(full.Points)-want {
+				t.Errorf("%s: explored %d pruned %d, want %d and %d", label, res.Explored, res.Pruned, want, len(full.Points)-want)
+			}
+		}
+	}
+}
+
+// TestBestFirstCutAcrossBlocks: a space larger than one block (the
+// 3-way Edge space at 16/16 units, 11025 partitions) is swept block by
+// block, carrying the incumbent. Best must match the unpruned sweep, and each
+// block's cut must count the block's partitions whose bound is at or
+// below the best value known once the block is done — on one worker
+// and on four.
+func TestBestFirstCutAcrossBlocks(t *testing.T) {
+	cache := testCache()
+	w := workload.MustNew("blocks", []workload.Entry{{Model: "brq-handpose", Batches: 1}})
+	sp := Space{Class: accel.Edge,
+		Styles:  []dataflow.Style{dataflow.NVDLA, dataflow.ShiDiannao, dataflow.Eyeriss},
+		PEUnits: 16, BWUnits: 16}
+	opts := DefaultOptions()
+	full, err := Search(cache, sp, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference cut, from the design cloud and freshly built bounds.
+	want, best := 0, math.Inf(1)
+	var bounds []float64
+	streamPartitions(sp, opts, func(idx int, part []int) bool {
+		sl := partSlot{idx: idx, part: append([]int(nil), part...)}
+		if _, err := sl.hda(sp); err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, sl.lowerBound(cache, ObjectiveEDP, w))
+		return true
+	})
+	for base := 0; base < len(bounds); base += maxWorkerMemo {
+		end := min(base+maxWorkerMemo, len(bounds))
+		for _, p := range full.Points[base:end] {
+			best = min(best, ObjectiveEDP.value(p))
+		}
+		for _, b := range bounds[base:end] {
+			if b <= best {
+				want++
+			}
+		}
+	}
+
+	if len(bounds) <= 2*maxWorkerMemo || want == len(bounds) {
+		t.Fatalf("reference cut %d of %d: want three blocks and some pruning", want, len(bounds))
+	}
+	for _, workers := range []int{1, 4} {
+		pruned := opts
+		pruned.Workers = workers
+		pruned.Prune, pruned.BestOnly = true, true
+		res, err := Search(cache, sp, w, pruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePoint(t, fmt.Sprintf("%d workers", workers), res.Best, full.Best)
+		if res.Explored != want || res.Explored+res.Pruned != len(bounds) {
+			t.Errorf("%d workers: explored %d pruned %d, want %d of %d", workers, res.Explored, res.Pruned, want, len(bounds))
 		}
 	}
 }

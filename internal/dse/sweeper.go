@@ -1,24 +1,38 @@
 package dse
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/accel"
+	"repro/internal/dnn"
 	"repro/internal/maestro"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // Sweeper is a reusable handle over one (space, options) search
-// configuration: per-worker schedulers with warm L0 cost tables, a
-// partition→HDA cache (stable HDA pointers keep those tables hot
-// across sweeps), and the bound memos behind Options.Prune. Build one
-// with NewSweeper and call Sweep repeatedly — a serving fleet holds a
-// Sweeper so re-running the partition search on an observed workload
-// mix (fleet.Resweep) costs a warm sweep, not a cold one.
+// configuration: per-worker schedulers with warm L0 cost tables, and
+// one memo slot per partition holding its HDA (stable HDA pointers
+// keep those tables hot across sweeps) and the bound summaries behind
+// Options.Prune. Build one with NewSweeper and call Sweep repeatedly —
+// a serving fleet holds a Sweeper so re-running the partition search
+// on an observed workload mix (fleet.Resweep) costs a warm sweep, not
+// a cold one.
+//
+// A Sweep enumerates the space in blocks of at most maxWorkerMemo
+// partitions and hands each block to the worker pool off one atomic
+// cursor. Unpruned sweeps evaluate a block in enumeration order.
+// Pruned best-only sweeps are best-first branch-and-bound: the pool
+// first computes every partition's lower bound, then evaluates the
+// block in (bound, enumeration index) order, and a worker stops at the
+// first bound above the shared best (bound.go has the soundness and
+// cut argument).
 //
 // A Sweeper is NOT safe for concurrent Sweep calls (each call uses the
 // whole worker pool); serialize externally.
@@ -28,35 +42,46 @@ type Sweeper struct {
 	opts  Options
 
 	workers []*sweepWorker
+
+	// slots holds one block's partitions, slot i the block's i-th
+	// partition. It persists across sweeps: a space that fits in one
+	// block (every space the figures and the serving stack sweep)
+	// finds each partition's HDA and bound summaries where the last
+	// sweep left them.
+	slots []partSlot
 }
 
 // sweepWorker is one worker's private state: a scheduler (with its own
-// scratch and L0 tables) plus the sweep-local memo tables. Everything
-// here is touched by exactly one goroutine per Sweep — the memo tables
-// are worker-private rather than shared, which is what keeps the memo
-// paths race-free under the chunked work distribution.
+// scratch and L0 tables) and its best point of the current sweep. The
+// partition slots are shared, but the cursor hands each slot to one
+// worker per phase, so no slot is ever touched by two goroutines at
+// once.
 type sweepWorker struct {
-	cache *maestro.Cache
-	s     *sched.Scheduler
+	s *sched.Scheduler
 
-	// hdas caches built partitions by packed unit vector and
-	// enumeration index, so repeated sweeps reuse HDA pointers — and
-	// with them the scheduler's per-HDA cost tables. The index is part
-	// of the key because it names the HDA: a Random sample that repeats
-	// a partition gets its own index's name, whichever worker drew it.
-	hdas map[hdaKey]*accel.HDA
-
-	// bounds memoizes the bound tiers' per-(substrate-set, model)
-	// summaries (see bound.go).
-	bounds map[boundKey]modelBound
-
-	// keyBuf is the partition-key packing scratch.
-	keyBuf []byte
+	// bestIdx is the enumeration index of best, -1 before the worker
+	// evaluates anything this sweep.
+	bestIdx int
+	best    Point
 }
 
-type hdaKey struct {
-	part string
-	idx  int
+// partSlot is one partition's memo. A slot is valid for the
+// enumeration index it records: a fixed (space, options) pair always
+// enumerates the same partition at the same index, so a slot reloaded
+// with its own index keeps its HDA and bounds.
+type partSlot struct {
+	idx  int   // enumeration index; -1 when empty
+	part []int // unit-count vector (see enum.go)
+
+	// h is the partition's HDA, named after idx (a Random sample that
+	// repeats a partition gets its own index's name).
+	h *accel.HDA
+	// bounds memoizes the per-model bound summaries (see bound.go).
+	bounds map[*dnn.Model]modelBound
+
+	// bound and val are this sweep's objective lower bound and, once
+	// evaluated, objective value (+Inf until then). Pruned sweeps only.
+	bound, val float64
 }
 
 // NewSweeper validates the space and search options and builds the
@@ -75,12 +100,7 @@ func NewSweeper(cache *maestro.Cache, sp Space, opts Options) (*Sweeper, error) 
 	}
 	sw := &Sweeper{cache: cache, sp: sp, opts: opts}
 	for i := 0; i < workers; i++ {
-		sw.workers = append(sw.workers, &sweepWorker{
-			cache:  cache,
-			s:      sched.MustNew(cache, opts.Sched),
-			hdas:   make(map[hdaKey]*accel.HDA),
-			bounds: make(map[boundKey]modelBound),
-		})
+		sw.workers = append(sw.workers, &sweepWorker{s: sched.MustNew(cache, opts.Sched)})
 	}
 	return sw, nil
 }
@@ -91,16 +111,52 @@ func (sw *Sweeper) Space() Space { return sw.sp }
 // Options returns the sweeper's search options.
 func (sw *Sweeper) Options() Options { return sw.opts }
 
-// chunkSize is the number of partitions handed to a worker per channel
-// receive: big enough to amortize channel traffic, small enough that
-// the tail of the sweep still load-balances across the pool.
-const chunkSize = 8
+// maxWorkerMemo caps the partitions a Sweeper holds at once: one
+// block's slots, each with its HDA and bound summaries. They
+// deliberately cache the swept space across sweeps — that is what
+// makes a warm Resweep cheap — but a fleet-held Sweeper over a huge
+// space must not grow without bound, so a larger space is swept block
+// by block, each block reusing the slots of the last. Matches
+// sched.maxTables so the scheduler's per-HDA tables are evicted on the
+// same scale.
+const maxWorkerMemo = 4096
 
-// chunk is one work unit: consecutive partitions starting at base.
-type chunk struct {
-	base  int
-	parts [][]int
-	buf   []int // backing storage for parts
+// runGrain is how many consecutive partitions a worker claims at once
+// in enumeration order. Neighbouring partitions share PE shares, so a
+// run of them reads the same cost-model rows; workers on disjoint runs
+// fill a cold cache without queueing on one row. The best-first phase
+// claims one partition at a time, so it stops at the cut exactly.
+const runGrain = 8
+
+// sweep is one Sweep call's shared state.
+type sweep struct {
+	sw     *Sweeper
+	w      *workload.Workload
+	points []Point // the design cloud; nil under BestOnly
+	prune  bool
+
+	// best is the lowest objective value any worker has evaluated,
+	// carried across blocks.
+	best *bestTracker
+	// incumbent is the best value of the cut prefixes of the blocks
+	// swept so far, and explored the sum of their lengths. Both are
+	// timing-independent (see bound.go).
+	incumbent float64
+	explored  int
+
+	stop atomic.Bool
+	mu   sync.Mutex
+	err  error
+}
+
+// fail records the sweep's first error and stops every worker.
+func (s *sweep) fail(err error) {
+	s.stop.Store(true)
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
 }
 
 // Sweep explores the space for workload w. Pruning (Options.Prune) is
@@ -118,197 +174,218 @@ func (sw *Sweeper) Sweep(w *workload.Workload) (*Result, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("dse: empty partition set for %s", sw.sp.Class.Name)
 	}
-
-	workers := len(sw.workers)
-	if workers > total {
-		workers = total
+	if sw.slots == nil {
+		sw.slots = make([]partSlot, min(total, maxWorkerMemo))
+		for i := range sw.slots {
+			sw.slots[i].idx = -1
+		}
 	}
-	prune := sw.opts.Prune && sw.opts.BestOnly
 
-	var points []Point
+	s := &sweep{
+		sw:        sw,
+		w:         w,
+		prune:     sw.opts.Prune && sw.opts.BestOnly,
+		best:      newBestTracker(),
+		incumbent: math.Inf(1),
+	}
 	if !sw.opts.BestOnly {
-		points = make([]Point, total)
+		s.points = make([]Point, total)
 	}
-
-	var (
-		wg       sync.WaitGroup
-		stop     atomic.Bool
-		pruned   atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		stop.Store(true)
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	for _, wk := range sw.workers {
+		wk.bestIdx = -1
+	}
+	defer func() {
+		for _, wk := range sw.workers {
+			wk.best = Point{} // only the returned winner stays referenced
 		}
-		errMu.Unlock()
-	}
-	best := newBestTracker()
+	}()
 
-	// bests[k] is worker k's streamed local best: the lowest objective
-	// value with the earliest enumeration index, plus the retained
-	// point (the design cloud may not exist in BestOnly mode).
-	type localBest struct {
-		idx   int
-		point Point
-	}
-	bests := make([]localBest, workers)
-	for k := range bests {
-		bests[k].idx = -1
-	}
-
-	work := make(chan chunk, workers)
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			wk := sw.workers[k]
-			lb := &bests[k]
-			for ch := range work {
-				for ci, part := range ch.parts {
-					if stop.Load() {
-						break // drain remaining chunks without evaluating
-					}
-					idx := ch.base + ci
-					key := wk.partKey(part)
-					h, err := wk.hda(sw.sp, key, part, idx)
-					if err != nil {
-						fail(err)
-						break
-					}
-					if prune {
-						// The bound reads the same substrate columns the
-						// evaluation below would, so a failed prune wastes
-						// only the aggregation arithmetic.
-						if b := wk.lowerBound(sw.opts.Objective, h, key, w); b > best.load() {
-							pruned.Add(1)
-							continue
-						}
-					}
-					p, err := wk.evaluate(h, w)
-					if err != nil {
-						fail(err)
-						break
-					}
-					if points != nil {
-						points[idx] = p
-					}
-					v := sw.opts.Objective.value(p)
-					if lb.idx < 0 || v < sw.opts.Objective.value(lb.point) ||
-						(v == sw.opts.Objective.value(lb.point) && idx < lb.idx) {
-						if points == nil && lb.idx >= 0 {
-							// BestOnly: the dethroned point is dropped here
-							// and nowhere else — recycle its storage.
-							wk.s.Recycle(lb.point.Schedule)
-						}
-						lb.idx, lb.point = idx, p
-					} else if points == nil {
-						wk.s.Recycle(p.Schedule)
-					}
-					if prune {
-						best.offer(v)
-					}
-				}
-			}
-		}(k)
-	}
-
-	// Producer: stream the enumeration into bounded chunks. Memory in
-	// flight is O(workers × chunkSize), independent of the space.
-	n := len(sw.sp.Styles)
-	var cur chunk
-	flush := func() bool {
-		if len(cur.parts) == 0 {
-			return true
-		}
-		if stop.Load() {
-			return false
-		}
-		work <- cur
-		cur = chunk{}
-		return true
-	}
+	// Enumerate block by block; each full block is swept before the
+	// enumeration continues, so at most len(sw.slots) partitions are
+	// held at once.
+	n := 0
 	streamPartitions(sw.sp, sw.opts, func(idx int, part []int) bool {
-		if cur.parts == nil {
-			cur.base = idx
-			cur.parts = make([][]int, 0, chunkSize)
-			cur.buf = make([]int, 0, chunkSize*2*n)
+		sl := &sw.slots[n]
+		if sl.idx != idx {
+			sl.idx, sl.part, sl.h = idx, append(sl.part[:0], part...), nil
+			clear(sl.bounds)
 		}
-		cur.buf = append(cur.buf, part...)
-		cur.parts = append(cur.parts, cur.buf[len(cur.buf)-2*n:])
-		if len(cur.parts) == chunkSize {
-			return flush()
+		if n++; n == len(sw.slots) {
+			s.block(sw.slots)
+			n = 0
 		}
-		return true
+		return !s.stop.Load()
 	})
-	flush()
-	close(work)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
+	if n > 0 && !s.stop.Load() {
+		s.block(sw.slots[:n])
+	}
+	if s.err != nil {
+		return nil, s.err
 	}
 
-	// Merge the workers' streamed bests: lowest objective, earliest
-	// enumeration index on ties (identical to a sequential scan).
-	res := &Result{
-		Space:  sw.sp,
-		Points: points,
-		Pruned: int(pruned.Load()),
-	}
-	res.Explored = total - res.Pruned
-	mi := -1
-	for k := range bests {
-		if bests[k].idx < 0 {
-			continue
-		}
-		if mi < 0 || betterPoint(sw.opts.Objective, bests[k].point, bests[k].idx, bests[mi].point, bests[mi].idx) {
-			mi = k
+	// Merge the workers' bests: lowest objective, earliest enumeration
+	// index on ties (identical to a sequential scan). A speculative
+	// evaluation past a block's cut is strictly worse than the
+	// incumbent, so it never wins here.
+	res := &Result{Space: sw.sp, Points: s.points, Explored: s.explored, Pruned: total - s.explored}
+	var win *sweepWorker
+	for _, wk := range sw.workers {
+		if wk.bestIdx >= 0 && (win == nil || betterPoint(sw.opts.Objective, wk.best, wk.bestIdx, win.best, win.bestIdx)) {
+			win = wk
 		}
 	}
-	if mi < 0 {
+	if win == nil {
 		return nil, fmt.Errorf("dse: no design point evaluated for %s", sw.sp.Class.Name)
 	}
-	res.Best = bests[mi].point
-	if points != nil {
-		res.Pareto = ParetoFront(points)
+	res.Best = win.best
+	if s.points != nil {
+		res.Pareto = ParetoFront(s.points)
 	}
 	return res, nil
 }
 
-// partKey packs a unit-count vector into a map key (2 bytes per
-// entry; granularities are far below 1<<16 units).
-func (wk *sweepWorker) partKey(part []int) string {
-	buf := wk.keyBuf[:0]
-	for _, v := range part {
-		buf = append(buf, byte(v>>8), byte(v))
+// block sweeps one block of loaded slots.
+func (s *sweep) block(slots []partSlot) {
+	sw := s.sw
+	if !s.prune {
+		s.run(len(slots), runGrain, func(wk *sweepWorker, i int) bool {
+			_, ok := s.evaluate(wk, &slots[i])
+			return ok
+		})
+		s.explored += len(slots)
+		return
 	}
-	wk.keyBuf = buf
-	return string(buf)
+
+	// Bound phase: every partition's HDA and objective lower bound.
+	s.run(len(slots), runGrain, func(_ *sweepWorker, i int) bool {
+		sl := &slots[i]
+		if _, err := sl.hda(sw.sp); err != nil {
+			s.fail(err)
+			return false
+		}
+		sl.bound = sl.lowerBound(sw.cache, sw.opts.Objective, s.w)
+		sl.val = math.Inf(1)
+		return true
+	})
+	if s.stop.Load() {
+		return
+	}
+	order := make([]int, len(slots))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(slots[a].bound, slots[b].bound); c != 0 {
+			return c
+		}
+		return a - b // slot order is enumeration order
+	})
+
+	// Evaluation phase: best-first until the next bound cannot win.
+	s.run(len(order), 1, func(wk *sweepWorker, pos int) bool {
+		sl := &slots[order[pos]]
+		if sl.bound > s.best.load() {
+			return false
+		}
+		v, ok := s.evaluate(wk, sl)
+		if ok {
+			sl.val = v
+			s.best.offer(v)
+		}
+		return ok
+	})
+	if s.stop.Load() {
+		return
+	}
+
+	// The cut: the first position whose bound exceeds the best value of
+	// every position before it (and of every earlier block). Every
+	// position before it was evaluated, whatever the timing.
+	k := len(order)
+	for pos, i := range order {
+		if slots[i].bound > s.incumbent {
+			k = pos
+			break
+		}
+		s.incumbent = min(s.incumbent, slots[i].val)
+	}
+	s.explored += k
 }
 
-// maxWorkerMemo caps each worker's partition-keyed memo tables (HDAs
-// and bound summaries). They deliberately cache the swept
-// space across sweeps — that is what makes a warm Resweep cheap — but
-// a fleet-held Sweeper over a huge space must not grow without bound,
-// so past the cap everything is dropped and rebuilt through the
-// shared caches. Matches sched.maxTables so the scheduler's per-HDA
-// tables are evicted on the same scale.
-const maxWorkerMemo = 4096
-
-// hda returns (building and caching if needed) the HDA of one
-// partition, named after its enumeration index.
-func (wk *sweepWorker) hda(sp Space, key string, part []int, idx int) (*accel.HDA, error) {
-	if h, ok := wk.hdas[hdaKey{key, idx}]; ok {
-		return h, nil
+// run hands positions 0..n-1 to the worker pool off one atomic cursor,
+// grain consecutive positions per claim, the calling goroutine acting
+// as worker 0. A worker quits when fn returns false, when the cursor
+// runs out, or once the sweep failed.
+func (s *sweep) run(n, grain int, fn func(wk *sweepWorker, pos int) bool) {
+	var next atomic.Int64
+	loop := func(wk *sweepWorker) {
+		for {
+			end := int(next.Add(int64(grain)))
+			for pos := end - grain; pos < min(end, n); pos++ {
+				if s.stop.Load() || !fn(wk, pos) {
+					return
+				}
+			}
+			if end >= n {
+				return
+			}
+		}
 	}
-	if len(wk.hdas) >= maxWorkerMemo {
-		// The bounds memo keys off the same partition keys; drop
-		// both together.
-		clear(wk.hdas)
-		clear(wk.bounds)
+	var wg sync.WaitGroup
+	for _, wk := range s.sw.workers[1:min(len(s.sw.workers), n)] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loop(wk)
+		}()
+	}
+	loop(s.sw.workers[0])
+	wg.Wait()
+}
+
+// evaluate schedules the workload on one slot's HDA with the worker's
+// scheduler and folds the point into the worker's best (and the design
+// cloud, if kept). It reports false after recording a failure.
+func (s *sweep) evaluate(wk *sweepWorker, sl *partSlot) (float64, bool) {
+	h, err := sl.hda(s.sw.sp)
+	if err != nil {
+		s.fail(err)
+		return 0, false
+	}
+	schd, err := wk.s.Schedule(h, s.w)
+	if err != nil {
+		s.fail(err)
+		return 0, false
+	}
+	p := Point{
+		HDA:        h,
+		Schedule:   schd,
+		LatencySec: schd.LatencySeconds(1.0),
+		EnergyMJ:   schd.EnergyMJ(),
+		EDP:        schd.EDP(1.0),
+	}
+	if s.points != nil {
+		s.points[sl.idx] = p
+	}
+	o := s.sw.opts.Objective
+	if wk.bestIdx < 0 || betterPoint(o, p, sl.idx, wk.best, wk.bestIdx) {
+		if s.points == nil && wk.bestIdx >= 0 {
+			// BestOnly: the dethroned point is dropped here and
+			// nowhere else — recycle its storage.
+			wk.s.Recycle(wk.best.Schedule)
+		}
+		wk.bestIdx, wk.best = sl.idx, p
+	} else if s.points == nil {
+		wk.s.Recycle(p.Schedule)
+	}
+	return o.value(p), true
+}
+
+// hda returns (building on first use) the slot's HDA, named after its
+// enumeration index.
+func (sl *partSlot) hda(sp Space) (*accel.HDA, error) {
+	if sl.h != nil {
+		return sl.h, nil
 	}
 	peUnit := sp.Class.PEs / sp.PEUnits
 	bwUnit := sp.Class.BWGBps / float64(sp.BWUnits)
@@ -317,30 +394,14 @@ func (wk *sweepWorker) hda(sp Space, key string, part []int, idx int) (*accel.HD
 	for i := 0; i < n; i++ {
 		ps[i] = accel.Partition{
 			Style:  sp.Styles[i],
-			PEs:    part[i] * peUnit,
-			BWGBps: float64(part[n+i]) * bwUnit,
+			PEs:    sl.part[i] * peUnit,
+			BWGBps: float64(sl.part[n+i]) * bwUnit,
 		}
 	}
-	h, err := accel.New(fmt.Sprintf("hda-%d", idx), sp.Class, ps)
+	h, err := accel.New(fmt.Sprintf("hda-%d", sl.idx), sp.Class, ps)
 	if err != nil {
 		return nil, err
 	}
-	wk.hdas[hdaKey{key, idx}] = h
+	sl.h = h
 	return h, nil
-}
-
-// evaluate schedules the workload on one cached HDA with the worker's
-// scheduler.
-func (wk *sweepWorker) evaluate(h *accel.HDA, w *workload.Workload) (Point, error) {
-	schd, err := wk.s.Schedule(h, w)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{
-		HDA:        h,
-		Schedule:   schd,
-		LatencySec: schd.LatencySeconds(1.0),
-		EnergyMJ:   schd.EnergyMJ(),
-		EDP:        schd.EDP(1.0),
-	}, nil
 }

@@ -1,9 +1,11 @@
 package dse
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/workload"
 )
 
@@ -43,45 +45,32 @@ func TestSweeperReuse(t *testing.T) {
 			warmA.Explored, warmA.Pruned, coldA.Explored, coldA.Pruned)
 	}
 
-	// The warm sweep must reuse cached HDAs: the same partition at the
-	// same enumeration index must resolve to the same pointer within a
-	// worker, and the name always follows the index.
-	wk := sw.workers[0]
-	part := []int{4, 4, 2, 2}
-	h1, err := wk.hda(sw.sp, wk.partKey(part), part, 0)
-	if err != nil {
+	// The warm sweep must reuse cached HDAs: every slot still holds the
+	// pointer the cold sweep built, named after its enumeration index.
+	hdas := make([]*accel.HDA, len(sw.slots))
+	for i := range sw.slots {
+		hdas[i] = sw.slots[i].h
+		if want := fmt.Sprintf("hda-%d", sw.slots[i].idx); hdas[i] == nil || hdas[i].Name != want {
+			t.Fatalf("slot %d: HDA %v, want one named %s", i, hdas[i], want)
+		}
+	}
+	if _, err := sw.Sweep(wB); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := wk.hda(sw.sp, wk.partKey(part), part, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Error("worker rebuilt a cached HDA")
-	}
-	h3, err := wk.hda(sw.sp, wk.partKey(part), part, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3.Name != "hda-99" || !h3.SamePartition(h1) {
-		t.Errorf("partition repeated at index 99 resolved to %s %v", h3.Name, h3)
+	for i := range sw.slots {
+		if sw.slots[i].h != hdas[i] {
+			t.Errorf("slot %d: warm re-sweep rebuilt its HDA", i)
+		}
 	}
 
-	// An exhaustive warm re-sweep on one worker builds no HDA at all.
-	opts.Workers = 1
-	one, err := NewSweeper(cache, edgeSpace(), opts)
+	// A slot reloaded with another index rebuilds, named after it.
+	sl := partSlot{idx: 99, part: sw.slots[0].part}
+	h, err := sl.hda(sw.sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := one.Sweep(wA); err != nil {
-		t.Fatal(err)
-	}
-	built := len(one.workers[0].hdas)
-	if _, err := one.Sweep(wB); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(one.workers[0].hdas); got != built {
-		t.Errorf("warm re-sweep built %d new HDAs", got-built)
+	if h.Name != "hda-99" || !h.SamePartition(hdas[0]) {
+		t.Errorf("partition repeated at index 99 resolved to %s %v", h.Name, h)
 	}
 }
 
@@ -103,8 +92,8 @@ func TestSweeperBestOnlyKeepsSchedule(t *testing.T) {
 }
 
 // TestSweepRaceHammer exercises the memo/bound paths under maximum
-// worker parallelism — the sweep-local tables are worker-private by
-// construction and must stay that way (run under `make race`).
+// worker parallelism — the cursor hands each partition slot to one
+// worker per phase, and that must stay so (run under `make race`).
 func TestSweepRaceHammer(t *testing.T) {
 	cache := testCache()
 	for _, bestOnly := range []bool{false, true} {

@@ -169,7 +169,10 @@ type Decision struct {
 	Streak       int `json:"streak"`
 	CooldownLeft int `json:"cooldown_left"`
 
-	// Explored/Pruned are the probe sweep's coverage counters.
+	// Explored/Pruned are the probe sweep's coverage counters. A
+	// pruned probe's Explored is the partitions whose objective bound
+	// is at or below the winner's value, so both are deterministic and
+	// replay-stable.
 	Explored int `json:"explored"`
 	Pruned   int `json:"pruned"`
 }

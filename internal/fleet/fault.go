@@ -745,9 +745,10 @@ func (f *Fleet) shedLocked(req serve.Request, eta int64) error {
 	return &ShedError{Tenant: req.Tenant, ETACycles: eta, BudgetCycles: budget, RetryAfterSeconds: retry}
 }
 
-// retryableAdmit reports whether an engine admission error is
-// replica-attributable (worth trying another replica and noting on the
-// breaker) as opposed to a client error that would fail everywhere.
+// retryableAdmit reports whether an engine admission error is worth
+// trying on another replica (a full per-replica tenant queue, a
+// draining engine), as opposed to a client error that would fail
+// everywhere.
 func retryableAdmit(err error) bool {
 	return errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrDraining)
 }

@@ -949,8 +949,10 @@ func (d *dispatch) decompose(plan dse.SegmentPlan) error {
 // dispatchLocked admits one tracked request (or a fused chain's next
 // segments, workLocked) on a replica chosen under the routing policy,
 // rotating to the next-best replica on every replica-attributable
-// admission failure (full queue, draining engine, injected fault)
-// while feeding the circuit breaker. It returns an error only when the
+// admission failure (full queue, draining engine, injected fault).
+// The circuit breaker counts the draining engine and the injected
+// fault; a full queue is one tenant's cap, so it never opens a
+// replica's breaker. It returns an error only when the
 // request cannot be admitted anywhere: a client error from the first
 // engine that evaluated it, or, once every eligible replica has been
 // tried, the last engine's overload rejection (a full queue stays
@@ -990,7 +992,12 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 		if err != nil {
 			d.rep = prev
 			if retryableAdmit(err) {
-				f.noteFailureLocked(r, cycle, err.Error())
+				// A full queue is the tenant's backpressure, not the
+				// replica's fault: it leaves the breaker (and a
+				// half-open probe) as it was.
+				if !errors.Is(err, serve.ErrQueueFull) {
+					f.noteFailureLocked(r, cycle, err.Error())
+				}
 				overload = err
 				continue
 			}
