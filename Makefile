@@ -117,11 +117,11 @@ vulncheck:
 # doclint fails on broken intra-repo markdown links (file + anchor)
 # and on exported identifiers missing doc comments in the serving
 # tier, the search and scheduler, the cost-model, accelerator and
-# trace packages they build on, and the workload, network-zoo,
-# dataflow, energy and reference-simulator packages under those.
-# CI runs this per PR.
+# trace packages they build on, the workload, network-zoo,
+# dataflow, energy and reference-simulator packages under those, and
+# the paper-artifact experiments. CI runs this per PR.
 doclint:
-	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,internal/config,cmd/heraldplay,internal/maestro,internal/trace,internal/accel,internal/core,internal/workload,internal/dnn,internal/dataflow,internal/energy,internal/refsim
+	$(GO) run ./cmd/doclint -md . -pkgs internal/fleet,internal/serve,internal/dse,internal/sched,internal/analysis,internal/capture,internal/scenario,internal/replay,internal/config,cmd/heraldplay,internal/maestro,internal/trace,internal/accel,internal/core,internal/workload,internal/dnn,internal/dataflow,internal/energy,internal/refsim,internal/experiments
 
 # bench runs the root benchmark suite once per benchmark (short form:
 # the perf trajectory gate wants per-PR numbers, not nanosecond-grade

@@ -134,7 +134,8 @@ type (
 	SchedOptions = sched.Options
 	// Scheduler generates schedules for HDAs.
 	Scheduler = sched.Scheduler
-	// Metric selects the per-layer preference metric.
+	// Metric selects the per-layer preference metric. It is the same
+	// type as SearchObjective: MetricEDP is ObjectiveEDP, and so on.
 	Metric = sched.Metric
 	// Ordering selects the initial layer ordering heuristic.
 	Ordering = sched.Ordering
@@ -166,7 +167,9 @@ const (
 	Random     = dse.Random
 )
 
-// SearchObjective selects what a search's Best point minimizes.
+// SearchObjective selects what a search's Best point minimizes. It is
+// the same type as Metric, the scheduler's per-layer preference: one
+// value picks latency, energy or EDP at every level.
 type SearchObjective = dse.Objective
 
 // Search objectives (§IV-D: "users can select the metric").

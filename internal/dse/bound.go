@@ -4,9 +4,9 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/accel"
 	"repro/internal/dnn"
 	"repro/internal/maestro"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -104,59 +104,18 @@ func (t *bestTracker) offer(v float64) {
 	}
 }
 
-// modelBound is one model's scheduling-free summary on one substrate
-// set: the dependence-chain cycle bound (sum over layers of the
-// cheapest sub-accelerator's cycles) and the matching per-layer
-// energy-minimum sum. Memoizing it in the partition's slot makes
-// repeated re-sweeps (fleet.Resweep, figure sweeps over several workloads)
-// reuse the arithmetic; the cost columns underneath are interned in
-// the shared maestro cache.
-type modelBound struct {
-	chainCycles int64
-	energyPJ    float64
-}
-
-// minsOver folds model m's per-layer cycle/energy minima across h's
-// sub-accelerators into a modelBound. It reads the interned cycles and
-// footprint columns the scheduler's L0 tables hold; the bounds memo
-// keeps only their summary.
-func minsOver(cache *maestro.Cache, h *accel.HDA, m *dnn.Model) modelBound {
-	n := len(h.Subs)
-	cyc := make([][]int64, n)
-	fps := make([][]*maestro.Footprint, n)
-	for a, sub := range h.Subs {
-		cyc[a], fps[a] = cache.Cycles(m, sub.Style, sub.HW)
-	}
-	var mb modelBound
-	for li := range m.Layers {
-		minC := cyc[0][li]
-		minE := fps[0][li].Energy.Total()
-		for a := 1; a < n; a++ {
-			if c := cyc[a][li]; c < minC {
-				minC = c
-			}
-			if e := fps[a][li].Energy.Total(); e < minE {
-				minE = e
-			}
-		}
-		mb.chainCycles += minC
-		mb.energyPJ += minE
-	}
-	return mb
-}
-
-// aggregate folds per-instance model bounds into the objective bound.
-func aggregate(o Objective, w *workload.Workload, nAcc int, mbOf func(*dnn.Model) modelBound) float64 {
+// aggregate folds per-instance model floors into the objective bound.
+func aggregate(o Objective, w *workload.Workload, nAcc int, floorOf func(*dnn.Model) sched.Floor) float64 {
 	var maxChain, totalCycles int64
 	var totalE float64
 	for i := range w.Instances {
 		in := &w.Instances[i]
-		mb := mbOf(in.Model)
-		if c := in.ArrivalCycle + mb.chainCycles; c > maxChain {
+		fl := floorOf(in.Model)
+		if c := in.ArrivalCycle + fl.ChainCycles; c > maxChain {
 			maxChain = c
 		}
-		totalCycles += mb.chainCycles
-		totalE += mb.energyPJ
+		totalCycles += fl.ChainCycles
+		totalE += fl.EnergyPJ
 	}
 	n := int64(nAcc)
 	if perAcc := (totalCycles + n - 1) / n; perAcc > maxChain {
@@ -164,29 +123,27 @@ func aggregate(o Objective, w *workload.Workload, nAcc int, mbOf func(*dnn.Model
 	}
 	latLB := float64(maxChain) / 1e9 // Point.LatencySec at the 1 GHz reference
 	energyLB := totalE * energySlack
-	switch o {
-	case ObjectiveLatency:
-		return latLB
-	case ObjectiveEnergy:
-		return energyLB * 1e-9 // Point.EnergyMJ
-	default: // EDP, joule-seconds: EnergyPJ * 1e-12 * LatencySec
-		return energyLB * 1e-12 * latLB
-	}
+	// Energy in mJ as Point.EnergyMJ; EDP in joule-seconds, EnergyPJ *
+	// 1e-12 * LatencySec.
+	return o.Pick(latLB, energyLB*1e-9, energyLB*1e-12*latLB)
 }
 
 // lowerBound computes the objective bound from each sub-accelerator's
-// actual substrate columns (the ones a subsequent evaluation reuses),
-// memoized per (partition, model) in the slot.
+// actual substrate columns (the ones a subsequent evaluation reuses).
+// The model floors are memoized per (partition, model) in the slot, so
+// repeated re-sweeps (fleet.Resweep, figure sweeps over several
+// workloads) reuse the arithmetic; the cost columns underneath are
+// interned in the shared maestro cache.
 func (sl *partSlot) lowerBound(cache *maestro.Cache, o Objective, w *workload.Workload) float64 {
-	return aggregate(o, w, len(sl.h.Subs), func(m *dnn.Model) modelBound {
-		if mb, ok := sl.bounds[m]; ok {
-			return mb
+	return aggregate(o, w, len(sl.h.Subs), func(m *dnn.Model) sched.Floor {
+		if fl, ok := sl.bounds[m]; ok {
+			return fl
 		}
-		mb := minsOver(cache, sl.h, m)
+		fl := sched.FloorOf(cache, sl.h, m)
 		if sl.bounds == nil {
-			sl.bounds = make(map[*dnn.Model]modelBound)
+			sl.bounds = make(map[*dnn.Model]sched.Floor)
 		}
-		sl.bounds[m] = mb
-		return mb
+		sl.bounds[m] = fl
+		return fl
 	})
 }

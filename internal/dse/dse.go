@@ -9,7 +9,7 @@
 // paper.
 //
 // The sweep machinery is built for repeated online use, not just
-// design time: enumeration streams in blocks of at most maxWorkerMemo
+// design time: enumeration streams in blocks of at most sched.MaxTables
 // partitions that workers take off one atomic cursor (memory bounded
 // by the block, not the space); Options.BestOnly drops the design
 // cloud; Options.Prune makes a best-only sweep a best-first
@@ -124,47 +124,20 @@ func (sp Space) Validate() error {
 }
 
 // Objective selects what Result.Best minimizes (§IV-D: "users can
-// select the metric (e.g., EDP, energy, latency, and so on)").
-type Objective int
+// select the metric (e.g., EDP, energy, latency, and so on)"). It is
+// the scheduler's Metric: one choice ranks sub-accelerators per layer,
+// design points per search and fusion cuts per layer range.
+type Objective = sched.Metric
 
+// The objectives, in sched.Metric's order.
 const (
 	// ObjectiveEDP minimizes the energy-delay product (default).
-	ObjectiveEDP Objective = iota
+	ObjectiveEDP = sched.MetricEDP
 	// ObjectiveLatency minimizes the schedule makespan.
-	ObjectiveLatency
+	ObjectiveLatency = sched.MetricLatency
 	// ObjectiveEnergy minimizes total energy.
-	ObjectiveEnergy
+	ObjectiveEnergy = sched.MetricEnergy
 )
-
-// String names the objective (flag spelling).
-func (o Objective) String() string {
-	switch o {
-	case ObjectiveLatency:
-		return "latency"
-	case ObjectiveEnergy:
-		return "energy"
-	default:
-		return "edp"
-	}
-}
-
-// Value extracts the objective's value from an evaluated point.
-// Exported so callers ranking a design point outside a search — the
-// fleet's repartitioning controller comparing the serving partition
-// against a sweep winner — use the search's own convention.
-func (o Objective) Value(p Point) float64 { return o.value(p) }
-
-// value extracts the objective from a point.
-func (o Objective) value(p Point) float64 {
-	switch o {
-	case ObjectiveLatency:
-		return p.LatencySec
-	case ObjectiveEnergy:
-		return p.EnergyMJ
-	default:
-		return p.EDP
-	}
-}
 
 // Options configures a search.
 type Options struct {
@@ -212,6 +185,12 @@ type Point struct {
 	EnergyMJ   float64
 	EDP        float64 // joule-seconds at 1 GHz
 }
+
+// Value returns the point's value under objective o. Exported so
+// callers ranking a design point outside a search — the fleet's
+// repartitioning controller comparing the serving partition against a
+// sweep winner — use the search's own convention.
+func (p Point) Value(o Objective) float64 { return o.Pick(p.LatencySec, p.EnergyMJ, p.EDP) }
 
 // Result is the outcome of a search.
 type Result struct {
@@ -279,7 +258,7 @@ func (r *Result) TopK(o Objective, k int) []Point {
 // q (at qi) under the objective, breaking ties toward the earlier
 // index so parallel searches reproduce the sequential choice.
 func betterPoint(o Objective, p Point, pi int, q Point, qi int) bool {
-	pv, qv := o.value(p), o.value(q)
+	pv, qv := p.Value(o), q.Value(o)
 	if pv != qv {
 		return pv < qv
 	}

@@ -16,7 +16,7 @@ import (
 // order the original eager enumerate produced — PE composition outer,
 // BW composition inner, each composition in lexicographic prefix
 // order. The sweep (sweeper.go) copies them into blocks of at most
-// maxWorkerMemo partitions, each with its HDA and bound memos that
+// sched.MaxTables partitions, each with its HDA and bound memos that
 // keep re-sweeps warm, so it never holds more of the space than one
 // block.
 

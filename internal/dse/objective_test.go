@@ -17,8 +17,8 @@ func TestObjectiveSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range res.Points {
-			if obj.value(p) < obj.value(res.Best) {
-				t.Errorf("%v: best not minimal (%g < %g)", obj, obj.value(p), obj.value(res.Best))
+			if p.Value(obj) < res.Best.Value(obj) {
+				t.Errorf("%v: best not minimal (%g < %g)", obj, p.Value(obj), res.Best.Value(obj))
 			}
 		}
 		bests[obj] = res.Best
@@ -36,5 +36,9 @@ func TestObjectiveSelection(t *testing.T) {
 func TestObjectiveString(t *testing.T) {
 	if ObjectiveEDP.String() != "edp" || ObjectiveLatency.String() != "latency" || ObjectiveEnergy.String() != "energy" {
 		t.Error("objective names")
+	}
+	// An out-of-range objective is EDP in name and value.
+	if o := Objective(7); o.String() != "edp" || o.Pick(1, 2, 3) != 3 {
+		t.Errorf("out-of-range objective: %q picks %g, want edp and 3", o, o.Pick(1, 2, 3))
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/dataflow"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -138,7 +139,7 @@ func TestBoundIsSound(t *testing.T) {
 		}
 		for i := range sw.slots {
 			sl := &sw.slots[i]
-			v := obj.value(res.Points[sl.idx])
+			v := res.Points[sl.idx].Value(obj)
 			if bound := sl.lowerBound(cache, obj, w); bound > v {
 				t.Errorf("%s: point %d bound %g exceeds objective %g", obj, sl.idx, bound, v)
 			}
@@ -241,7 +242,7 @@ func TestBestFirstCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := ObjectiveEDP.value(full.Best)
+	v := full.Best.Value(ObjectiveEDP)
 	want := 0
 	for i := range exh.slots {
 		if exh.slots[i].lowerBound(cache, ObjectiveEDP, w) <= v {
@@ -303,10 +304,10 @@ func TestBestFirstCutAcrossBlocks(t *testing.T) {
 		bounds = append(bounds, sl.lowerBound(cache, ObjectiveEDP, w))
 		return true
 	})
-	for base := 0; base < len(bounds); base += maxWorkerMemo {
-		end := min(base+maxWorkerMemo, len(bounds))
+	for base := 0; base < len(bounds); base += sched.MaxTables {
+		end := min(base+sched.MaxTables, len(bounds))
 		for _, p := range full.Points[base:end] {
-			best = min(best, ObjectiveEDP.value(p))
+			best = min(best, p.Value(ObjectiveEDP))
 		}
 		for _, b := range bounds[base:end] {
 			if b <= best {
@@ -315,7 +316,7 @@ func TestBestFirstCutAcrossBlocks(t *testing.T) {
 		}
 	}
 
-	if len(bounds) <= 2*maxWorkerMemo || want == len(bounds) {
+	if len(bounds) <= 2*sched.MaxTables || want == len(bounds) {
 		t.Fatalf("reference cut %d of %d: want three blocks and some pruning", want, len(bounds))
 	}
 	for _, workers := range []int{1, 4} {

@@ -73,21 +73,6 @@ func (p SegmentPlan) Slices(m *dnn.Model) ([]*dnn.Model, error) {
 	return out, nil
 }
 
-// segMetric mirrors sched.Metric.value for the objective's per-layer
-// ranking: the scalar a cut search minimizes when pinning a layer
-// range, using the same arithmetic (and hence the same floats) as the
-// scheduler's preference ranking.
-func segMetric(o Objective, cycles int64, fp *maestro.Footprint) float64 {
-	switch o {
-	case ObjectiveLatency:
-		return float64(cycles)
-	case ObjectiveEnergy:
-		return fp.Energy.Total()
-	default:
-		return fp.Energy.Total() * 1e-12 * (float64(cycles) / 1e9)
-	}
-}
-
 // PlanSegments searches model m's fusion cuts on HDA h: it enumerates
 // the contiguous-segment partitions reachable by greedily merging the
 // model's dataflow-preference runs (every layer starts in the segment
@@ -121,7 +106,7 @@ func PlanSegments(cache *maestro.Cache, h *accel.HDA, m *dnn.Model, o Objective,
 		cp := make([]int64, L+1)
 		ep := make([]float64, L+1)
 		for li := 0; li < L; li++ {
-			mp[li+1] = mp[li] + segMetric(o, cyc[li], fps[li])
+			mp[li+1] = mp[li] + o.Layer(cyc[li], fps[li])
 			cp[li+1] = cp[li] + cyc[li]
 			ep[li+1] = ep[li] + fps[li].Energy.Total()
 		}

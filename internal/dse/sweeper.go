@@ -25,14 +25,18 @@ import (
 // on an observed workload mix (fleet.Resweep) costs a warm sweep, not
 // a cold one.
 //
-// A Sweep enumerates the space in blocks of at most maxWorkerMemo
+// A Sweep enumerates the space in blocks of at most sched.MaxTables
 // partitions and hands each block to the worker pool off one atomic
-// cursor. Unpruned sweeps evaluate a block in enumeration order.
-// Pruned best-only sweeps are best-first branch-and-bound: the pool
-// first computes every partition's lower bound, then evaluates the
-// block in (bound, enumeration index) order, and a worker stops at the
-// first bound above the shared best (bound.go has the soundness and
-// cut argument).
+// cursor. The slots deliberately cache the swept space across sweeps —
+// that is what makes a warm Resweep cheap — but a fleet-held Sweeper
+// over a huge space must not grow without bound, so each block reuses
+// the slots of the last, and the schedulers' per-HDA tables are
+// evicted on the same scale. Unpruned sweeps evaluate a block in
+// enumeration order. Pruned best-only sweeps are best-first
+// branch-and-bound: the pool first computes every partition's lower
+// bound, then evaluates the block in (bound, enumeration index) order,
+// and a worker stops at the first bound above the shared best
+// (bound.go has the soundness and cut argument).
 //
 // A Sweeper is NOT safe for concurrent Sweep calls (each call uses the
 // whole worker pool); serialize externally.
@@ -76,8 +80,8 @@ type partSlot struct {
 	// h is the partition's HDA, named after idx (a Random sample that
 	// repeats a partition gets its own index's name).
 	h *accel.HDA
-	// bounds memoizes the per-model bound summaries (see bound.go).
-	bounds map[*dnn.Model]modelBound
+	// bounds memoizes each model's sched.Floor on h (see bound.go).
+	bounds map[*dnn.Model]sched.Floor
 
 	// bound and val are this sweep's objective lower bound and, once
 	// evaluated, objective value (+Inf until then). Pruned sweeps only.
@@ -110,16 +114,6 @@ func (sw *Sweeper) Space() Space { return sw.sp }
 
 // Options returns the sweeper's search options.
 func (sw *Sweeper) Options() Options { return sw.opts }
-
-// maxWorkerMemo caps the partitions a Sweeper holds at once: one
-// block's slots, each with its HDA and bound summaries. They
-// deliberately cache the swept space across sweeps — that is what
-// makes a warm Resweep cheap — but a fleet-held Sweeper over a huge
-// space must not grow without bound, so a larger space is swept block
-// by block, each block reusing the slots of the last. Matches
-// sched.maxTables so the scheduler's per-HDA tables are evicted on the
-// same scale.
-const maxWorkerMemo = 4096
 
 // runGrain is how many consecutive partitions a worker claims at once
 // in enumeration order. Neighbouring partitions share PE shares, so a
@@ -175,7 +169,7 @@ func (sw *Sweeper) Sweep(w *workload.Workload) (*Result, error) {
 		return nil, fmt.Errorf("dse: empty partition set for %s", sw.sp.Class.Name)
 	}
 	if sw.slots == nil {
-		sw.slots = make([]partSlot, min(total, maxWorkerMemo))
+		sw.slots = make([]partSlot, min(total, sched.MaxTables))
 		for i := range sw.slots {
 			sw.slots[i].idx = -1
 		}
@@ -378,7 +372,7 @@ func (s *sweep) evaluate(wk *sweepWorker, sl *partSlot) (float64, bool) {
 	} else if s.points == nil {
 		wk.s.Recycle(p.Schedule)
 	}
-	return o.value(p), true
+	return p.Value(o), true
 }
 
 // hda returns (building on first use) the slot's HDA, named after its

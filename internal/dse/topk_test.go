@@ -33,8 +33,8 @@ func TestTopK(t *testing.T) {
 			t.Fatalf("%s: TopK(3) returned %d", obj, len(top))
 		}
 		for i := 1; i < len(top); i++ {
-			if obj.value(top[i]) < obj.value(top[i-1]) {
-				t.Errorf("%s: TopK not sorted: %g before %g", obj, obj.value(top[i-1]), obj.value(top[i]))
+			if top[i].Value(obj) < top[i-1].Value(obj) {
+				t.Errorf("%s: TopK not sorted: %g before %g", obj, top[i-1].Value(obj), top[i].Value(obj))
 			}
 		}
 	}

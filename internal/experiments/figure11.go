@@ -191,6 +191,8 @@ func (se *ScenarioEval) render(b *strings.Builder) {
 	b.WriteString(t.String())
 }
 
+// String renders the Fig. 11 design clouds, one table per scenario,
+// then the paper's claims against the measured scenario counts.
 func (r *Fig11Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 11 — design space of FDA / SM-FDA / HDA / RDA across workloads and classes\n")

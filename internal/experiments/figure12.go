@@ -89,6 +89,8 @@ func (c *Config) Figure12() (*Fig12Result, error) {
 	return res, nil
 }
 
+// String renders the Fig. 12 single-DNN case study, one block per
+// model.
 func (r *Fig12Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 12 — single-DNN case study (batch 4, cloud accelerator)\n")

@@ -109,6 +109,8 @@ func (c *Config) Figure13() (*Fig13Result, error) {
 	return res, nil
 }
 
+// String renders the Fig. 13 workload-change table, averaged across
+// classes.
 func (r *Fig13Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 13 — workload-change robustness (averages across classes)\n")

@@ -83,6 +83,7 @@ func (c *Config) Figure5() (*Fig5Result, error) {
 	return res, nil
 }
 
+// String renders the Fig. 5 per-layer utilization and EDP table.
 func (r *Fig5Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 5 — dataflow style impact on three example layers (16 PEs)\n")

@@ -97,6 +97,7 @@ func (c *Config) Figure6() (*Fig6Result, error) {
 	return res, nil
 }
 
+// String renders the Fig. 6 PE-partitioning sweep.
 func (r *Fig6Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 6 — PE partitioning sweep (cloud, AR/VR-A, Shi+NVDLA, naive 128/128 GB/s)\n")

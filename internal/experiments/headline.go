@@ -64,6 +64,8 @@ func (c *Config) Headline() (*HeadlineResult, error) {
 	return res, nil
 }
 
+// String renders the headline comparison table, measured beside the
+// paper's numbers.
 func (r *HeadlineResult) String() string {
 	var b strings.Builder
 	b.WriteString("Headline summary — Maelstrom vs baselines, averaged over all scenarios\n")
@@ -126,6 +128,7 @@ func (c *Config) SchedulerAblation() (*AblationResult, error) {
 	return res, nil
 }
 
+// String renders the scheduler ablation table.
 func (r *AblationResult) String() string {
 	var b strings.Builder
 	b.WriteString("Scheduler ablation — Herald scheduler vs greedy scheduler on Maelstrom designs\n")

@@ -60,6 +60,7 @@ func TableI() (*T1Result, error) {
 	return res, nil
 }
 
+// String renders Table I, ours beside the paper's values.
 func (r *T1Result) String() string {
 	var b strings.Builder
 	b.WriteString("Table I — heterogeneity in DNN models used in AR/VR workloads\n")

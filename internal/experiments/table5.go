@@ -86,6 +86,7 @@ func (c *Config) TableV() (*T5Result, error) {
 	return res, nil
 }
 
+// String renders Table V, ours beside the paper's partitions.
 func (r *T5Result) String() string {
 	var b strings.Builder
 	b.WriteString("Table V — Maelstrom: optimized HW resource partition found by Herald\n")

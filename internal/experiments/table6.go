@@ -92,6 +92,7 @@ func (c *Config) TableVI() (*T6Result, error) {
 
 func itoa(i int) string { return fmt.Sprintf("%d", i) }
 
+// String renders Table VI, ours beside the paper's gains.
 func (r *T6Result) String() string {
 	var b strings.Builder
 	b.WriteString("Table VI — Maelstrom gains vs best FDA and RDA across MLPerf batch sizes\n")

@@ -77,6 +77,7 @@ func (c *Config) TableVII() (*T7Result, error) {
 	return res, nil
 }
 
+// String renders Table VII, ours beside the paper's times.
 func (r *T7Result) String() string {
 	var b strings.Builder
 	b.WriteString("Table VII — scheduling time per workload and sub-accelerator count\n")

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -114,5 +116,75 @@ func TestQueueFullLeavesProbeHalfOpen(t *testing.T) {
 	}
 	if st, err := f.Drain(context.Background()); err != nil || st.BreakerTrips != 1 || st.Completed != 5 {
 		t.Fatalf("drain: trips %d completed %d err %v, want 1 and 5", st.BreakerTrips, st.Completed, err)
+	}
+}
+
+// TestDrainingNeverTripsBreaker: a draining engine is a fleet-side
+// state, not a replica fault. With replica 0 quiesced, every
+// submission goes to replica 1 and no breaker opens.
+func TestDrainingNeverTripsBreaker(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Policy = CostAware
+	opts.Serve.Manual = true
+	f := faultFleet(t, opts)
+	f.Engine(0).Quiesce()
+
+	for i := 0; i < 6; i++ {
+		tk, err := f.Submit(serve.Request{Tenant: "a", Model: "mobilenetv1", SLACycles: 1 << 50})
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		if tk.Replica != 1 {
+			t.Errorf("submission %d routed to %d, want 1", i, tk.Replica)
+		}
+	}
+	if st := f.Stats(); st.BreakerTrips != 0 {
+		t.Errorf("breaker trips %d, want 0", st.BreakerTrips)
+	}
+	for _, e := range f.Decisions() {
+		if e.Kind == "breaker-open" {
+			t.Errorf("decision log: %+v", e)
+		}
+	}
+}
+
+// TestNoFaultsNoTrips: with no fault plan and no controller, random
+// multi-tenant submission sequences on a manual fleet never open a
+// breaker and never run out of replicas, whatever the policy, the
+// queue cap and where the Admit calls fall. Queue-full refusals are
+// the only error allowed.
+func TestNoFaultsNoTrips(t *testing.T) {
+	models := []string{"mobilenetv1", "mobilenetv2", "brq-handpose"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opts := DefaultOptions()
+		opts.Policy = Policy(rng.Intn(int(CostAware) + 1))
+		opts.Serve.MaxQueue = 1 + rng.Intn(4)
+		opts.Serve.Manual = true
+		f := faultFleet(t, opts)
+		tenants := 1 + rng.Intn(4)
+		var cycle int64
+		for i := 0; i < 40; i++ {
+			cycle += int64(rng.Intn(200_000))
+			req := serve.Request{
+				Tenant:       fmt.Sprintf("t%d", rng.Intn(tenants)),
+				Model:        models[rng.Intn(len(models))],
+				ArrivalCycle: cycle,
+				SLACycles:    1 << 50,
+			}
+			if _, err := f.Submit(req); err != nil && !errors.Is(err, serve.ErrQueueFull) {
+				t.Fatalf("seed %d submission %d (%s, %s): %v", seed, i, opts.Policy, req.Tenant, err)
+			}
+			if rng.Intn(5) == 0 {
+				f.Admit()
+			}
+		}
+		st, err := f.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BreakerTrips != 0 {
+			t.Errorf("seed %d (%s, MaxQueue %d): breaker trips %d, want 0", seed, opts.Policy, opts.Serve.MaxQueue, st.BreakerTrips)
+		}
 	}
 }

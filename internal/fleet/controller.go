@@ -438,7 +438,7 @@ func (c *Controller) migrate(ctx context.Context, serving *accel.HDA, mix *workl
 		return d, err
 	}
 	d.WinnerHDA = res.Best.HDA.String()
-	d.WinnerValue = c.obj.Value(res.Best)
+	d.WinnerValue = res.Best.Value(c.obj)
 	d.Explored, d.Pruned = res.Explored, res.Pruned
 	d.Improvement = 0
 	if d.ServingValue > 0 {
@@ -554,13 +554,7 @@ func (c *Controller) evaluate(h *accel.HDA, mix *workload.Workload) (float64, er
 	if err != nil {
 		return 0, fmt.Errorf("fleet: evaluating partition %s: %w", h, err)
 	}
-	v := c.obj.Value(dse.Point{
-		HDA:        h,
-		Schedule:   sch,
-		LatencySec: sch.LatencySeconds(1.0),
-		EnergyMJ:   sch.EnergyMJ(),
-		EDP:        sch.EDP(1.0),
-	})
+	v := c.obj.Pick(sch.LatencySeconds(1.0), sch.EnergyMJ(), sch.EDP(1.0))
 	c.s.Recycle(sch)
 	return v, nil
 }

@@ -992,12 +992,10 @@ func (f *Fleet) dispatchLocked(d *dispatch) error {
 		if err != nil {
 			d.rep = prev
 			if retryableAdmit(err) {
-				// A full queue is the tenant's backpressure, not the
-				// replica's fault: it leaves the breaker (and a
+				// A full queue is the tenant's backpressure and a
+				// draining engine is the fleet's own state, not the
+				// replica's fault: either leaves the breaker (and a
 				// half-open probe) as it was.
-				if !errors.Is(err, serve.ErrQueueFull) {
-					f.noteFailureLocked(r, cycle, err.Error())
-				}
 				overload = err
 				continue
 			}
@@ -1649,15 +1647,11 @@ func (f *Fleet) foldLocked(r *replica) {
 		// oldest-first), bounded across any number of retired
 		// generations.
 		t := f.history[windows[i].Tenant]
-		if n := len(t.Latencies); n > maxHistoryLatencies {
-			t.Latencies = append(t.Latencies[:0], t.Latencies[n-maxHistoryLatencies:]...)
+		if n := len(t.Latencies); n > serve.MaxLatencySamples {
+			t.Latencies = append(t.Latencies[:0], t.Latencies[n-serve.MaxLatencySamples:]...)
 		}
 	}
 }
-
-// maxHistoryLatencies bounds each tenant's folded latency window
-// across retired generations (matches the per-engine window scale).
-const maxHistoryLatencies = 4096
 
 // Drain stops admissions, waits until every accepted ticket has
 // resolved or ctx is done (a manual fleet admits on the caller's

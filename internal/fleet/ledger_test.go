@@ -130,7 +130,7 @@ func TestFoldKeepsNewestLatencies(t *testing.T) {
 	const wrap, fresh = 50, 100
 	var want []int64
 	f.mu.Lock()
-	for i := range int64(maxHistoryLatencies + wrap) {
+	for i := range int64(serve.MaxLatencySamples + wrap) {
 		window(f.history, "a").AddRecord(done(i))
 		want = append(want, i)
 	}
@@ -144,7 +144,7 @@ func TestFoldKeepsNewestLatencies(t *testing.T) {
 	f.foldLocked(r)
 	got := f.history["a"].Latencies
 	f.mu.Unlock()
-	want = want[len(want)-maxHistoryLatencies:]
+	want = want[len(want)-serve.MaxLatencySamples:]
 	if !slices.Equal(got, want) {
 		t.Errorf("folded history keeps %d samples %v..%v, want %v..%v",
 			len(got), got[:3], got[len(got)-3:], want[:3], want[len(want)-3:])

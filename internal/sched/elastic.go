@@ -247,14 +247,7 @@ func (inc *Incremental) Resume(cp Checkpoint, priority int, at int64) (Placement
 		StartCycle:   -1,
 	}
 	for a := range st.log.from(mark) {
-		if pl.StartCycle < 0 || a.Start < pl.StartCycle {
-			pl.StartCycle = a.Start
-		}
-		if a.End > pl.FinishCycle {
-			pl.FinishCycle = a.End
-		}
-		pl.BusyCycles += a.End - a.Start
-		pl.EnergyPJ += a.Cost.Energy.Total()
+		pl.add(a)
 	}
 	return pl, nil
 }

@@ -149,14 +149,7 @@ func refTryAssign(cache *maestro.Cache, opts Options, h *accel.HDA, insts []work
 // refMetric is the reference's ranking metric, read off a whole Cost
 // at the 1 GHz reference clock (Cost.EDP(1.0) for MetricEDP).
 func refMetric(m Metric, c *maestro.Cost) float64 {
-	switch m {
-	case MetricLatency:
-		return float64(c.Cycles)
-	case MetricEnergy:
-		return c.EnergyPJ()
-	default:
-		return c.EDP(1.0)
-	}
+	return m.Pick(float64(c.Cycles), c.EnergyPJ(), c.EDP(1.0))
 }
 
 func refImbalanced(opts Options, st *refState, cycle int64) bool {

@@ -116,6 +116,19 @@ type Placement struct {
 	EnergyPJ     float64
 }
 
+// add folds one of the instance's assignments into the placement
+// (StartCycle -1 until the first).
+func (p *Placement) add(a *Assignment) {
+	if p.StartCycle < 0 || a.Start < p.StartCycle {
+		p.StartCycle = a.Start
+	}
+	if a.End > p.FinishCycle {
+		p.FinishCycle = a.End
+	}
+	p.BusyCycles += a.End - a.Start
+	p.EnergyPJ += a.Cost.Energy.Total()
+}
+
 // LatencyCycles is the instance's response time: completion relative
 // to arrival (queueing + execution).
 func (p Placement) LatencyCycles() int64 { return p.FinishCycle - p.ArrivalCycle }
@@ -226,15 +239,7 @@ func (inc *Incremental) Extend(adms []Admission) ([]Placement, error) {
 		}
 	}
 	for a := range inc.st.log.from(mark) {
-		p := &out[a.Instance-base]
-		if p.StartCycle < 0 || a.Start < p.StartCycle {
-			p.StartCycle = a.Start
-		}
-		if a.End > p.FinishCycle {
-			p.FinishCycle = a.End
-		}
-		p.BusyCycles += a.End - a.Start
-		p.EnergyPJ += a.Cost.Energy.Total()
+		out[a.Instance-base].add(a)
 	}
 
 	for i, a := range adms {

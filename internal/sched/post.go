@@ -12,7 +12,7 @@ import (
 // per-trial simulation arrays, a double-buffered assignment store (the
 // next trial writes the buffer the surviving schedule does not hold),
 // and the hoist/flow-time buffers. Post-processing runs up to
-// MaxPostMoves trial simulations per schedule; without this scratch a
+// maxPostMoves trial simulations per schedule; without this scratch a
 // DSE sweep re-allocated every trial's whole state per design point.
 type simState struct {
 	free, busy []int64
@@ -233,6 +233,10 @@ func memFeasibleStart(h *accel.HDA, running []runSlot, startT, dur, occ int64) (
 	return 0, false
 }
 
+// maxPostMoves bounds the reorder attempts one post-processing pass
+// makes (keeps DSE sweeps fast).
+const maxPostMoves = 64
+
 // postProcess implements Fig. 9: walk each sub-accelerator's sequence;
 // wherever an idle gap follows an assignment, look ahead up to
 // LookAhead positions for a layer that could have started at the gap
@@ -270,7 +274,7 @@ func (s *Scheduler) postProcess(h *accel.HDA, w *workload.Workload, sch *Schedul
 	timeline(cur)
 
 	for a := range seqs {
-		for i := 0; i+1 < len(seqs[a]) && moves < s.opts.MaxPostMoves; i++ {
+		for i := 0; i+1 < len(seqs[a]) && moves < maxPostMoves; i++ {
 			hereEnd := cur.Assignments[at(seqs[a][i])].End
 			nextStart := cur.Assignments[at(seqs[a][i+1])].Start
 			if nextStart-hereEnd <= 0 {

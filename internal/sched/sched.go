@@ -21,46 +21,55 @@ import (
 	"repro/internal/workload"
 )
 
-// Metric selects the per-layer cost the scheduler minimizes when
-// ranking sub-accelerators (§IV-D: "users can select the metric").
+// Metric selects the cost Herald minimizes (§IV-D: "users can select
+// the metric"): per layer when the scheduler ranks sub-accelerators,
+// per design point when a dse search picks its Best, and per layer
+// range when dse.PlanSegments pins fusion segments. dse.Objective is
+// this type.
 type Metric int
 
 const (
-	// MetricEDP ranks by per-layer energy-delay product (default).
+	// MetricEDP minimizes the energy-delay product (default).
 	MetricEDP Metric = iota
-	// MetricLatency ranks by per-layer latency.
+	// MetricLatency minimizes latency.
 	MetricLatency
-	// MetricEnergy ranks by per-layer energy.
+	// MetricEnergy minimizes energy.
 	MetricEnergy
 )
 
-// String names the metric (flag spelling).
+// String names the metric (flag spelling). An out-of-range value
+// names EDP, the value Pick falls back to.
 func (m Metric) String() string {
 	switch m {
-	case MetricEDP:
-		return "edp"
 	case MetricLatency:
 		return "latency"
 	case MetricEnergy:
 		return "energy"
 	}
-	return fmt.Sprintf("Metric(%d)", int(m))
+	return "edp"
 }
 
-// value extracts the metric of a layer that takes cycles with
-// footprint fp, at a 1 GHz reference clock. It mirrors the Cost
-// value-receiver arithmetic exactly (same operation order, hence
-// bit-equal results).
-func (m Metric) value(cycles int64, fp *maestro.Footprint) float64 {
+// Pick returns the one of the three values the metric minimizes; an
+// out-of-range metric picks edp. Every choice among the metrics goes
+// through here, so each caller only has to say how it measures the
+// three.
+func (m Metric) Pick(latency, energy, edp float64) float64 {
 	switch m {
 	case MetricLatency:
-		return float64(cycles)
+		return latency
 	case MetricEnergy:
-		return fp.Energy.Total()
-	default:
-		// Cost.EDP(1.0): EnergyPJ() * 1e-12 * Seconds(1.0).
-		return fp.Energy.Total() * 1e-12 * (float64(cycles) / 1e9)
+		return energy
 	}
+	return edp
+}
+
+// Layer returns the metric of a layer that takes cycles with footprint
+// fp, at a 1 GHz reference clock: latency in cycles, energy in pJ, and
+// EDP as Cost.EDP(1.0) computes it, EnergyPJ() * 1e-12 * Seconds(1.0)
+// (same operation order, hence bit-equal results).
+func (m Metric) Layer(cycles int64, fp *maestro.Footprint) float64 {
+	e := fp.Energy.Total()
+	return m.Pick(float64(cycles), e, e*1e-12*(float64(cycles)/1e9))
 }
 
 // Ordering selects the initial layer ordering heuristic (§IV-D).
@@ -103,10 +112,6 @@ type Options struct {
 	// PostProcess enables the Fig. 9 idle-time-elimination pass.
 	PostProcess bool
 
-	// MaxPostMoves bounds the number of reorder attempts during
-	// post-processing (keeps DSE sweeps fast).
-	MaxPostMoves int
-
 	// Priorities optionally assigns a QoS priority to each workload
 	// instance (same indexing as Workload.Instances; higher is more
 	// urgent). When ready layers compete, higher-priority instances
@@ -129,7 +134,6 @@ func DefaultOptions() Options {
 		LoadBalanceFactor: 1.5,
 		LookAhead:         4,
 		PostProcess:       true,
-		MaxPostMoves:      64,
 	}
 }
 
@@ -154,8 +158,8 @@ func (o Options) Validate() error {
 	if o.LoadBalanceFactor < 1 {
 		return fmt.Errorf("sched: load-balance factor must be >= 1 (got %g)", o.LoadBalanceFactor)
 	}
-	if o.LookAhead < 0 || o.MaxPostMoves < 0 {
-		return fmt.Errorf("sched: look-ahead and max post moves must be >= 0")
+	if o.LookAhead < 0 {
+		return fmt.Errorf("sched: look-ahead must be >= 0")
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func New(cache *maestro.Cache, opts Options) (*Scheduler, error) {
 // footprint and cycles columns (fps[a][layer], cycles[a][layer]) and
 // the scheduler metric of each entry (metric[a][layer]), precomputed
 // so the hot ranking loop reads a float instead of re-deriving EDP per
-// scheduling step. The values are the exact floats Metric.value
+// scheduling step. The values are the exact floats Metric.Layer
 // produces — computing them once is bit-identical to computing them
 // every step.
 type costTable struct {
@@ -90,24 +90,24 @@ func MustNew(cache *maestro.Cache, opts Options) *Scheduler {
 // Options returns the scheduler's configuration.
 func (s *Scheduler) Options() Options { return s.opts }
 
-// maxTables bounds the per-HDA cost-column tables a scheduler retains.
+// MaxTables bounds the per-HDA cost-column tables a scheduler retains.
 // Tables are keyed by HDA pointer, so entries for discarded HDAs can
 // never be re-hit; a scheduler fed a stream of fresh HDAs (a user-
 // driven re-partitioning loop) would otherwise grow without bound.
 // Eviction drops everything — tables rebuild cheaply through the
 // shared interned column cache — and the cap is sized above any
-// realistic sweep (a dse worker caches one HDA per partition so its
-// tables stay warm across re-sweeps; wiping them mid-sweep would
-// silently forfeit exactly that reuse, hence maxTables matches the
-// sweeper's own memo cap).
-const maxTables = 4096
+// realistic sweep. A dse sweep holds at most MaxTables partitions at
+// once, each with one HDA, so its schedulers' tables stay warm across
+// re-sweeps: wiping them mid-sweep would silently forfeit exactly that
+// reuse.
+const MaxTables = 4096
 
 // tableFor returns (creating if needed) the per-model cost-column
 // table of one HDA.
 func (s *Scheduler) tableFor(h *accel.HDA) map[*dnn.Model]*costTable {
 	t := s.tables[h]
 	if t == nil {
-		if len(s.tables) >= maxTables {
+		if len(s.tables) >= MaxTables {
 			clear(s.tables)
 		}
 		t = make(map[*dnn.Model]*costTable)
@@ -133,12 +133,59 @@ func (s *Scheduler) costCols(h *accel.HDA, t map[*dnn.Model]*costTable, m *dnn.M
 		cyc, fps := s.cache.Cycles(m, sub.Style, sub.HW)
 		mv := make([]float64, len(fps))
 		for li, fp := range fps {
-			mv[li] = s.opts.Metric.value(cyc[li], fp)
+			mv[li] = s.opts.Metric.Layer(cyc[li], fp)
 		}
 		ct.fps[a], ct.cycles[a], ct.metric[a] = fps, cyc, mv
 	}
 	t[m] = ct
 	return ct
+}
+
+// Floor is one model's scheduling-free best case on an HDA: every
+// layer on its cheapest sub-accelerator. Its layers form a dependence
+// chain, so no schedule runs the model in fewer cycles or on less
+// energy. The dse pruning bound and serve.Engine.Estimate both read
+// it.
+type Floor struct {
+	// ChainCycles sums each layer's fewest cycles across the
+	// sub-accelerators.
+	ChainCycles int64
+	// EnergyPJ sums each layer's least energy across them.
+	EnergyPJ float64
+	// Unfit is the first layer whose buffer occupancy exceeds the
+	// global buffer on every sub-accelerator, or -1 if there is none.
+	// Such a layer can never be placed on the HDA.
+	Unfit int
+}
+
+// FloorOf folds model m's per-layer minima across h's sub-accelerators
+// from the interned cycles and footprint columns the scheduler's cost
+// tables hold.
+func FloorOf(cache *maestro.Cache, h *accel.HDA, m *dnn.Model) Floor {
+	n := len(h.Subs)
+	cyc := make([][]int64, n)
+	fps := make([][]*maestro.Footprint, n)
+	for a, sub := range h.Subs {
+		cyc[a], fps[a] = cache.Cycles(m, sub.Style, sub.HW)
+	}
+	buf := h.Class.GlobalBufBytes
+	f := Floor{Unfit: -1}
+	for li := range m.Layers {
+		minC, minE, fits := int64(math.MaxInt64), math.Inf(1), false
+		for a := range n {
+			minC = min(minC, cyc[a][li])
+			if e := fps[a][li].Energy.Total(); e < minE {
+				minE = e
+			}
+			fits = fits || fps[a][li].OccupancyBytes <= buf
+		}
+		f.ChainCycles += minC
+		f.EnergyPJ += minE
+		if !fits && f.Unfit < 0 {
+			f.Unfit = li
+		}
+	}
+	return f
 }
 
 // Recycle returns a schedule's assignment storage to the scheduler for

@@ -234,12 +234,12 @@ func TestSubmitRequestWireFormat(t *testing.T) {
 func TestTenantWindowAddOldestFirst(t *testing.T) {
 	done := func(lat int64) *Record { return &Record{Status: StatusDone, LatencyCycles: lat} }
 	var src TenantWindow
-	for i := range int64(maxLatencySamples + 10) {
+	for i := range int64(MaxLatencySamples + 10) {
 		src.AddRecord(done(i))
 	}
 	var dst TenantWindow
 	dst.Add(&src)
-	want := make([]int64, maxLatencySamples)
+	want := make([]int64, MaxLatencySamples)
 	for i := range want {
 		want[i] = int64(10 + i)
 	}

@@ -49,7 +49,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,9 +147,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxLatencySamples bounds each tenant's percentile window: the stats
-// report percentiles over the most recent samples, not all history.
-const maxLatencySamples = 4096
+// MaxLatencySamples bounds each tenant's percentile window: the stats
+// report percentiles over the most recent samples, not all history. A
+// fleet bounds the window it folds across retired generations with it
+// too.
+const MaxLatencySamples = 4096
 
 // Request is one inference submission.
 type Request struct {
@@ -610,16 +611,16 @@ func newServingHDA(h *accel.HDA) *servingHDA {
 }
 
 // Estimate returns the model's best-case busy cycles on the engine's
-// current HDA — every layer on its cheapest sub-accelerator, summed —
-// and the error Submit rejects the model with when a layer's buffer
-// occupancy exceeds the global buffer on every sub-accelerator:
-// admitting one would deadlock the assignment loop (the incremental
-// scheduler rolls back, but the request can never be served on this
-// HDA). Both come from one walk of the model's cost columns, memoized
-// per model and HDA, so steady state is one map hit per call. The
-// cycles are an integer sum over layers, so a chain's segment
-// estimates add up exactly to the whole model's; a fleet dispatcher
-// sums them into its cost-aware ETA.
+// current HDA — the ChainCycles of sched.FloorOf, every layer on its
+// cheapest sub-accelerator — and the error Submit rejects the model
+// with when the floor finds a layer whose buffer occupancy exceeds the
+// global buffer on every sub-accelerator: admitting one would deadlock
+// the assignment loop (the incremental scheduler rolls back, but the
+// request can never be served on this HDA). Both come from one floor,
+// memoized per model and HDA, so steady state is one map hit per
+// call. The cycles are an integer sum over layers, so a chain's
+// segment estimates add up exactly to the whole model's; a fleet
+// dispatcher sums them into its cost-aware ETA.
 func (e *Engine) Estimate(model *dnn.Model) (int64, error) {
 	s := e.hda.Load()
 	s.mu.Lock()
@@ -628,24 +629,11 @@ func (e *Engine) Estimate(model *dnn.Model) (int64, error) {
 	if ok {
 		return v.cycles, v.err
 	}
-	buf := s.hda.Class.GlobalBufBytes
-	n := len(s.hda.Subs)
-	cyc := make([][]int64, n)
-	fps := make([][]*maestro.Footprint, n)
-	for a, sub := range s.hda.Subs {
-		cyc[a], fps[a] = e.cache.Cycles(model, sub.Style, sub.HW)
-	}
-	for li := range model.Layers {
-		best, fits := int64(math.MaxInt64), false
-		for a := range n {
-			best = min(best, cyc[a][li])
-			fits = fits || fps[a][li].OccupancyBytes <= buf
-		}
-		v.cycles += best
-		if !fits && v.err == nil {
-			v.err = fmt.Errorf("serve: %s layer %d cannot fit the %d-byte global buffer on any sub-accelerator",
-				model.Name, li, buf)
-		}
+	fl := sched.FloorOf(e.cache, s.hda, model)
+	v = estimate{cycles: fl.ChainCycles}
+	if fl.Unfit >= 0 {
+		v.err = fmt.Errorf("serve: %s layer %d cannot fit the %d-byte global buffer on any sub-accelerator",
+			model.Name, fl.Unfit, s.hda.Class.GlobalBufBytes)
 	}
 	s.mu.Lock()
 	s.est[model] = v

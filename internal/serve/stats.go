@@ -142,7 +142,7 @@ type TenantWindow struct {
 	LatencySum, QueueSum      int64 // all-time, cycles
 	EnergyPJ                  float64
 	// Latencies is the sample window: AddRecord keeps the most recent
-	// maxLatencySamples completions as a ring whose next write
+	// MaxLatencySamples completions as a ring whose next write
 	// position (and, once full, oldest sample) is next.
 	Latencies []int64
 	next      int
@@ -201,12 +201,12 @@ func (w *TenantWindow) AddRecord(rec *Record) {
 			w.SLAViolations++
 		}
 	}
-	if len(w.Latencies) < maxLatencySamples {
+	if len(w.Latencies) < MaxLatencySamples {
 		w.Latencies = append(w.Latencies, rec.LatencyCycles)
 		return
 	}
 	w.Latencies[w.next] = rec.LatencyCycles
-	w.next = (w.next + 1) % maxLatencySamples
+	w.next = (w.next + 1) % MaxLatencySamples
 }
 
 // dropRecord reverses AddRecord for a done record whose completion was
